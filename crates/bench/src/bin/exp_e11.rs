@@ -122,6 +122,7 @@ fn run_trial(model: Arc<LogisticRegression>, shards: usize, guarded: bool, seed:
             topology: None,
             checkpoint: None,
             admission: None,
+            reshard_hold: Duration::from_secs(5),
         },
         Arc::new(SimulatedRemoteSource::new(FETCH)),
     )

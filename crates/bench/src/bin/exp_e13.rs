@@ -123,6 +123,7 @@ fn run_trial(
             topology: None,
             checkpoint: None,
             admission: None,
+            reshard_hold: Duration::from_secs(5),
         },
         Arc::new(SimulatedRemoteSource::new(FETCH)),
     )

@@ -41,6 +41,7 @@ pub mod bias;
 pub mod builder;
 pub mod column;
 pub mod csv;
+pub mod durable;
 pub mod error;
 pub mod expr;
 pub mod frame;

@@ -19,16 +19,17 @@
 //! rather than misread — the same stance the `fact-net` frame codec takes
 //! on torn frames.
 //!
-//! Writes are crash-safe the way the checkpoint sidecars are: tmp file,
-//! `fsync`, rename, then a directory fsync.
+//! Writes are crash-safe through [`write_atomic`]: tmp file, `fsync`,
+//! rename, then a directory fsync.
 
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
 use crate::column::{Column, ColumnData};
+use crate::durable::write_atomic;
 use crate::error::{FactError, Result};
 use crate::value::DataType;
 
@@ -240,22 +241,6 @@ pub(super) fn parse_dtype(s: &str) -> Result<DataType> {
 // writing
 // ---------------------------------------------------------------------------
 
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
 /// Serialize one segment (a row slice of equal-length columns) to bytes.
 /// Returns the file image and the header that describes it.
 pub fn encode_segment(
@@ -309,14 +294,14 @@ pub fn encode_segment(
 
 /// Durably write one encoded segment file (tmp + fsync + rename).
 pub fn write_segment_file(path: &Path, image: &[u8]) -> Result<()> {
-    write_atomic(path, image)
+    Ok(write_atomic(path, image)?)
 }
 
 /// Durably write the manifest into `dir`.
 pub fn write_manifest(dir: &Path, manifest: &Manifest) -> Result<()> {
     let json = serde_json::to_string_pretty(manifest)
         .map_err(|e| FactError::InvalidArgument(format!("manifest serialization: {e}")))?;
-    write_atomic(&dir.join(MANIFEST_FILE), json.as_bytes())
+    Ok(write_atomic(&dir.join(MANIFEST_FILE), json.as_bytes())?)
 }
 
 /// Read and validate the manifest of a segment-set directory.

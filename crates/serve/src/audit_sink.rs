@@ -60,6 +60,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use fact_data::durable::write_atomic;
 use fact_transparency::audit::{
     is_handoff, parse_handoff_details, verify_segment_entries, AuditEntry, ChainHead, SegmentCheck,
     SegmentError, SEGMENT_HANDOFF_ACTION,
@@ -197,24 +198,6 @@ impl FileStorage {
         PathBuf::from(name)
     }
 
-    /// Atomically replace `path`: write `<path>.tmp`, fsync it, rename
-    /// over the target, fsync the directory.
-    fn write_atomic(&self, path: &Path, buf: &[u8]) -> io::Result<()> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(buf)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // Without this directory fsync the rename itself is not durable: a
-        // power cut could revert the file to its previous content even
-        // though `rename` returned.
-        self.sync_dir()
-    }
-
     /// Parse `name` as one of this log's files with the given extra
     /// suffix: `<base><suffix>` is segment 0,
     /// `<base>.<digits>.jsonl<suffix>` is that numeric segment (any digit
@@ -328,8 +311,7 @@ impl AuditStorage for FileStorage {
     }
 
     fn write_head(&mut self, buf: &[u8]) -> io::Result<()> {
-        let head_path = self.head_path.clone();
-        self.write_atomic(&head_path, buf)
+        write_atomic(&self.head_path, buf)
     }
 
     fn list_archives(&mut self) -> io::Result<Vec<u64>> {
@@ -341,8 +323,7 @@ impl AuditStorage for FileStorage {
     }
 
     fn write_archive(&mut self, segment: u64, buf: &[u8]) -> io::Result<()> {
-        let path = self.archive_path(segment);
-        self.write_atomic(&path, buf)
+        write_atomic(&self.archive_path(segment), buf)
     }
 
     fn remove_segment_file(&mut self, segment: u64) -> io::Result<()> {
@@ -364,8 +345,7 @@ impl AuditStorage for FileStorage {
     }
 
     fn write_manifest(&mut self, buf: &[u8]) -> io::Result<()> {
-        let path = self.manifest_path.clone();
-        self.write_atomic(&path, buf)
+        write_atomic(&self.manifest_path, buf)
     }
 
     fn archive_handle(&self) -> Option<Box<dyn AuditStorage>> {

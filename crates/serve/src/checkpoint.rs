@@ -12,14 +12,15 @@
 //! checkpointed: its reference distribution is configuration, and its
 //! sliding window refills within `window` decisions.
 //!
-//! Files are one JSON document per shard, `shard-N.json`, written
-//! tmp + rename + fsync so a crash mid-write leaves the previous
-//! checkpoint intact rather than a torn one.
+//! Files are one JSON document per shard, `shard-N.json`, written with
+//! [`write_atomic`] so a crash mid-write leaves the previous checkpoint
+//! intact rather than a torn one.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
+use fact_data::durable::write_atomic;
 use fact_fairness::WindowSummary;
 use serde::{Deserialize, Serialize};
 
@@ -87,25 +88,13 @@ pub fn checkpoint_path(dir: &Path, shard: usize) -> PathBuf {
 }
 
 /// Durably write `ck` under `dir`, creating the directory if needed.
-/// Atomic against crashes: the JSON is written to a temp file, fsynced,
-/// and renamed over the previous checkpoint.
+/// Atomic against crashes via [`write_atomic`]: a crash mid-write leaves
+/// the previous checkpoint intact.
 pub fn write_checkpoint(dir: &Path, ck: &GuardCheckpoint) -> io::Result<()> {
     fs::create_dir_all(dir)?;
-    let final_path = checkpoint_path(dir, ck.shard as usize);
-    let tmp_path = dir.join(format!("shard-{}.json.tmp", ck.shard));
     let json = serde_json::to_string(ck)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    {
-        let mut f = fs::File::create(&tmp_path)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp_path, &final_path)?;
-    // fsync the directory so the rename itself is durable
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    write_atomic(&checkpoint_path(dir, ck.shard as usize), json.as_bytes())
 }
 
 /// Load shard `shard`'s checkpoint from `dir`; `Ok(None)` when none has

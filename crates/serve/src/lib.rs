@@ -45,8 +45,9 @@
 //!   hard-reject until the cooldown passes — responsibility degrades the
 //!   service, never silently disables itself.
 //! * **Observability** — a lock-free [`MetricsRegistry`]: relaxed-atomic
-//!   counters, power-of-two latency buckets with p50/p95/p99, per-shard
-//!   queue depth and shed/timeout counts, rendered as text.
+//!   counters, log-linear latency buckets (4 linear sub-buckets per
+//!   octave) with p50/p95/p99, per-shard queue depth and shed/timeout
+//!   counts, rendered as text.
 //! * **Graceful shutdown** — [`DecisionService::shutdown`] stops admission,
 //!   lets every shard serve what it already accepted, and returns a
 //!   [`ServiceReport`] with decisions served, alerts raised, and ε spent.
@@ -117,9 +118,7 @@ pub use metrics::{
     AdmissionSnapshot, AdmissionStats, CacheSnapshot, CacheStats, LatencyHistogram,
     MetricsRegistry, MetricsSnapshot, ShardSnapshot, TenantSnapshot,
 };
-pub use reshard::{
-    transform_checkpoints, ReshardConfig, ReshardReport, ReshardableService, TransformReport,
-};
+pub use reshard::{transform_checkpoints, ReshardReport, TransformReport};
 pub use service::{
     Decision, DecisionHandle, DecisionRequest, DecisionService, NetShardHandler, RemoteShardReport,
     ServeConfig, ServeError, ServiceReport, ShardReport, ShardSlot,

@@ -1,8 +1,9 @@
 //! Lock-free serving observability.
 //!
 //! Every hot-path record is a relaxed atomic operation: counters are
-//! [`AtomicU64`]s, the latency histogram is a fixed array of power-of-two
-//! buckets, and queue depth is a gauge updated with `fetch_add`/`fetch_sub`.
+//! [`AtomicU64`]s, the latency histogram is a fixed array of log-linear
+//! buckets (each power-of-two octave split into 4 linear sub-buckets), and
+//! queue depth is a gauge updated with `fetch_add`/`fetch_sub`.
 //! Snapshots read the atomics without stopping traffic, so a reported
 //! snapshot is a *consistent-enough* view (individual cells are exact; the
 //! set is not taken under a global lock — standard practice for serving
@@ -426,6 +427,17 @@ impl MetricsRegistry {
             cache: Arc::new(CacheStats::default()),
             admission: Arc::new(AdmissionStats::default()),
             archive,
+        }
+    }
+
+    /// A fresh registry for a new topology epoch of `shards` shards. The
+    /// cache, admission and archive counter blocks are shared with `self`,
+    /// because those layers outlive a reshard.
+    pub(crate) fn next_epoch(&self, shards: usize) -> Self {
+        MetricsRegistry {
+            cache: Arc::clone(&self.cache),
+            admission: Arc::clone(&self.admission),
+            ..Self::with_archive_stats(shards, Arc::clone(&self.archive))
         }
     }
 

@@ -1,31 +1,37 @@
 //! Live resharding: take a running decision service from N to M shards
 //! without dropping requests.
 //!
-//! Changing the shard count of a [`DecisionService`] is not just a restart
-//! with a different number: each shard carries *guard state* — a fairness
-//! window, an ε ledger, DP counters — whose evidence must survive the
-//! topology change or the guards silently forget what they were watching.
-//! A [`ReshardableService`] wraps a service in a two-phase gate and, on
-//! [`reshard`](ReshardableService::reshard):
+//! Changing the shard count of a [`DecisionService`](crate::DecisionService)
+//! is not just a restart with a different number: each shard carries
+//! *guard state* — a fairness window, an ε ledger, DP counters — whose
+//! evidence must survive the topology change or the guards silently forget
+//! what they were watching. The service keeps everything shaped by the
+//! shard count (queues, workers, remote slots, per-shard metrics,
+//! checkpoint generation) in one *topology epoch* behind the lock every
+//! submit already takes for reading.
+//! [`DecisionService::reshard`](crate::DecisionService::reshard) replaces
+//! that epoch:
 //!
-//! 1. **Drain** — closes the gate (new submits park), shuts the old
-//!    service down cleanly (every accepted request is answered, every
-//!    shard writes its final [`GuardCheckpoint`] sidecar).
+//! 1. **Drain** — swaps the phase to *cutover* under the write lock, so a
+//!    submit either enqueued into the old epoch before the swap or sees the
+//!    cutover and parks. The old epoch then stops: every accepted request
+//!    is answered and every shard writes its final [`GuardCheckpoint`]
+//!    sidecar.
 //! 2. **Transform** — [`transform_checkpoints`] merges the N fairness
 //!    windows into one fleet window ([`WindowSummary::merge_all`]), splits
 //!    it into M successors ([`WindowSummary::split`]), deals the ε-ledger
 //!    entries round-robin across the successors (refusing loudly if any
 //!    successor's replayed spend would exceed its budget), and rewrites
 //!    the sidecar files — deleting stale ones when shrinking.
-//! 3. **Restart** — starts a fresh service with M shards against the same
-//!    checkpoint directory and audit sink; each new shard restores from
-//!    its transformed sidecar, and the audit sink's recovery pass
-//!    continues the existing hash chain, so the audit log stays
-//!    continuous across the cutover.
-//! 4. **Replay** — reopens the gate; parked submits resume into the new
-//!    topology. Only submits still parked past the bounded hold window
-//!    ([`ReshardConfig::hold_max`]) see [`ServeError::Resharding`] — a
-//!    retryable refusal, never a silent drop.
+//! 3. **Restart** — spawns an epoch of M shards against the same checkpoint
+//!    directory; each new shard restores from its transformed sidecar. The
+//!    model, feature source and cache, admission controller, alert channel
+//!    and audit sink belong to the service, not the epoch, so the audit
+//!    sink stays open and its hash chain runs on unbroken.
+//! 4. **Replay** — serves the new epoch and wakes the parked submits,
+//!    which enqueue into the new topology. Only submits still parked past
+//!    [`ServeConfig::reshard_hold`](crate::ServeConfig::reshard_hold) see
+//!    [`ServeError::Resharding`] — a retryable refusal, never a silent drop.
 //!
 //! The routing hash is unchanged — requests simply take `key % M` instead
 //! of `key % N` — so no routing table crosses the wire. What the transform
@@ -35,43 +41,19 @@
 //! every ledger entry lands in exactly one successor, and lifetime
 //! decision counts sum-then-split exactly.
 //!
-//! Resharding requires `guards` and `checkpoint` to be configured — the
-//! sidecars *are* the portable form of the guard state. A reshard attempt
-//! without them fails with a typed error before touching the service.
+//! Resharding requires `guards` and `checkpoint` to be configured and an
+//! all-local topology — the sidecars *are* the portable form of the guard
+//! state. A reshard attempt without them fails with a typed error before
+//! touching the service.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fact_fairness::{SegmentCounts, WindowSummary};
-use fact_ml::Classifier;
 
 use crate::checkpoint::{
     checkpoint_path, load_checkpoint, write_checkpoint, GuardCheckpoint, LedgerEntry,
 };
-use crate::metrics::MetricsSnapshot;
-use crate::service::{
-    DecisionHandle, DecisionRequest, DecisionService, ServeConfig, ServeError, ServiceReport,
-};
-use crate::source::{FeatureSource, InlineFeatures};
-
-/// Tuning for the cutover gate.
-#[derive(Debug, Clone)]
-pub struct ReshardConfig {
-    /// Longest a submit will park waiting for a cutover to finish before
-    /// being refused with [`ServeError::Resharding`]. The bound is what
-    /// keeps the gate from becoming an unbounded buffer: past it, callers
-    /// get a typed, retryable refusal instead of latency collapse.
-    pub hold_max: Duration,
-}
-
-impl Default for ReshardConfig {
-    fn default() -> Self {
-        ReshardConfig {
-            hold_max: Duration::from_secs(5),
-        }
-    }
-}
+use crate::service::{ServeError, ServiceReport};
 
 /// What one completed reshard did, with enough numbers to *prove* nothing
 /// was lost in the transform.
@@ -94,14 +76,14 @@ pub struct ReshardReport {
     pub post_decisions: u64,
     /// ε-ledger entries redistributed across the successors.
     pub ledger_entries: u64,
-    /// Submits that parked at the gate during this cutover and were
-    /// replayed into the new topology (tail past the hold window is
-    /// refused, not counted here).
+    /// Submits still parked when the new topology opened, all of them
+    /// replayed into it (the tail past the hold window was refused and is
+    /// not counted here).
     pub held: u64,
-    /// How long the gate stayed closed.
+    /// How long the cutover lasted, from the drain to serving again.
     pub cutover: Duration,
-    /// The drained epoch's final accounting (the old service's
-    /// [`ServiceReport`]).
+    /// The drained epoch's own accounting. Its audit fields are zero:
+    /// the audit sink outlives the epoch and reports at shutdown.
     pub epoch: ServiceReport,
 }
 
@@ -121,346 +103,11 @@ pub struct TransformReport {
     pub ledger_entries: u64,
 }
 
-/// The gate's phase. `Cutover` is the only state in which submits park.
-enum Phase {
-    /// Normal operation: submits flow straight through to the service.
-    Serving(DecisionService),
-    /// A reshard is between drain and restart; submits park on the
-    /// condvar up to `hold_max`.
-    Cutover,
-    /// [`ReshardableService::shutdown`] ran; submits fail with
-    /// [`ServeError::ShuttingDown`].
-    Stopped,
-}
-
-struct State {
-    phase: Phase,
-    /// The live configuration; `shards` tracks the current epoch's count.
-    config: ServeConfig,
-    /// Final reports of every drained epoch, oldest first. The last
-    /// epoch's report is appended by [`ReshardableService::shutdown`].
-    epochs: Vec<ServiceReport>,
-}
-
-struct ReshardInner {
-    state: Mutex<State>,
-    gate: Condvar,
-    model: Arc<dyn Classifier + Send + Sync>,
-    source: Arc<dyn FeatureSource>,
-    hold_max: Duration,
-    /// Lifetime count of submits that parked at the gate and were
-    /// successfully replayed.
-    held_replayed: AtomicU64,
-}
-
-/// A [`DecisionService`] that can change its shard count while serving.
-///
-/// Cheaply cloneable like the service it wraps; all clones share the gate.
-/// See the [module docs](self) for the cutover protocol.
-#[derive(Clone)]
-pub struct ReshardableService {
-    inner: Arc<ReshardInner>,
-}
-
-impl ReshardableService {
-    /// Start a reshardable service with features taken inline from each
-    /// request.
-    pub fn start(
-        model: Arc<dyn Classifier + Send + Sync>,
-        config: ServeConfig,
-        reshard: ReshardConfig,
-    ) -> Result<Self, ServeError> {
-        Self::start_with_source(model, config, Arc::new(InlineFeatures), reshard)
-    }
-
-    /// Start a reshardable service around an explicit [`FeatureSource`].
-    pub fn start_with_source(
-        model: Arc<dyn Classifier + Send + Sync>,
-        config: ServeConfig,
-        source: Arc<dyn FeatureSource>,
-        reshard: ReshardConfig,
-    ) -> Result<Self, ServeError> {
-        let service = DecisionService::start_with_source(
-            Arc::clone(&model),
-            config.clone(),
-            Arc::clone(&source),
-        )?;
-        Ok(ReshardableService {
-            inner: Arc::new(ReshardInner {
-                state: Mutex::new(State {
-                    phase: Phase::Serving(service),
-                    config,
-                    epochs: Vec::new(),
-                }),
-                gate: Condvar::new(),
-                model,
-                source,
-                hold_max: reshard.hold_max,
-                held_replayed: AtomicU64::new(0),
-            }),
-        })
-    }
-
-    /// Submit one request through the gate.
-    ///
-    /// During normal operation this is a lock acquisition and an Arc clone
-    /// on top of [`DecisionService::submit`]. During a cutover the call
-    /// parks up to [`ReshardConfig::hold_max`], then either replays into
-    /// the new topology or returns [`ServeError::Resharding`]. A submit
-    /// that races the drain (accepted the old service handle just as it
-    /// began shutting down) re-enters the gate instead of surfacing the
-    /// internal `ShuttingDown` — callers never see a drop caused by the
-    /// cutover itself.
-    pub fn submit(&self, request: DecisionRequest) -> Result<DecisionHandle, ServeError> {
-        let deadline = Instant::now() + self.inner.hold_max;
-        let mut parked = false;
-        let mut guard = self.inner.state.lock().expect("reshard state poisoned");
-        loop {
-            match &guard.phase {
-                Phase::Stopped => return Err(ServeError::ShuttingDown),
-                Phase::Cutover => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(ServeError::Resharding);
-                    }
-                    parked = true;
-                    guard = self
-                        .inner
-                        .gate
-                        .wait_timeout(guard, deadline - now)
-                        .expect("reshard state poisoned")
-                        .0;
-                }
-                Phase::Serving(service) => {
-                    let service = service.clone();
-                    drop(guard);
-                    match service.submit(request.clone()) {
-                        // Lost the race with a cutover's drain: the gate
-                        // will flip to Cutover (or already has); park and
-                        // replay rather than reporting a phantom shutdown.
-                        Err(ServeError::ShuttingDown) => {
-                            parked = true;
-                            guard = self.inner.state.lock().expect("reshard state poisoned");
-                        }
-                        other => {
-                            if parked && other.is_ok() {
-                                self.inner.held_replayed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            return other;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Submit and wait, using the service's default timeout on top of any
-    /// gate hold.
-    pub fn decide(&self, request: DecisionRequest) -> Result<crate::service::Decision, ServeError> {
-        let timeout = {
-            let guard = self.inner.state.lock().expect("reshard state poisoned");
-            guard.config.default_timeout
-        };
-        self.submit(request)?.wait(timeout)
-    }
-
-    /// Change the shard count from the current `N` to `to`, conserving
-    /// guard state. See the [module docs](self) for the protocol; returns
-    /// a [`ReshardReport`] whose pre/post counts prove conservation.
-    ///
-    /// Requires `guards` and `checkpoint` in the configuration. Fails
-    /// without touching the running service if they are absent or if
-    /// `to == 0`. If the checkpoint transform itself refuses — e.g.
-    /// shrinking would replay more ε into a successor than its budget
-    /// allows (the ledger is conserved, never truncated) — the service
-    /// **rolls back**: the refused transform wrote nothing, so the
-    /// worker restarts on the untouched sidecars and keeps serving at
-    /// the old shard count while the error is surfaced to the caller.
-    pub fn reshard(&self, to: usize) -> Result<ReshardReport, ServeError> {
-        if to == 0 {
-            return Err(ServeError::BadRequest("cannot reshard to 0 shards".into()));
-        }
-        // Close the gate: take the serving phase, leaving Cutover. If
-        // another reshard is mid-cutover, wait behind it.
-        let (old, config) = {
-            let mut guard = self.inner.state.lock().expect("reshard state poisoned");
-            loop {
-                match &guard.phase {
-                    Phase::Stopped => return Err(ServeError::ShuttingDown),
-                    Phase::Cutover => {
-                        guard = self.inner.gate.wait(guard).expect("reshard state poisoned");
-                    }
-                    Phase::Serving(_) => break,
-                }
-            }
-            let config = guard.config.clone();
-            if config.guards.is_none() || config.checkpoint.is_none() {
-                return Err(ServeError::BadRequest(
-                    "resharding requires guards and checkpoint in the config \
-                     (the sidecars carry the guard state across the cutover)"
-                        .into(),
-                ));
-            }
-            if config.topology.is_some() {
-                return Err(ServeError::BadRequest(
-                    "resharding a mixed local/remote topology is not supported; \
-                     reshard each worker process and re-dial the topology instead"
-                        .into(),
-                ));
-            }
-            match std::mem::replace(&mut guard.phase, Phase::Cutover) {
-                Phase::Serving(service) => (service, config),
-                _ => unreachable!("phase checked Serving under the same lock"),
-            }
-        };
-
-        let started = Instant::now();
-        let held_before = self.inner.held_replayed.load(Ordering::Relaxed);
-        let from = config.shards;
-
-        // Drain: every accepted request is answered and every shard
-        // writes its final sidecar before shutdown() returns.
-        let epoch = old.shutdown();
-
-        // Transform + restart. Any failure past this point must not leave
-        // the gate closed forever: mark Stopped (loud, typed) and wake the
-        // parked submits so they fail fast instead of timing out.
-        let result = (|| {
-            let ck_dir = config
-                .checkpoint
-                .as_ref()
-                .expect("checked above")
-                .dir
-                .clone();
-            let transform = transform_checkpoints(&ck_dir, from, to)?;
-            let mut next = config.clone();
-            next.shards = to;
-            let service = DecisionService::start_with_source(
-                Arc::clone(&self.inner.model),
-                next.clone(),
-                Arc::clone(&self.inner.source),
-            )?;
-            Ok::<_, ServeError>((transform, next, service))
-        })();
-
-        let mut guard = self.inner.state.lock().expect("reshard state poisoned");
-        match result {
-            Ok((transform, next, service)) => {
-                guard.phase = Phase::Serving(service);
-                guard.config = next;
-                guard.epochs.push(epoch.clone());
-                self.inner.gate.notify_all();
-                drop(guard);
-                let held = self
-                    .inner
-                    .held_replayed
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(held_before);
-                Ok(ReshardReport {
-                    from,
-                    to,
-                    pre_counts: transform.pre_counts,
-                    post_counts: transform.post_counts,
-                    pre_decisions: transform.pre_decisions,
-                    post_decisions: transform.post_decisions,
-                    ledger_entries: transform.ledger_entries,
-                    held,
-                    cutover: started.elapsed(),
-                    epoch,
-                })
-            }
-            Err(e) => {
-                // A refused transform wrote nothing, so the drained
-                // epoch's sidecars still hold the N-shard state exactly:
-                // roll back by restarting on them. Only if even that
-                // fails does the gate stop (loud, typed) rather than
-                // serving with unknown guard state.
-                drop(guard);
-                let rollback = DecisionService::start_with_source(
-                    Arc::clone(&self.inner.model),
-                    config,
-                    Arc::clone(&self.inner.source),
-                );
-                let mut guard = self.inner.state.lock().expect("reshard state poisoned");
-                match rollback {
-                    Ok(service) => guard.phase = Phase::Serving(service),
-                    Err(_) => guard.phase = Phase::Stopped,
-                }
-                guard.epochs.push(epoch);
-                self.inner.gate.notify_all();
-                Err(e)
-            }
-        }
-    }
-
-    /// Ask the current epoch's shards to checkpoint after their next batch.
-    pub fn request_checkpoint(&self) {
-        let guard = self.inner.state.lock().expect("reshard state poisoned");
-        if let Phase::Serving(service) = &guard.phase {
-            service.request_checkpoint();
-        }
-    }
-
-    /// Current shard count (the target count once a cutover completes).
-    pub fn shards(&self) -> usize {
-        self.inner
-            .state
-            .lock()
-            .expect("reshard state poisoned")
-            .config
-            .shards
-    }
-
-    /// Metrics snapshot of the current epoch's service; `None` mid-cutover
-    /// or after shutdown.
-    pub fn metrics(&self) -> Option<MetricsSnapshot> {
-        let guard = self.inner.state.lock().expect("reshard state poisoned");
-        match &guard.phase {
-            Phase::Serving(service) => Some(service.metrics()),
-            _ => None,
-        }
-    }
-
-    /// Lifetime count of submits that parked at the cutover gate and were
-    /// replayed into a new topology.
-    pub fn held_replayed(&self) -> u64 {
-        self.inner.held_replayed.load(Ordering::Relaxed)
-    }
-
-    /// Stop serving: drains the current epoch and returns every epoch's
-    /// final report, oldest first (one per topology the service ran).
-    /// Waits for an in-flight cutover to finish first. Idempotent — a
-    /// second call returns the same accumulated reports.
-    pub fn shutdown(&self) -> Vec<ServiceReport> {
-        let service = {
-            let mut guard = self.inner.state.lock().expect("reshard state poisoned");
-            while let Phase::Cutover = &guard.phase {
-                guard = self.inner.gate.wait(guard).expect("reshard state poisoned");
-            }
-            match std::mem::replace(&mut guard.phase, Phase::Stopped) {
-                Phase::Serving(service) => Some(service),
-                _ => None,
-            }
-        };
-        if let Some(service) = service {
-            let report = service.shutdown();
-            let mut guard = self.inner.state.lock().expect("reshard state poisoned");
-            guard.epochs.push(report);
-            self.inner.gate.notify_all();
-        }
-        self.inner
-            .state
-            .lock()
-            .expect("reshard state poisoned")
-            .epochs
-            .clone()
-    }
-}
-
 /// Rewrite the `shard-N.json` sidecars under `dir` from `from` shards to
 /// `to` shards, conserving every count. This is the pure state transform
-/// behind [`ReshardableService::reshard`]; it can also run offline between
-/// process generations (drain the old fleet, transform, start the new one).
+/// behind [`DecisionService::reshard`](crate::DecisionService::reshard); it
+/// can also run offline between process generations (drain the old fleet,
+/// transform, start the new one).
 ///
 /// * Fairness windows are folded with [`WindowSummary::merge_all`] and
 ///   fanned out with [`WindowSummary::split`]; the summed segment counts

@@ -18,12 +18,12 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
     TrySendError,
 };
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -43,6 +43,7 @@ use crate::cache::{CacheConfig, CachedFeatureSource, SystemClock};
 use crate::checkpoint::{load_checkpoint, write_checkpoint, CheckpointConfig};
 use crate::guards::{AlertHub, AlertKind, DegradePolicy, GuardConfig, ServiceAlert, ShardGuards};
 use crate::metrics::{AdmissionSnapshot, CacheSnapshot, MetricsRegistry, MetricsSnapshot};
+use crate::reshard::{transform_checkpoints, ReshardReport};
 use crate::source::{FeatureSource, InlineFeatures};
 
 /// Errors surfaced to callers of the service.
@@ -171,6 +172,12 @@ pub struct ServeConfig {
     /// per-tenant token quotas layered on the depth gauge (see
     /// [`crate::admission`]). `None` keeps the static `queue_cap` bound.
     pub admission: Option<AdmissionConfig>,
+    /// Longest a submit parks while a live
+    /// [`reshard`](DecisionService::reshard) cutover is in progress before
+    /// it is refused with [`ServeError::Resharding`]. The bound keeps the
+    /// cutover from becoming an unbounded buffer: past it, callers get a
+    /// typed, retryable refusal instead of latency collapse.
+    pub reshard_hold: Duration,
 }
 
 /// Where one shard of the routing space is hosted.
@@ -217,6 +224,7 @@ impl Default for ServeConfig {
             topology: None,
             checkpoint: None,
             admission: None,
+            reshard_hold: Duration::from_secs(5),
         }
     }
 }
@@ -418,7 +426,10 @@ pub struct RemoteShardReport {
     pub rtt_mean_micros: f64,
 }
 
-/// The final accounting returned by [`DecisionService::shutdown`].
+/// The final accounting returned by [`DecisionService::shutdown`]. It
+/// covers the service's whole lifetime: additive counters are summed over
+/// the topology epochs, while ε and the shard and remote breakdowns are the
+/// final epoch's, because the ε ledger is carried through every reshard.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
     /// Decisions served across all shards.
@@ -464,6 +475,10 @@ pub struct ServiceReport {
     /// Per-shard breakdown (local shards only; remote workers keep their
     /// own reports in their own processes).
     pub shards: Vec<ShardReport>,
+    /// Topology epochs the service ran: one at start plus one per
+    /// [`reshard`](DecisionService::reshard) that drained the running
+    /// topology, rolled-back ones included.
+    pub epochs: u64,
     /// Client-side transport stats for each remote shard slot. Shutting
     /// down this service does *not* stop the remote workers — their
     /// lifecycle belongs to whoever spawned them.
@@ -471,6 +486,26 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
+    /// Fold per-epoch reports (oldest first, at least one) into one
+    /// lifetime report.
+    fn over_epochs(epochs: Vec<ServiceReport>) -> ServiceReport {
+        let count = epochs.len() as u64;
+        let mut older = epochs.into_iter().rev();
+        let mut total = older.next().expect("a service runs at least one epoch");
+        for e in older {
+            total.decisions_served += e.decisions_served;
+            total.shed += e.shed;
+            total.throttled += e.throttled;
+            total.timed_out += e.timed_out;
+            total.rejected += e.rejected;
+            total.flagged += e.flagged;
+            total.alerts_raised += e.alerts_raised;
+            total.checkpoints_written += e.checkpoints_written;
+        }
+        total.epochs = count;
+        total
+    }
+
     /// Render as a short plain-text block.
     pub fn render_text(&self) -> String {
         let mut out = format!(
@@ -554,31 +589,138 @@ struct Job {
     reply: Sender<Result<Decision, ServeError>>,
 }
 
-struct Inner {
-    config: ServeConfig,
-    metrics: Arc<MetricsRegistry>,
-    /// `None` once shutdown has begun: dropping the senders is what tells
-    /// the workers to drain and exit.
-    senders: RwLock<Option<Vec<SyncSender<Job>>>>,
-    workers: Mutex<Vec<JoinHandle<ShardReport>>>,
-    alert_rx: Mutex<Receiver<ServiceAlert>>,
-    report: Mutex<Option<ServiceReport>>,
-    /// The audit sink, finished (drained + stop marker + fsync) at
-    /// shutdown, *after* the workers have been joined.
-    sink: Mutex<Option<AuditSink>>,
-    /// What the sink's startup recovery pass found, if a sink is on.
-    audit_recovery: Option<RecoveryReport>,
-    /// The cache decorating the feature source, retained so rollouts can
-    /// invalidate it through the service; `None` when caching is off.
-    cache: Option<Arc<CachedFeatureSource>>,
+/// One topology epoch: everything whose shape depends on the shard count.
+/// A live [`reshard`](DecisionService::reshard) drains one epoch and
+/// spawns the next; the rest of [`Inner`] lives as long as the service.
+struct Epoch {
+    shards: usize,
+    /// One bounded queue per shard. Dropping them is what tells the
+    /// workers to drain and exit.
+    senders: Vec<SyncSender<Job>>,
+    workers: Vec<JoinHandle<ShardReport>>,
     /// One fact-net client per remote shard slot (`None` for local slots).
     remotes: Vec<Option<Arc<RemoteShard>>>,
+    metrics: Arc<MetricsRegistry>,
     /// Bumped by [`DecisionService::request_checkpoint`]; local workers
     /// compare against it after every batch and flush when it moved.
     checkpoint_gen: Arc<AtomicU64>,
+}
+
+impl Epoch {
+    /// Stop admitting into this epoch, let every shard serve what it
+    /// already accepted and write its final checkpoint, and account for
+    /// it. The audit fields stay zero: the sink outlives the epoch.
+    fn drain(self) -> ServiceReport {
+        let Epoch {
+            senders,
+            workers,
+            remotes,
+            metrics,
+            ..
+        } = self;
+        drop(senders);
+        let mut shards: Vec<ShardReport> = workers
+            .into_iter()
+            .map(|h| h.join().expect("fact-serve worker panicked"))
+            .collect();
+        shards.sort_by_key(|s| s.shard);
+        let snap = metrics.snapshot();
+        let remotes = remote_reports(&remotes, &snap);
+        ServiceReport {
+            decisions_served: shards.iter().map(|s| s.served).sum::<u64>()
+                + remotes.iter().map(|r| r.served).sum::<u64>(),
+            shed: snap.shed(),
+            throttled: snap.throttled(),
+            timed_out: snap.shards.iter().map(|s| s.timeouts).sum(),
+            rejected: shards.iter().map(|s| s.rejected).sum(),
+            flagged: shards.iter().map(|s| s.flagged).sum(),
+            alerts_raised: shards.iter().map(|s| s.alerts).sum(),
+            epsilon_spent: shards.iter().map(|s| s.epsilon_spent).sum(),
+            audited: 0,
+            lost_on_recovery: 0,
+            audit_segments: 0,
+            cache: snap.cache,
+            admission: snap.admission,
+            archive: snap.archive,
+            checkpoints_written: shards.iter().map(|s| s.checkpoints).sum(),
+            epochs: 1,
+            shards,
+            remotes,
+        }
+    }
+}
+
+fn remote_reports(
+    remotes: &[Option<Arc<RemoteShard>>],
+    snap: &MetricsSnapshot,
+) -> Vec<RemoteShardReport> {
+    remotes
+        .iter()
+        .enumerate()
+        .filter_map(|(shard, r)| {
+            r.as_ref().map(|remote| {
+                let s = remote.stats();
+                RemoteShardReport {
+                    shard,
+                    served: snap.shards[shard].served,
+                    requests: s.requests,
+                    reconnects: s.reconnects,
+                    errors: s.errors,
+                    rtt_mean_micros: s.rtt_mean_micros,
+                }
+            })
+        })
+        .collect()
+}
+
+/// What `submit` finds behind the phase lock.
+enum Phase {
+    Serving(Epoch),
+    /// A reshard is between drain and restart; submits park up to
+    /// [`ServeConfig::reshard_hold`].
+    Cutover,
+    Stopped,
+}
+
+/// Slow-path state. Reshard and shutdown hold its lock for their whole
+/// run, so they never interleave.
+#[derive(Default)]
+struct Lifecycle {
+    /// Reports of the drained epochs, oldest first.
+    drained: Vec<ServiceReport>,
+    /// The final report, once shutdown has run.
+    report: Option<ServiceReport>,
+}
+
+struct Inner {
+    config: ServeConfig,
+    model: Arc<dyn Classifier + Send + Sync>,
+    /// The feature source, already cache-decorated when caching is on.
+    source: Arc<dyn FeatureSource>,
+    /// The cache decorating the feature source, retained so rollouts can
+    /// invalidate it through the service; `None` when caching is off.
+    cache: Option<Arc<CachedFeatureSource>>,
     /// Adaptive admission controller shared by every local shard's submit
     /// path; `None` keeps the static bound.
     admission: Option<Arc<AdmissionController>>,
+    alert_tx: Sender<ServiceAlert>,
+    alert_rx: Mutex<Receiver<ServiceAlert>>,
+    /// The audit sink, finished (drained + stop marker + fsync) at
+    /// shutdown, *after* the last epoch's workers have been joined. It
+    /// stays open across cutovers, so the hash chain never restarts.
+    sink: Mutex<Option<AuditSink>>,
+    /// What the sink's startup recovery pass found, if a sink is on.
+    audit_recovery: Option<RecoveryReport>,
+    /// The newest epoch's registry: what [`DecisionService::metrics`]
+    /// reads, and what the next epoch shares its cache, admission and
+    /// archive counters with.
+    metrics: Mutex<Arc<MetricsRegistry>>,
+    phase: RwLock<Phase>,
+    /// How many submits are parked on a cutover, waiting on `reopened`.
+    /// Taken before the phase lock whenever both are held.
+    gate: Mutex<u64>,
+    reopened: Condvar,
+    lifecycle: Mutex<Lifecycle>,
 }
 
 /// A cheaply-cloneable handle to the serving fabric. All clones address the
@@ -588,6 +730,12 @@ struct Inner {
 #[derive(Clone)]
 pub struct DecisionService {
     inner: Arc<Inner>,
+}
+
+fn shard_of(route_key: u64, shards: usize) -> usize {
+    let mut h = DefaultHasher::new();
+    route_key.hash(&mut h);
+    (h.finish() % shards as u64) as usize
 }
 
 impl DecisionService {
@@ -711,12 +859,48 @@ impl DecisionService {
             Some(c) => Arc::clone(c) as Arc<dyn FeatureSource>,
             None => source,
         };
-        let checkpoint_gen = Arc::new(AtomicU64::new(0));
         let (alert_tx, alert_rx) = channel();
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut workers = Vec::with_capacity(config.shards);
-        let mut remotes: Vec<Option<Arc<RemoteShard>>> = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
+        let shards = config.shards;
+        let service = DecisionService {
+            inner: Arc::new(Inner {
+                config,
+                model,
+                source,
+                cache,
+                admission,
+                alert_tx,
+                alert_rx: Mutex::new(alert_rx),
+                audit_recovery: sink.as_ref().map(|s| s.recovery().clone()),
+                sink: Mutex::new(sink),
+                metrics: Mutex::new(Arc::clone(&metrics)),
+                phase: RwLock::new(Phase::Stopped),
+                gate: Mutex::new(0),
+                reopened: Condvar::new(),
+                lifecycle: Mutex::default(),
+            }),
+        };
+        let epoch = service.spawn_epoch(shards, metrics)?;
+        service.set_phase(Phase::Serving(epoch));
+        Ok(service)
+    }
+
+    /// Spawn one worker per local shard (restoring each from its
+    /// checkpoint sidecar) and dial every remote slot, counting into
+    /// `metrics`, which becomes the registry [`metrics`](Self::metrics)
+    /// reads.
+    fn spawn_epoch(
+        &self,
+        shards: usize,
+        metrics: Arc<MetricsRegistry>,
+    ) -> Result<Epoch, ServeError> {
+        let inner = &*self.inner;
+        let config = &inner.config;
+        let sink = inner.sink.lock().unwrap_or_else(|e| e.into_inner());
+        let checkpoint_gen = Arc::new(AtomicU64::new(0));
+        let mut senders = Vec::with_capacity(shards);
+        let mut workers = Vec::with_capacity(shards);
+        let mut remotes: Vec<Option<Arc<RemoteShard>>> = Vec::with_capacity(shards);
+        for shard in 0..shards {
             let slot = config
                 .topology
                 .as_ref()
@@ -769,15 +953,15 @@ impl DecisionService {
             };
             let hub = AlertHub::new(
                 shard,
-                alert_tx.clone(),
+                inner.alert_tx.clone(),
                 Arc::clone(&metrics),
                 config.alert_debounce,
             );
             let worker = ShardWorker {
                 shard,
                 rx,
-                model: Arc::clone(&model),
-                source: Arc::clone(&source),
+                model: Arc::clone(&inner.model),
+                source: Arc::clone(&inner.source),
                 metrics: Arc::clone(&metrics),
                 guards,
                 hub,
@@ -790,7 +974,7 @@ impl DecisionService {
                 checkpoint: config.checkpoint.clone(),
                 base_decisions: resumed_at,
                 checkpoint_gen: Arc::clone(&checkpoint_gen),
-                admission: admission.clone(),
+                admission: inner.admission.clone(),
             };
             workers.push(
                 std::thread::Builder::new()
@@ -799,35 +983,24 @@ impl DecisionService {
                     .map_err(|e| ServeError::Internal(e.to_string()))?,
             );
         }
-        Ok(DecisionService {
-            inner: Arc::new(Inner {
-                config,
-                metrics,
-                senders: RwLock::new(Some(senders)),
-                workers: Mutex::new(workers),
-                alert_rx: Mutex::new(alert_rx),
-                report: Mutex::new(None),
-                audit_recovery: sink.as_ref().map(|s| s.recovery().clone()),
-                sink: Mutex::new(sink),
-                cache,
-                remotes,
-                checkpoint_gen,
-                admission,
-            }),
+        *inner.metrics.lock().unwrap_or_else(|e| e.into_inner()) = Arc::clone(&metrics);
+        Ok(Epoch {
+            shards,
+            senders,
+            workers,
+            remotes,
+            metrics,
+            checkpoint_gen,
         })
-    }
-
-    fn shard_of(&self, route_key: u64) -> usize {
-        let mut h = DefaultHasher::new();
-        route_key.hash(&mut h);
-        (h.finish() % self.inner.config.shards as u64) as usize
     }
 
     /// Enqueue a request without waiting for the decision.
     ///
     /// Fails fast with [`ServeError::Busy`] when the shard's queue is full
     /// (load shedding) and [`ServeError::ShuttingDown`] after shutdown has
-    /// begun.
+    /// begun. During a [`reshard`](Self::reshard) cutover the call parks
+    /// up to [`ServeConfig::reshard_hold`], then enqueues into the new
+    /// topology or returns [`ServeError::Resharding`].
     pub fn submit(&self, request: DecisionRequest) -> Result<DecisionHandle, ServeError> {
         if request.features.len() != self.inner.config.n_features {
             return Err(ServeError::BadRequest(format!(
@@ -836,13 +1009,70 @@ impl DecisionService {
                 request.features.len()
             )));
         }
-        let shard = self.shard_of(request.route_key);
-        if let Some(remote) = self.inner.remotes[shard].as_deref() {
+        let mut deadline = None;
+        loop {
+            match &*self.inner.phase.read().unwrap_or_else(|e| e.into_inner()) {
+                Phase::Serving(epoch) => return self.enqueue(epoch, request),
+                Phase::Stopped => return Err(ServeError::ShuttingDown),
+                Phase::Cutover => {}
+            }
+            let deadline =
+                *deadline.get_or_insert_with(|| Instant::now() + self.inner.config.reshard_hold);
+            self.park(deadline)?;
+        }
+    }
+
+    /// Wait until the phase leaves `Cutover`, or refuse with
+    /// [`ServeError::Resharding`] once `deadline` passes.
+    fn park(&self, deadline: Instant) -> Result<(), ServeError> {
+        let mut parked = self.inner.gate.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            let phase = self.inner.phase.read().unwrap_or_else(|e| e.into_inner());
+            if !matches!(*phase, Phase::Cutover) {
+                return Ok(());
+            }
+            drop(phase);
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(ServeError::Resharding);
+            }
+            *parked += 1;
+            parked = self
+                .inner
+                .reopened
+                .wait_timeout(parked, deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            *parked -= 1;
+        }
+    }
+
+    /// Swap the phase and wake every parked submit so it re-reads it.
+    /// Returns the phase it replaced and how many submits were parked.
+    fn set_phase(&self, next: Phase) -> (Phase, u64) {
+        let parked = self.inner.gate.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = std::mem::replace(
+            &mut *self.inner.phase.write().unwrap_or_else(|e| e.into_inner()),
+            next,
+        );
+        self.inner.reopened.notify_all();
+        (prev, *parked)
+    }
+
+    /// Enqueue into `epoch`; the caller holds the phase read lock, so the
+    /// epoch cannot be drained underneath.
+    fn enqueue(
+        &self,
+        epoch: &Epoch,
+        request: DecisionRequest,
+    ) -> Result<DecisionHandle, ServeError> {
+        let shard = shard_of(request.route_key, epoch.shards);
+        if let Some(remote) = epoch.remotes[shard].as_deref() {
             // remote slots enforce their own admission policy worker-side,
             // where the depth gauge and latency window actually live
-            return self.submit_remote(remote, shard, request);
+            return submit_remote(epoch, remote, shard, request);
         }
-        let m = self.inner.metrics.shard(shard);
+        let m = epoch.metrics.shard(shard);
         if let Some(adm) = &self.inner.admission {
             match adm.admit(request.tenant, m.depth.load(Ordering::Relaxed)) {
                 AdmissionDecision::Admit => {}
@@ -866,19 +1096,17 @@ impl DecisionService {
             enqueued: Instant::now(),
             reply: reply_tx,
         };
-        let guard = self.inner.senders.read().unwrap_or_else(|e| e.into_inner());
-        let senders = guard.as_ref().ok_or(ServeError::ShuttingDown)?;
         // The gauge goes up *before* the send: the worker may dequeue (and
         // decrement) the instant try_send returns, so incrementing after
         // would transiently wrap the gauge below zero.
         m.depth_inc();
-        match senders[shard].try_send(job) {
+        match epoch.senders[shard].try_send(job) {
             Ok(()) => {
                 m.enqueued.fetch_add(1, Ordering::Relaxed);
                 Ok(DecisionHandle {
                     inner: HandleInner::Local { rx: reply_rx },
                     shard,
-                    metrics: Arc::clone(&self.inner.metrics),
+                    metrics: Arc::clone(&epoch.metrics),
                 })
             }
             Err(TrySendError::Full(_)) => {
@@ -893,42 +1121,6 @@ impl DecisionService {
         }
     }
 
-    /// Ship a request to a remote worker over fact-net.
-    fn submit_remote(
-        &self,
-        remote: &RemoteShard,
-        shard: usize,
-        request: DecisionRequest,
-    ) -> Result<DecisionHandle, ServeError> {
-        if self
-            .inner
-            .senders
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_none()
-        {
-            return Err(ServeError::ShuttingDown);
-        }
-        let payload = net_encode(&RequestWire {
-            features: request.features,
-            group_b: request.group_b,
-            route_key: request.route_key,
-            tenant: Some(request.tenant),
-        })
-        .map_err(|e| ServeError::Remote(e.to_string()))?;
-        let enqueued = Instant::now();
-        let reply = remote
-            .send(FrameKind::Request, payload)
-            .map_err(|e| ServeError::Remote(e.to_string()))?;
-        let m = self.inner.metrics.shard(shard);
-        m.enqueued.fetch_add(1, Ordering::Relaxed);
-        Ok(DecisionHandle {
-            inner: HandleInner::Remote { reply, enqueued },
-            shard,
-            metrics: Arc::clone(&self.inner.metrics),
-        })
-    }
-
     /// Submit and wait for the decision under the configured default
     /// timeout.
     pub fn decide(&self, request: DecisionRequest) -> Result<Decision, ServeError> {
@@ -936,40 +1128,119 @@ impl DecisionService {
         self.submit(request)?.wait(timeout)
     }
 
+    /// Change the shard count from the current `N` to `to` while serving,
+    /// conserving guard state. See [`crate::reshard`] for the protocol;
+    /// the returned [`ReshardReport`]'s pre/post counts prove
+    /// conservation.
+    ///
+    /// Requires `guards` and `checkpoint` and an all-local topology in the
+    /// configuration; without them, or with `to == 0`, it fails with
+    /// [`ServeError::BadRequest`] before touching the running service. If
+    /// the checkpoint transform refuses — e.g. shrinking would replay more
+    /// ε into a successor than its budget allows (the ledger is conserved,
+    /// never truncated) — the service **rolls back**: the refused
+    /// transform wrote nothing, so it restarts on the untouched sidecars
+    /// and keeps serving at the old shard count while the error is
+    /// surfaced to the caller. Only if that restart fails too does the
+    /// service stop.
+    pub fn reshard(&self, to: usize) -> Result<ReshardReport, ServeError> {
+        let config = &self.inner.config;
+        if to == 0 {
+            return Err(ServeError::BadRequest("cannot reshard to 0 shards".into()));
+        }
+        let (Some(_), Some(checkpoint)) = (&config.guards, &config.checkpoint) else {
+            return Err(ServeError::BadRequest(
+                "resharding requires guards and checkpoint in the config \
+                 (the sidecars carry the guard state across the cutover)"
+                    .into(),
+            ));
+        };
+        if config.topology.is_some() {
+            return Err(ServeError::BadRequest(
+                "resharding a mixed local/remote topology is not supported; \
+                 reshard each worker process and re-dial the topology instead"
+                    .into(),
+            ));
+        }
+        let mut life = self
+            .inner
+            .lifecycle
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        // Under the lifecycle lock the phase is Serving or Stopped.
+        let (Phase::Serving(old), _) = self.set_phase(Phase::Cutover) else {
+            self.set_phase(Phase::Stopped);
+            return Err(ServeError::ShuttingDown);
+        };
+        let started = Instant::now();
+        let from = old.shards;
+        // Drain: every request accepted before the swap is answered and
+        // every shard writes its final sidecar.
+        let epoch = old.drain();
+        life.drained.push(epoch.clone());
+        let transform = transform_checkpoints(&checkpoint.dir, from, to);
+        let restarted = self.restart(if transform.is_ok() { to } else { from });
+        let transform = transform?;
+        let held = restarted?;
+        Ok(ReshardReport {
+            from,
+            to,
+            pre_counts: transform.pre_counts,
+            post_counts: transform.post_counts,
+            pre_decisions: transform.pre_decisions,
+            post_decisions: transform.post_decisions,
+            ledger_entries: transform.ledger_entries,
+            held,
+            cutover: started.elapsed(),
+            epoch,
+        })
+    }
+
+    /// Leave a cutover: spawn an epoch of `shards` on the sidecars as they
+    /// now stand and serve it, or stop (loud, typed) if that fails rather
+    /// than serve with unknown guard state. Returns how many parked
+    /// submits the new epoch released.
+    fn restart(&self, shards: usize) -> Result<u64, ServeError> {
+        let metrics = Arc::new(self.latest_metrics().next_epoch(shards));
+        match self.spawn_epoch(shards, metrics) {
+            Ok(epoch) => Ok(self.set_phase(Phase::Serving(epoch)).1),
+            Err(e) => {
+                self.set_phase(Phase::Stopped);
+                Err(e)
+            }
+        }
+    }
+
     /// Ask every local worker to write a guard checkpoint at its next
     /// batch boundary (a worker idle on an empty queue flushes when its
     /// next batch completes). No-op when checkpointing is off.
     pub fn request_checkpoint(&self) {
-        self.inner.checkpoint_gen.fetch_add(1, Ordering::Release);
+        if let Phase::Serving(epoch) = &*self.inner.phase.read().unwrap_or_else(|e| e.into_inner())
+        {
+            epoch.checkpoint_gen.fetch_add(1, Ordering::Release);
+        }
     }
 
     /// Client-side transport stats for each remote shard slot (empty when
-    /// the whole topology is local).
+    /// the whole topology is local, and once the service has stopped —
+    /// the final [`ServiceReport`] carries them then).
     pub fn remote_stats(&self) -> Vec<RemoteShardReport> {
-        let snap = self.inner.metrics.snapshot();
-        self.inner
-            .remotes
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, r)| {
-                r.as_ref().map(|remote| {
-                    let s = remote.stats();
-                    RemoteShardReport {
-                        shard,
-                        served: snap.shards[shard].served,
-                        requests: s.requests,
-                        reconnects: s.reconnects,
-                        errors: s.errors,
-                        rtt_mean_micros: s.rtt_mean_micros,
-                    }
-                })
-            })
-            .collect()
+        match &*self.inner.phase.read().unwrap_or_else(|e| e.into_inner()) {
+            Phase::Serving(epoch) => remote_reports(&epoch.remotes, &epoch.metrics.snapshot()),
+            _ => Vec::new(),
+        }
     }
 
-    /// An instantaneous metrics snapshot.
+    fn latest_metrics(&self) -> Arc<MetricsRegistry> {
+        Arc::clone(&self.inner.metrics.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// An instantaneous metrics snapshot of the current topology epoch.
+    /// Per-shard counters, latency, alerts and ε restart at each
+    /// [`reshard`](Self::reshard); the cache, admission and archive
+    /// counters span the service's lifetime.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics.snapshot()
+        self.latest_metrics().snapshot()
     }
 
     /// Drain all alerts currently buffered on the global channel.
@@ -986,9 +1257,10 @@ impl DecisionService {
         out
     }
 
-    /// The configured shard count.
+    /// The current topology's shard count (the old count while a cutover
+    /// is in progress).
     pub fn shards(&self) -> usize {
-        self.inner.config.shards
+        self.latest_metrics().n_shards()
     }
 
     /// What the audit sink's startup recovery pass found, when a sink is
@@ -1015,32 +1287,21 @@ impl DecisionService {
 
     /// Stop admitting requests, let every shard drain its queue, and join
     /// the workers. Every request accepted before shutdown is answered.
-    /// Idempotent: later calls (from this or any clone) return the same
-    /// report.
+    /// Waits for an in-progress reshard first. Idempotent: later calls
+    /// (from this or any clone) return the same report, which covers the
+    /// service's whole lifetime (see [`ServiceReport`]).
     pub fn shutdown(&self) -> ServiceReport {
-        {
-            // Dropping the senders disconnects the queues; workers exit
-            // after serving what is already buffered.
-            let mut senders = self
-                .inner
-                .senders
-                .write()
-                .unwrap_or_else(|e| e.into_inner());
-            senders.take();
-        }
-        let mut report_slot = self.inner.report.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(report) = report_slot.as_ref() {
+        let mut life = self
+            .inner
+            .lifecycle
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        if let Some(report) = &life.report {
             return report.clone();
         }
-        let handles: Vec<JoinHandle<ShardReport>> = {
-            let mut workers = self.inner.workers.lock().unwrap_or_else(|e| e.into_inner());
-            workers.drain(..).collect()
-        };
-        let mut shards: Vec<ShardReport> = handles
-            .into_iter()
-            .map(|h| h.join().expect("fact-serve worker panicked"))
-            .collect();
-        shards.sort_by_key(|s| s.shard);
+        if let (Phase::Serving(epoch), _) = self.set_phase(Phase::Stopped) {
+            life.drained.push(epoch.drain());
+        }
         // The workers (and their sink handles) are gone: finishing the sink
         // now drains whatever they enqueued, stamps the stop marker, and
         // fsyncs the final batch.
@@ -1048,34 +1309,46 @@ impl DecisionService {
             let mut sink = self.inner.sink.lock().unwrap_or_else(|e| e.into_inner());
             sink.take().map(AuditSink::finish)
         };
-        let snap = self.inner.metrics.snapshot();
-        let remotes = self.remote_stats();
-        let remote_served: u64 = remotes.iter().map(|r| r.served).sum();
-        let report = ServiceReport {
-            decisions_served: shards.iter().map(|s| s.served).sum::<u64>() + remote_served,
-            shed: snap.shed(),
-            throttled: snap.throttled(),
-            timed_out: snap.shards.iter().map(|s| s.timeouts).sum(),
-            rejected: shards.iter().map(|s| s.rejected).sum(),
-            flagged: shards.iter().map(|s| s.flagged).sum(),
-            alerts_raised: shards.iter().map(|s| s.alerts).sum(),
-            epsilon_spent: shards.iter().map(|s| s.epsilon_spent).sum(),
-            audited: sink_report.as_ref().map_or(0, |r| r.audited),
-            lost_on_recovery: sink_report.as_ref().map_or(0, |r| r.recovery.lost),
-            audit_segments: sink_report.as_ref().map_or(0, |r| r.segments),
-            cache: snap.cache.clone(),
-            admission: snap.admission.clone(),
-            archive: sink_report
-                .as_ref()
-                .map(|r| r.archive.clone())
-                .unwrap_or_default(),
-            checkpoints_written: shards.iter().map(|s| s.checkpoints).sum(),
-            shards,
-            remotes,
-        };
-        *report_slot = Some(report.clone());
+        let mut report = ServiceReport::over_epochs(std::mem::take(&mut life.drained));
+        if let Some(sink) = sink_report {
+            report.audited = sink.audited;
+            report.lost_on_recovery = sink.recovery.lost;
+            report.audit_segments = sink.segments;
+            report.archive = sink.archive;
+        }
+        life.report = Some(report.clone());
         report
     }
+}
+
+/// Ship a request to a remote worker over fact-net.
+fn submit_remote(
+    epoch: &Epoch,
+    remote: &RemoteShard,
+    shard: usize,
+    request: DecisionRequest,
+) -> Result<DecisionHandle, ServeError> {
+    let payload = net_encode(&RequestWire {
+        features: request.features,
+        group_b: request.group_b,
+        route_key: request.route_key,
+        tenant: Some(request.tenant),
+    })
+    .map_err(|e| ServeError::Remote(e.to_string()))?;
+    let enqueued = Instant::now();
+    let reply = remote
+        .send(FrameKind::Request, payload)
+        .map_err(|e| ServeError::Remote(e.to_string()))?;
+    epoch
+        .metrics
+        .shard(shard)
+        .enqueued
+        .fetch_add(1, Ordering::Relaxed);
+    Ok(DecisionHandle {
+        inner: HandleInner::Remote { reply, enqueued },
+        shard,
+        metrics: Arc::clone(&epoch.metrics),
+    })
 }
 
 /// The per-shard worker loop.
@@ -1313,82 +1586,34 @@ impl ShardWorker {
 /// its server.
 ///
 /// Control commands: `"ping"` acks; `"checkpoint"` requests a guard
-/// checkpoint flush; `"shutdown"` sets the shutdown flag (when one was
-/// provided) and acks — actually stopping the service and exiting is the
-/// hosting process's job, *after* it sees the flag, so the ack still
-/// reaches the client; `"reshard <M>"` (reshardable hosts only, see
-/// [`NetShardHandler::reshardable`]) performs a live cutover to `M` shards
-/// on the connection's writer thread and acks with the conservation
-/// numbers (`PROTOCOL.md §6 — Control commands`).
+/// checkpoint flush; `"shutdown"` sets the shutdown flag and acks —
+/// actually stopping the service and exiting is the hosting process's
+/// job, *after* it sees the flag, so the ack still reaches the client;
+/// `"reshard <M>"` runs [`DecisionService::reshard`] on the connection's
+/// writer thread and acks with the conservation numbers, or refuses with
+/// the typed reason when the service's configuration cannot reshard
+/// (`PROTOCOL.md §6 — Control commands`).
 pub struct NetShardHandler {
-    host: Host,
+    service: DecisionService,
     /// Worker-side ceiling on how long a thunk waits for a decision.
     timeout: Duration,
     /// Set to true when a `"shutdown"` control command arrives.
-    shutdown_requested: Arc<std::sync::atomic::AtomicBool>,
-}
-
-/// What the handler serves: a plain service, or one wrapped in the
-/// reshard gate so `"reshard <M>"` control commands work.
-enum Host {
-    Plain(DecisionService),
-    Reshardable(crate::reshard::ReshardableService),
-}
-
-impl Host {
-    fn submit(&self, request: DecisionRequest) -> Result<DecisionHandle, ServeError> {
-        match self {
-            Host::Plain(s) => s.submit(request),
-            Host::Reshardable(s) => s.submit(request),
-        }
-    }
-
-    fn request_checkpoint(&self) {
-        match self {
-            Host::Plain(s) => s.request_checkpoint(),
-            Host::Reshardable(s) => s.request_checkpoint(),
-        }
-    }
-
-    fn shards(&self) -> usize {
-        match self {
-            Host::Plain(s) => s.shards(),
-            Host::Reshardable(s) => s.shards(),
-        }
-    }
-
-    fn served(&self) -> u64 {
-        match self {
-            Host::Plain(s) => s.metrics().served(),
-            Host::Reshardable(s) => s.metrics().map_or(0, |m| m.served()),
-        }
-    }
+    shutdown_requested: Arc<AtomicBool>,
 }
 
 impl NetShardHandler {
     /// Wrap `service` for serving over fact-net.
     pub fn new(service: DecisionService, timeout: Duration) -> Self {
         NetShardHandler {
-            host: Host::Plain(service),
+            service,
             timeout,
-            shutdown_requested: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-        }
-    }
-
-    /// Wrap a [`ReshardableService`](crate::reshard::ReshardableService):
-    /// identical to [`new`](NetShardHandler::new) except the
-    /// `"reshard <M>"` control command is live.
-    pub fn reshardable(service: crate::reshard::ReshardableService, timeout: Duration) -> Self {
-        NetShardHandler {
-            host: Host::Reshardable(service),
-            timeout,
-            shutdown_requested: Arc::new(std::sync::atomic::AtomicBool::new(false)),
+            shutdown_requested: Arc::new(AtomicBool::new(false)),
         }
     }
 
     /// The flag a `"shutdown"` control command raises; the hosting process
     /// polls it and performs the actual shutdown.
-    pub fn shutdown_flag(&self) -> Arc<std::sync::atomic::AtomicBool> {
+    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.shutdown_requested)
     }
 }
@@ -1406,7 +1631,7 @@ impl fact_net::ShardHandler for NetShardHandler {
                 let outcome = net_decode::<RequestWire>(&payload)
                     .map_err(|e| ServeError::Remote(e.to_string()))
                     .and_then(|req| {
-                        self.host.submit(DecisionRequest {
+                        self.service.submit(DecisionRequest {
                             features: req.features,
                             group_b: req.group_b,
                             route_key: req.route_key,
@@ -1440,10 +1665,10 @@ impl fact_net::ShardHandler for NetShardHandler {
                 })
             }
             FrameKind::Checkpoint => {
-                self.host.request_checkpoint();
+                self.service.request_checkpoint();
                 let ack = CheckpointAckWire {
-                    shards: self.host.shards(),
-                    decisions: self.host.served(),
+                    shards: self.service.shards(),
+                    decisions: self.service.metrics().served(),
                 };
                 Box::new(move || emit(&ack))
             }
@@ -1456,15 +1681,11 @@ impl fact_net::ShardHandler for NetShardHandler {
                 // and the ack carries the cutover's conservation numbers.
                 if let Some(target) = command.strip_prefix("reshard ") {
                     let target: Result<usize, _> = target.trim().parse();
-                    let reshardable = match &self.host {
-                        Host::Reshardable(s) => Some(s.clone()),
-                        Host::Plain(_) => None,
-                    };
+                    let service = self.service.clone();
                     return Box::new(move || {
-                        let (ok, info) = match (reshardable, target) {
-                            (_, Err(_)) => (false, "reshard needs a shard count".to_string()),
-                            (None, _) => (false, "this worker is not reshardable".to_string()),
-                            (Some(s), Ok(m)) => match s.reshard(m) {
+                        let (ok, info) = match target {
+                            Err(_) => (false, "reshard needs a shard count".to_string()),
+                            Ok(m) => match service.reshard(m) {
                                 Ok(r) => (
                                     true,
                                     format!(
@@ -1486,12 +1707,11 @@ impl fact_net::ShardHandler for NetShardHandler {
                 let (ok, info) = match command.as_str() {
                     "ping" => (true, "pong".to_string()),
                     "checkpoint" => {
-                        self.host.request_checkpoint();
+                        self.service.request_checkpoint();
                         (true, "checkpoint requested".to_string())
                     }
                     "shutdown" => {
-                        self.shutdown_requested
-                            .store(true, std::sync::atomic::Ordering::Release);
+                        self.shutdown_requested.store(true, Ordering::Release);
                         (true, "shutting down".to_string())
                     }
                     other => (false, format!("unknown command {other:?}")),

@@ -1,7 +1,7 @@
 //! Live-reshard coverage: the checkpoint transform conserves every count,
-//! the cutover gate holds and replays concurrent submits, the hold window
-//! is bounded by a typed refusal, and the `"reshard <M>"` control command
-//! works end to end over fact-net.
+//! `DecisionService::reshard` holds and replays concurrent submits, the
+//! hold window is bounded by a typed refusal, and the `"reshard <M>"`
+//! control command works end to end over fact-net.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -13,8 +13,8 @@ use fact_ml::Classifier;
 use fact_net::{RemoteShard, Server, ShardHandler};
 use fact_serve::{
     load_checkpoint, transform_checkpoints, write_checkpoint, CheckpointConfig, DecisionRequest,
-    GuardCheckpoint, GuardConfig, LedgerEntry, NetShardHandler, ReshardConfig, ReshardableService,
-    ServeConfig, ServeError,
+    DecisionService, GuardCheckpoint, GuardConfig, LedgerEntry, NetShardHandler, ServeConfig,
+    ServeError,
 };
 
 /// Probability = first feature.
@@ -148,11 +148,11 @@ fn transform_refuses_over_budget_successor_without_writing() {
 #[test]
 fn reshard_grows_and_shrinks_under_concurrent_load_without_losing_decisions() {
     let dir = temp_dir("live");
-    let service = ReshardableService::start(
+    let service = DecisionService::start(
         Arc::new(StubModel),
-        config(4, &dir),
-        ReshardConfig {
-            hold_max: Duration::from_secs(30),
+        ServeConfig {
+            reshard_hold: Duration::from_secs(30),
+            ..config(4, &dir)
         },
     )
     .unwrap();
@@ -180,9 +180,18 @@ fn reshard_grows_and_shrinks_under_concurrent_load_without_losing_decisions() {
         .collect();
 
     // let the drivers build real guard state, then cut over twice
-    while ok.load(Ordering::Relaxed) < 500 {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // a load thread that died on an error would stall the count forever;
+    // fail instead of hanging
+    let wait_for = |target: u64| {
+        while ok.load(Ordering::Relaxed) < target {
+            assert!(
+                drivers.iter().all(|d| !d.is_finished()),
+                "a load thread saw an error — a decision was lost"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    wait_for(500);
     let grow = service.reshard(8).unwrap();
     assert_eq!((grow.from, grow.to), (4, 8));
     assert_eq!(grow.pre_counts, grow.post_counts, "window conservation");
@@ -190,9 +199,7 @@ fn reshard_grows_and_shrinks_under_concurrent_load_without_losing_decisions() {
     assert_eq!(service.shards(), 8);
 
     let mid = ok.load(Ordering::Relaxed);
-    while ok.load(Ordering::Relaxed) < mid + 500 {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_for(mid + 500);
     let shrink = service.reshard(3).unwrap();
     assert_eq!((shrink.from, shrink.to), (8, 3));
     assert_eq!(shrink.pre_counts, shrink.post_counts);
@@ -204,9 +211,9 @@ fn reshard_grows_and_shrinks_under_concurrent_load_without_losing_decisions() {
     for d in drivers {
         d.join().expect("driver saw an error — a decision was lost");
     }
-    let epochs = service.shutdown();
-    assert_eq!(epochs.len(), 3, "one report per topology epoch");
-    let served: u64 = epochs.iter().map(|e| e.decisions_served).sum();
+    let report = service.shutdown();
+    assert_eq!(report.epochs, 3, "one topology epoch per cutover plus one");
+    let served = report.decisions_served;
     assert_eq!(issued.load(Ordering::Relaxed), ok.load(Ordering::Relaxed));
     assert_eq!(served, ok.load(Ordering::Relaxed), "zero lost decisions");
     // lifetime decisions survived both transforms into the final sidecars
@@ -223,18 +230,18 @@ fn submits_past_the_hold_window_get_a_typed_retryable_refusal() {
     // a reshard against a service whose guards/checkpoints are off fails
     // fast — but first, pin the gate semantics with a zero hold window by
     // racing a submit against a real (slow) cutover
-    let service = ReshardableService::start(
+    let service = DecisionService::start(
         Arc::new(StubModel),
-        config(2, &dir),
-        ReshardConfig {
-            hold_max: Duration::ZERO,
+        ServeConfig {
+            reshard_hold: Duration::ZERO,
+            ..config(2, &dir)
         },
     )
     .unwrap();
     for i in 0..100 {
         service.decide(request(i)).unwrap();
     }
-    // run the cutover on another thread; with hold_max = 0 any submit that
+    // run the cutover on another thread; with a zero hold any submit that
     // lands mid-cutover must see Resharding, never a hang or a drop
     let svc = service.clone();
     let cutover = std::thread::spawn(move || svc.reshard(5).unwrap());
@@ -266,7 +273,7 @@ fn submits_past_the_hold_window_get_a_typed_retryable_refusal() {
 
 #[test]
 fn reshard_without_checkpointing_is_a_typed_error() {
-    let service = ReshardableService::start(
+    let service = DecisionService::start(
         Arc::new(StubModel),
         ServeConfig {
             shards: 2,
@@ -274,7 +281,6 @@ fn reshard_without_checkpointing_is_a_typed_error() {
             guards: None,
             ..ServeConfig::default()
         },
-        ReshardConfig::default(),
     )
     .unwrap();
     service.decide(request(1)).unwrap();
@@ -298,8 +304,7 @@ fn over_budget_shrink_rolls_back_and_keeps_serving() {
         epsilon_per_release: 0.3,
         ..GuardConfig::default()
     });
-    let service =
-        ReshardableService::start(Arc::new(StubModel), cfg, ReshardConfig::default()).unwrap();
+    let service = DecisionService::start(Arc::new(StubModel), cfg).unwrap();
     // ~600 decisions → ≥ 12 releases → ≥ 3.6 ε in the combined ledger
     for i in 0..600 {
         service.decide(request(i)).unwrap();
@@ -321,52 +326,12 @@ fn over_budget_shrink_rolls_back_and_keeps_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn reshard_control_command_works_over_fact_net() {
-    let dir = temp_dir("wire");
-    let sock = std::env::temp_dir().join(format!("fact-reshard-wire-{}.sock", std::process::id()));
-    let service = ReshardableService::start(
-        Arc::new(StubModel),
-        config(4, &dir),
-        ReshardConfig::default(),
-    )
-    .unwrap();
-    let handler = NetShardHandler::reshardable(service.clone(), Duration::from_secs(5));
-    let mut server = Server::bind(&sock, Arc::new(handler) as Arc<dyn ShardHandler>).unwrap();
-
-    let client = RemoteShard::connect(&sock).unwrap();
-    for i in 0..300u64 {
-        let wire = fact_net::RequestWire {
-            features: vec![0.4],
-            group_b: i % 2 == 0,
-            route_key: i,
-            tenant: None,
-        };
-        let frame = client
-            .send(
-                fact_net::FrameKind::Request,
-                fact_net::encode(&wire).unwrap(),
-            )
-            .unwrap()
-            .wait(Duration::from_secs(5))
-            .unwrap();
-        let resp: fact_net::ResponseWire = fact_net::decode(&frame.payload).unwrap();
-        resp.into_result().unwrap();
-    }
-
-    let ack = client
-        .control("reshard 2", Duration::from_secs(30))
-        .unwrap();
-    let wire: fact_net::ControlAckWire = fact_net::decode(&ack.payload).unwrap();
-    assert!(wire.ok, "{}", wire.info);
-    assert!(wire.info.contains("resharded 4 -> 2"), "{}", wire.info);
-    assert_eq!(service.shards(), 2);
-
-    // the worker keeps serving after the cutover
+/// One decision over the wire, unwrapped.
+fn decide_over(client: &RemoteShard, features: f64, group_b: bool, route_key: u64) -> bool {
     let wire = fact_net::RequestWire {
-        features: vec![0.9],
-        group_b: false,
-        route_key: 9,
+        features: vec![features],
+        group_b,
+        route_key,
         tenant: None,
     };
     let frame = client
@@ -378,15 +343,68 @@ fn reshard_control_command_works_over_fact_net() {
         .wait(Duration::from_secs(5))
         .unwrap();
     let resp: fact_net::ResponseWire = fact_net::decode(&frame.payload).unwrap();
-    assert!(resp.into_result().unwrap().favorable);
+    resp.into_result().unwrap().favorable
+}
+
+fn control_ack(client: &RemoteShard, command: &str) -> fact_net::ControlAckWire {
+    let ack = client.control(command, Duration::from_secs(30)).unwrap();
+    fact_net::decode(&ack.payload).unwrap()
+}
+
+#[test]
+fn reshard_control_command_works_over_fact_net() {
+    let dir = temp_dir("wire");
+    let sock = std::env::temp_dir().join(format!("fact-reshard-wire-{}.sock", std::process::id()));
+    let service = DecisionService::start(Arc::new(StubModel), config(4, &dir)).unwrap();
+    let handler = NetShardHandler::new(service.clone(), Duration::from_secs(5));
+    let mut server = Server::bind(&sock, Arc::new(handler) as Arc<dyn ShardHandler>).unwrap();
+
+    let client = RemoteShard::connect(&sock).unwrap();
+    for i in 0..300u64 {
+        decide_over(&client, 0.4, i % 2 == 0, i);
+    }
+
+    let wire = control_ack(&client, "reshard 2");
+    assert!(wire.ok, "{}", wire.info);
+    assert!(wire.info.contains("resharded 4 -> 2"), "{}", wire.info);
+    assert_eq!(service.shards(), 2);
+
+    // the worker keeps serving after the cutover
+    assert!(decide_over(&client, 0.9, false, 9));
 
     // a malformed count and a plain-host reshard are refusals, not panics
-    let ack = client
-        .control("reshard nope", Duration::from_secs(5))
-        .unwrap();
-    let wire: fact_net::ControlAckWire = fact_net::decode(&ack.payload).unwrap();
+    let wire = control_ack(&client, "reshard nope");
     assert!(!wire.ok);
 
+    // a service configured without checkpoints cannot carry its guard
+    // state across a cutover: the wire refusal names the reason, and the
+    // worker keeps serving
+    let plain_sock =
+        std::env::temp_dir().join(format!("fact-reshard-plain-{}.sock", std::process::id()));
+    let plain = DecisionService::start(
+        Arc::new(StubModel),
+        ServeConfig {
+            checkpoint: None,
+            ..config(2, &dir)
+        },
+    )
+    .unwrap();
+    let handler = NetShardHandler::new(plain.clone(), Duration::from_secs(5));
+    let mut plain_server =
+        Server::bind(&plain_sock, Arc::new(handler) as Arc<dyn ShardHandler>).unwrap();
+    let plain_client = RemoteShard::connect(&plain_sock).unwrap();
+    let wire = control_ack(&plain_client, "reshard 2");
+    assert!(!wire.ok);
+    assert!(
+        wire.info.contains("requires guards and checkpoint"),
+        "{}",
+        wire.info
+    );
+    assert!(decide_over(&plain_client, 0.9, false, 10));
+    assert_eq!(plain.shards(), 2);
+
+    plain_server.shutdown();
+    plain.shutdown();
     server.shutdown();
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -70,6 +70,7 @@ fn main() -> Result<()> {
             topology: None,
             checkpoint: None,
             admission: None,
+            reshard_hold: Duration::from_secs(5),
         },
     )
     .expect("service start");

@@ -14,12 +14,13 @@
 //! instead of silently resetting them — after a hard kill the loss is
 //! bounded by the checkpoint interval.
 //!
-//! The worker hosts its shards behind a live-reshard gate: a
-//! `Control {"command":"reshard <M>"}` frame drains the current topology,
-//! transforms the checkpoint sidecars from N to M shards (conserving the
-//! fairness windows and ε ledgers), and restarts with M shards — requests
-//! that arrive during the cutover are held up to `--reshard-hold-ms` and
-//! replayed, never silently dropped.
+//! A `Control {"command":"reshard <M>"}` frame runs
+//! `DecisionService::reshard` on the hosted service: it drains the current
+//! topology, transforms the checkpoint sidecars from N to M shards
+//! (conserving the fairness windows and ε ledgers), and restarts with M
+//! shards while the audit log stays open — requests that arrive during the
+//! cutover are held up to `--reshard-hold-ms` and replayed, never silently
+//! dropped.
 //!
 //! Shutdown paths:
 //! - `Control {"command":"shutdown"}` frame: acked first, then the worker
@@ -36,8 +37,8 @@ use fact_data::Matrix;
 use fact_ml::Classifier;
 use fact_net::{Endpoint, Server, ShardHandler, DEFAULT_FRAME_DEADLINE};
 use fact_serve::{
-    AdmissionConfig, ArchiveConfig, AuditSinkConfig, CheckpointConfig, DegradePolicy, GuardConfig,
-    NetShardHandler, ReshardConfig, ReshardableService, ServeConfig,
+    AdmissionConfig, ArchiveConfig, AuditSinkConfig, CheckpointConfig, DecisionService,
+    DegradePolicy, GuardConfig, NetShardHandler, ServeConfig,
 };
 
 const USAGE: &str = "\
@@ -219,6 +220,7 @@ fn main() {
         n_features: args.n_features,
         queue_cap: args.queue_cap,
         admission,
+        reshard_hold: Duration::from_millis(args.reshard_hold_ms),
         policy: DegradePolicy::AuditAndFlag,
         guards: Some(GuardConfig {
             fairness_window: args.fairness_window,
@@ -247,20 +249,14 @@ fn main() {
         ..ServeConfig::default()
     };
 
-    let service = match ReshardableService::start(
-        Arc::new(MeanScorer),
-        cfg,
-        ReshardConfig {
-            hold_max: Duration::from_millis(args.reshard_hold_ms),
-        },
-    ) {
+    let service = match DecisionService::start(Arc::new(MeanScorer), cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("fact-shardd: failed to start shards: {e}");
             std::process::exit(1);
         }
     };
-    let handler = NetShardHandler::reshardable(service.clone(), Duration::from_secs(10));
+    let handler = NetShardHandler::new(service.clone(), Duration::from_secs(10));
     let shutdown = handler.shutdown_flag();
     let handler: Arc<dyn ShardHandler> = Arc::new(handler);
 
@@ -311,17 +307,13 @@ fn main() {
     for mut server in servers {
         server.shutdown();
     }
-    let epochs = service.shutdown();
-    let served: u64 = epochs.iter().map(|e| e.decisions_served).sum();
-    let checkpoints: u64 = epochs.iter().map(|e| e.checkpoints_written).sum();
-    let throttled: u64 = epochs.iter().map(|e| e.throttled).sum();
-    let eps_spent = epochs.last().map_or(0.0, |e| e.epsilon_spent);
+    let report = service.shutdown();
     println!(
         "fact-shardd: drained; epochs={} served={} checkpoints={} eps_spent={:.4} throttled={}",
-        epochs.len(),
-        served,
-        checkpoints,
-        eps_spent,
-        throttled,
+        report.epochs,
+        report.decisions_served,
+        report.checkpoints_written,
+        report.epsilon_spent,
+        report.throttled,
     );
 }
