@@ -48,6 +48,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use fact_transparency::audit::Digest;
 use fact_transparency::sha256::sha256;
 use serde::{Deserialize, Serialize};
 
@@ -420,10 +421,6 @@ impl ArchiveManifest {
     }
 }
 
-fn hex32(bytes: &[u8; 32]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 // ---------------------------------------------------------------------------
 // one archiver pass
 // ---------------------------------------------------------------------------
@@ -505,7 +502,7 @@ fn archive_one(
         stats.verify_failures.fetch_add(1, Ordering::Relaxed);
         return Ok(ArchiveOutcome::Skipped);
     }
-    let digest_hex = hex32(&sha256(&original));
+    let digest_hex = Digest::V2(sha256(&original)).to_hex();
     // step 2/3: adopt an existing byte-identical archive (a crash landed
     // between rename and commit), else compress and write a fresh one
     let adopted = match storage.read_archive(id) {

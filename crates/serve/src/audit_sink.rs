@@ -52,6 +52,7 @@
 //! checkpoint/WAL path has.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -807,8 +808,12 @@ pub enum AuditEvent {
 }
 
 impl AuditEvent {
-    /// Map the event onto the audit-entry triple (actor, action, details).
-    fn into_parts(self) -> (String, String, String) {
+    /// Write the event's audit-entry actor and details into the two scratch
+    /// buffers (clearing them first) and return its action.
+    fn render(&self, actor: &mut String, details: &mut String) -> &str {
+        const INFALLIBLE: &str = "formatting into a String cannot fail";
+        actor.clear();
+        details.clear();
         match self {
             AuditEvent::Flagged {
                 shard,
@@ -816,28 +821,34 @@ impl AuditEvent {
                 probability,
                 favorable,
                 group_b,
-            } => (
-                format!("shard-{shard}"),
-                "flagged_decision".into(),
-                format!(
+            } => {
+                write!(actor, "shard-{shard}").expect(INFALLIBLE);
+                write!(
+                    details,
                     "key={route_key} p={probability:.6} favorable={favorable} group_b={group_b}"
-                ),
-            ),
-            AuditEvent::Rejected { shard, route_key } => (
-                format!("shard-{shard}"),
-                "rejected_decision".into(),
-                format!("key={route_key} policy=hard_reject"),
-            ),
+                )
+                .expect(INFALLIBLE);
+                "flagged_decision"
+            }
+            AuditEvent::Rejected { shard, route_key } => {
+                write!(actor, "shard-{shard}").expect(INFALLIBLE);
+                write!(details, "key={route_key} policy=hard_reject").expect(INFALLIBLE);
+                "rejected_decision"
+            }
             AuditEvent::Alert {
                 shard,
                 at_decision,
                 summary,
-            } => (
-                format!("shard-{shard}"),
-                "guard_alert".into(),
-                format!("at={at_decision} {summary}"),
-            ),
-            AuditEvent::Lifecycle { what, detail } => ("fact-serve".into(), what, detail),
+            } => {
+                write!(actor, "shard-{shard}").expect(INFALLIBLE);
+                write!(details, "at={at_decision} {summary}").expect(INFALLIBLE);
+                "guard_alert"
+            }
+            AuditEvent::Lifecycle { what, detail } => {
+                actor.push_str("fact-serve");
+                details.push_str(detail);
+                what
+            }
         }
     }
 }
@@ -1616,10 +1627,8 @@ impl Writer {
             batch.clear();
             return;
         }
-        let events: Vec<(String, String, String)> =
-            batch.drain(..).map(AuditEvent::into_parts).collect();
         let mut head = self.head;
-        let mut buf = build_lines(&mut head, self.needs_handoff, self.active_segment, &events);
+        let mut buf = build_lines(&mut head, self.needs_handoff, self.active_segment, batch);
         let mut handoff_written = self.needs_handoff;
         // Pre-append roll: this batch would overflow the segment, so it
         // goes into a fresh one instead. A freshly opened segment
@@ -1642,7 +1651,7 @@ impl Writer {
                     // re-serialize: the new segment opens with a handoff
                     // and every entry's digest chains past it
                     head = self.head;
-                    buf = build_lines(&mut head, true, self.active_segment, &events);
+                    buf = build_lines(&mut head, true, self.active_segment, batch);
                     handoff_written = true;
                 }
                 Err(_) => {
@@ -1652,6 +1661,7 @@ impl Writer {
                 }
             }
         }
+        batch.clear();
         let written = self
             .storage
             .append_log(&buf)
@@ -1681,30 +1691,27 @@ impl Writer {
 }
 
 /// Serialize `events` as chained JSONL, optionally preceded by a handoff
-/// record for `segment`, advancing `head` past everything serialized.
+/// record for `segment`, advancing `head` past everything serialized. Each
+/// event's actor and details are formatted into two reused scratch strings
+/// and hashed and written straight into the returned buffer by
+/// [`ChainHead::extend_line`].
 fn build_lines(
     head: &mut ChainHead,
     with_handoff: bool,
     segment: u64,
-    events: &[(String, String, String)],
+    events: &[AuditEvent],
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(events.len() * 128 + 192);
+    // a v2 flagged-decision line is ~280 bytes
+    let mut buf = Vec::with_capacity(events.len() * 288 + 320);
     if with_handoff {
         let claim = *head;
-        let entry = head.extend(
-            "fact-serve",
-            SEGMENT_HANDOFF_ACTION,
-            claim.handoff_details(segment),
-        );
-        let line = serde_json::to_string(&entry).expect("audit entry serializes");
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
+        let details = claim.handoff_details(segment);
+        head.extend_line("fact-serve", SEGMENT_HANDOFF_ACTION, &details, &mut buf);
     }
-    for (actor, action, details) in events {
-        let entry = head.extend(actor.clone(), action.clone(), details.clone());
-        let line = serde_json::to_string(&entry).expect("audit entry serializes");
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
+    let (mut actor, mut details) = (String::new(), String::new());
+    for event in events {
+        let action = event.render(&mut actor, &mut details);
+        head.extend_line(&actor, action, &details, &mut buf);
     }
     buf
 }
@@ -1973,6 +1980,58 @@ mod tests {
         let entries = parse_log(&storage.log_bytes());
         assert_eq!(entries.len() as u64, report.audited + report.rolls);
         assert_eq!(verify_chain_from(ChainHead::genesis(), &entries), None);
+    }
+
+    #[test]
+    fn every_stored_line_is_what_serde_json_renders_for_it() {
+        let storage = MemStorage::new();
+        let sink = open_mem_rotating(&storage, 3);
+        let h = sink.handle();
+        for k in 0..4 {
+            h.record(flagged(k as usize, k));
+            h.record(AuditEvent::Rejected {
+                shard: 1,
+                route_key: 100 + k,
+            });
+            h.record(AuditEvent::Alert {
+                shard: 2,
+                at_decision: k,
+                summary: format!("FairnessAlert {{ di: 0.{k} }}"),
+            });
+            h.record(AuditEvent::Lifecycle {
+                what: "operator_note".into(),
+                detail: format!("quote=\" backslash=\\ newline=\n caf\u{e9} \u{2615} n={k}"),
+            });
+        }
+        drop(h);
+        let report = sink.finish();
+        assert!(report.rolls >= 2, "{report:?}");
+        let mut kinds = std::collections::BTreeSet::new();
+        for id in storage.segment_ids() {
+            let bytes = storage.segment_bytes(id).unwrap();
+            let mut rendered = Vec::new();
+            for entry in parse_log(&bytes) {
+                kinds.insert(entry.action.clone());
+                rendered.extend_from_slice(serde_json::to_string(&entry).unwrap().as_bytes());
+                rendered.push(b'\n');
+            }
+            assert_eq!(
+                String::from_utf8(rendered).unwrap(),
+                String::from_utf8(bytes).unwrap(),
+                "segment {id}"
+            );
+        }
+        for action in [
+            "flagged_decision",
+            "rejected_decision",
+            "guard_alert",
+            "operator_note",
+            "sink_start",
+            "sink_stop",
+            SEGMENT_HANDOFF_ACTION,
+        ] {
+            assert!(kinds.contains(action), "{action} missing from {kinds:?}");
+        }
     }
 
     #[test]

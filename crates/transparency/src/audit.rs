@@ -25,6 +25,7 @@
 //! of different widths are never equal.
 
 use std::fmt;
+use std::io::Write as _;
 
 use serde::{Deserialize, Serialize};
 
@@ -32,6 +33,9 @@ use crate::sha256::Sha256;
 
 /// Chain format written by new chains: full-width SHA-256 digests.
 pub const CHAIN_FORMAT_VERSION: u16 = 2;
+
+/// Lowercase hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 /// A chain digest, tagged with its storage width.
 ///
@@ -84,9 +88,39 @@ impl Digest {
 
     /// Lowercase hex, width-length: 16 chars for v1, 64 for v2.
     pub fn to_hex(&self) -> String {
+        self.encode_hex(&mut [0; 64]).to_owned()
+    }
+
+    /// The one hex encoder behind [`to_hex`](Self::to_hex), `Display` and
+    /// the JSON forms: writes the digest's lowercase hex into `buf` and
+    /// returns the written prefix. A v1 digest is its `u64` in big-endian
+    /// order, so it reads as the number's usual hex rendering.
+    fn encode_hex<'a>(&self, buf: &'a mut [u8; 64]) -> &'a str {
+        let v1;
+        let bytes: &[u8] = match self {
+            Digest::V1(v) => {
+                v1 = v.to_be_bytes();
+                &v1
+            }
+            Digest::V2(b) => b,
+        };
+        for (pair, &byte) in buf.chunks_exact_mut(2).zip(bytes) {
+            pair[0] = HEX_DIGITS[usize::from(byte >> 4)];
+            pair[1] = HEX_DIGITS[usize::from(byte & 0xf)];
+        }
+        std::str::from_utf8(&buf[..2 * bytes.len()]).expect("hex digits are ASCII")
+    }
+
+    /// Append the digest's JSON form to `out`: what its `Serialize` impl
+    /// renders through `serde_json`, written without a `Value`.
+    fn write_json(&self, out: &mut Vec<u8>) {
         match self {
-            Digest::V1(v) => format!("{v:016x}"),
-            Digest::V2(b) => b.iter().map(|x| format!("{x:02x}")).collect(),
+            Digest::V1(v) => write!(out, "{v}").expect("writing to a Vec cannot fail"),
+            Digest::V2(_) => {
+                out.push(b'"');
+                out.extend_from_slice(self.encode_hex(&mut [0; 64]).as_bytes());
+                out.push(b'"');
+            }
         }
     }
 
@@ -109,7 +143,7 @@ impl Digest {
 
 impl fmt::Display for Digest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_hex())
+        f.write_str(self.encode_hex(&mut [0; 64]))
     }
 }
 
@@ -251,6 +285,31 @@ impl ChainHead {
         self.next_seq += 1;
         self.hash = hash;
         entry
+    }
+
+    /// Extend the chain by one entry and append that entry's JSONL line to
+    /// `out`: exactly the bytes of `serde_json::to_string` of what
+    /// [`extend`](Self::extend) would return, then `\n`. The line is hashed
+    /// and written straight from the borrowed strings, with no
+    /// [`AuditEntry`], no copies of them and no JSON value tree. The field
+    /// order and escaping are those of the derived `Serialize` and of
+    /// [`serde_json::render_string`], so every reader parses it unchanged.
+    pub fn extend_line(&mut self, actor: &str, action: &str, details: &str, out: &mut Vec<u8>) {
+        let hash = entry_hash(self.next_seq, actor, action, details, self.hash);
+        write!(out, "{{\"seq\":{}", self.next_seq).expect("writing to a Vec cannot fail");
+        out.extend_from_slice(b",\"actor\":");
+        serde_json::render_string(actor, out);
+        out.extend_from_slice(b",\"action\":");
+        serde_json::render_string(action, out);
+        out.extend_from_slice(b",\"details\":");
+        serde_json::render_string(details, out);
+        out.extend_from_slice(b",\"prev_hash\":");
+        self.hash.write_json(out);
+        out.extend_from_slice(b",\"hash\":");
+        hash.write_json(out);
+        out.extend_from_slice(b"}\n");
+        self.next_seq += 1;
+        self.hash = hash;
     }
 
     /// Whether `entry` correctly extends this head: right sequence number,
@@ -807,6 +866,81 @@ mod tests {
         assert_ne!(Digest::zero(), Digest::zero_v1());
     }
 
+    // ----- the on-disk line format -----
+
+    /// The exact JSONL bytes of a v2 genesis entry, the segment handoff
+    /// record that continues it, and a v1 entry — each digest computed
+    /// independently of this crate (Python `hashlib` over the same injective
+    /// hash input). A writer change that forks the on-disk format fails here.
+    #[test]
+    fn golden_lines_pin_the_on_disk_format() {
+        let mut out = Vec::new();
+        let mut head = ChainHead::genesis();
+        head.extend_line("pipeline", "load", "loans.csv rows=10000", &mut out);
+        let claim = head;
+        let details = claim.handoff_details(1);
+        head.extend_line("fact-serve", SEGMENT_HANDOFF_ACTION, &details, &mut out);
+        let mut v1 = ChainHead::genesis_v1();
+        v1.extend_line("legacy", "load", "say \"hi\"\tcaf\u{e9}", &mut out);
+        let want = concat!(
+            r#"{"seq":0,"actor":"pipeline","action":"load","details":"loans.csv rows=10000","#,
+            r#""prev_hash":"0000000000000000000000000000000000000000000000000000000000000000","#,
+            r#""hash":"a511c1115f225ac2dabf06b50d50fc86a64a75da1c5d00ddce79cfdbfd98cc8e"}"#,
+            "\n",
+            r#"{"seq":1,"actor":"fact-serve","action":"segment_handoff","#,
+            r#""details":"segment=1 prev_seq=1 prev_hash=a511c1115f225ac2dabf06b50d50fc86a64a75da1c5d00ddce79cfdbfd98cc8e","#,
+            r#""prev_hash":"a511c1115f225ac2dabf06b50d50fc86a64a75da1c5d00ddce79cfdbfd98cc8e","#,
+            r#""hash":"b07ff45d9578faabffdf4b9636c95ecb26c896a340dec68e2b91f5d38888aa92"}"#,
+            "\n",
+            r#"{"seq":0,"actor":"legacy","action":"load","details":"say \"hi\"\tcafé","#,
+            r#""prev_hash":0,"hash":18300265868937798123}"#,
+            "\n",
+        );
+        let got = String::from_utf8(out).expect("the writer emits UTF-8");
+        assert_eq!(got, want);
+        // the serde path parses every line back and renders the same bytes
+        for line in got.lines() {
+            let entry: AuditEntry = serde_json::from_str(line).unwrap();
+            assert_eq!(serde_json::to_string(&entry).unwrap(), line);
+        }
+    }
+
+    /// The writer's line for `(actor, action, details)` and the serde
+    /// oracle's, advancing both heads.
+    fn line_and_oracle(
+        head: &mut ChainHead,
+        oracle: &mut ChainHead,
+        actor: &str,
+        action: &str,
+        details: &str,
+    ) -> (String, String) {
+        let mut line = Vec::new();
+        head.extend_line(actor, action, details, &mut line);
+        let entry = oracle.extend(actor, action, details);
+        let want = serde_json::to_string(&entry).expect("serializable") + "\n";
+        (
+            String::from_utf8(line).expect("the writer emits UTF-8"),
+            want,
+        )
+    }
+
+    #[test]
+    fn every_control_character_is_escaped_like_serde() {
+        let mut text: String = (0u8..0x20).map(char::from).collect();
+        text.push_str("\u{7f}\"\\/ caf\u{e9} \u{2615} \u{1d11e}");
+        for genesis in [ChainHead::genesis(), ChainHead::genesis_v1()] {
+            let (mut head, mut oracle) = (genesis, genesis);
+            let (got, want) = line_and_oracle(&mut head, &mut oracle, &text, "a\u{0}", &text);
+            assert_eq!(got, want);
+            let back: AuditEntry = serde_json::from_str(got.trim_end_matches('\n')).unwrap();
+            assert_eq!(
+                (back.actor.as_str(), back.details.as_str()),
+                (&*text, &*text)
+            );
+            assert!(genesis.follows(&back));
+        }
+    }
+
     // ----- property tests: tamper detection over random logs and ops -----
 
     use proptest::prelude::*;
@@ -819,8 +953,50 @@ mod tests {
         log
     }
 
+    /// A string drawn from every character class the JSON escaper treats
+    /// differently: control characters, `"`, `\`, DEL, printable ASCII, and
+    /// two- to four-byte UTF-8.
+    fn json_text() -> impl Strategy<Value = String> {
+        prop::collection::vec((0u8..5, 0u32..0x11_0000), 0..24).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(class, n)| match class {
+                    0 => char::from((n % 0x20) as u8),
+                    1 => ['"', '\\', '\u{7f}'][n as usize % 3],
+                    2 => char::from(b' ' + (n % 95) as u8),
+                    3 => char::from_u32(0x80 + n % 0xd780).expect("below the surrogates"),
+                    _ => char::from_u32(n).unwrap_or('\u{fffd}'),
+                })
+                .collect()
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The direct line writer emits exactly what serializing the entry
+        /// `extend` builds would, for v1 and v2 heads at any position and
+        /// any strings, and leaves the head where `extend` does.
+        #[test]
+        fn line_writer_matches_serde_json(
+            v1 in any::<bool>(),
+            start_seq in 0u64..u64::MAX / 2,
+            seed in any::<u64>(),
+            rows in prop::collection::vec((json_text(), json_text(), json_text()), 1..6),
+        ) {
+            let hash = if v1 {
+                Digest::V1(seed)
+            } else {
+                Digest::V2(crate::sha256::sha256(&seed.to_le_bytes()))
+            };
+            let mut head = ChainHead { next_seq: start_seq, hash };
+            let mut oracle = head;
+            for (actor, action, details) in &rows {
+                let (got, want) = line_and_oracle(&mut head, &mut oracle, actor, action, details);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(head, oracle);
+            }
+        }
 
         /// The public API is append-only: no sequence of appends can
         /// produce a log that fails verification, and the head always

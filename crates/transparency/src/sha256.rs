@@ -83,11 +83,13 @@ impl Sha256 {
     /// Finish: pad per FIPS 180-4 §5.1.1 and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
+        // 0x80, zeros up to 56 mod 64, then the 64-bit length: one update
+        // of 9..=72 prepared bytes that ends exactly on a block boundary
+        let zeros_end = if self.buf_len < 56 { 56 } else { 120 } - self.buf_len;
+        let mut tail = [0u8; 72];
+        tail[0] = 0x80;
+        tail[zeros_end..zeros_end + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&tail[..zeros_end + 8]);
         debug_assert_eq!(self.buf_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -148,7 +150,7 @@ mod tests {
     use super::*;
 
     fn hex(digest: &[u8; 32]) -> String {
-        digest.iter().map(|b| format!("{b:02x}")).collect()
+        crate::audit::Digest::V2(*digest).to_hex()
     }
 
     #[test]
@@ -168,6 +170,37 @@ mod tests {
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
+        // padding boundaries: the padding fits in the message's last block
+        // (55, 119), spills into one more block (56, 63, 120), or fills a
+        // block of its own (64)
+        for (len, want) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ] {
+            assert_eq!(hex(&sha256(&vec![b'a'; len])), want, "{len} x 'a'");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 #
 # Steps:
 #   1. cargo fmt --check      formatting is not negotiable
-#   2. cargo clippy           all targets, warnings are errors
+#   2. cargo clippy           all targets, warnings are errors, plus
+#                             clippy::format_collect (no per-item format!
+#                             collected into a String, e.g. per-byte hex)
 #   3. cargo test -q          the full workspace suite
 #   4. perfbench self-tests   the benchmark package sits outside the
 #                             workspace but builds on crates/* by path,
@@ -63,8 +65,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --offline --all-targets -- -D warnings
+echo "==> cargo clippy --all-targets -- -D warnings -D clippy::format_collect"
+cargo clippy --offline --all-targets -- -D warnings -D clippy::format_collect
 
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
