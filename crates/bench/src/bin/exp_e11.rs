@@ -19,14 +19,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench::header;
-use fact_data::Matrix;
-use fact_ml::logistic::{LogisticConfig, LogisticRegression};
-use fact_serve::{
-    DecisionRequest, DecisionService, DegradePolicy, GuardConfig, ServeConfig,
-    SimulatedRemoteSource,
-};
+use bench::kit::{self, lending_request, train_model};
+use fact_ml::logistic::LogisticRegression;
+use fact_serve::{DecisionService, DegradePolicy, GuardConfig, ServeConfig, SimulatedRemoteSource};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const N_FEATURES: usize = 8;
 /// Simulated feature-store round trip, paid once per micro-batch.
@@ -34,44 +31,6 @@ const FETCH: Duration = Duration::from_millis(1);
 /// Offered load: past saturation even at 4 shards (capacity ≈ 8k/s/shard).
 const OFFERED_PER_MS: usize = 40;
 const TRIAL: Duration = Duration::from_millis(1200);
-
-fn train_model(seed: u64) -> LogisticRegression {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = 2_000;
-    let mut rows = Vec::with_capacity(n);
-    let mut y = Vec::with_capacity(n);
-    for _ in 0..n {
-        let row: Vec<f64> = (0..N_FEATURES).map(|_| rng.gen::<f64>()).collect();
-        let score = row[0] + 0.2 * row[1] + 0.1 * rng.gen::<f64>();
-        y.push(score > 0.65);
-        rows.push(row);
-    }
-    let x = Matrix::from_rows(&rows).unwrap();
-    let cfg = LogisticConfig {
-        seed,
-        ..LogisticConfig::default()
-    };
-    LogisticRegression::fit(&x, &y, None, &cfg).unwrap()
-}
-
-/// One serving request from the synthetic lending population: group B's
-/// qualifying feature is mildly depressed, so the fairness guard has real
-/// work to do.
-fn lending_request(rng: &mut StdRng, key: u64) -> DecisionRequest {
-    let group_b = rng.gen_bool(0.3);
-    let mut features: Vec<f64> = (0..N_FEATURES).map(|_| rng.gen::<f64>()).collect();
-    features[0] = if group_b {
-        rng.gen_range(0.0..0.85)
-    } else {
-        rng.gen_range(0.15..1.0)
-    };
-    DecisionRequest {
-        features,
-        group_b,
-        route_key: key,
-        tenant: 0,
-    }
-}
 
 struct Trial {
     throughput: f64,
@@ -137,7 +96,7 @@ fn run_trial(model: Arc<LogisticRegression>, shards: usize, guarded: bool, seed:
     while start.elapsed() < TRIAL {
         for _ in 0..OFFERED_PER_MS {
             key += 1;
-            match service.submit(lending_request(&mut rng, key)) {
+            match service.submit(lending_request(&mut rng, key, N_FEATURES)) {
                 Ok(handle) => drop(handle), // fire-and-forget; worker still serves it
                 Err(_) => shed += 1,
             }
@@ -160,7 +119,7 @@ fn run_trial(model: Arc<LogisticRegression>, shards: usize, guarded: bool, seed:
 }
 
 fn main() {
-    let model = Arc::new(train_model(11));
+    let model = Arc::new(train_model(11, N_FEATURES));
     println!(
         "E11: guarded decision serving, open-loop load ({} req/s offered, {}ms fetch per batch)\n",
         OFFERED_PER_MS * 1000,
@@ -174,12 +133,7 @@ fn main() {
         "shards", "config", "req/s", "p50(us)", "p95(us)", "p99(us)", "shed", "alerts", "eps",
     ];
     let widths = [6, 10, 10, 10, 10, 10, 8, 7, 6];
-    header(&columns, &widths);
-    let mut head = String::new();
-    for (c, w) in columns.iter().zip(widths) {
-        head.push_str(&format!("{c:>w$} "));
-    }
-    out.push_str(&head);
+    out.push_str(&header(&columns, &widths));
     out.push('\n');
 
     let mut guarded_rates = Vec::new();
@@ -218,7 +172,5 @@ fn main() {
     print!("{summary}");
     out.push_str(&summary);
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/e11.txt", &out).expect("write results/e11.txt");
-    println!("\nwrote results/e11.txt");
+    kit::write_results("e11", &out);
 }

@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use bench::header;
+use bench::{header, kit};
 use fact_data::Matrix;
 use fact_ml::forest::{ForestConfig, RandomForest};
 use fact_ml::tree::TreeConfig;
@@ -152,7 +152,7 @@ fn kernels(s: &Sizes) -> Vec<Kernel> {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = kit::Mode::from_args().is_smoke();
     let s = if smoke { &SMOKE } else { &FULL };
     println!(
         "E12: thread scaling of the fact-par kernels ({} mode, host parallelism {})\n",
@@ -173,13 +173,7 @@ fn main() {
     columns.push("equal");
     let mut widths: Vec<usize> = columns.iter().map(|c| c.len().max(10)).collect();
     widths[0] = ks.iter().map(|k| k.name.len()).max().unwrap_or(10).max(10);
-    header(&columns, &widths);
-    let mut out = String::new();
-    let mut head = String::new();
-    for (c, w) in columns.iter().zip(&widths) {
-        head.push_str(&format!("{c:>w$} "));
-    }
-    out.push_str(&head);
+    let mut out = header(&columns, &widths);
     out.push('\n');
 
     let mut all_equal = true;
@@ -238,8 +232,6 @@ fn main() {
     assert!(all_equal, "determinism contract violated");
 
     if !smoke {
-        std::fs::create_dir_all("results").expect("create results dir");
-        std::fs::write("results/e12.txt", &out).expect("write results/e12.txt");
-        println!("\nwrote results/e12.txt");
+        kit::write_results("e12", &out);
     }
 }

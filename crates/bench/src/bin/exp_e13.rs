@@ -20,59 +20,21 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench::header;
-use fact_data::Matrix;
-use fact_ml::logistic::{LogisticConfig, LogisticRegression};
+use bench::kit::{self, lending_request, train_model, ScratchDir};
+use fact_ml::logistic::LogisticRegression;
 use fact_serve::audit_sink::{
     parse_log, verify_all_segments, AuditEvent, AuditSink, AuditSinkConfig, AuditStorage,
     FileStorage, MemStorage,
 };
-use fact_serve::{
-    DecisionRequest, DecisionService, DegradePolicy, GuardConfig, ServeConfig,
-    SimulatedRemoteSource,
-};
+use fact_serve::{DecisionService, DegradePolicy, GuardConfig, ServeConfig, SimulatedRemoteSource};
 use fact_transparency::{verify_chain_from, ChainHead};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const N_FEATURES: usize = 8;
 const FETCH: Duration = Duration::from_millis(1);
 const OFFERED_PER_MS: usize = 40;
 const TRIAL: Duration = Duration::from_millis(1200);
-
-fn train_model(seed: u64) -> LogisticRegression {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = 2_000;
-    let mut rows = Vec::with_capacity(n);
-    let mut y = Vec::with_capacity(n);
-    for _ in 0..n {
-        let row: Vec<f64> = (0..N_FEATURES).map(|_| rng.gen::<f64>()).collect();
-        let score = row[0] + 0.2 * row[1] + 0.1 * rng.gen::<f64>();
-        y.push(score > 0.65);
-        rows.push(row);
-    }
-    let x = Matrix::from_rows(&rows).unwrap();
-    let cfg = LogisticConfig {
-        seed,
-        ..LogisticConfig::default()
-    };
-    LogisticRegression::fit(&x, &y, None, &cfg).unwrap()
-}
-
-fn lending_request(rng: &mut StdRng, key: u64) -> DecisionRequest {
-    let group_b = rng.gen_bool(0.3);
-    let mut features: Vec<f64> = (0..N_FEATURES).map(|_| rng.gen::<f64>()).collect();
-    features[0] = if group_b {
-        rng.gen_range(0.0..0.85)
-    } else {
-        rng.gen_range(0.15..1.0)
-    };
-    DecisionRequest {
-        features,
-        group_b,
-        route_key: key,
-        tenant: 0,
-    }
-}
 
 struct Trial {
     throughput: f64,
@@ -135,7 +97,7 @@ fn run_trial(
     while start.elapsed() < TRIAL {
         for _ in 0..OFFERED_PER_MS {
             key += 1;
-            match service.submit(lending_request(&mut rng, key)) {
+            match service.submit(lending_request(&mut rng, key, N_FEATURES)) {
                 Ok(handle) => drop(handle),
                 Err(_) => {}
             }
@@ -154,9 +116,8 @@ fn run_trial(
 }
 
 fn overhead_phase(out: &mut String) {
-    let model = Arc::new(train_model(13));
-    let dir = std::env::temp_dir().join(format!("fact-e13-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let model = Arc::new(train_model(13, N_FEATURES));
+    let dir = ScratchDir::new("e13");
 
     println!(
         "E13a: audited vs unaudited serving, flag-everything degrade \
@@ -169,12 +130,7 @@ fn overhead_phase(out: &mut String) {
 
     let columns = ["shards", "config", "req/s", "p99(us)", "flagged", "audited"];
     let widths = [6, 10, 10, 10, 9, 9];
-    header(&columns, &widths);
-    let mut head = String::new();
-    for (c, w) in columns.iter().zip(widths) {
-        head.push_str(&format!("{c:>w$} "));
-    }
-    out.push_str(&head);
+    out.push_str(&header(&columns, &widths));
     out.push('\n');
 
     let mut worst = 0.0f64;
@@ -231,7 +187,6 @@ fn overhead_phase(out: &mut String) {
     let summary = format!("\nworst audit overhead: {worst:.1}% (claim: <10%)\n");
     print!("{summary}");
     out.push_str(&summary);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn flagged_event(key: u64) -> AuditEvent {
@@ -321,12 +276,7 @@ fn recovery_phase(out: &mut String) {
     println!("E13b: kill-restart-verify replay (batch_max={BATCH})\n");
     let columns = ["phase", "entries", "bytes", "cut", "lost"];
     let widths = [22, 8, 8, 6, 5];
-    header(&columns, &widths);
-    let mut head = String::new();
-    for (c, w) in columns.iter().zip(widths) {
-        head.push_str(&format!("{c:>w$} "));
-    }
-    out.push_str(&head);
+    out.push_str(&header(&columns, &widths));
     out.push('\n');
     for (phase, e, b, cut, lost) in [
         (
@@ -373,7 +323,7 @@ fn recovery_phase(out: &mut String) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = kit::Mode::from_args().is_smoke();
     let mut out = String::new();
     out.push_str("E13: durable audit sink — overhead and crash recovery\n\n");
 
@@ -387,8 +337,6 @@ fn main() {
     if smoke {
         println!("\nE13 smoke passed: recovery contract holds");
     } else {
-        std::fs::create_dir_all("results").expect("create results dir");
-        std::fs::write("results/e13.txt", &out).expect("write results/e13.txt");
-        println!("\nwrote results/e13.txt");
+        kit::write_results("e13", &out);
     }
 }

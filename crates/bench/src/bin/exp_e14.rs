@@ -21,6 +21,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::kit::{self, PassThrough};
 use fact_serve::{
     CacheConfig, CachedFeatureSource, DecisionRequest, DecisionService, DegradePolicy,
     FailingFeatureSource, FeatureSource, ServeConfig, SimulatedRemoteSource,
@@ -39,16 +40,6 @@ fn row_for(key: u64) -> Vec<f64> {
     (0..N_FEATURES)
         .map(|j| ((key as f64 + 1.0) * (j as f64 + 1.0) * 0.618).fract())
         .collect()
-}
-
-/// Requests land favorable iff the first feature clears 0.5 — a model is
-/// beside the point here, so probability = first feature.
-struct PassThrough;
-
-impl fact_ml::Classifier for PassThrough {
-    fn predict_proba(&self, x: &fact_data::Matrix) -> fact_data::Result<Vec<f64>> {
-        Ok((0..x.rows()).map(|i| x.get(i, 0).clamp(0.0, 1.0)).collect())
-    }
 }
 
 fn request(key: u64) -> DecisionRequest {
@@ -177,7 +168,7 @@ fn outage(rounds: u64, with_cache: bool) -> Outage {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = kit::Mode::from_args().is_smoke();
     let (batches, rounds) = if smoke { (40, 2) } else { (400, 10) };
 
     println!(
@@ -245,8 +236,6 @@ fn main() {
     if smoke {
         println!("\nsmoke ok");
     } else {
-        std::fs::create_dir_all("results").expect("create results dir");
-        std::fs::write("results/e14.txt", &out).expect("write results/e14.txt");
-        println!("\nwrote results/e14.txt");
+        kit::write_results("e14", &out);
     }
 }

@@ -32,10 +32,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench::header;
-use fact_serve::audit_sink::{recover, AuditEvent, AuditSink, AuditSinkConfig, MemStorage};
+use bench::kit::{self, flagged, run_disparity, PassThrough};
+use fact_serve::audit_sink::{recover, AuditSink, AuditSinkConfig, MemStorage};
 use fact_serve::{
-    verify_all_segments, AuditStorage, DecisionRequest, DecisionService, DegradePolicy,
-    GuardConfig, InlineFeatures, ServeConfig,
+    verify_all_segments, AuditStorage, DecisionService, DegradePolicy, GuardConfig, InlineFeatures,
+    ServeConfig,
 };
 
 /// Small segments so modest event counts produce deep segment chains.
@@ -43,20 +44,8 @@ const SEGMENT_BYTES: u64 = 8 * 1024;
 
 fn sink_config(batch_max: usize) -> AuditSinkConfig {
     AuditSinkConfig {
-        batch_max,
-        flush_interval: Duration::from_millis(1),
         max_segment_bytes: SEGMENT_BYTES,
-        ..AuditSinkConfig::default()
-    }
-}
-
-fn flagged(key: u64) -> AuditEvent {
-    AuditEvent::Flagged {
-        shard: 0,
-        route_key: key,
-        probability: 0.125,
-        favorable: false,
-        group_b: key.is_multiple_of(2),
+        ..kit::sink_config(batch_max)
     }
 }
 
@@ -180,12 +169,7 @@ fn scaling_phase(out: &mut String, sizes: &[u64]) -> Vec<ScalePoint> {
         "full(KiB)",
     ];
     let widths = [8, 9, 9, 9, 9, 10];
-    header(&columns, &widths);
-    let mut head = String::new();
-    for (c, w) in columns.iter().zip(widths) {
-        head.push_str(&format!("{c:>w$} "));
-    }
-    out.push_str(&head);
+    out.push_str(&header(&columns, &widths));
     out.push('\n');
     for p in &points {
         let line = format!(
@@ -294,31 +278,6 @@ fn service_config() -> ServeConfig {
     }
 }
 
-struct PassThrough;
-
-impl fact_ml::Classifier for PassThrough {
-    fn predict_proba(&self, x: &fact_data::Matrix) -> fact_data::Result<Vec<f64>> {
-        Ok((0..x.rows()).map(|i| x.get(i, 0).clamp(0.0, 1.0)).collect())
-    }
-}
-
-fn run_disparity(service: &DecisionService, n: u64) -> u64 {
-    let mut served = 0;
-    for i in 0..n {
-        let group_b = i.is_multiple_of(2);
-        let ok = service
-            .decide(DecisionRequest {
-                features: vec![if group_b { 0.1 } else { 0.9 }],
-                group_b,
-                route_key: i,
-                tenant: 0,
-            })
-            .is_ok();
-        served += u64::from(ok);
-    }
-    served
-}
-
 fn start_service(storage: &MemStorage) -> DecisionService {
     DecisionService::start_with_audit_storage(
         Arc::new(PassThrough),
@@ -403,7 +362,7 @@ fn boundary_phase(out: &mut String, requests: u64) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = kit::Mode::from_args().is_smoke();
     let mut out = String::new();
     out.push_str("E15: segmented audit rotation — O(segment) restart, standalone segments\n\n");
 
@@ -422,8 +381,6 @@ fn main() {
     if smoke {
         println!("\nE15 smoke passed: rotation and recovery contracts hold");
     } else {
-        std::fs::create_dir_all("results").expect("create results dir");
-        std::fs::write("results/e15.txt", &out).expect("write results/e15.txt");
-        println!("\nwrote results/e15.txt");
+        kit::write_results("e15", &out);
     }
 }

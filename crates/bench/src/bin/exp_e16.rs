@@ -17,22 +17,15 @@
 //!    the same guarded workload against in-process shards vs. a
 //!    `fact-shardd` worker over a Unix socket.
 
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bench::header;
-use fact_data::Matrix;
-use fact_ml::Classifier;
-use fact_net::RemoteShard;
-use fact_serve::audit_sink::{verify_all_segments, AuditStorage, FileStorage};
-use fact_serve::{
-    load_checkpoint, DecisionRequest, DecisionService, DegradePolicy, GuardConfig, ServeConfig,
-    ShardSlot,
-};
+use bench::kit::{self, disparate_request, MeanScorer, ScratchDir, Shardd};
+use fact_serve::{load_checkpoint, DecisionService, DegradePolicy, GuardConfig, ServeConfig};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const N_FEATURES: usize = 4;
 const WORKER_SHARDS: usize = 2;
@@ -40,134 +33,19 @@ const CHECKPOINT_EVERY: u64 = 200;
 const DP_INTERVAL: usize = 100;
 const FAIRNESS_WINDOW: usize = 800;
 
-/// Same deterministic model `fact-shardd` hosts (probability = mean of the
-/// feature vector) so the local and remote columns score identical work.
-struct MeanScorer;
-
-impl Classifier for MeanScorer {
-    fn predict_proba(&self, x: &Matrix) -> fact_data::Result<Vec<f64>> {
-        Ok((0..x.rows())
-            .map(|i| {
-                let row = x.row(i);
-                let mean = row.iter().sum::<f64>() / row.len().max(1) as f64;
-                mean.clamp(0.0, 1.0)
-            })
-            .collect())
-    }
-}
-
-/// A disparate lending request: group B (30% of traffic) scores low, so
-/// the fairness monitor trips and flagged decisions flow to the audit log.
-fn lending_request(rng: &mut StdRng, key: u64) -> DecisionRequest {
-    let group_b = rng.gen_bool(0.3);
-    let center = if group_b { 0.30 } else { 0.70 };
-    let features: Vec<f64> = (0..N_FEATURES)
-        .map(|_| (center + rng.gen_range(-0.15f64..0.15)).clamp(0.0, 1.0))
-        .collect();
-    DecisionRequest {
-        features,
-        group_b,
-        route_key: key,
-        tenant: 0,
-    }
-}
-
-struct WorkerDirs {
-    root: PathBuf,
-    socket: PathBuf,
-    checkpoints: PathBuf,
-    audit: PathBuf,
-}
-
-impl WorkerDirs {
-    fn new(tag: &str) -> WorkerDirs {
-        let root = std::env::temp_dir().join(format!("fact-e16-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&root).expect("create experiment dir");
-        WorkerDirs {
-            socket: root.join("shardd.sock"),
-            checkpoints: root.join("checkpoints"),
-            audit: root.join("audit.jsonl"),
-            root,
+fn spawn_worker(dir: &ScratchDir, with_audit: bool) -> Shardd {
+    Shardd::unix(&kit::shardd_path(), &dir.join("shardd.sock"), |cmd| {
+        cmd.arg("--checkpoint-dir")
+            .arg(dir.join("checkpoints"))
+            .args(["--shards", &WORKER_SHARDS.to_string()])
+            .args(["--n-features", &N_FEATURES.to_string()])
+            .args(["--checkpoint-every", &CHECKPOINT_EVERY.to_string()])
+            .args(["--dp-interval", &DP_INTERVAL.to_string()])
+            .args(["--fairness-window", &FAIRNESS_WINDOW.to_string()]);
+        if with_audit {
+            cmd.arg("--audit").arg(dir.join("audit.jsonl"));
         }
-    }
-}
-
-impl Drop for WorkerDirs {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
-}
-
-fn shardd_path() -> PathBuf {
-    let me = std::env::current_exe().expect("current_exe");
-    let path = me.parent().expect("bin dir").join("fact-shardd");
-    assert!(
-        path.exists(),
-        "fact-shardd not found at {} — build it first (cargo build --release --bin fact-shardd)",
-        path.display()
-    );
-    path
-}
-
-fn spawn_worker(dirs: &WorkerDirs, with_audit: bool) -> Child {
-    let mut cmd = Command::new(shardd_path());
-    cmd.arg("--socket")
-        .arg(&dirs.socket)
-        .arg("--checkpoint-dir")
-        .arg(&dirs.checkpoints)
-        .args(["--shards", &WORKER_SHARDS.to_string()])
-        .args(["--n-features", &N_FEATURES.to_string()])
-        .args(["--checkpoint-every", &CHECKPOINT_EVERY.to_string()])
-        .args(["--dp-interval", &DP_INTERVAL.to_string()])
-        .args(["--fairness-window", &FAIRNESS_WINDOW.to_string()])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    if with_audit {
-        cmd.arg("--audit").arg(&dirs.audit);
-    }
-    let child = cmd.spawn().expect("spawn fact-shardd");
-    wait_listening(&dirs.socket);
-    child
-}
-
-/// Block until the worker accepts connections (bounded).
-fn wait_listening(socket: &Path) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match RemoteShard::connect(socket) {
-            Ok(_) => return,
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
-            Err(e) => panic!("worker never came up on {}: {e}", socket.display()),
-        }
-    }
-}
-
-fn remote_client(socket: &Path) -> DecisionService {
-    DecisionService::start(
-        Arc::new(MeanScorer),
-        ServeConfig {
-            shards: 1,
-            n_features: N_FEATURES,
-            guards: None,
-            topology: Some(vec![ShardSlot::Remote(socket.to_path_buf())]),
-            default_timeout: Duration::from_secs(10),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("start remote client")
-}
-
-/// Drive `n` requests; returns how many were served (errors tolerated —
-/// under a kill some in-flight requests die with the worker).
-fn drive(client: &DecisionService, rng: &mut StdRng, n: u64, key_base: u64) -> u64 {
-    let mut served = 0;
-    for i in 0..n {
-        if client.decide(lending_request(rng, key_base + i)).is_ok() {
-            served += 1;
-        }
-    }
-    served
+    })
 }
 
 fn checkpoint_totals(dir: &Path) -> (u64, usize, f64) {
@@ -186,18 +64,17 @@ fn checkpoint_totals(dir: &Path) -> (u64, usize, f64) {
 
 fn kill_restart_phase(n_load: u64, n_resume: u64) {
     println!("## E16a: kill-and-restart a remote shard worker under load\n");
-    let dirs = WorkerDirs::new("recovery");
+    let dir = ScratchDir::new("e16-recovery");
     let mut rng = StdRng::seed_from_u64(16);
 
     // --- run 1: load, then SIGKILL mid-flight ---------------------------
-    let mut worker = spawn_worker(&dirs, true);
-    let client = remote_client(&dirs.socket);
-    let served1 = drive(&client, &mut rng, n_load, 0);
+    let mut worker = spawn_worker(&dir, true);
+    let client = kit::remote_client(worker.slot(), N_FEATURES);
+    let served1 = kit::drive(&client, &mut rng, n_load, 0, N_FEATURES);
     assert_eq!(served1, n_load, "healthy worker must serve everything");
 
-    worker.kill().expect("SIGKILL worker");
-    worker.wait().expect("reap worker");
-    let (ck_decisions, ck_ledger, ck_window) = checkpoint_totals(&dirs.checkpoints);
+    worker.kill();
+    let (ck_decisions, ck_ledger, ck_window) = checkpoint_totals(&dir.join("checkpoints"));
     let lost = served1 - ck_decisions;
     println!("served before kill            : {served1}");
     println!("checkpointed decisions        : {ck_decisions}");
@@ -213,25 +90,18 @@ fn kill_restart_phase(n_load: u64, n_resume: u64) {
     assert!(ck_ledger > 0, "ε ledger must be checkpointed");
 
     // the dead worker surfaces as a typed error, not a hang
-    let dead = client.decide(lending_request(&mut rng, 999_999));
+    let dead = client.decide(disparate_request(&mut rng, 999_999, N_FEATURES));
     assert!(dead.is_err(), "decisions against a dead worker must fail");
 
     // --- run 2: respawn over the same sidecars, resume, drain cleanly ---
-    let mut worker = spawn_worker(&dirs, true);
-    let served2 = drive(&client, &mut rng, n_resume, n_load);
+    let mut worker = spawn_worker(&dir, true);
+    let served2 = kit::drive(&client, &mut rng, n_resume, n_load, N_FEATURES);
     assert_eq!(served2, n_resume, "respawned worker must serve everything");
     let reconnects = client.remote_stats()[0].reconnects;
     assert!(reconnects >= 1, "client must have healed the connection");
+    worker.shutdown();
 
-    let control = RemoteShard::connect(&dirs.socket).expect("control connection");
-    let ack = control
-        .control("shutdown", Duration::from_secs(5))
-        .expect("shutdown ack");
-    assert!(!ack.payload.is_empty());
-    let status = worker.wait().expect("worker exit");
-    assert!(status.success(), "graceful shutdown must exit 0: {status}");
-
-    let (final_decisions, final_ledger, final_window) = checkpoint_totals(&dirs.checkpoints);
+    let (final_decisions, final_ledger, final_window) = checkpoint_totals(&dir.join("checkpoints"));
     println!("served after respawn          : {served2}");
     println!("client reconnects             : {reconnects}");
     println!("final lifetime decisions      : {final_decisions}");
@@ -249,21 +119,8 @@ fn kill_restart_phase(n_load: u64, n_resume: u64) {
     assert!(final_window > 0.0);
 
     // --- the audit log must verify across the crash ---------------------
-    let mut storage = FileStorage::open(&dirs.audit).expect("open audit log");
-    let audit = verify_all_segments(&mut storage as &mut dyn AuditStorage).expect("verify");
-    assert!(
-        !audit.segments.is_empty(),
-        "flagged decisions must be logged"
-    );
-    assert!(audit.continuous, "audit chain must be continuous");
-    let mut entries = 0u64;
-    for (id, verdict) in &audit.segments {
-        let check = verdict
-            .as_ref()
-            .unwrap_or_else(|e| panic!("audit segment {id} failed verification: {e:?}"));
-        entries += check.entries;
-    }
-    println!("audit segments verified       : {}", audit.segments.len());
+    let (segments, entries) = kit::verify_audit_log(&dir.join("audit.jsonl"));
+    println!("audit segments verified       : {segments}");
     println!("audit entries across restart  : {entries}");
     assert!(entries > 0, "disparate traffic must have flagged decisions");
     println!("\nPASS: window + ε ledger survive a SIGKILL with bounded loss\n");
@@ -291,7 +148,7 @@ fn measure(client: &DecisionService, total: u64, threads: u64, seed: u64) -> Mea
                     let mut rng = StdRng::seed_from_u64(seed ^ t);
                     let mut lat = Vec::with_capacity(per as usize);
                     for i in 0..per {
-                        let req = lending_request(&mut rng, t * per + i);
+                        let req = disparate_request(&mut rng, t * per + i, N_FEATURES);
                         let sent = Instant::now();
                         client.decide(req).expect("decision");
                         lat.push(sent.elapsed().as_micros() as u64);
@@ -306,12 +163,11 @@ fn measure(client: &DecisionService, total: u64, threads: u64, seed: u64) -> Mea
             .collect()
     });
     let wall = start.elapsed();
-    latencies.sort_unstable();
     let n = latencies.len();
     Measured {
         throughput: n as f64 / wall.as_secs_f64(),
         mean_us: latencies.iter().sum::<u64>() as f64 / n as f64,
-        p99_us: latencies[(n * 99) / 100 - 1] as f64,
+        p99_us: kit::percentile(&mut latencies, 99) as f64,
     }
 }
 
@@ -339,17 +195,13 @@ fn comparison_phase(total: u64) {
     let local_m = measure(&local, total, 4, 7);
     let _ = local.shutdown();
 
-    let dirs = WorkerDirs::new("compare");
-    let mut worker = spawn_worker(&dirs, false);
-    let remote = remote_client(&dirs.socket);
+    let dir = ScratchDir::new("e16-compare");
+    let mut worker = spawn_worker(&dir, false);
+    let remote = kit::remote_client(worker.slot(), N_FEATURES);
     let remote_m = measure(&remote, total, 4, 7);
     let rtt = remote.remote_stats()[0].rtt_mean_micros;
     let _ = remote.shutdown();
-    let control = RemoteShard::connect(&dirs.socket).expect("control connection");
-    control
-        .control("shutdown", Duration::from_secs(5))
-        .expect("shutdown ack");
-    worker.wait().expect("worker exit");
+    worker.shutdown();
 
     header(&["mode", "req/s", "mean_us", "p99_us"], &[10, 12, 10, 10]);
     for (mode, m) in [("local", &local_m), ("remote", &remote_m)] {
@@ -367,7 +219,7 @@ fn comparison_phase(total: u64) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = kit::Mode::from_args().is_smoke();
     println!("# E16 — cross-process shard serving with guard-state checkpoint/merge\n");
     if smoke {
         kill_restart_phase(1_200, 600);

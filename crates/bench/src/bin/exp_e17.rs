@@ -25,6 +25,7 @@
 use std::time::Instant;
 
 use bench::header;
+use bench::kit::{self, ScratchDir};
 use fact_data::agg::{aggregate, aggregate_segments, AggFn, AggSpec};
 use fact_data::bias::{group_rates, group_rates_segments};
 use fact_data::column::ColumnData;
@@ -154,7 +155,7 @@ fn fastest<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = kit::Mode::from_args().is_smoke();
     let s = if smoke { &SMOKE } else { &FULL };
     println!(
         "E17: columnar segments — scan/group-by throughput, column pruning, zone-map skips ({} mode)\n",
@@ -163,13 +164,13 @@ fn main() {
 
     let ds = wide_dataset(s, 17);
     let total_cols = ds.n_cols();
-    let dir = std::env::temp_dir().join(format!("fseg-e17-{}", std::process::id()));
+    let dir = ScratchDir::new("e17");
     let cfg = SegmentWriteConfig {
         rows_per_segment: s.rows_per_segment,
         ..Default::default()
     };
     let t0 = Instant::now();
-    let set = ds.to_segments(&dir, &cfg).expect("spill to segments");
+    let set = ds.to_segments(dir.path(), &cfg).expect("spill to segments");
     let write_ms = t0.elapsed().as_secs_f64() * 1e3;
     let n_seg = set.n_segments();
 
@@ -367,10 +368,7 @@ fn main() {
     print!("{summary}");
     out.push_str(&summary);
 
-    std::fs::remove_dir_all(&dir).ok();
     if !smoke {
-        std::fs::create_dir_all("results").expect("create results dir");
-        std::fs::write("results/e17.txt", &out).expect("write results/e17.txt");
-        println!("\nwrote results/e17.txt");
+        kit::write_results("e17", &out);
     }
 }

@@ -24,18 +24,15 @@
 //! `--smoke` runs shorter sweeps of all three phases with the same hard
 //! asserts (the CI gate).
 
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::kit::{self, ScratchDir, Shardd};
 use fact_data::Matrix;
 use fact_ml::Classifier;
-use fact_net::RemoteShard;
 use fact_serve::{
     AdmissionConfig, DecisionRequest, DecisionService, DegradePolicy, ServeConfig, ServeError,
-    ShardSlot,
 };
 
 const N_FEATURES: usize = 4;
@@ -84,12 +81,6 @@ fn adaptive() -> AdmissionConfig {
         target_p99: TARGET_P99,
         ..AdmissionConfig::default()
     }
-}
-
-fn p99(samples: &mut [Duration]) -> Duration {
-    assert!(!samples.is_empty(), "p99 of an empty sample set");
-    samples.sort_unstable();
-    samples[(samples.len() - 1) * 99 / 100]
 }
 
 struct OpenLoopOutcome {
@@ -175,7 +166,7 @@ fn overload_phase(rate: f64, total: u64, warmup: Duration) {
     );
 
     let report = |label: &str, out: &mut OpenLoopOutcome| -> Duration {
-        let p = p99(&mut out.post_warmup);
+        let p = kit::percentile(&mut out.post_warmup, 99);
         println!(
             "{label:>10}: served={} shed={} throttled={} post-warmup p99={:.1}ms",
             out.served,
@@ -259,7 +250,7 @@ fn isolation_phase(flood_rate: f64, quiet_total: u64) {
     }
     let hot_out = hot.join().expect("hot tenant thread");
 
-    let quiet_p99 = p99(&mut quiet_latency);
+    let quiet_p99 = kit::percentile(&mut quiet_latency, 99);
     let completion = quiet_ok as f64 / (quiet_ok + quiet_err) as f64;
     println!(
         "hot   : served={} shed={} throttled={}",
@@ -291,55 +282,19 @@ fn isolation_phase(flood_rate: f64, quiet_total: u64) {
 
 // ---- Phase C: the same quota contract across a real fact-shardd ----
 
-fn shardd_path() -> PathBuf {
-    let me = std::env::current_exe().expect("current_exe");
-    let path = me.parent().expect("bin dir").join("fact-shardd");
-    assert!(
-        path.exists(),
-        "fact-shardd not found at {} — build it first (cargo build --bin fact-shardd)",
-        path.display()
-    );
-    path
-}
-
-fn wait_listening(socket: &Path) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match RemoteShard::connect(socket) {
-            Ok(_) => return,
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
-            Err(e) => panic!("worker never came up on {}: {e}", socket.display()),
-        }
-    }
-}
-
-fn spawn_worker(root: &Path, socket: &Path) -> Child {
-    let child = Command::new(shardd_path())
-        .arg("--socket")
-        .arg(socket)
-        .arg("--checkpoint-dir")
-        .arg(root.join("checkpoints"))
-        .args(["--shards", "4"])
-        .args(["--n-features", &N_FEATURES.to_string()])
-        .args(["--queue-cap", "256"])
-        .args(["--target-p99-us", "25000"])
-        .args(["--tenant-rate", "1"])
-        .args(["--tenant-burst", "8"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn fact-shardd");
-    wait_listening(socket);
-    child
-}
-
 fn remote_phase() {
     println!("## E18c: typed throttling across a real fact-shardd worker\n");
-    let root = std::env::temp_dir().join(format!("fact-e18-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("experiment dir");
-    let socket = root.join("shardd.sock");
-    let mut worker = spawn_worker(&root, &socket);
+    let dir = ScratchDir::new("e18");
+    let mut worker = Shardd::unix(&kit::shardd_path(), &dir.join("shardd.sock"), |cmd| {
+        cmd.arg("--checkpoint-dir")
+            .arg(dir.join("checkpoints"))
+            .args(["--shards", "4"])
+            .args(["--n-features", &N_FEATURES.to_string()])
+            .args(["--queue-cap", "256"])
+            .args(["--target-p99-us", "25000"])
+            .args(["--tenant-rate", "1"])
+            .args(["--tenant-burst", "8"]);
+    });
 
     let client = DecisionService::start(
         Arc::new(SlowModel),
@@ -347,7 +302,7 @@ fn remote_phase() {
             shards: 4,
             n_features: N_FEATURES,
             guards: None,
-            topology: Some(vec![ShardSlot::Remote(socket.clone()); 4]),
+            topology: Some(vec![worker.slot(); 4]),
             default_timeout: Duration::from_secs(10),
             ..ServeConfig::default()
         },
@@ -388,16 +343,11 @@ fn remote_phase() {
         "client shard counters must mirror remote throttles"
     );
     client.shutdown();
-
-    let control = RemoteShard::connect(&socket).expect("control connection");
-    let _ = control.control("shutdown", Duration::from_secs(5));
-    let status = worker.wait().expect("worker exit");
-    assert!(status.success(), "graceful shutdown must exit 0: {status}");
-    let _ = std::fs::remove_dir_all(&root);
+    worker.shutdown();
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = kit::Mode::from_args().is_smoke();
     println!("# E18: adaptive admission control under open-loop overload\n");
 
     if smoke {

@@ -21,23 +21,18 @@
 //! `fact-shardd` process over TCP via `Control {"command":"reshard <M>"}`
 //! frames, proving the cutover holds across the socket too.
 
-use std::io::BufRead;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use fact_data::Matrix;
-use fact_ml::Classifier;
-use fact_net::RemoteShard;
-use fact_serve::audit_sink::{verify_all_segments, AuditStorage, FileStorage};
+use bench::kit::{self, disparate_request, MeanScorer, ScratchDir, Shardd};
 use fact_serve::{
-    load_checkpoint, AuditSinkConfig, CheckpointConfig, DecisionRequest, DecisionService,
-    DegradePolicy, GuardConfig, ServeConfig, ShardSlot,
+    load_checkpoint, AuditSinkConfig, CheckpointConfig, DecisionService, DegradePolicy,
+    GuardConfig, ServeConfig,
 };
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const N_FEATURES: usize = 4;
 const CHECKPOINT_EVERY: u64 = 200;
@@ -46,84 +41,6 @@ const FAIRNESS_WINDOW: usize = 800;
 /// The reshard schedule both phases run: grow, then shrink below start.
 const SCHEDULE: [usize; 2] = [8, 3];
 const START_SHARDS: usize = 4;
-
-/// Same deterministic model `fact-shardd` hosts (probability = mean of the
-/// feature vector) so both phases score identical work.
-struct MeanScorer;
-
-impl Classifier for MeanScorer {
-    fn predict_proba(&self, x: &Matrix) -> fact_data::Result<Vec<f64>> {
-        Ok((0..x.rows())
-            .map(|i| {
-                let row = x.row(i);
-                let mean = row.iter().sum::<f64>() / row.len().max(1) as f64;
-                mean.clamp(0.0, 1.0)
-            })
-            .collect())
-    }
-}
-
-/// A disparate lending request: group B (30% of traffic) scores low, so
-/// the fairness monitor trips and flagged decisions flow to the audit log.
-fn lending_request(rng: &mut StdRng, key: u64) -> DecisionRequest {
-    let group_b = rng.gen_bool(0.3);
-    let center = if group_b { 0.30 } else { 0.70 };
-    let features: Vec<f64> = (0..N_FEATURES)
-        .map(|_| (center + rng.gen_range(-0.15f64..0.15)).clamp(0.0, 1.0))
-        .collect();
-    DecisionRequest {
-        features,
-        group_b,
-        route_key: key,
-        tenant: 0,
-    }
-}
-
-struct Dirs {
-    root: PathBuf,
-    checkpoints: PathBuf,
-    audit: PathBuf,
-}
-
-impl Dirs {
-    fn new(tag: &str) -> Dirs {
-        let root = std::env::temp_dir().join(format!("fact-e19-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&root).expect("create experiment dir");
-        Dirs {
-            checkpoints: root.join("checkpoints"),
-            audit: root.join("audit.jsonl"),
-            root,
-        }
-    }
-}
-
-impl Drop for Dirs {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
-}
-
-fn verify_audit_chain(audit: &Path) -> (usize, u64) {
-    let mut storage = FileStorage::open(audit).expect("open audit log");
-    let report = verify_all_segments(&mut storage as &mut dyn AuditStorage).expect("verify");
-    assert!(
-        !report.segments.is_empty(),
-        "flagged decisions must be logged"
-    );
-    assert!(
-        report.continuous,
-        "audit chain must be continuous across the cutovers"
-    );
-    let mut entries = 0u64;
-    for (id, verdict) in &report.segments {
-        let check = verdict
-            .as_ref()
-            .unwrap_or_else(|e| panic!("audit segment {id} failed verification: {e:?}"));
-        entries += check.entries;
-    }
-    (report.segments.len(), entries)
-}
 
 fn sidecar_decisions(dir: &Path, shards: usize) -> u64 {
     (0..shards)
@@ -142,7 +59,7 @@ fn sidecar_decisions(dir: &Path, shards: usize) -> u64 {
 
 fn local_phase(per_epoch: u64) {
     println!("## E19a: in-process 4 -> 8 -> 3 under sustained load\n");
-    let dirs = Dirs::new("local");
+    let dir = ScratchDir::new("e19-local");
     let service = DecisionService::start(
         Arc::new(MeanScorer),
         ServeConfig {
@@ -155,12 +72,12 @@ fn local_phase(per_epoch: u64) {
                 ..GuardConfig::default()
             }),
             checkpoint: Some(CheckpointConfig {
-                dir: dirs.checkpoints.clone(),
+                dir: dir.join("checkpoints"),
                 every: CHECKPOINT_EVERY,
                 segment_events: 100,
             }),
             audit: Some(AuditSinkConfig {
-                path: dirs.audit.clone(),
+                path: dir.join("audit.jsonl"),
                 ..AuditSinkConfig::default()
             }),
             default_timeout: Duration::from_secs(30),
@@ -188,7 +105,7 @@ fn local_phase(per_epoch: u64) {
                     key += 1;
                     issued.fetch_add(1, Ordering::Relaxed);
                     service
-                        .decide(lending_request(&mut rng, key))
+                        .decide(disparate_request(&mut rng, key, N_FEATURES))
                         .expect("no decision may be lost to a cutover");
                     served.fetch_add(1, Ordering::Relaxed);
                 }
@@ -250,12 +167,12 @@ fn local_phase(per_epoch: u64) {
         SCHEDULE.len() as u64 + 1,
         "one topology epoch per cutover plus one"
     );
-    let final_sidecars = sidecar_decisions(&dirs.checkpoints, SCHEDULE[SCHEDULE.len() - 1]);
+    let final_sidecars = sidecar_decisions(&dir.join("checkpoints"), SCHEDULE[SCHEDULE.len() - 1]);
     assert_eq!(
         final_sidecars, served,
         "final sidecars must account for every decision across both transforms"
     );
-    let (segments, entries) = verify_audit_chain(&dirs.audit);
+    let (segments, entries) = kit::verify_audit_log(&dir.join("audit.jsonl"));
     assert!(entries > 0, "disparate traffic must have flagged decisions");
 
     println!("\ndecisions issued = served     : {served}");
@@ -269,62 +186,22 @@ fn local_phase(per_epoch: u64) {
 // Phase B: the same schedule over TCP against a real fact-shardd
 // ---------------------------------------------------------------------------
 
-fn shardd_path() -> PathBuf {
-    let me = std::env::current_exe().expect("current_exe");
-    let path = me.parent().expect("bin dir").join("fact-shardd");
-    assert!(
-        path.exists(),
-        "fact-shardd not found at {} — build it first (cargo build --release --bin fact-shardd)",
-        path.display()
-    );
-    path
-}
-
-/// Spawn a worker on an ephemeral TCP port; parse the resolved address
-/// from its startup banner.
-fn spawn_tcp_worker(dirs: &Dirs) -> (Child, String) {
-    let mut child = Command::new(shardd_path())
-        .args(["--tcp", "127.0.0.1:0"])
-        .arg("--checkpoint-dir")
-        .arg(&dirs.checkpoints)
-        .args(["--shards", &START_SHARDS.to_string()])
-        .args(["--n-features", &N_FEATURES.to_string()])
-        .args(["--checkpoint-every", &CHECKPOINT_EVERY.to_string()])
-        .args(["--dp-interval", &DP_INTERVAL.to_string()])
-        .args(["--fairness-window", &FAIRNESS_WINDOW.to_string()])
-        .args(["--reshard-hold-ms", "120000"])
-        .arg("--audit")
-        .arg(&dirs.audit)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn fact-shardd");
-    let stdout = child.stdout.take().expect("worker stdout");
-    let mut lines = std::io::BufReader::new(stdout).lines();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let addr = loop {
-        match lines.next() {
-            Some(Ok(line)) => {
-                if let Some(addr) = line.strip_prefix("fact-shardd: listening on tcp:") {
-                    break addr.trim().to_string();
-                }
-            }
-            _ => assert!(
-                Instant::now() < deadline,
-                "worker exited before announcing its TCP address"
-            ),
-        }
-    };
-    // keep draining the banner so the worker never blocks on a full pipe
-    std::thread::spawn(move || for _ in lines.flatten() {});
-    (child, addr)
-}
-
 fn wire_phase(per_epoch: u64) {
     println!("## E19b: the same schedule over TCP via reshard control frames\n");
-    let dirs = Dirs::new("wire");
-    let (mut worker, addr) = spawn_tcp_worker(&dirs);
-    println!("worker listening on tcp:{addr}");
+    let dir = ScratchDir::new("e19-wire");
+    let mut worker = Shardd::tcp(&kit::shardd_path(), |cmd| {
+        cmd.arg("--checkpoint-dir")
+            .arg(dir.join("checkpoints"))
+            .args(["--shards", &START_SHARDS.to_string()])
+            .args(["--n-features", &N_FEATURES.to_string()])
+            .args(["--checkpoint-every", &CHECKPOINT_EVERY.to_string()])
+            .args(["--dp-interval", &DP_INTERVAL.to_string()])
+            .args(["--fairness-window", &FAIRNESS_WINDOW.to_string()])
+            .args(["--reshard-hold-ms", "120000"])
+            .arg("--audit")
+            .arg(dir.join("audit.jsonl"));
+    });
+    println!("worker listening on {}", worker.endpoint());
 
     // front-end: one remote slot over TCP, same routing fabric as local
     let client = DecisionService::start(
@@ -333,15 +210,12 @@ fn wire_phase(per_epoch: u64) {
             shards: 1,
             n_features: N_FEATURES,
             guards: None,
-            topology: Some(vec![ShardSlot::RemoteTcp(addr.clone())]),
+            topology: Some(vec![worker.slot()]),
             default_timeout: Duration::from_secs(150),
             ..ServeConfig::default()
         },
     )
     .expect("start remote client");
-    // a second connection for control frames, so cutover acks don't queue
-    // behind held decision thunks
-    let control = RemoteShard::connect_endpoint(fact_net::Endpoint::Tcp(addr)).expect("control");
 
     let stop = Arc::new(AtomicBool::new(false));
     let served = Arc::new(AtomicU64::new(0));
@@ -355,7 +229,7 @@ fn wire_phase(per_epoch: u64) {
             while !stop.load(Ordering::Relaxed) {
                 key += 1;
                 client
-                    .decide(lending_request(&mut rng, key))
+                    .decide(disparate_request(&mut rng, key, N_FEATURES))
                     .expect("no decision may be lost to a remote cutover");
                 served.fetch_add(1, Ordering::Relaxed);
             }
@@ -370,10 +244,9 @@ fn wire_phase(per_epoch: u64) {
     };
     for (i, &to) in SCHEDULE.iter().enumerate() {
         wait_for(per_epoch * (i as u64 + 1));
-        let ack = control
-            .control(&format!("reshard {to}"), Duration::from_secs(150))
-            .expect("reshard control frame");
-        let wire: fact_net::ControlAckWire = fact_net::decode(&ack.payload).expect("ack");
+        // control frames ride their own connection, so cutover acks don't
+        // queue behind held decision thunks
+        let wire = worker.control(&format!("reshard {to}"), Duration::from_secs(150));
         assert!(wire.ok, "remote reshard failed: {}", wire.info);
         println!("cutover {i}: {}", wire.info);
     }
@@ -387,20 +260,14 @@ fn wire_phase(per_epoch: u64) {
     assert_eq!(issued, served, "zero lost decisions across the wire");
 
     // graceful worker shutdown → final sidecars + audit chain on disk
-    let ack = control
-        .control("shutdown", Duration::from_secs(30))
-        .expect("shutdown control");
-    let wire: fact_net::ControlAckWire = fact_net::decode(&ack.payload).expect("ack");
-    assert!(wire.ok, "{}", wire.info);
-    let status = worker.wait().expect("reap worker");
-    assert!(status.success(), "worker must exit 0 after a drain");
+    worker.shutdown();
 
-    let final_sidecars = sidecar_decisions(&dirs.checkpoints, SCHEDULE[SCHEDULE.len() - 1]);
+    let final_sidecars = sidecar_decisions(&dir.join("checkpoints"), SCHEDULE[SCHEDULE.len() - 1]);
     assert_eq!(
         final_sidecars, served,
         "worker sidecars must account for every decision served over TCP"
     );
-    let (segments, entries) = verify_audit_chain(&dirs.audit);
+    let (segments, entries) = kit::verify_audit_log(&dir.join("audit.jsonl"));
     let stats = client.remote_stats();
     println!("\ndecisions issued = served     : {served}");
     println!("final sidecar decision total  : {final_sidecars}");
@@ -414,7 +281,7 @@ fn wire_phase(per_epoch: u64) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = kit::Mode::from_args().is_smoke();
     println!("# E19 — live resharding under sustained load\n");
     if smoke {
         local_phase(600);

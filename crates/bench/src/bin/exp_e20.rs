@@ -27,23 +27,19 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bench::header;
-use fact_data::Matrix;
-use fact_ml::Classifier;
-use fact_net::RemoteShard;
+use bench::kit::{self, ScratchDir, Shardd};
 use fact_serve::audit_sink::{parse_log, recover};
 use fact_serve::{
     decode_archive, read_segment_or_archive, verify_all_segments, ArchiveConfig, AuditEvent,
-    AuditSink, AuditSinkConfig, AuditStorage, DecisionRequest, DecisionService, FileStorage,
-    ServeConfig, ShardSlot,
+    AuditSink, AuditSinkConfig, AuditStorage, FileStorage,
 };
 use fact_transparency::{verify_chain_from, ChainHead};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const N_FEATURES: usize = 4;
 const WORKER_SHARDS: usize = 2;
@@ -154,10 +150,8 @@ fn phase_a_root() -> PathBuf {
 /// without the background archiver, over a fresh tempdir. Returns writer
 /// batch-latency stats and verifies the store end-to-end afterwards.
 fn run_trial(events: u64, seg_bytes: u64, archive_on: bool, tag: &str) -> Trial {
-    let root = phase_a_root().join(format!("fact-e20-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("create trial dir");
-    let path = root.join("audit.jsonl");
+    let dir = ScratchDir::under(&phase_a_root(), &format!("e20-{tag}"));
+    let path = dir.join("audit.jsonl");
 
     let samples = Arc::new(Mutex::new(Vec::new()));
     let storage = TimingStorage {
@@ -236,19 +230,16 @@ fn run_trial(events: u64, seg_bytes: u64, archive_on: bool, tag: &str) -> Trial 
     }
 
     let mut lat = samples.lock().unwrap().clone();
-    lat.sort_unstable();
     let n = lat.len();
     assert!(n >= 100, "need enough batches for a stable p99: {n}");
-    let trial = Trial {
-        p99_us: lat[(n * 99) / 100 - 1] as f64,
+    Trial {
+        p99_us: kit::percentile(&mut lat, 99) as f64,
         mean_us: lat.iter().sum::<u64>() as f64 / n as f64,
         batches: n,
         rolls: report.rolls,
         archived: report.archive.segments_archived,
         ratio: report.archive.ratio(),
-    };
-    let _ = std::fs::remove_dir_all(&root);
-    trial
+    }
 }
 
 fn hot_path_phase(events: u64, seg_bytes: u64, trials: usize) {
@@ -298,137 +289,24 @@ fn hot_path_phase(events: u64, seg_bytes: u64, trials: usize) {
 // Phase B: SIGKILL a compacting fact-shardd, recover offline, resume
 // ---------------------------------------------------------------------------
 
-/// Same deterministic model `fact-shardd` hosts (probability = mean of the
-/// feature vector) so the driver scores the work the worker audits.
-struct MeanScorer;
-
-impl Classifier for MeanScorer {
-    fn predict_proba(&self, x: &Matrix) -> fact_data::Result<Vec<f64>> {
-        Ok((0..x.rows())
-            .map(|i| {
-                let row = x.row(i);
-                let mean = row.iter().sum::<f64>() / row.len().max(1) as f64;
-                mean.clamp(0.0, 1.0)
-            })
-            .collect())
-    }
-}
-
-/// A disparate lending request: group B (30% of traffic) scores low, so
-/// the fairness monitor trips and flagged decisions flow to the audit log.
-fn lending_request(rng: &mut StdRng, key: u64) -> DecisionRequest {
-    let group_b = rng.gen_bool(0.3);
-    let center = if group_b { 0.30 } else { 0.70 };
-    let features: Vec<f64> = (0..N_FEATURES)
-        .map(|_| (center + rng.gen_range(-0.15f64..0.15)).clamp(0.0, 1.0))
-        .collect();
-    DecisionRequest {
-        features,
-        group_b,
-        route_key: key,
-        tenant: 0,
-    }
-}
-
-struct WorkerDirs {
-    root: PathBuf,
-    socket: PathBuf,
-    checkpoints: PathBuf,
-    audit: PathBuf,
-}
-
-impl WorkerDirs {
-    fn new(tag: &str) -> WorkerDirs {
-        let root = std::env::temp_dir().join(format!("fact-e20-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&root).expect("create experiment dir");
-        WorkerDirs {
-            socket: root.join("shardd.sock"),
-            checkpoints: root.join("checkpoints"),
-            audit: root.join("audit.jsonl"),
-            root,
-        }
-    }
-}
-
-impl Drop for WorkerDirs {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
-}
-
-fn shardd_path() -> PathBuf {
-    let me = std::env::current_exe().expect("current_exe");
-    let path = me.parent().expect("bin dir").join("fact-shardd");
-    assert!(
-        path.exists(),
-        "fact-shardd not found at {} — build it first (cargo build --release --bin fact-shardd)",
-        path.display()
-    );
-    path
-}
-
 /// Spawn a worker that rotates its audit log every 4 KiB and compacts all
 /// but the newest sealed segment on a 25 ms tick — aggressive enough that
 /// a SIGKILL lands while segments are mid-flight through the archiver.
-fn spawn_worker(dirs: &WorkerDirs) -> Child {
-    let mut cmd = Command::new(shardd_path());
-    cmd.arg("--socket")
-        .arg(&dirs.socket)
-        .arg("--checkpoint-dir")
-        .arg(&dirs.checkpoints)
-        .args(["--shards", &WORKER_SHARDS.to_string()])
-        .args(["--n-features", &N_FEATURES.to_string()])
-        .args(["--checkpoint-every", "200"])
-        .args(["--dp-interval", "100"])
-        .args(["--fairness-window", "800"])
-        .arg("--audit")
-        .arg(&dirs.audit)
-        .args(["--audit-segment-bytes", "4096"])
-        .args(["--archive-retain", "1"])
-        .args(["--archive-tick-ms", "25"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    let child = cmd.spawn().expect("spawn fact-shardd");
-    wait_listening(&dirs.socket);
-    child
-}
-
-/// Block until the worker accepts connections (bounded).
-fn wait_listening(socket: &Path) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match RemoteShard::connect(socket) {
-            Ok(_) => return,
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
-            Err(e) => panic!("worker never came up on {}: {e}", socket.display()),
-        }
-    }
-}
-
-fn remote_client(socket: &Path) -> DecisionService {
-    DecisionService::start(
-        Arc::new(MeanScorer),
-        ServeConfig {
-            shards: 1,
-            n_features: N_FEATURES,
-            guards: None,
-            topology: Some(vec![ShardSlot::Remote(socket.to_path_buf())]),
-            default_timeout: Duration::from_secs(10),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("start remote client")
-}
-
-fn drive(client: &DecisionService, rng: &mut StdRng, n: u64, key_base: u64) -> u64 {
-    let mut served = 0;
-    for i in 0..n {
-        if client.decide(lending_request(rng, key_base + i)).is_ok() {
-            served += 1;
-        }
-    }
-    served
+fn spawn_worker(dir: &ScratchDir) -> Shardd {
+    Shardd::unix(&kit::shardd_path(), &dir.join("shardd.sock"), |cmd| {
+        cmd.arg("--checkpoint-dir")
+            .arg(dir.join("checkpoints"))
+            .args(["--shards", &WORKER_SHARDS.to_string()])
+            .args(["--n-features", &N_FEATURES.to_string()])
+            .args(["--checkpoint-every", "200"])
+            .args(["--dp-interval", "100"])
+            .args(["--fairness-window", "800"])
+            .arg("--audit")
+            .arg(dir.join("audit.jsonl"))
+            .args(["--audit-segment-bytes", "4096"])
+            .args(["--archive-retain", "1"])
+            .args(["--archive-tick-ms", "25"]);
+    })
 }
 
 struct StoreState {
@@ -503,20 +381,20 @@ fn inspect_store(audit: &Path, label: &str) -> StoreState {
 
 fn crash_phase(n_load: u64, n_resume: u64) {
     println!("## E20b: SIGKILL a fact-shardd mid-compaction, recover, resume\n");
-    let dirs = WorkerDirs::new("crash");
+    let dir = ScratchDir::new("e20-crash");
+    let audit = dir.join("audit.jsonl");
     let mut rng = StdRng::seed_from_u64(20);
 
     // --- run 1: rotate + compact under load, then SIGKILL ---------------
-    let mut worker = spawn_worker(&dirs);
-    let client = remote_client(&dirs.socket);
-    let served1 = drive(&client, &mut rng, n_load, 0);
+    let mut worker = spawn_worker(&dir);
+    let client = kit::remote_client(worker.slot(), N_FEATURES);
+    let served1 = kit::drive(&client, &mut rng, n_load, 0, N_FEATURES);
     assert_eq!(served1, n_load, "healthy worker must serve everything");
     // let the 25 ms archiver bite into the rotated backlog before the kill
     std::thread::sleep(Duration::from_millis(300));
-    worker.kill().expect("SIGKILL worker");
-    worker.wait().expect("reap worker");
+    worker.kill();
 
-    let after_kill = inspect_store(&dirs.audit, "after SIGKILL");
+    let after_kill = inspect_store(&audit, "after SIGKILL");
     println!("served before kill      : {served1}");
     println!("live segments           : {}", after_kill.live.len());
     println!("archived segments       : {}", after_kill.archived.len());
@@ -529,18 +407,12 @@ fn crash_phase(n_load: u64, n_resume: u64) {
     assert!(after_kill.entries > 0, "flagged traffic must be on disk");
 
     // --- run 2: respawn over the compacted store, drain gracefully ------
-    let mut worker = spawn_worker(&dirs);
-    let served2 = drive(&client, &mut rng, n_resume, n_load);
+    let mut worker = spawn_worker(&dir);
+    let served2 = kit::drive(&client, &mut rng, n_resume, n_load, N_FEATURES);
     assert_eq!(served2, n_resume, "respawned worker must serve everything");
-    let control = RemoteShard::connect(&dirs.socket).expect("control connection");
-    let ack = control
-        .control("shutdown", Duration::from_secs(5))
-        .expect("shutdown ack");
-    assert!(!ack.payload.is_empty());
-    let status = worker.wait().expect("worker exit");
-    assert!(status.success(), "graceful shutdown must exit 0: {status}");
+    worker.shutdown();
 
-    let final_state = inspect_store(&dirs.audit, "after resume");
+    let final_state = inspect_store(&audit, "after resume");
     println!("served after respawn    : {served2}");
     println!("final live segments     : {}", final_state.live.len());
     println!("final archived segments : {}", final_state.archived.len());
@@ -555,7 +427,7 @@ fn crash_phase(n_load: u64, n_resume: u64) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = kit::Mode::from_args().is_smoke();
     println!("# E20 — background audit archiving: hot-path cost and crash safety\n");
     if smoke {
         hot_path_phase(3_000, 8 * 1024, 2);

@@ -4,15 +4,26 @@
 //! Each binary regenerates one experiment from EXPERIMENTS.md (the
 //! evaluation section this vision paper does not have — see DESIGN.md).
 //! The helpers here keep table formatting consistent across experiments.
+//!
+//! [`kit`] is the one experiment-harness kit the serving experiments
+//! (E11–E20) and the root integration tests share: a [`kit::Shardd`]
+//! worker handle that kills its `fact-shardd` on drop, pid-tagged
+//! [`kit::ScratchDir`]s, the [`kit::MeanScorer`] / [`kit::PassThrough`]
+//! models and lending workloads, the `--smoke`-only [`kit::Mode`], the
+//! nearest-rank [`kit::percentile`] and [`kit::write_results`].
 
-/// Print a table header row followed by a separator line sized to it.
-pub fn header(columns: &[&str], widths: &[usize]) {
+pub mod kit;
+
+/// Print a table header row followed by a separator line sized to it;
+/// returns the header row for the caller's results file.
+pub fn header(columns: &[&str], widths: &[usize]) -> String {
     let mut line = String::new();
     for (c, w) in columns.iter().zip(widths) {
         line.push_str(&format!("{c:>w$} ", w = w));
     }
     println!("{line}");
     println!("{}", "-".repeat(line.len()));
+    line
 }
 
 /// Format one f64 cell at a width/precision.

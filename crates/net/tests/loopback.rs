@@ -8,77 +8,20 @@
 //! byte pipe and must change nothing about the protocol (`PROTOCOL.md`
 //! §2 — Transports).
 
+mod common;
+
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{fresh_endpoint, start_echo, EchoHandler, Transport};
 use fact_net::{
-    decode, encode, Endpoint, FrameKind, NetError, RemoteShard, RequestWire, ResponseWire, Server,
+    decode, encode, FrameKind, NetError, RemoteShard, RequestWire, ResponseWire, Server,
     ShardHandler, DEFAULT_FRAME_DEADLINE,
 };
 
 const WAIT: Duration = Duration::from_secs(5);
-
-/// The two transport families every scenario must behave identically on.
-#[derive(Clone, Copy)]
-enum Transport {
-    Unix,
-    Tcp,
-}
-
-/// An unbound endpoint of the given family; TCP picks an ephemeral port.
-fn fresh_endpoint(transport: Transport, tag: &str) -> Endpoint {
-    match transport {
-        Transport::Unix => Endpoint::unix(
-            std::env::temp_dir().join(format!("fact-net-{tag}-{}.sock", std::process::id())),
-        ),
-        Transport::Tcp => Endpoint::tcp("127.0.0.1:0"),
-    }
-}
-
-/// Echoes requests back as decisions whose probability is the first
-/// feature; counts frames seen.
-struct EchoHandler {
-    seen: AtomicU64,
-}
-
-impl ShardHandler for EchoHandler {
-    fn submit(&self, kind: FrameKind, payload: Vec<u8>) -> Box<dyn FnOnce() -> Vec<u8> + Send> {
-        self.seen.fetch_add(1, Ordering::Relaxed);
-        Box::new(move || match kind {
-            FrameKind::Request => {
-                let resp = match decode::<RequestWire>(&payload) {
-                    Ok(req) => ResponseWire::success(fact_net::DecisionWire {
-                        probability: req.features.first().copied().unwrap_or(0.0),
-                        favorable: req.group_b,
-                        flagged: false,
-                        shard: (req.route_key % 4) as usize,
-                    }),
-                    Err(e) => ResponseWire::failure(e.to_string()),
-                };
-                encode(&resp).unwrap()
-            }
-            _ => payload,
-        })
-    }
-}
-
-/// Bind an echo server on the given transport; returns the *resolved*
-/// endpoint (TCP's ephemeral port filled in).
-fn start_echo(transport: Transport, tag: &str) -> (Server, Endpoint, Arc<EchoHandler>) {
-    let handler = Arc::new(EchoHandler {
-        seen: AtomicU64::new(0),
-    });
-    let server = Server::bind_endpoint(
-        fresh_endpoint(transport, tag),
-        Arc::clone(&handler) as Arc<dyn ShardHandler>,
-        DEFAULT_FRAME_DEADLINE,
-    )
-    .unwrap();
-    let endpoint = server.endpoint().clone();
-    (server, endpoint, handler)
-}
 
 fn request(route_key: u64, p: f64) -> Vec<u8> {
     encode(&RequestWire {
@@ -91,7 +34,7 @@ fn request(route_key: u64, p: f64) -> Vec<u8> {
 }
 
 fn pipelined_requests_all_answer(transport: Transport) {
-    let (mut server, endpoint, handler) = start_echo(transport, "pipeline");
+    let (mut server, endpoint, handler) = start_echo(transport, "pipeline", DEFAULT_FRAME_DEADLINE);
     let shard = RemoteShard::connect_endpoint(endpoint).unwrap();
 
     // fire 64 requests before waiting on any reply
@@ -132,7 +75,7 @@ fn pipelined_requests_all_answer_with_matching_ids_tcp() {
 }
 
 fn control_frames_ack(transport: Transport) {
-    let (mut server, endpoint, _) = start_echo(transport, "control");
+    let (mut server, endpoint, _) = start_echo(transport, "control", DEFAULT_FRAME_DEADLINE);
     let shard = RemoteShard::connect_endpoint(endpoint).unwrap();
     let ack = shard.control("ping", WAIT).unwrap();
     assert_eq!(ack.kind, FrameKind::Control);
@@ -194,7 +137,7 @@ fn server_death_fails_pending_replies_with_typed_error_tcp() {
 }
 
 fn client_reconnects_after_restart(transport: Transport) {
-    let (mut server, endpoint, _) = start_echo(transport, "restart");
+    let (mut server, endpoint, _) = start_echo(transport, "restart", DEFAULT_FRAME_DEADLINE);
     let shard = RemoteShard::connect_endpoint(endpoint.clone()).unwrap();
     shard
         .send(FrameKind::Request, request(1, 0.25))
@@ -215,12 +158,9 @@ fn client_reconnects_after_restart(transport: Transport) {
 
     // ...and once a new worker binds the same endpoint, sends heal
     // transparently (for TCP that means the same resolved host:port)
-    let handler = Arc::new(EchoHandler {
-        seen: AtomicU64::new(0),
-    });
     let mut server2 = Server::bind_endpoint(
         endpoint,
-        Arc::clone(&handler) as Arc<dyn ShardHandler>,
+        Arc::new(EchoHandler::default()),
         DEFAULT_FRAME_DEADLINE,
     )
     .unwrap();
@@ -252,7 +192,7 @@ fn client_reconnects_after_server_restart_tcp() {
 }
 
 fn garbage_peer_drops_connection(transport: Transport) {
-    let (mut server, endpoint, handler) = start_echo(transport, "garbage");
+    let (mut server, endpoint, handler) = start_echo(transport, "garbage", DEFAULT_FRAME_DEADLINE);
 
     // a raw peer writes a torn header then vanishes
     let mut raw = endpoint.dial().unwrap();

@@ -15,13 +15,15 @@
 //! over both the Unix-domain and TCP transports — the deadline is a
 //! protocol property, not a transport property (`PROTOCOL.md` §5).
 
+mod common;
+
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+use common::{start_echo, Transport};
 use fact_net::frame::{encode_frame, read_frame, Frame, HEADER_LEN};
-use fact_net::{Endpoint, FrameKind, NetStream, Server, ShardHandler};
+use fact_net::{Endpoint, FrameKind, NetStream};
 
 /// Deadline used by these tests: long enough that a healthy writer never
 /// trips it, short enough that the tests stay fast.
@@ -29,47 +31,6 @@ const DEADLINE: Duration = Duration::from_millis(300);
 /// The server must have cut a stalled peer off well within this bound
 /// (deadline + poll interval + scheduling slack).
 const CUTOFF: Duration = Duration::from_secs(5);
-
-#[derive(Clone, Copy)]
-enum Transport {
-    Unix,
-    Tcp,
-}
-
-fn fresh_endpoint(transport: Transport, tag: &str) -> Endpoint {
-    match transport {
-        Transport::Unix => Endpoint::unix(
-            std::env::temp_dir().join(format!("fact-net-loris-{tag}-{}.sock", std::process::id())),
-        ),
-        Transport::Tcp => Endpoint::tcp("127.0.0.1:0"),
-    }
-}
-
-/// Echoes every payload back unchanged; counts frames seen.
-struct Echo {
-    seen: AtomicU64,
-}
-
-impl ShardHandler for Echo {
-    fn submit(&self, _kind: FrameKind, payload: Vec<u8>) -> Box<dyn FnOnce() -> Vec<u8> + Send> {
-        self.seen.fetch_add(1, Ordering::Relaxed);
-        Box::new(move || payload)
-    }
-}
-
-fn start(transport: Transport, tag: &str) -> (Server, Endpoint, Arc<Echo>) {
-    let handler = Arc::new(Echo {
-        seen: AtomicU64::new(0),
-    });
-    let server = Server::bind_endpoint(
-        fresh_endpoint(transport, tag),
-        Arc::clone(&handler) as Arc<dyn ShardHandler>,
-        DEADLINE,
-    )
-    .unwrap();
-    let endpoint = server.endpoint().clone();
-    (server, endpoint, handler)
-}
 
 /// Block until the server closes `stream` (read returns EOF) or `CUTOFF`
 /// passes; returns how long it took.
@@ -110,7 +71,7 @@ fn assert_still_serving(endpoint: &Endpoint) {
 }
 
 fn header_dribbler_is_cut_off(transport: Transport) {
-    let (mut server, endpoint, handler) = start(transport, "dribble");
+    let (mut server, endpoint, handler) = start_echo(transport, "dribble", DEADLINE);
 
     // attacker: one header byte, then silence
     let mut loris = endpoint.dial().unwrap();
@@ -141,7 +102,7 @@ fn header_dribbler_is_cut_off_and_server_keeps_serving_tcp() {
 }
 
 fn mid_payload_staller_is_cut_off_on(transport: Transport) {
-    let (mut server, endpoint, handler) = start(transport, "stall");
+    let (mut server, endpoint, handler) = start_echo(transport, "stall", DEADLINE);
 
     // attacker: a complete, valid header promising 64 payload bytes, then
     // only 8 of them
@@ -173,7 +134,7 @@ fn mid_payload_staller_is_cut_off_tcp() {
 }
 
 fn idle_connection_is_not_torn_down_on(transport: Transport) {
-    let (mut server, endpoint, _handler) = start(transport, "idle");
+    let (mut server, endpoint, _handler) = start_echo(transport, "idle", DEADLINE);
 
     // a connection that sits quiet for several deadlines, with no frame in
     // progress, must stay usable
@@ -202,7 +163,7 @@ fn idle_connection_is_not_torn_down_tcp() {
 }
 
 fn slow_but_live_writer_is_served(transport: Transport) {
-    let (mut server, endpoint, _handler) = start(transport, "slow-ok");
+    let (mut server, endpoint, _handler) = start_echo(transport, "slow-ok", DEADLINE);
 
     // a legitimately slow peer: the whole frame lands in small chunks but
     // comfortably inside the per-frame deadline

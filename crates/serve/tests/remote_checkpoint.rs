@@ -4,12 +4,12 @@
 //! worker-hosted service — including healing across a worker restart
 //! that restores from checkpoint.
 
-use std::path::PathBuf;
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
-use fact_data::{Matrix, Result};
-use fact_ml::Classifier;
+use common::{temp_dir, StubModel};
 use fact_net::{Server, ShardHandler};
 use fact_serve::service::NetShardHandler;
 use fact_serve::{
@@ -18,19 +18,6 @@ use fact_serve::{
 };
 
 /// Probability = first feature.
-struct StubModel;
-impl Classifier for StubModel {
-    fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {
-        Ok((0..x.rows()).map(|i| x.get(i, 0).clamp(0.0, 1.0)).collect())
-    }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fact-serve-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn guarded_config(ckpt_dir: &std::path::Path) -> ServeConfig {
     ServeConfig {
         shards: 1,

@@ -3,13 +3,13 @@
 //! hold window is bounded by a typed refusal, and the `"reshard <M>"`
 //! control command works end to end over fact-net.
 
-use std::path::PathBuf;
+mod common;
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use fact_data::{Matrix, Result};
-use fact_ml::Classifier;
+use common::{temp_dir, StubModel};
 use fact_net::{RemoteShard, Server, ShardHandler};
 use fact_serve::{
     load_checkpoint, transform_checkpoints, write_checkpoint, CheckpointConfig, DecisionRequest,
@@ -18,19 +18,6 @@ use fact_serve::{
 };
 
 /// Probability = first feature.
-struct StubModel;
-impl Classifier for StubModel {
-    fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {
-        Ok((0..x.rows()).map(|i| x.get(i, 0).clamp(0.0, 1.0)).collect())
-    }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fact-reshard-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn config(shards: usize, ckpt_dir: &std::path::Path) -> ServeConfig {
     ServeConfig {
         shards,

@@ -13,11 +13,12 @@
 //! matter how fast or slow the machine is — no sleeps, no latency
 //! assumptions.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
-use fact_data::{Matrix, Result};
-use fact_ml::Classifier;
+use common::StubModel;
 use fact_net::{Server, ShardHandler};
 use fact_serve::service::NetShardHandler;
 use fact_serve::{
@@ -30,13 +31,6 @@ const BURST: u64 = 8;
 const FLOOD: u64 = 40;
 
 /// Probability = first feature.
-struct StubModel;
-impl Classifier for StubModel {
-    fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {
-        Ok((0..x.rows()).map(|i| x.get(i, 0).clamp(0.0, 1.0)).collect())
-    }
-}
-
 fn admission() -> AdmissionConfig {
     AdmissionConfig {
         // ~zero refill: the burst is the whole budget for this test

@@ -56,6 +56,9 @@
 #  15. doc-link check         every PROTOCOL.md / OPERATIONS.md section
 #                             anchor referenced from the crate rustdoc
 #                             resolves to a real heading
+#  16. harness-kit check      no experiment binary or root integration test
+#                             defines a helper fact_bench::kit owns again
+#                             (worker spawn, models, lending workloads)
 #
 # Everything runs --offline: the workspace vendors its dependencies and
 # must build with no network.
@@ -130,5 +133,17 @@ while IFS= read -r ref; do
     }
 done <<< "$refs"
 echo "    all $(echo "$refs" | wc -l) §-references resolve"
+
+echo "==> harness-kit check (kit-owned helpers are defined once)"
+# The worker handle, the models and the lending workloads live in
+# crates/bench/src/kit.rs. A harness that grows its own copy again drifts
+# (two p99 rules, an orphaned worker), so a redefinition fails the gate.
+kit_owned='fn (shardd_path|wait_listening|lending_request|train_model)\b|struct (MeanScorer|PassThrough)\b'
+if dups=$(grep -rnE "$kit_owned" crates/bench/src/bin tests); then
+    echo "harness-kit check: use bench::kit instead of redefining:" >&2
+    echo "$dups" >&2
+    exit 1
+fi
+echo "    no kit-owned helper redefined under crates/bench/src/bin or tests/"
 
 echo "==> ci.sh: all green"

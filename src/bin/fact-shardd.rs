@@ -72,8 +72,9 @@ options:
 ";
 
 /// The worker's deterministic demo model: probability is the mean of the
-/// feature vector, clamped to [0, 1]. `exp_e16` uses the same scorer on the
-/// local side of its comparison — keep the two in sync.
+/// feature vector, clamped to [0, 1]. The experiment harnesses score with
+/// `bench::kit::MeanScorer`; `tests/shardd_cli.rs`
+/// (`worker_model_is_the_kit_mean_scorer`) pins the two together.
 struct MeanScorer;
 
 impl Classifier for MeanScorer {

@@ -16,35 +16,17 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::kit::{flagged, run_disparity, sink_config, PassThrough};
 use fact_serve::audit_sink::{parse_log, recover, AuditStorage};
 use fact_serve::{
     archive_run_once, encode_archive, read_segment_or_archive, verify_all_segments, ArchiveConfig,
-    ArchiveManifest, ArchiveStats, AuditEvent, AuditSink, AuditSinkConfig, AuditSinkHandle,
-    DecisionRequest, DecisionService, DegradePolicy, GuardConfig, InlineFeatures, MemStorage,
-    ServeConfig,
+    ArchiveManifest, ArchiveStats, AuditSink, AuditSinkConfig, AuditSinkHandle, DecisionService,
+    DegradePolicy, GuardConfig, InlineFeatures, MemStorage, ServeConfig,
 };
 use fact_transparency::{verify_chain_from, AuditEntry, ChainHead};
 
-fn sink_config(batch_max: usize) -> AuditSinkConfig {
-    AuditSinkConfig {
-        batch_max,
-        flush_interval: Duration::from_millis(1),
-        ..AuditSinkConfig::default()
-    }
-}
-
 fn open(storage: &MemStorage, batch_max: usize) -> AuditSink {
     AuditSink::open_with_storage(&sink_config(batch_max), Box::new(storage.clone())).unwrap()
-}
-
-fn flagged(key: u64) -> AuditEvent {
-    AuditEvent::Flagged {
-        shard: 0,
-        route_key: key,
-        probability: 0.125,
-        favorable: false,
-        group_b: key.is_multiple_of(2),
-    }
 }
 
 /// Send `events` and wait until the sink has durably audited (or given up
@@ -493,31 +475,6 @@ fn audited_disparity_config() -> ServeConfig {
         audit: Some(sink_config(8)),
         ..ServeConfig::default()
     }
-}
-
-struct PassThrough;
-
-impl fact_ml::Classifier for PassThrough {
-    fn predict_proba(&self, x: &fact_data::Matrix) -> fact_data::Result<Vec<f64>> {
-        Ok((0..x.rows()).map(|i| x.get(i, 0).clamp(0.0, 1.0)).collect())
-    }
-}
-
-fn run_disparity(service: &DecisionService, n: u64) -> u64 {
-    let mut served = 0;
-    for i in 0..n {
-        let group_b = i.is_multiple_of(2);
-        let ok = service
-            .decide(DecisionRequest {
-                features: vec![if group_b { 0.1 } else { 0.9 }],
-                group_b,
-                route_key: i,
-                tenant: 0,
-            })
-            .is_ok();
-        served += u64::from(ok);
-    }
-    served
 }
 
 #[test]
