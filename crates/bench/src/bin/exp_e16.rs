@@ -72,11 +72,16 @@ fn kill_restart_phase(n_load: u64, n_resume: u64) {
     let client = kit::remote_client(worker.slot(), N_FEATURES);
     let served1 = kit::drive(&client, &mut rng, n_load, 0, N_FEATURES);
     assert_eq!(served1, n_load, "healthy worker must serve everything");
+    // a silent fallback to JSON would cost the binary payloads' gain with
+    // every decision still served
+    let wire = client.remote_stats()[0].wire_version;
+    assert_eq!(wire, 2, "the connection must negotiate binary payloads");
 
     worker.kill();
     let (ck_decisions, ck_ledger, ck_window) = checkpoint_totals(&dir.join("checkpoints"));
     let lost = served1 - ck_decisions;
     println!("served before kill            : {served1}");
+    println!("negotiated wire version       : {wire}");
     println!("checkpointed decisions        : {ck_decisions}");
     println!("decisions lost to the kill    : {lost}");
     println!("ε-ledger entries checkpointed : {ck_ledger}");
@@ -97,13 +102,19 @@ fn kill_restart_phase(n_load: u64, n_resume: u64) {
     let mut worker = spawn_worker(&dir, true);
     let served2 = kit::drive(&client, &mut rng, n_resume, n_load, N_FEATURES);
     assert_eq!(served2, n_resume, "respawned worker must serve everything");
-    let reconnects = client.remote_stats()[0].reconnects;
+    let remote = &client.remote_stats()[0];
+    let reconnects = remote.reconnects;
     assert!(reconnects >= 1, "client must have healed the connection");
+    assert_eq!(
+        remote.wire_version, 2,
+        "the healed connection must negotiate binary payloads again"
+    );
     worker.shutdown();
 
     let (final_decisions, final_ledger, final_window) = checkpoint_totals(&dir.join("checkpoints"));
     println!("served after respawn          : {served2}");
     println!("client reconnects             : {reconnects}");
+    println!("wire version after reconnect  : {}", remote.wire_version);
     println!("final lifetime decisions      : {final_decisions}");
     println!("final ε-ledger entries        : {final_ledger}");
     println!("final fairness-window events  : {final_window}");

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "FNET"
-//! 4       1     version (currently 1)
+//! 4       1     version (1 = JSON payloads, 2 = binary decision payloads)
 //! 5       1     kind    (1=request 2=response 3=checkpoint 4=control)
 //! 6       8     corr_id (u64 LE) — matches a response to its request
 //! 14      4     len     (u32 LE) — payload byte count, <= MAX_PAYLOAD
@@ -16,6 +16,11 @@
 //! boundary → `Ok(None)`) from a *torn* one (EOF mid-header or mid-payload
 //! → [`FrameError::Truncated`]), and rejects oversized length prefixes
 //! before allocating, so a corrupt or malicious peer cannot balloon memory.
+//!
+//! The version byte selects how [`crate::payload`] encodes `Request` and
+//! `Response` payloads; a peer only sends version 2 after the other side
+//! advertised it (`PROTOCOL.md §7 — Version negotiation`), and a reply
+//! always carries the version of the frame it answers.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -23,8 +28,11 @@ use std::time::{Duration, Instant};
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"FNET";
-/// Protocol version carried in byte 4.
-pub const VERSION: u8 = 1;
+/// Lowest protocol version (byte 4): JSON payloads in every frame kind.
+pub const MIN_VERSION: u8 = 1;
+/// Highest protocol version this implementation speaks: fixed-width binary
+/// `Request` / `Response` payloads, JSON for the other kinds.
+pub const VERSION: u8 = 2;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Hard cap on payload size; larger length prefixes are rejected unread.
@@ -59,18 +67,23 @@ impl FrameKind {
 /// One decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
+    /// Protocol version, [`MIN_VERSION`]`..=`[`VERSION`]: says how the
+    /// payload is encoded.
+    pub version: u8,
     /// Message kind.
     pub kind: FrameKind,
     /// Correlation id: a response echoes its request's id.
     pub corr_id: u64,
-    /// Opaque payload bytes (JSON at the [`crate::payload`] layer).
+    /// Payload bytes, encoded per `version` at the [`crate::payload`]
+    /// layer.
     pub payload: Vec<u8>,
 }
 
 impl Frame {
-    /// Build a frame.
+    /// Build a version-1 (JSON payload) frame.
     pub fn new(kind: FrameKind, corr_id: u64, payload: Vec<u8>) -> Frame {
         Frame {
+            version: MIN_VERSION,
             kind,
             corr_id,
             payload,
@@ -132,6 +145,9 @@ impl From<io::Error> for FrameError {
 
 /// Encode `frame` to its wire bytes.
 pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, FrameError> {
+    if !(MIN_VERSION..=VERSION).contains(&frame.version) {
+        return Err(FrameError::BadVersion(frame.version));
+    }
     if frame.payload.len() > MAX_PAYLOAD as usize {
         return Err(FrameError::Oversized {
             len: frame.payload.len() as u32,
@@ -140,7 +156,7 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, FrameError> {
     }
     let mut out = Vec::with_capacity(HEADER_LEN + frame.payload.len());
     out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
+    out.push(frame.version);
     out.push(frame.kind as u8);
     out.extend_from_slice(&frame.corr_id.to_le_bytes());
     out.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
@@ -189,7 +205,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, FrameError> {
             got,
         });
     }
-    let (kind, corr_id, len) = parse_header(&header)?;
+    let (version, kind, corr_id, len) = parse_header(&header)?;
     let mut payload = vec![0u8; len as usize];
     let got = read_fully(r, &mut payload)?;
     if got < payload.len() {
@@ -199,21 +215,23 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, FrameError> {
         });
     }
     Ok(Some(Frame {
+        version,
         kind,
         corr_id,
         payload,
     }))
 }
 
-/// Validate a raw header and extract `(kind, corr_id, len)`.
-fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, u64, u32), FrameError> {
+/// Validate a raw header and extract `(version, kind, corr_id, len)`.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, FrameKind, u64, u32), FrameError> {
     if header[..4] != MAGIC {
         return Err(FrameError::BadMagic(
             header[..4].try_into().expect("4-byte slice"),
         ));
     }
-    if header[4] != VERSION {
-        return Err(FrameError::BadVersion(header[4]));
+    let version = header[4];
+    if !(MIN_VERSION..=VERSION).contains(&version) {
+        return Err(FrameError::BadVersion(version));
     }
     let kind = FrameKind::from_byte(header[5]).ok_or(FrameError::BadKind(header[5]))?;
     let corr_id = u64::from_le_bytes(header[6..14].try_into().expect("8-byte slice"));
@@ -224,7 +242,7 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, u64, u32), Fram
             max: MAX_PAYLOAD,
         });
     }
-    Ok((kind, corr_id, len))
+    Ok((version, kind, corr_id, len))
 }
 
 /// Outcome of one [`read_frame_deadline`] attempt.
@@ -320,7 +338,7 @@ pub fn read_frame_deadline<R: Read>(
             });
         }
     }
-    let (kind, corr_id, len) = parse_header(&header)?;
+    let (version, kind, corr_id, len) = parse_header(&header)?;
     let mut payload = vec![0u8; len as usize];
     match read_fully_deadline(r, &mut payload, &mut started, deadline)? {
         SectionRead::Full => {}
@@ -333,6 +351,7 @@ pub fn read_frame_deadline<R: Read>(
         }
     }
     Ok(DeadlineRead::Frame(Frame {
+        version,
         kind,
         corr_id,
         payload,
@@ -434,12 +453,22 @@ mod tests {
             Err(FrameError::BadMagic(_))
         ));
 
-        let mut bad = good.clone();
-        bad[4] = 99;
-        assert!(matches!(
-            read_frame(&mut Cursor::new(bad)),
-            Err(FrameError::BadVersion(99))
-        ));
+        for version in [0, VERSION + 1, 99] {
+            let mut bad = good.clone();
+            bad[4] = version;
+            assert!(matches!(
+                read_frame(&mut Cursor::new(bad)),
+                Err(FrameError::BadVersion(v)) if v == version
+            ));
+            let unsendable = Frame {
+                version,
+                ..Frame::new(FrameKind::Request, 1, Vec::new())
+            };
+            assert!(matches!(
+                encode_frame(&unsendable),
+                Err(FrameError::BadVersion(v)) if v == version
+            ));
+        }
 
         let mut bad = good;
         bad[5] = 0;
@@ -576,15 +605,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Any frame round-trips bit-exactly through encode + read.
+        /// Any frame of either version round-trips bit-exactly through
+        /// encode + read.
         #[test]
         fn arbitrary_frames_roundtrip(
+            version in MIN_VERSION..=VERSION,
             kind_byte in 1u8..=4,
             corr_id in any::<u64>(),
             payload in prop::collection::vec(any::<u8>(), 0..512),
         ) {
             let kind = FrameKind::from_byte(kind_byte).unwrap();
-            let f = Frame::new(kind, corr_id, payload);
+            let f = Frame { version, ..Frame::new(kind, corr_id, payload) };
             prop_assert_eq!(roundtrip(&f), f);
         }
 

@@ -10,21 +10,26 @@
 //!   the identical frame protocol with identical deadline and reconnect
 //!   semantics.
 //! * [`frame`] — a length-prefixed binary frame codec (request / response /
-//!   checkpoint / control frames). Std-only, no async runtime: blocking
-//!   I/O with one reader and one writer thread per connection, mirroring
-//!   the single-writer shape of the serve-side audit sink.
-//! * [`payload`] — the JSON wire payloads carried inside frames. All types
-//!   are plain named-field structs with `Option` fields (the vendored
-//!   serde derives support nothing fancier, which keeps the wire format
-//!   boring on purpose).
+//!   checkpoint / control frames) whose header carries a version byte.
+//!   Std-only, no async runtime: blocking I/O with one reader and one
+//!   writer thread per connection, mirroring the single-writer shape of
+//!   the serve-side audit sink.
+//! * [`payload`] — the wire payloads carried inside frames: plain
+//!   named-field structs with `Option` fields (the vendored serde derives
+//!   support nothing fancier, which keeps the wire format boring on
+//!   purpose). Version-1 frames carry them as JSON; version-2 frames
+//!   carry the decision request and response in a fixed-width
+//!   little-endian layout and everything else as JSON.
 //! * [`client`] — [`RemoteShard`], a connection to one worker process:
-//!   correlation-id matched in-flight requests, reconnect-on-next-request
-//!   after a worker dies, RTT / reconnect / error counters.
+//!   `hello` version negotiation on every dial, correlation-id matched
+//!   in-flight requests, reconnect-on-next-request after a worker dies,
+//!   RTT / reconnect / error counters and the negotiated version.
 //! * [`server`] — [`Server`], the worker-side acceptor: each connection
 //!   gets a reader thread that enqueues work fast and a writer thread
 //!   that drains completion thunks in FIFO order, so responses pipeline
-//!   without reordering. Each started frame must be delivered within a
-//!   per-frame deadline ([`server::DEFAULT_FRAME_DEADLINE`], tunable via
+//!   without reordering, each in the version of the frame it answers.
+//!   Each started frame must be delivered within a per-frame deadline
+//!   ([`server::DEFAULT_FRAME_DEADLINE`], tunable via
 //!   [`Server::bind_with_deadline`]) so a slow-loris peer cannot wedge a
 //!   reader thread.
 //!
@@ -39,8 +44,9 @@
 //! lives in `PROTOCOL.md` at the repository root. Where this rustdoc and
 //! that document disagree, `PROTOCOL.md` wins; this crate is one
 //! implementation of it. Section references in this crate's docs
-//! (`PROTOCOL.md §2 — Transports`, `§3 — Frame header`, `§5 — Deadlines`,
-//! `§6 — Control commands`) name anchors in that document;
+//! (`PROTOCOL.md §2 — Transports`, `§3 — Frame header`, `§4 — Frame kinds
+//! and payloads`, `§5 — Deadlines`, `§6 — Control commands`, `§7 — Version
+//! negotiation`) name anchors in that document;
 //! `scripts/ci.sh` checks they resolve.
 
 #![warn(missing_docs)]
@@ -58,8 +64,8 @@ pub use frame::{
     HEADER_LEN, MAX_PAYLOAD,
 };
 pub use payload::{
-    decode, encode, CheckpointAckWire, ControlAckWire, ControlWire, DecisionWire, RequestWire,
-    ResponseWire,
+    decode, decode_request, decode_response, encode, encode_request, encode_response,
+    CheckpointAckWire, ControlAckWire, ControlWire, DecisionWire, RequestWire, ResponseWire,
 };
 pub use server::{Server, ShardHandler, DEFAULT_FRAME_DEADLINE};
 

@@ -18,7 +18,18 @@
 //! a TCP address — via [`Server::bind_endpoint`]; [`Server::bind`] keeps
 //! the original Unix-path signature. Framing, deadlines, and teardown are
 //! identical across both (see `PROTOCOL.md` §2).
+//!
+//! The server answers a client's `hello` itself when the handler speaks
+//! binary payloads ([`ShardHandler::wire_version`] above 1), and passes it
+//! to the handler — which refuses it like any unknown verb — when it does
+//! not. Each reply frame carries the version of the frame it answers
+//! (`PROTOCOL.md` §7 — Version negotiation).
+//!
+//! A connection's bookkeeping — the stream clone kept for shutdown and the
+//! thread handle — is released when the connection ends, so client churn
+//! holds no descriptors or threads beyond the live connections.
 
+use std::collections::HashMap;
 use std::io;
 use std::net::Shutdown;
 use std::path::{Path, PathBuf};
@@ -29,7 +40,8 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use crate::endpoint::{Endpoint, NetStream};
-use crate::frame::{read_frame_deadline, write_frame, DeadlineRead, Frame, FrameKind};
+use crate::frame::{read_frame_deadline, write_frame, DeadlineRead, Frame, FrameKind, MIN_VERSION};
+use crate::payload;
 
 /// Default per-frame delivery deadline: once a frame's first byte arrives,
 /// the rest must follow within this budget or the connection is torn down
@@ -39,24 +51,43 @@ pub const DEFAULT_FRAME_DEADLINE: Duration = Duration::from_secs(30);
 /// How often a blocked reader wakes to re-check its frame deadline.
 const READ_POLL_INTERVAL: Duration = Duration::from_millis(100);
 
+/// Pause after a failed `accept` (e.g. `EMFILE`), so a persistent error
+/// does not spin the accept thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 /// What a worker process plugs into the server: turn one request payload
 /// into a thunk that, when called, blocks until the response payload is
 /// ready.
 ///
 /// `submit` runs on the connection's reader thread and must return
 /// quickly (enqueue, don't compute); the thunk runs on the connection's
-/// writer thread.
+/// writer thread. The thunk's payload goes out in a frame of the same
+/// version as `frame`, so it must be encoded for `frame.version`.
 pub trait ShardHandler: Send + Sync + 'static {
-    /// Accept one frame's payload and return its completion thunk.
-    fn submit(&self, kind: FrameKind, payload: Vec<u8>) -> Box<dyn FnOnce() -> Vec<u8> + Send>;
+    /// Highest frame version whose request/response payloads this handler
+    /// decodes and encodes. The default, 1, is a JSON-only handler: the
+    /// server hands it `hello` like any other control verb, and drops a
+    /// connection that sends it a higher version.
+    fn wire_version(&self) -> u8 {
+        MIN_VERSION
+    }
+
+    /// Accept one frame and return its completion thunk.
+    fn submit(&self, frame: Frame) -> Box<dyn FnOnce() -> Vec<u8> + Send>;
 }
+
+type Thunk = Box<dyn FnOnce() -> Vec<u8> + Send>;
 
 /// A listening fact-net endpoint (Unix-domain socket or TCP address).
 pub struct Server {
     endpoint: Endpoint,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<NetStream>>>,
+    /// A clone of each live connection's stream, by connection id, so
+    /// shutdown can sever them; a connection removes its own on exit.
+    conns: Arc<Mutex<HashMap<u64, NetStream>>>,
+    /// Connection threads not yet joined; finished ones are joined as new
+    /// connections arrive, the rest at teardown.
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -99,7 +130,7 @@ impl Server {
         let listener = endpoint.bind()?;
         let endpoint = listener.endpoint(); // ephemeral TCP ports resolved
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<NetStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<HashMap<u64, NetStream>>> = Arc::new(Mutex::new(HashMap::new()));
         let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let accept_stop = Arc::clone(&stop);
@@ -107,28 +138,43 @@ impl Server {
         let accept_threads = Arc::clone(&conn_threads);
         let accept_thread = thread::Builder::new()
             .name("fact-net-accept".into())
-            .spawn(move || loop {
-                let stream = match listener.accept() {
-                    Ok(s) => s,
-                    Err(_) => {
-                        if accept_stop.load(Ordering::Acquire) {
-                            break;
+            .spawn(move || {
+                for id in 0u64.. {
+                    let stream = match listener.accept() {
+                        Ok(s) => s,
+                        Err(_) => {
+                            if accept_stop.load(Ordering::Acquire) {
+                                break;
+                            }
+                            thread::sleep(ACCEPT_BACKOFF);
+                            continue;
                         }
-                        continue;
+                    };
+                    if accept_stop.load(Ordering::Acquire) {
+                        break;
                     }
-                };
-                if accept_stop.load(Ordering::Acquire) {
-                    break;
-                }
-                if let Ok(clone) = stream.try_clone() {
-                    accept_conns.lock().expect("conns lock").push(clone);
-                }
-                let handler = Arc::clone(&handler);
-                if let Ok(h) = thread::Builder::new()
-                    .name("fact-net-conn".into())
-                    .spawn(move || serve_conn(stream, handler, frame_deadline))
-                {
-                    accept_threads.lock().expect("threads lock").push(h);
+                    if let Ok(clone) = stream.try_clone() {
+                        accept_conns.lock().expect("conns lock").insert(id, clone);
+                    }
+                    let handler = Arc::clone(&handler);
+                    let conns = Arc::clone(&accept_conns);
+                    let spawned =
+                        thread::Builder::new()
+                            .name("fact-net-conn".into())
+                            .spawn(move || {
+                                serve_conn(stream, handler, frame_deadline);
+                                conns.lock().expect("conns lock").remove(&id);
+                            });
+                    let mut threads = accept_threads.lock().expect("threads lock");
+                    let (done, live) = threads.drain(..).partition(|h| h.is_finished());
+                    *threads = live;
+                    for h in done {
+                        let _ = h.join();
+                    }
+                    match spawned {
+                        Ok(h) => threads.push(h),
+                        Err(_) => drop(accept_conns.lock().expect("conns lock").remove(&id)),
+                    }
                 }
             })?;
 
@@ -179,7 +225,7 @@ impl Server {
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
-        for conn in self.conns.lock().expect("conns lock").drain(..) {
+        for (_, conn) in self.conns.lock().expect("conns lock").drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         let threads: Vec<_> = self
@@ -215,8 +261,16 @@ fn reply_kind(request: FrameKind) -> FrameKind {
 }
 
 fn serve_conn(stream: NetStream, handler: Arc<dyn ShardHandler>, frame_deadline: Duration) {
-    type Job = (u64, FrameKind, Box<dyn FnOnce() -> Vec<u8> + Send>);
+    /// One answer owed, in arrival order: the frame it answers and the
+    /// thunk that produces its payload.
+    struct Job {
+        version: u8,
+        kind: FrameKind,
+        corr_id: u64,
+        thunk: Thunk,
+    }
     let (job_tx, job_rx) = mpsc::channel::<Job>();
+    let max_version = handler.wire_version();
 
     // the read timeout is the *poll* interval, not the deadline: each
     // timeout wakes read_frame_deadline to re-check elapsed time against
@@ -232,9 +286,13 @@ fn serve_conn(stream: NetStream, handler: Arc<dyn ShardHandler>, frame_deadline:
     let writer_thread = thread::Builder::new()
         .name("fact-net-writer".into())
         .spawn(move || {
-            for (corr_id, kind, thunk) in job_rx {
-                let payload = thunk();
-                let frame = Frame::new(reply_kind(kind), corr_id, payload);
+            for job in job_rx {
+                let frame = Frame {
+                    version: job.version,
+                    kind: reply_kind(job.kind),
+                    corr_id: job.corr_id,
+                    payload: (job.thunk)(),
+                };
                 if write_frame(&mut writer, &frame).is_err() {
                     break; // client gone; drain remaining thunks unsent
                 }
@@ -247,19 +305,36 @@ fn serve_conn(stream: NetStream, handler: Arc<dyn ShardHandler>, frame_deadline:
 
     let mut reader = stream;
     // a clean close (Closed), torn frame (incl. a slow-loris peer blowing
-    // its delivery deadline), or malformed header all end the loop: the
-    // codec already typed the error, and a protocol violation is not
-    // recoverable mid-stream. Idle polls just loop.
+    // its delivery deadline), malformed header, or a version the handler
+    // never advertised all end the loop: the codec already typed the
+    // error, and a protocol violation is not recoverable mid-stream. Idle
+    // polls just loop.
     loop {
         match read_frame_deadline(&mut reader, frame_deadline) {
             Ok(DeadlineRead::Idle) => continue,
-            Ok(DeadlineRead::Frame(frame)) => {
-                let thunk = handler.submit(frame.kind, frame.payload);
-                if job_tx.send((frame.corr_id, frame.kind, thunk)).is_err() {
+            Ok(DeadlineRead::Frame(frame)) if frame.version <= max_version => {
+                let (version, kind, corr_id) = (frame.version, frame.kind, frame.corr_id);
+                let hello = match kind {
+                    FrameKind::Control if max_version > MIN_VERSION => {
+                        payload::hello_ack(&frame.payload, max_version)
+                    }
+                    _ => None,
+                };
+                let thunk: Thunk = match hello {
+                    Some(ack) => Box::new(move || ack),
+                    None => handler.submit(frame),
+                };
+                let job = Job {
+                    version,
+                    kind,
+                    corr_id,
+                    thunk,
+                };
+                if job_tx.send(job).is_err() {
                     break;
                 }
             }
-            Ok(DeadlineRead::Closed) | Err(_) => break,
+            Ok(_) | Err(_) => break,
         }
     }
     drop(job_tx); // writer drains queued work, then exits

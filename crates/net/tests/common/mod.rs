@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fact_net::{
-    decode, encode, Endpoint, FrameKind, RequestWire, ResponseWire, Server, ShardHandler,
+    decode_request, encode_response, Endpoint, Frame, FrameKind, ResponseWire, Server, ShardHandler,
 };
 
 /// The two transport families every scenario must behave identically on.
@@ -26,20 +26,25 @@ pub fn fresh_endpoint(transport: Transport, tag: &str) -> Endpoint {
     }
 }
 
-/// Answers requests with decisions whose probability is the first
-/// feature, echoes every other frame's payload back unchanged, and counts
-/// the frames it sees.
+/// Answers requests — JSON or binary, per frame version — with decisions
+/// whose probability is the first feature, echoes every other frame's
+/// payload back unchanged, and counts the frames it sees (the server
+/// answers `hello` itself, so those never reach it).
 #[derive(Default)]
 pub struct EchoHandler {
     pub seen: AtomicU64,
 }
 
 impl ShardHandler for EchoHandler {
-    fn submit(&self, kind: FrameKind, payload: Vec<u8>) -> Box<dyn FnOnce() -> Vec<u8> + Send> {
+    fn wire_version(&self) -> u8 {
+        fact_net::frame::VERSION
+    }
+
+    fn submit(&self, frame: Frame) -> Box<dyn FnOnce() -> Vec<u8> + Send> {
         self.seen.fetch_add(1, Ordering::Relaxed);
-        Box::new(move || match kind {
+        Box::new(move || match frame.kind {
             FrameKind::Request => {
-                let resp = match decode::<RequestWire>(&payload) {
+                let resp = match decode_request(frame.version, &frame.payload) {
                     Ok(req) => ResponseWire::success(fact_net::DecisionWire {
                         probability: req.features.first().copied().unwrap_or(0.0),
                         favorable: req.group_b,
@@ -48,9 +53,9 @@ impl ShardHandler for EchoHandler {
                     }),
                     Err(e) => ResponseWire::failure(e.to_string()),
                 };
-                encode(&resp).unwrap()
+                encode_response(frame.version, &resp).unwrap()
             }
-            _ => payload,
+            _ => frame.payload,
         })
     }
 }

@@ -11,13 +11,13 @@
 mod common;
 
 use std::io::Write;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use common::{fresh_endpoint, start_echo, EchoHandler, Transport};
 use fact_net::{
-    decode, encode, FrameKind, NetError, RemoteShard, RequestWire, ResponseWire, Server,
+    decode, encode, Frame, FrameKind, NetError, RemoteShard, RequestWire, ResponseWire, Server,
     ShardHandler, DEFAULT_FRAME_DEADLINE,
 };
 
@@ -98,7 +98,7 @@ fn server_death_fails_pending_replies(transport: Transport) {
     /// Never answers: thunks block until the connection is severed.
     struct StallHandler;
     impl ShardHandler for StallHandler {
-        fn submit(&self, _: FrameKind, _: Vec<u8>) -> Box<dyn FnOnce() -> Vec<u8> + Send> {
+        fn submit(&self, _: Frame) -> Box<dyn FnOnce() -> Vec<u8> + Send> {
             Box::new(|| {
                 std::thread::sleep(Duration::from_secs(30));
                 Vec::new()
@@ -178,6 +178,8 @@ fn client_reconnects_after_restart(transport: Transport) {
     }
     assert!(healed, "client never healed after restart");
     assert!(shard.stats().reconnects >= 1);
+    // the redial negotiated afresh: its hello was acked ahead of the reply
+    assert_eq!(shard.stats().wire_version, 2);
     server2.shutdown();
 }
 
@@ -189,6 +191,145 @@ fn client_reconnects_after_server_restart() {
 #[test]
 fn client_reconnects_after_server_restart_tcp() {
     client_reconnects_after_restart(Transport::Tcp);
+}
+
+fn decision(frame: &Frame) -> fact_net::DecisionWire {
+    fact_net::decode_response(frame.version, &frame.payload)
+        .unwrap()
+        .into_result()
+        .unwrap()
+}
+
+fn wire(route_key: u64, p: f64) -> RequestWire {
+    RequestWire {
+        features: vec![p, 1.0],
+        group_b: route_key.is_multiple_of(2),
+        route_key,
+        tenant: Some(route_key),
+    }
+}
+
+fn client_negotiates_binary_payloads(transport: Transport) {
+    let (mut server, endpoint, handler) = start_echo(transport, "binary", DEFAULT_FRAME_DEADLINE);
+    let shard = RemoteShard::connect_endpoint(endpoint).unwrap();
+    // the first request may beat the hello ack and go as JSON; its reply
+    // cannot beat the ack, which the worker wrote first
+    let first = shard.request(&wire(1, 0.25)).unwrap().wait(WAIT).unwrap();
+    assert_eq!(decision(&first).probability, 0.25);
+    assert_eq!(shard.stats().wire_version, 2);
+    for i in 2..34u64 {
+        let reply = shard
+            .request(&wire(i, i as f64 / 64.0))
+            .unwrap()
+            .wait(WAIT)
+            .unwrap();
+        assert_eq!(
+            reply.version, 2,
+            "the worker answers in the request's version"
+        );
+        assert_eq!(decision(&reply).probability, i as f64 / 64.0);
+        assert_eq!(decision(&reply).shard, (i % 4) as usize);
+    }
+    let stats = shard.stats();
+    assert_eq!((stats.requests, stats.errors), (33, 0));
+    assert_eq!(handler.seen.load(Ordering::Relaxed), 33); // hello never reached it
+    server.shutdown();
+}
+
+#[test]
+fn client_negotiates_binary_payloads_with_a_new_worker() {
+    client_negotiates_binary_payloads(Transport::Unix);
+}
+
+#[test]
+fn client_negotiates_binary_payloads_with_a_new_worker_tcp() {
+    client_negotiates_binary_payloads(Transport::Tcp);
+}
+
+/// A worker built before version 2: it decodes only JSON and acks every
+/// control verb it does not know — `hello` included — with `ok=false`.
+#[derive(Default)]
+struct JsonOnlyHandler {
+    seen_v2: AtomicBool,
+}
+
+impl ShardHandler for JsonOnlyHandler {
+    fn submit(&self, frame: Frame) -> Box<dyn FnOnce() -> Vec<u8> + Send> {
+        if frame.version != 1 {
+            self.seen_v2.store(true, Ordering::Relaxed);
+        }
+        Box::new(move || match frame.kind {
+            FrameKind::Request => {
+                let req: RequestWire = decode(&frame.payload).unwrap();
+                encode(&ResponseWire::success(fact_net::DecisionWire {
+                    probability: req.features[0],
+                    favorable: false,
+                    flagged: false,
+                    shard: 0,
+                }))
+                .unwrap()
+            }
+            _ => {
+                let command: fact_net::ControlWire = decode(&frame.payload).unwrap();
+                encode(&fact_net::ControlAckWire {
+                    ok: false,
+                    info: format!("unknown command {:?}", command.command),
+                })
+                .unwrap()
+            }
+        })
+    }
+}
+
+fn client_stays_on_json_with_an_old_worker(transport: Transport) {
+    let handler = Arc::new(JsonOnlyHandler::default());
+    let mut server = Server::bind_endpoint(
+        fresh_endpoint(transport, "json-only"),
+        Arc::clone(&handler) as Arc<dyn ShardHandler>,
+        DEFAULT_FRAME_DEADLINE,
+    )
+    .unwrap();
+
+    // a peer that sends version 2 unasked is dropped before the handler
+    // sees the frame
+    let mut raw = server.endpoint().dial().unwrap();
+    let v2 = Frame {
+        version: 2,
+        ..Frame::new(
+            FrameKind::Request,
+            1,
+            fact_net::encode_request(2, &wire(1, 0.5)).unwrap(),
+        )
+    };
+    raw.write_all(&fact_net::frame::encode_frame(&v2).unwrap())
+        .unwrap();
+    assert!(matches!(fact_net::read_frame(&mut raw), Ok(None) | Err(_)));
+
+    let shard = RemoteShard::connect_endpoint(server.endpoint().clone()).unwrap();
+    for i in 0..16u64 {
+        let reply = shard
+            .request(&wire(i, i as f64 / 16.0))
+            .unwrap()
+            .wait(WAIT)
+            .unwrap();
+        assert_eq!(reply.version, 1);
+        assert_eq!(decision(&reply).probability, i as f64 / 16.0);
+    }
+    let stats = shard.stats();
+    assert_eq!(stats.wire_version, 1);
+    assert_eq!((stats.requests, stats.errors), (16, 0));
+    assert!(!handler.seen_v2.load(Ordering::Relaxed));
+    server.shutdown();
+}
+
+#[test]
+fn client_stays_on_json_with_a_worker_that_refuses_hello() {
+    client_stays_on_json_with_an_old_worker(Transport::Unix);
+}
+
+#[test]
+fn client_stays_on_json_with_a_worker_that_refuses_hello_tcp() {
+    client_stays_on_json_with_an_old_worker(Transport::Tcp);
 }
 
 fn garbage_peer_drops_connection(transport: Transport) {

@@ -30,9 +30,9 @@ use std::time::{Duration, Instant};
 use fact_core::runtime::Alert;
 use fact_ml::Classifier;
 use fact_net::{
-    decode as net_decode, encode as net_encode, CheckpointAckWire, ControlAckWire, ControlWire,
-    DecisionWire, Endpoint, FrameKind, NetError, PendingReply, RemoteShard, RequestWire,
-    ResponseWire,
+    decode as net_decode, decode_request, decode_response, encode as net_encode, encode_response,
+    CheckpointAckWire, ControlAckWire, ControlWire, DecisionWire, Endpoint, Frame, FrameKind,
+    NetError, PendingReply, RemoteShard, RequestWire, ResponseWire,
 };
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
@@ -282,8 +282,9 @@ pub struct DecisionHandle {
 
 /// Convert a worker's wire reply into the local decision type, stamped
 /// with the *client-side* slot index so routing stays observable.
-fn decode_remote_decision(payload: &[u8], slot: usize) -> Result<Decision, ServeError> {
-    let wire: ResponseWire = net_decode(payload).map_err(|e| ServeError::Remote(e.to_string()))?;
+fn decode_remote_decision(reply: &Frame, slot: usize) -> Result<Decision, ServeError> {
+    let wire = decode_response(reply.version, &reply.payload)
+        .map_err(|e| ServeError::Remote(e.to_string()))?;
     // a coded failure rebuilds the worker's typed error, so callers (and
     // per-tenant accounting) see the same shape across both topologies
     let code = wire.code.clone();
@@ -339,7 +340,7 @@ impl DecisionHandle {
             },
             HandleInner::Remote { reply, enqueued } => match reply.wait(timeout) {
                 Ok(frame) => {
-                    let result = decode_remote_decision(&frame.payload, self.shard);
+                    let result = decode_remote_decision(&frame, self.shard);
                     match &result {
                         Ok(_) => {
                             m.served.fetch_add(1, Ordering::Relaxed);
@@ -368,7 +369,7 @@ impl DecisionHandle {
             },
             HandleInner::Remote { reply, enqueued } => match reply.try_wait()? {
                 Ok(frame) => {
-                    let result = decode_remote_decision(&frame.payload, self.shard);
+                    let result = decode_remote_decision(&frame, self.shard);
                     let m = self.metrics.shard(self.shard);
                     match &result {
                         Ok(_) => {
@@ -424,6 +425,9 @@ pub struct RemoteShardReport {
     pub errors: u64,
     /// Mean request round-trip time in microseconds.
     pub rtt_mean_micros: f64,
+    /// Frame version the connection negotiated (2: binary decision
+    /// payloads; 1: JSON, with a worker that predates version 2).
+    pub wire_version: u8,
 }
 
 /// The final accounting returned by [`DecisionService::shutdown`]. It
@@ -667,6 +671,7 @@ fn remote_reports(
                     reconnects: s.reconnects,
                     errors: s.errors,
                     rtt_mean_micros: s.rtt_mean_micros,
+                    wire_version: s.wire_version,
                 }
             })
         })
@@ -1328,16 +1333,15 @@ fn submit_remote(
     shard: usize,
     request: DecisionRequest,
 ) -> Result<DecisionHandle, ServeError> {
-    let payload = net_encode(&RequestWire {
+    let wire = RequestWire {
         features: request.features,
         group_b: request.group_b,
         route_key: request.route_key,
         tenant: Some(request.tenant),
-    })
-    .map_err(|e| ServeError::Remote(e.to_string()))?;
+    };
     let enqueued = Instant::now();
     let reply = remote
-        .send(FrameKind::Request, payload)
+        .request(&wire)
         .map_err(|e| ServeError::Remote(e.to_string()))?;
     epoch
         .metrics
@@ -1579,7 +1583,8 @@ impl ShardWorker {
 }
 
 /// The worker-side glue between a fact-net [`Server`](fact_net::Server)
-/// and a local [`DecisionService`]: decodes request frames, submits them
+/// and a local [`DecisionService`]: decodes request frames (binary or JSON,
+/// per the frame's version; the server negotiates which), submits them
 /// into the service on the connection's reader thread (fast — bounded
 /// `try_send`), and waits for each decision inside the completion thunk on
 /// the connection's writer thread. This is what `fact-shardd` plugs into
@@ -1619,16 +1624,30 @@ impl NetShardHandler {
 }
 
 impl fact_net::ShardHandler for NetShardHandler {
-    fn submit(&self, kind: FrameKind, payload: Vec<u8>) -> Box<dyn FnOnce() -> Vec<u8> + Send> {
+    fn wire_version(&self) -> u8 {
+        fact_net::frame::VERSION
+    }
+
+    fn submit(&self, frame: Frame) -> Box<dyn FnOnce() -> Vec<u8> + Send> {
         fn emit<T: serde::Serialize>(value: &T) -> Vec<u8> {
             net_encode(value).unwrap_or_else(|_| b"{}".to_vec())
         }
-        match kind {
+        /// A response payload in the request's frame version; one that
+        /// will not encode goes back as the encoding error instead.
+        fn respond(version: u8, resp: &ResponseWire) -> Vec<u8> {
+            encode_response(version, resp).unwrap_or_else(|e| {
+                encode_response(version, &ResponseWire::failure(e.to_string()))
+                    .expect("the server admits only versions with a payload encoding")
+            })
+        }
+        let version = frame.version;
+        let payload = frame.payload;
+        match frame.kind {
             FrameKind::Request => {
                 // Decode + submit here (reader thread): admission control
                 // stays immediate, so a full queue answers Busy without
                 // waiting behind earlier thunks.
-                let outcome = net_decode::<RequestWire>(&payload)
+                let outcome = decode_request(version, &payload)
                     .map_err(|e| ServeError::Remote(e.to_string()))
                     .and_then(|req| {
                         self.service.submit(DecisionRequest {
@@ -1661,7 +1680,7 @@ impl fact_net::ShardHandler for NetShardHandler {
                             None => ResponseWire::failure(e.to_string()),
                         },
                     };
-                    emit(&resp)
+                    respond(version, &resp)
                 })
             }
             FrameKind::Checkpoint => {
@@ -1719,9 +1738,9 @@ impl fact_net::ShardHandler for NetShardHandler {
                 Box::new(move || emit(&ControlAckWire { ok, info }))
             }
             // a response frame arriving at a server is a protocol error
-            FrameKind::Response => {
-                Box::new(move || emit(&ResponseWire::failure("unexpected response frame")))
-            }
+            FrameKind::Response => Box::new(move || {
+                respond(version, &ResponseWire::failure("unexpected response frame"))
+            }),
         }
     }
 }

@@ -12,7 +12,7 @@ use std::time::Duration;
 use bench::kit::{self, MeanScorer, ScratchDir, Shardd};
 use fact_data::Matrix;
 use fact_ml::Classifier;
-use fact_net::{FrameKind, RemoteShard, RequestWire, ResponseWire};
+use fact_net::{ControlAckWire, FrameKind, RemoteShard, RequestWire, ResponseWire};
 
 fn shardd() -> &'static Path {
     Path::new(env!("CARGO_BIN_EXE_fact-shardd"))
@@ -145,8 +145,31 @@ fn spawned_worker_reshards_over_tcp_and_reports_both_epochs() {
     kit::verify_audit_log(&dir.join("audit.jsonl"));
 }
 
+/// Decide over the payload encoding the connection negotiated; returns
+/// the reply's frame version and the worker's probability.
+fn decide_negotiated(client: &RemoteShard, features: Vec<f64>, key: u64) -> (u8, f64) {
+    let wire = RequestWire {
+        features,
+        group_b: false,
+        route_key: key,
+        tenant: Some(0),
+    };
+    let frame = client
+        .request(&wire)
+        .unwrap()
+        .wait(Duration::from_secs(10))
+        .unwrap();
+    let resp = fact_net::decode_response(frame.version, &frame.payload).unwrap();
+    (
+        frame.version,
+        resp.into_result().expect("decision served").probability,
+    )
+}
+
 /// The worker serves exactly the model the harnesses score with locally:
-/// each probability it returns equals `kit::MeanScorer` on the same row.
+/// each probability it returns — to a JSON client and over the binary
+/// payloads a current client negotiates — equals `kit::MeanScorer` on the
+/// same row, bit for bit.
 #[test]
 fn worker_model_is_the_kit_mean_scorer() {
     let dir = ScratchDir::new("shardd-model");
@@ -168,8 +191,39 @@ fn worker_model_is_the_kit_mean_scorer() {
     let client = worker.connect();
     for (key, (row, want)) in rows.iter().zip(expected).enumerate() {
         let got = decide(&client, row.clone(), key % 2 == 0, key as u64);
-        assert_eq!(got, want, "row {row:?}");
+        assert_eq!(got.to_bits(), want.to_bits(), "row {row:?}");
+        // the JSON reply above came after the hello ack, so this is binary
+        let (version, got) = decide_negotiated(&client, row.clone(), key as u64);
+        assert_eq!(version, 2, "row {row:?}");
+        assert_eq!(got.to_bits(), want.to_bits(), "row {row:?}");
     }
+    assert_eq!(client.stats().wire_version, 2);
+    worker.shutdown();
+}
+
+/// A JSON nesting bomb — 100,000 `[`, a tenth of the frame cap — in a
+/// control frame or a request is refused, not a stack overflow: the
+/// worker stays up and answers the next decision.
+#[test]
+fn a_nesting_bomb_does_not_kill_the_worker() {
+    let dir = ScratchDir::new("shardd-bomb");
+    let mut worker = Shardd::tcp(shardd(), |cmd| {
+        cmd.args(["--n-features", "2"])
+            .arg("--checkpoint-dir")
+            .arg(dir.join("checkpoints"));
+    });
+    let client = worker.connect();
+    let bomb = "[".repeat(100_000).into_bytes();
+    let wait = Duration::from_secs(10);
+
+    let ack = client.send(FrameKind::Control, bomb.clone()).unwrap();
+    let ack: ControlAckWire = fact_net::decode(&ack.wait(wait).unwrap().payload).unwrap();
+    assert!(!ack.ok, "{}", ack.info);
+    let reply = client.send(FrameKind::Request, bomb).unwrap();
+    let resp: ResponseWire = fact_net::decode(&reply.wait(wait).unwrap().payload).unwrap();
+    assert!(resp.into_result().is_err());
+
+    assert_eq!(decide(&client, vec![0.25, 0.75], false, 1), 0.5);
     worker.shutdown();
 }
 
