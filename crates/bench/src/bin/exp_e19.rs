@@ -245,7 +245,7 @@ fn wire_phase(per_epoch: u64) {
     for (i, &to) in SCHEDULE.iter().enumerate() {
         wait_for(per_epoch * (i as u64 + 1));
         // control frames ride their own connection, so cutover acks don't
-        // queue behind held decision thunks
+        // queue behind held decision replies
         let wire = worker.control(&format!("reshard {to}"), Duration::from_secs(150));
         assert!(wire.ok, "remote reshard failed: {}", wire.info);
         println!("cutover {i}: {}", wire.info);

@@ -1,29 +1,42 @@
 //! [`RemoteShard`]: the client side of a worker connection.
 //!
 //! One `RemoteShard` owns one connection — Unix-domain or TCP, see
-//! [`Endpoint`] — to one `fact-shardd` worker. Sends happen on the
-//! caller's thread under a short lock; a dedicated reader thread matches
-//! response frames back to waiters through a correlation-id map, so many
-//! requests can be in flight at once and replies may arrive in any order.
+//! [`Endpoint`] — to one `fact-shardd` worker, served by two threads:
+//!
+//! * callers encode each frame straight into the connection's *outbox*
+//!   under a short lock, and a **writer** thread takes the whole outbox
+//!   and sends it with one write whenever it is free, so a burst of
+//!   requests from many callers costs one write;
+//! * a **reader** thread decodes reply frames out of a read buffer and
+//!   matches them back to waiters through a correlation-id map, so many
+//!   requests can be in flight at once and replies may arrive in any
+//!   order.
 //!
 //! When the worker dies the reader thread fails every pending waiter with
-//! [`NetError::Disconnected`] and marks the connection dead; the *next*
-//! send transparently reconnects (and counts it), which is exactly the
-//! shape a kill-and-respawn experiment needs. The waiter map lives on the
-//! connection, not the client, so a late drain from a dying reader can
+//! [`NetError::Disconnected`] and marks the connection dead; a failed
+//! write does the same by shutting the socket down under the reader. The
+//! *next* send transparently reconnects (and counts it), which is exactly
+//! the shape a kill-and-respawn experiment needs. The waiter map lives on
+//! the connection, not the client, so a late drain from a dying reader can
 //! never fail requests already riding the replacement connection. Both
 //! behaviors are transport-independent (`PROTOCOL.md` §2).
 //!
-//! Every dial — the first and each reconnect — writes a `hello` control
-//! frame and does not wait for its ack. Requests go out as version-1 JSON
-//! until the ack arrives; the reader thread then flips the connection to
-//! the version the worker advertised, and [`RemoteShard::request`] encodes
-//! from then on in binary. A worker that predates version 2 refuses the
-//! unknown verb, and the connection simply stays on JSON (`PROTOCOL.md`
-//! §7 — Version negotiation).
+//! Dropping a `RemoteShard` (or replacing a dead connection) stops its
+//! writer, which sends what is still queued and half-closes the socket;
+//! the worker answers what it received and closes its end, which ends the
+//! reader. No thread or descriptor outlives the connection.
+//!
+//! Every dial — the first and each reconnect — queues a `hello` control
+//! frame ahead of everything else and does not wait for its ack. Requests
+//! go out as version-1 JSON until the ack arrives; the reader thread then
+//! flips the connection to the version the worker advertised, and
+//! [`RemoteShard::request`] encodes from then on in binary. A worker that
+//! predates version 2 refuses the unknown verb, and the connection simply
+//! stays on JSON (`PROTOCOL.md` §7 — Version negotiation).
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufReader, Write};
+use std::net::Shutdown;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -31,11 +44,14 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::endpoint::{Endpoint, NetStream};
-use crate::frame::{encode_frame, read_frame, Frame, FrameKind, MIN_VERSION};
+use crate::frame::{encode_frame_into, read_frame, Frame, FrameKind, MIN_VERSION};
 use crate::payload::{self, RequestWire};
 use crate::NetError;
 
-type PendingMap = Arc<Mutex<HashMap<u64, ReplySender>>>;
+/// The waiters of one connection by correlation id; `None` once its reader
+/// has exited and failed them all, so a late send can never register a
+/// waiter nobody would answer.
+type PendingMap = Arc<Mutex<Option<HashMap<u64, ReplySender>>>>;
 
 /// Where one reply meets its waiter: the reader thread fills it once, the
 /// waiter takes it once. Per request this is one small allocation by the
@@ -196,12 +212,52 @@ impl PendingReply {
 }
 
 struct Conn {
-    stream: NetStream,
-    alive: Arc<AtomicBool>,
     pending: PendingMap,
     /// The negotiated frame version; the reader thread raises it when the
     /// `hello` ack arrives. It publishes no other data, so `Relaxed`.
     version: Arc<AtomicU8>,
+    outbox: Arc<Outbox>,
+}
+
+impl Conn {
+    /// Whether the reader still answers waiters on this connection.
+    fn alive(&self) -> bool {
+        self.pending.lock().expect("pending lock").is_some()
+    }
+}
+
+impl Drop for Conn {
+    /// Stop the writer: it sends what is queued and half-closes the socket.
+    fn drop(&mut self) {
+        let mut queue = self.outbox.lock();
+        queue.closed = true;
+        if queue.parked {
+            self.outbox.ready.notify_one();
+        }
+    }
+}
+
+/// Frames encoded by callers and not yet written, shared with the
+/// connection's writer thread.
+struct Outbox {
+    queue: Mutex<Queue>,
+    ready: Condvar,
+}
+
+struct Queue {
+    bytes: Vec<u8>,
+    /// The writer is waiting on `ready`; callers signal only then.
+    parked: bool,
+    /// The connection was dropped: the writer sends what is left and exits.
+    closed: bool,
+}
+
+impl Outbox {
+    /// Runs from `Drop`, so it must not panic: every update of the queue
+    /// leaves it valid, so a poisoned lock still guards a usable queue.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// A connection to one remote worker process.
@@ -252,25 +308,48 @@ impl RemoteShard {
 
     fn ensure_connected(&self, guard: &mut Option<Conn>) -> Result<(), NetError> {
         if let Some(conn) = guard.as_ref() {
-            if conn.alive.load(Ordering::Acquire) {
+            if conn.alive() {
                 return Ok(());
             }
-            *guard = None; // its reader fails that connection's waiters
+            *guard = None; // its reader already failed that connection's waiters
         }
-        let mut stream = self.endpoint.dial()?;
-        // negotiate without a round trip: the ack is the reader's to handle
+        let stream = self.endpoint.dial()?;
+        let read_half = stream.try_clone()?;
+        // negotiate without a round trip: the hello goes out first, and its
+        // ack is the reader's to handle
         let hello_corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
         let hello = Frame::new(FrameKind::Control, hello_corr, payload::hello());
-        stream.write_all(&encode_frame(&hello)?)?;
-        let alive = Arc::new(AtomicBool::new(true));
-        let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
+        let mut bytes = Vec::new();
+        encode_frame_into(&hello, &mut bytes)?;
+        let outbox = Arc::new(Outbox {
+            queue: Mutex::new(Queue {
+                bytes,
+                parked: false,
+                closed: false,
+            }),
+            ready: Condvar::new(),
+        });
+        let pending: PendingMap = Arc::new(Mutex::new(Some(HashMap::new())));
         let version = Arc::new(AtomicU8::new(MIN_VERSION));
         let reader = Reader {
-            stream: stream.try_clone()?,
+            stream: BufReader::new(read_half),
             pending: Arc::clone(&pending),
-            alive: Arc::clone(&alive),
             version: Arc::clone(&version),
             hello_corr,
+        };
+        // both threads are detached: they end on their own once the socket
+        // is shut down, and joining them could wait on a peer that never
+        // reads or never closes
+        let writer_outbox = Arc::clone(&outbox);
+        thread::Builder::new()
+            .name("fact-net-sender".into())
+            .spawn(move || write_outbox(stream, &writer_outbox))
+            .map_err(NetError::Io)?;
+        // from here on, dropping the connection stops its writer
+        let conn = Conn {
+            pending,
+            version: Arc::clone(&version),
+            outbox,
         };
         thread::Builder::new()
             .name("fact-net-reader".into())
@@ -279,13 +358,8 @@ impl RemoteShard {
         if self.ever_connected.swap(true, Ordering::AcqRel) {
             self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
         }
-        *self.version.lock().expect("version lock") = Arc::clone(&version);
-        *guard = Some(Conn {
-            stream,
-            alive,
-            pending,
-            version,
-        });
+        *self.version.lock().expect("version lock") = version;
+        *guard = Some(conn);
         Ok(())
     }
 
@@ -306,7 +380,7 @@ impl RemoteShard {
         })
     }
 
-    /// Frame and write one payload, built by `payload` from the live
+    /// Frame one payload into the outbox, built by `payload` from the live
     /// connection's negotiated version under the connection lock, so a
     /// reconnect in between can never pair a payload with the wrong peer.
     fn send_with(
@@ -320,43 +394,37 @@ impl RemoteShard {
             arrived: Condvar::new(),
         });
         let mut guard = self.conn.lock().expect("conn lock");
-        let framed = self.ensure_connected(&mut guard).and_then(|()| {
+        let queued = self.ensure_connected(&mut guard).and_then(|()| {
             let conn = guard.as_ref().expect("connected above");
             let (version, payload) = payload(conn.version.load(Ordering::Relaxed))?;
-            Ok(encode_frame(&Frame {
+            let frame = Frame {
                 version,
                 kind,
                 corr_id,
                 payload,
-            })?)
-        });
-        let bytes = match framed {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
+            };
+            // hold the waiter map until the waiter is in it: the reply can
+            // race back as soon as the frame is queued
+            let mut pending = conn.pending.lock().expect("pending lock");
+            let waiters = pending.as_mut().ok_or(NetError::Disconnected)?; // reader just exited
+            let mut queue = conn.outbox.lock();
+            encode_frame_into(&frame, &mut queue.bytes)?;
+            if queue.parked {
+                queue.parked = false;
+                conn.outbox.ready.notify_one();
             }
-        };
-        let conn = guard.as_mut().expect("connected above");
-        // register before writing: the reply can race back before we would
-        // get another chance to insert
-        conn.pending
-            .lock()
-            .expect("pending lock")
-            .insert(corr_id, ReplySender(Some(Arc::clone(&slot))));
-        let sent_at = Instant::now();
-        if let Err(e) = conn.stream.write_all(&bytes) {
-            conn.pending.lock().expect("pending lock").remove(&corr_id);
-            conn.alive.store(false, Ordering::Release);
-            *guard = None;
-            self.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return Err(NetError::Io(e));
-        }
+            waiters.insert(corr_id, ReplySender(Some(Arc::clone(&slot))));
+            Ok(())
+        });
         drop(guard);
+        if let Err(e) = queued {
+            self.stats.errors.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         Ok(PendingReply {
             slot,
-            sent_at,
+            sent_at: Instant::now(),
             stats: Arc::clone(&self.stats),
         })
     }
@@ -402,12 +470,42 @@ impl std::fmt::Debug for RemoteShard {
     }
 }
 
+/// The writer half of one connection: whenever the outbox holds frames,
+/// take them all and send them with one write. A failed write shuts the
+/// socket down, so the reader fails every waiter and the next send
+/// re-dials. It swaps buffers with the outbox rather than allocating, so
+/// it sends any number of frames without a heap allocation of its own.
+fn write_outbox(mut stream: NetStream, outbox: &Outbox) {
+    let mut batch = Vec::new();
+    loop {
+        let closed = {
+            let mut queue = outbox.lock();
+            while queue.bytes.is_empty() && !queue.closed {
+                queue.parked = true;
+                queue = outbox.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
+            }
+            queue.parked = false;
+            std::mem::swap(&mut queue.bytes, &mut batch);
+            queue.closed
+        };
+        if stream.write_all(&batch).is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
+        batch.clear();
+        if closed {
+            // the worker answers what it got, then closes, ending the reader
+            let _ = stream.shutdown(Shutdown::Write);
+            return;
+        }
+    }
+}
+
 /// The reader half of one connection: matches replies to waiters and
 /// settles the negotiated version from the `hello` ack.
 struct Reader {
-    stream: NetStream,
+    stream: BufReader<NetStream>,
     pending: PendingMap,
-    alive: Arc<AtomicBool>,
     version: Arc<AtomicU8>,
     hello_corr: u64,
 }
@@ -427,13 +525,14 @@ impl Reader {
                 .pending
                 .lock()
                 .expect("pending lock")
-                .remove(&frame.corr_id);
+                .as_mut()
+                .and_then(|waiters| waiters.remove(&frame.corr_id));
             if let Some(reply) = waiter {
                 reply.send(Ok(frame)); // the waiter may have timed out and gone
             }
         }
-        self.alive.store(false, Ordering::Release);
-        for (_, reply) in self.pending.lock().expect("pending lock").drain() {
+        let waiters = self.pending.lock().expect("pending lock").take();
+        for (_, reply) in waiters.into_iter().flatten() {
             reply.send(Err(NetError::Disconnected));
         }
     }

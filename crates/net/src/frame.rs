@@ -23,7 +23,7 @@
 //! always carries the version of the frame it answers.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::time::{Duration, Instant};
 
 /// First four bytes of every frame.
@@ -145,6 +145,15 @@ impl From<io::Error> for FrameError {
 
 /// Encode `frame` to its wire bytes.
 pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, FrameError> {
+    let mut out = Vec::with_capacity(HEADER_LEN + frame.payload.len());
+    encode_frame_into(frame, &mut out)?;
+    Ok(out)
+}
+
+/// Append `frame`'s wire bytes to `out`, so a writer can gather several
+/// frames into one buffer and send them with one write. On error nothing
+/// is appended.
+pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) -> Result<(), FrameError> {
     if !(MIN_VERSION..=VERSION).contains(&frame.version) {
         return Err(FrameError::BadVersion(frame.version));
     }
@@ -154,21 +163,13 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, FrameError> {
             max: MAX_PAYLOAD,
         });
     }
-    let mut out = Vec::with_capacity(HEADER_LEN + frame.payload.len());
+    out.reserve(HEADER_LEN + frame.payload.len());
     out.extend_from_slice(&MAGIC);
     out.push(frame.version);
     out.push(frame.kind as u8);
     out.extend_from_slice(&frame.corr_id.to_le_bytes());
     out.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&frame.payload);
-    Ok(out)
-}
-
-/// Write one frame to `w` (single `write_all`, so concurrent writers on a
-/// duplicated stream must still serialize at a higher level).
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), FrameError> {
-    let bytes = encode_frame(frame)?;
-    w.write_all(&bytes)?;
     Ok(())
 }
 
@@ -402,6 +403,30 @@ mod tests {
         assert_eq!(read_frame(&mut cur).unwrap().unwrap(), a);
         assert_eq!(read_frame(&mut cur).unwrap().unwrap(), b);
         assert!(read_frame(&mut cur).unwrap().is_none());
+    }
+
+    #[test]
+    fn frames_appended_to_one_buffer_equal_their_separate_encodings() {
+        let a = Frame::new(FrameKind::Request, 1, b"one".to_vec());
+        let b = Frame::new(FrameKind::Response, 2, Vec::new());
+        let mut out = b"tail of an earlier batch".to_vec();
+        let before = out.clone();
+        encode_frame_into(&a, &mut out).unwrap();
+        encode_frame_into(&b, &mut out).unwrap();
+        let mut expected = before.clone();
+        expected.extend(encode_frame(&a).unwrap());
+        expected.extend(encode_frame(&b).unwrap());
+        assert_eq!(out, expected);
+        // a refused frame leaves the buffer as it was
+        let len = out.len();
+        let big = Frame::new(FrameKind::Request, 3, vec![0u8; MAX_PAYLOAD as usize + 1]);
+        assert!(encode_frame_into(&big, &mut out).is_err());
+        let bad = Frame {
+            version: 0,
+            ..Frame::new(FrameKind::Request, 4, Vec::new())
+        };
+        assert!(encode_frame_into(&bad, &mut out).is_err());
+        assert_eq!(out.len(), len);
     }
 
     #[test]

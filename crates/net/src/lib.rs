@@ -12,8 +12,10 @@
 //! * [`frame`] — a length-prefixed binary frame codec (request / response /
 //!   checkpoint / control frames) whose header carries a version byte.
 //!   Std-only, no async runtime: blocking I/O with one reader and one
-//!   writer thread per connection, mirroring the single-writer shape of
-//!   the serve-side audit sink.
+//!   writer thread per connection end, mirroring the single-writer shape
+//!   of the serve-side audit sink. Each writer sends every frame ready at
+//!   that moment with one write ([`frame::encode_frame_into`] gathers
+//!   them), and each reader decodes frames out of a read buffer.
 //! * [`payload`] — the wire payloads carried inside frames: plain
 //!   named-field structs with `Option` fields (the vendored serde derives
 //!   support nothing fancier, which keeps the wire format boring on
@@ -21,13 +23,16 @@
 //!   carry the decision request and response in a fixed-width
 //!   little-endian layout and everything else as JSON.
 //! * [`client`] — [`RemoteShard`], a connection to one worker process:
-//!   `hello` version negotiation on every dial, correlation-id matched
-//!   in-flight requests, reconnect-on-next-request after a worker dies,
-//!   RTT / reconnect / error counters and the negotiated version.
+//!   callers queue frames into an outbox a writer thread drains, and a
+//!   reader thread matches replies to waiters by correlation id; `hello`
+//!   version negotiation on every dial, reconnect-on-next-request after a
+//!   worker dies, RTT / reconnect / error counters and the negotiated
+//!   version. Dropping it closes the connection and ends both threads.
 //! * [`server`] — [`Server`], the worker-side acceptor: each connection
-//!   gets a reader thread that enqueues work fast and a writer thread
-//!   that drains completion thunks in FIFO order, so responses pipeline
-//!   without reordering, each in the version of the frame it answers.
+//!   gets a reader thread that hands each frame to the [`ShardHandler`]
+//!   and a writer thread that drains the resulting [`Reply`]s in FIFO
+//!   order, so responses pipeline without reordering, each in the version
+//!   of the frame it answers.
 //!   Each started frame must be delivered within a per-frame deadline
 //!   ([`server::DEFAULT_FRAME_DEADLINE`], tunable via
 //!   [`Server::bind_with_deadline`]) so a slow-loris peer cannot wedge a
@@ -60,14 +65,14 @@ pub mod server;
 pub use client::{PendingReply, RemoteShard, RemoteStatsSnapshot};
 pub use endpoint::{Endpoint, NetListener, NetStream};
 pub use frame::{
-    read_frame, read_frame_deadline, write_frame, DeadlineRead, Frame, FrameError, FrameKind,
-    HEADER_LEN, MAX_PAYLOAD,
+    read_frame, read_frame_deadline, DeadlineRead, Frame, FrameError, FrameKind, HEADER_LEN,
+    MAX_PAYLOAD,
 };
 pub use payload::{
     decode, decode_request, decode_response, encode, encode_request, encode_response,
     CheckpointAckWire, ControlAckWire, ControlWire, DecisionWire, RequestWire, ResponseWire,
 };
-pub use server::{Server, ShardHandler, DEFAULT_FRAME_DEADLINE};
+pub use server::{PendingPayload, Reply, Server, ShardHandler, DEFAULT_FRAME_DEADLINE};
 
 use std::fmt;
 use std::io;

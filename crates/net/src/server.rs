@@ -3,16 +3,20 @@
 //! Each accepted connection gets two threads, mirroring the single-writer
 //! shape used by the serve-side audit sink:
 //!
-//! * a **reader** that decodes frames and immediately hands each one to the
-//!   [`ShardHandler`], which returns a *completion thunk* — enqueue fast,
-//!   never block the socket on shard work;
-//! * a **writer** that drains thunks in FIFO order, blocking on each until
-//!   its response payload is ready, and writes the reply frame.
+//! * a **reader** that decodes frames out of a per-connection read buffer
+//!   and immediately hands each one to the [`ShardHandler`], which returns
+//!   a [`Reply`] — enqueue fast, never block the socket on shard work;
+//! * a **writer** that drains replies in FIFO order, appends each finished
+//!   reply frame to one reused buffer, and writes that buffer with a single
+//!   write just before it would block: on an empty queue, or on a reply
+//!   that is not ready yet. It never holds a finished reply while it waits.
 //!
-//! Because the thunks are drained in submission order by a single writer,
+//! Because the replies are drained in submission order by a single writer,
 //! responses pipeline (many in flight) without interleaving partial frames,
 //! and per-connection reply order matches request order even though the
-//! correlation id would tolerate reordering.
+//! correlation id would tolerate reordering. A burst of finished replies
+//! costs one write, and the peer may read several frames with one read
+//! (`PROTOCOL.md` §2).
 //!
 //! The server listens on either transport family — a Unix-domain socket or
 //! a TCP address — via [`Server::bind_endpoint`]; [`Server::bind`] keeps
@@ -30,17 +34,19 @@
 //! holds no descriptors or threads beyond the live connections.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufReader, Write};
 use std::net::Shutdown;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use crate::endpoint::{Endpoint, NetStream};
-use crate::frame::{read_frame_deadline, write_frame, DeadlineRead, Frame, FrameKind, MIN_VERSION};
+use crate::frame::{
+    encode_frame_into, read_frame_deadline, DeadlineRead, Frame, FrameKind, MIN_VERSION,
+};
 use crate::payload;
 
 /// Default per-frame delivery deadline: once a frame's first byte arrives,
@@ -55,14 +61,18 @@ const READ_POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// does not spin the accept thread.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
-/// What a worker process plugs into the server: turn one request payload
-/// into a thunk that, when called, blocks until the response payload is
-/// ready.
+/// A connection's writer sends what it has gathered once it holds this
+/// many bytes, even if more finished replies are queued, which bounds its
+/// reused buffer under a long burst.
+const WRITE_BATCH_BYTES: usize = 64 * 1024;
+
+/// What a worker process plugs into the server: turn one request frame
+/// into the [`Reply`] that answers it.
 ///
 /// `submit` runs on the connection's reader thread and must return
-/// quickly (enqueue, don't compute); the thunk runs on the connection's
-/// writer thread. The thunk's payload goes out in a frame of the same
-/// version as `frame`, so it must be encoded for `frame.version`.
+/// quickly (enqueue, don't compute); a pending reply is finished on the
+/// connection's writer thread. The reply payload goes out in a frame of
+/// the same version as `frame`, so it must be encoded for `frame.version`.
 pub trait ShardHandler: Send + Sync + 'static {
     /// Highest frame version whose request/response payloads this handler
     /// decodes and encodes. The default, 1, is a JSON-only handler: the
@@ -72,11 +82,45 @@ pub trait ShardHandler: Send + Sync + 'static {
         MIN_VERSION
     }
 
-    /// Accept one frame and return its completion thunk.
-    fn submit(&self, frame: Frame) -> Box<dyn FnOnce() -> Vec<u8> + Send>;
+    /// Accept one frame and return its reply.
+    fn submit(&self, frame: Frame) -> Reply;
 }
 
-type Thunk = Box<dyn FnOnce() -> Vec<u8> + Send>;
+/// The answer a [`ShardHandler`] owes one frame.
+pub enum Reply {
+    /// The payload is ready now.
+    Ready(Vec<u8>),
+    /// The payload is still being produced. The writer polls it and blocks
+    /// on it only after it has written every finished reply ahead of it.
+    Pending(Box<dyn PendingPayload>),
+}
+
+impl Reply {
+    /// A payload that only `produce` can make, blocking as long as it
+    /// needs. It never polls ready, so the writer first sends everything
+    /// queued ahead of it, then runs `produce`.
+    pub fn blocking(produce: impl FnOnce() -> Vec<u8> + Send + 'static) -> Reply {
+        struct Blocking<F>(F);
+        impl<F: FnOnce() -> Vec<u8> + Send> PendingPayload for Blocking<F> {
+            fn try_take(&mut self) -> Option<Vec<u8>> {
+                None
+            }
+            fn take(self: Box<Self>) -> Vec<u8> {
+                (self.0)()
+            }
+        }
+        Reply::Pending(Box::new(Blocking(produce)))
+    }
+}
+
+/// A reply payload that is not ready yet (see [`Reply::Pending`]).
+pub trait PendingPayload: Send {
+    /// The payload if it is ready, without blocking; `None` otherwise.
+    fn try_take(&mut self) -> Option<Vec<u8>>;
+
+    /// Block until the payload is ready and return it.
+    fn take(self: Box<Self>) -> Vec<u8>;
+}
 
 /// A listening fact-net endpoint (Unix-domain socket or TCP address).
 pub struct Server {
@@ -261,14 +305,6 @@ fn reply_kind(request: FrameKind) -> FrameKind {
 }
 
 fn serve_conn(stream: NetStream, handler: Arc<dyn ShardHandler>, frame_deadline: Duration) {
-    /// One answer owed, in arrival order: the frame it answers and the
-    /// thunk that produces its payload.
-    struct Job {
-        version: u8,
-        kind: FrameKind,
-        corr_id: u64,
-        thunk: Thunk,
-    }
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let max_version = handler.wire_version();
 
@@ -279,31 +315,19 @@ fn serve_conn(stream: NetStream, handler: Arc<dyn ShardHandler>, frame_deadline:
         READ_POLL_INTERVAL.min(frame_deadline.max(Duration::from_millis(1))),
     ));
 
-    let mut writer = match stream.try_clone() {
+    let writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
     let writer_thread = thread::Builder::new()
         .name("fact-net-writer".into())
-        .spawn(move || {
-            for job in job_rx {
-                let frame = Frame {
-                    version: job.version,
-                    kind: reply_kind(job.kind),
-                    corr_id: job.corr_id,
-                    payload: (job.thunk)(),
-                };
-                if write_frame(&mut writer, &frame).is_err() {
-                    break; // client gone; drain remaining thunks unsent
-                }
-            }
-        });
+        .spawn(move || write_replies(writer, job_rx));
     let writer_thread = match writer_thread {
         Ok(h) => h,
         Err(_) => return,
     };
 
-    let mut reader = stream;
+    let mut reader = BufReader::new(stream);
     // a clean close (Closed), torn frame (incl. a slow-loris peer blowing
     // its delivery deadline), malformed header, or a version the handler
     // never advertised all end the loop: the codec already typed the
@@ -320,15 +344,15 @@ fn serve_conn(stream: NetStream, handler: Arc<dyn ShardHandler>, frame_deadline:
                     }
                     _ => None,
                 };
-                let thunk: Thunk = match hello {
-                    Some(ack) => Box::new(move || ack),
+                let reply = match hello {
+                    Some(ack) => Reply::Ready(ack),
                     None => handler.submit(frame),
                 };
                 let job = Job {
                     version,
                     kind,
                     corr_id,
-                    thunk,
+                    reply,
                 };
                 if job_tx.send(job).is_err() {
                     break;
@@ -342,5 +366,70 @@ fn serve_conn(stream: NetStream, handler: Arc<dyn ShardHandler>, frame_deadline:
     // actively sever the socket: the server's shutdown bookkeeping holds a
     // clone of this stream, so without an explicit shutdown a cut-off peer
     // (e.g. a slow-loris dribbler) would never observe the disconnect
-    let _ = reader.shutdown(Shutdown::Both);
+    let _ = reader.get_ref().shutdown(Shutdown::Both);
+}
+
+/// One answer owed, in arrival order: the frame it answers and its reply.
+struct Job {
+    version: u8,
+    kind: FrameKind,
+    corr_id: u64,
+    reply: Reply,
+}
+
+/// The writer half of one connection: answer jobs in FIFO order, gathering
+/// finished reply frames into one buffer that goes out with a single write
+/// before any blocking step, and once more on exit so a last ack (e.g. to
+/// `shutdown`) still reaches the client.
+fn write_replies(mut stream: NetStream, jobs: mpsc::Receiver<Job>) {
+    let mut out = Vec::new();
+    let mut flush = |out: &mut Vec<u8>| -> io::Result<()> {
+        if !out.is_empty() {
+            stream.write_all(out)?;
+            out.clear();
+        }
+        Ok(())
+    };
+    loop {
+        let job = match jobs.try_recv() {
+            Ok(job) => job,
+            Err(TryRecvError::Empty) => {
+                if flush(&mut out).is_err() {
+                    return; // client gone; drop remaining replies unsent
+                }
+                match jobs.recv() {
+                    Ok(job) => job,
+                    Err(_) => break,
+                }
+            }
+            Err(TryRecvError::Disconnected) => break,
+        };
+        let payload = match job.reply {
+            Reply::Ready(payload) => payload,
+            Reply::Pending(mut pending) => match pending.try_take() {
+                Some(payload) => payload,
+                None => {
+                    if flush(&mut out).is_err() {
+                        return;
+                    }
+                    pending.take()
+                }
+            },
+        };
+        let frame = Frame {
+            version: job.version,
+            kind: reply_kind(job.kind),
+            corr_id: job.corr_id,
+            payload,
+        };
+        // a payload the codec refuses ends the connection after the
+        // replies ahead of it
+        if encode_frame_into(&frame, &mut out).is_err() {
+            break;
+        }
+        if out.len() >= WRITE_BATCH_BYTES && flush(&mut out).is_err() {
+            return;
+        }
+    }
+    let _ = flush(&mut out);
 }

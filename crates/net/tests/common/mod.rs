@@ -6,7 +6,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fact_net::{
-    decode_request, encode_response, Endpoint, Frame, FrameKind, ResponseWire, Server, ShardHandler,
+    decode_request, encode_response, Endpoint, Frame, FrameKind, Reply, RequestWire, ResponseWire,
+    Server, ShardHandler,
 };
 
 /// The two transport families every scenario must behave identically on.
@@ -40,24 +41,30 @@ impl ShardHandler for EchoHandler {
         fact_net::frame::VERSION
     }
 
-    fn submit(&self, frame: Frame) -> Box<dyn FnOnce() -> Vec<u8> + Send> {
+    fn submit(&self, frame: Frame) -> Reply {
         self.seen.fetch_add(1, Ordering::Relaxed);
-        Box::new(move || match frame.kind {
-            FrameKind::Request => {
-                let resp = match decode_request(frame.version, &frame.payload) {
-                    Ok(req) => ResponseWire::success(fact_net::DecisionWire {
-                        probability: req.features.first().copied().unwrap_or(0.0),
-                        favorable: req.group_b,
-                        flagged: false,
-                        shard: (req.route_key % 4) as usize,
-                    }),
-                    Err(e) => ResponseWire::failure(e.to_string()),
-                };
-                encode_response(frame.version, &resp).unwrap()
-            }
+        Reply::Ready(match frame.kind {
+            FrameKind::Request => match decode_request(frame.version, &frame.payload) {
+                Ok(req) => echo_response(frame.version, &req),
+                Err(e) => {
+                    encode_response(frame.version, &ResponseWire::failure(e.to_string())).unwrap()
+                }
+            },
             _ => frame.payload,
         })
     }
+}
+
+/// The echo handler's answer to `req`, encoded for frame version
+/// `version`: a decision whose probability is the first feature.
+pub fn echo_response(version: u8, req: &RequestWire) -> Vec<u8> {
+    let resp = ResponseWire::success(fact_net::DecisionWire {
+        probability: req.features.first().copied().unwrap_or(0.0),
+        favorable: req.group_b,
+        flagged: false,
+        shard: (req.route_key % 4) as usize,
+    });
+    encode_response(version, &resp).unwrap()
 }
 
 /// Bind an echo server on the given transport with per-frame delivery

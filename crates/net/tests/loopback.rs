@@ -12,13 +12,13 @@ mod common;
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-use common::{fresh_endpoint, start_echo, EchoHandler, Transport};
+use common::{echo_response, fresh_endpoint, start_echo, EchoHandler, Transport};
 use fact_net::{
-    decode, encode, Frame, FrameKind, NetError, RemoteShard, RequestWire, ResponseWire, Server,
-    ShardHandler, DEFAULT_FRAME_DEADLINE,
+    decode, encode, Frame, FrameKind, NetError, PendingPayload, RemoteShard, Reply, RequestWire,
+    ResponseWire, Server, ShardHandler, DEFAULT_FRAME_DEADLINE,
 };
 
 const WAIT: Duration = Duration::from_secs(5);
@@ -95,11 +95,11 @@ fn control_frames_ack_with_their_own_kind_tcp() {
 }
 
 fn server_death_fails_pending_replies(transport: Transport) {
-    /// Never answers: thunks block until the connection is severed.
+    /// Never answers: replies block until the connection is severed.
     struct StallHandler;
     impl ShardHandler for StallHandler {
-        fn submit(&self, _: Frame) -> Box<dyn FnOnce() -> Vec<u8> + Send> {
-            Box::new(|| {
+        fn submit(&self, _: Frame) -> Reply {
+            Reply::blocking(|| {
                 std::thread::sleep(Duration::from_secs(30));
                 Vec::new()
             })
@@ -115,7 +115,7 @@ fn server_death_fails_pending_replies(transport: Transport) {
     let shard = RemoteShard::connect_endpoint(server.endpoint().clone()).unwrap();
     let reply = shard.send(FrameKind::Request, request(1, 0.5)).unwrap();
 
-    // sever (not shutdown): the writer thread is wedged in the 30 s thunk,
+    // sever (not shutdown): the writer thread is wedged in the 30 s reply,
     // and the client must see Disconnected as soon as the socket drops
     let killer = std::thread::spawn(move || server.sever());
     match reply.wait(WAIT) {
@@ -254,11 +254,11 @@ struct JsonOnlyHandler {
 }
 
 impl ShardHandler for JsonOnlyHandler {
-    fn submit(&self, frame: Frame) -> Box<dyn FnOnce() -> Vec<u8> + Send> {
+    fn submit(&self, frame: Frame) -> Reply {
         if frame.version != 1 {
             self.seen_v2.store(true, Ordering::Relaxed);
         }
-        Box::new(move || match frame.kind {
+        Reply::Ready(match frame.kind {
             FrameKind::Request => {
                 let req: RequestWire = decode(&frame.payload).unwrap();
                 encode(&ResponseWire::success(fact_net::DecisionWire {
@@ -366,4 +366,257 @@ fn garbage_peer_drops_connection_without_killing_server() {
 #[test]
 fn garbage_peer_drops_connection_without_killing_server_tcp() {
     garbage_peer_drops_connection(Transport::Tcp);
+}
+
+/// Answers route key 0 at once and holds every other request until the
+/// test opens the gate (or ten seconds pass, so a failing test ends).
+struct GateHandler {
+    gate: Arc<(Mutex<bool>, Condvar)>,
+}
+
+/// A reply that is not ready until its handler's gate opens.
+struct Gated {
+    gate: Arc<(Mutex<bool>, Condvar)>,
+    payload: Vec<u8>,
+}
+
+impl PendingPayload for Gated {
+    fn try_take(&mut self) -> Option<Vec<u8>> {
+        let open = *self.gate.0.lock().unwrap();
+        open.then(|| std::mem::take(&mut self.payload))
+    }
+
+    fn take(self: Box<Self>) -> Vec<u8> {
+        let (lock, opened) = &*self.gate;
+        let _open = opened
+            .wait_timeout_while(lock.lock().unwrap(), Duration::from_secs(10), |open| !*open)
+            .unwrap();
+        self.payload
+    }
+}
+
+impl ShardHandler for GateHandler {
+    fn wire_version(&self) -> u8 {
+        fact_net::frame::VERSION
+    }
+
+    fn submit(&self, frame: Frame) -> Reply {
+        let req = fact_net::decode_request(frame.version, &frame.payload).unwrap();
+        let payload = echo_response(frame.version, &req);
+        if req.route_key == 0 {
+            return Reply::Ready(payload);
+        }
+        Reply::Pending(Box::new(Gated {
+            gate: Arc::clone(&self.gate),
+            payload,
+        }))
+    }
+}
+
+/// The worker's writer must send a finished reply before it blocks on the
+/// next one: reply 1 is held until the client has *received* reply 0, so a
+/// writer that sits on reply 0 while it waits deadlocks here.
+fn finished_replies_go_out_before_the_writer_blocks(transport: Transport) {
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let mut server = Server::bind_endpoint(
+        fresh_endpoint(transport, "held"),
+        Arc::new(GateHandler {
+            gate: Arc::clone(&gate),
+        }),
+        DEFAULT_FRAME_DEADLINE,
+    )
+    .unwrap();
+    let shard = RemoteShard::connect_endpoint(server.endpoint().clone()).unwrap();
+    let first = shard.request(&wire(0, 0.25)).unwrap();
+    let second = shard.request(&wire(1, 0.75)).unwrap();
+
+    let reply = first
+        .wait(WAIT)
+        .expect("reply 0 must not wait behind the held reply 1");
+    assert_eq!(decision(&reply).probability, 0.25);
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+    assert_eq!(decision(&second.wait(WAIT).unwrap()).probability, 0.75);
+    server.shutdown();
+}
+
+#[test]
+fn finished_replies_go_out_before_the_writer_blocks_on_a_held_one() {
+    finished_replies_go_out_before_the_writer_blocks(Transport::Unix);
+}
+
+#[test]
+fn finished_replies_go_out_before_the_writer_blocks_on_a_held_one_tcp() {
+    finished_replies_go_out_before_the_writer_blocks(Transport::Tcp);
+}
+
+/// Each reply becomes ready a pseudo-random 0–2 ms after its request
+/// arrived, so replies finish out of request order.
+struct ShuffledHandler;
+
+struct ReadyAt {
+    at: Instant,
+    payload: Vec<u8>,
+}
+
+impl PendingPayload for ReadyAt {
+    fn try_take(&mut self) -> Option<Vec<u8>> {
+        (Instant::now() >= self.at).then(|| std::mem::take(&mut self.payload))
+    }
+
+    fn take(self: Box<Self>) -> Vec<u8> {
+        std::thread::sleep(self.at.saturating_duration_since(Instant::now()));
+        self.payload
+    }
+}
+
+impl ShardHandler for ShuffledHandler {
+    fn wire_version(&self) -> u8 {
+        fact_net::frame::VERSION
+    }
+
+    fn submit(&self, frame: Frame) -> Reply {
+        let req = fact_net::decode_request(frame.version, &frame.payload).unwrap();
+        let delay_us = frame.corr_id.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 53; // 0..2048
+        Reply::Pending(Box::new(ReadyAt {
+            at: Instant::now() + Duration::from_micros(delay_us),
+            payload: echo_response(frame.version, &req),
+        }))
+    }
+}
+
+/// 1,000 pipelined requests whose replies finish out of order come back in
+/// request order, each payload bit-equal to the one the handler made. The
+/// peer is a raw socket, so nothing but the wire decides the order seen.
+fn replies_keep_request_order(transport: Transport) {
+    const N: u64 = 1_000;
+    let mut server = Server::bind_endpoint(
+        fresh_endpoint(transport, "fifo"),
+        Arc::new(ShuffledHandler),
+        DEFAULT_FRAME_DEADLINE,
+    )
+    .unwrap();
+    // bit patterns a lossy path would disturb: subnormals, ±0, extremes
+    let odd = [
+        f64::MIN_POSITIVE / 3.0,
+        -0.0,
+        0.0,
+        f64::MAX,
+        f64::MIN,
+        1.0 / 3.0,
+    ];
+    let requests: Vec<RequestWire> = (0..N)
+        .map(|i| wire(i, odd[i as usize % odd.len()]))
+        .collect();
+    let mut bytes = Vec::new();
+    for (i, req) in requests.iter().enumerate() {
+        let payload = fact_net::encode_request(2, req).unwrap();
+        let frame = Frame {
+            version: 2,
+            ..Frame::new(FrameKind::Request, i as u64, payload)
+        };
+        fact_net::frame::encode_frame_into(&frame, &mut bytes).unwrap();
+    }
+    let mut raw = server.endpoint().dial().unwrap();
+    raw.write_all(&bytes).unwrap();
+    let mut replies = std::io::BufReader::new(raw);
+    for (i, req) in requests.iter().enumerate() {
+        let reply = fact_net::read_frame(&mut replies).unwrap().expect("reply");
+        assert_eq!(reply.corr_id, i as u64, "reply {i} out of order");
+        assert_eq!((reply.kind, reply.version), (FrameKind::Response, 2));
+        assert_eq!(reply.payload, echo_response(2, req), "reply {i} payload");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn out_of_order_completions_reply_in_request_order() {
+    replies_keep_request_order(Transport::Unix);
+}
+
+#[test]
+fn out_of_order_completions_reply_in_request_order_tcp() {
+    replies_keep_request_order(Transport::Tcp);
+}
+
+/// Holds the connection's reader thread in `submit` on its first frame, so
+/// the worker stops reading and the client's frames back up: first in the
+/// socket buffers, then in the client's outbox.
+struct WedgedReader {
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl ShardHandler for WedgedReader {
+    fn wire_version(&self) -> u8 {
+        fact_net::frame::VERSION
+    }
+
+    fn submit(&self, _: Frame) -> Reply {
+        let _ = self
+            .release
+            .lock()
+            .unwrap()
+            .recv_timeout(Duration::from_secs(30));
+        Reply::Ready(Vec::new())
+    }
+}
+
+/// A worker killed while the client still holds queued frames fails every
+/// waiter with `Disconnected` within its timeout, and the next request
+/// re-dials and negotiates version 2 afresh.
+fn worker_death_fails_queued_frames(transport: Transport) {
+    // more than the socket buffers of both ends can hold, so the rest
+    // waits in the client's outbox behind a blocked write
+    const FRAMES: usize = 48;
+    const FRAME_BYTES: usize = 512 * 1024;
+    let (release, released) = mpsc::channel();
+    let mut server = Server::bind_endpoint(
+        fresh_endpoint(transport, "queued"),
+        Arc::new(WedgedReader {
+            release: Mutex::new(released),
+        }),
+        DEFAULT_FRAME_DEADLINE,
+    )
+    .unwrap();
+    let endpoint = server.endpoint().clone();
+    let shard = RemoteShard::connect_endpoint(endpoint.clone()).unwrap();
+    let waiters: Vec<_> = (0..FRAMES)
+        .map(|_| {
+            shard
+                .send(FrameKind::Request, vec![0x5a; FRAME_BYTES])
+                .unwrap()
+        })
+        .collect();
+
+    server.sever();
+    drop(release); // let the detached connection thread finish
+    for (i, waiter) in waiters.into_iter().enumerate() {
+        match waiter.wait(WAIT) {
+            Err(NetError::Disconnected) => {}
+            other => panic!("waiter {i}: expected Disconnected, got {other:?}"),
+        }
+    }
+    assert_eq!(shard.stats().errors, FRAMES as u64);
+
+    let mut server2 = Server::bind_endpoint(
+        endpoint,
+        Arc::new(EchoHandler::default()),
+        DEFAULT_FRAME_DEADLINE,
+    )
+    .unwrap();
+    let reply = shard.request(&wire(7, 0.5)).unwrap().wait(WAIT).unwrap();
+    assert_eq!(decision(&reply).probability, 0.5);
+    let stats = shard.stats();
+    assert_eq!((stats.reconnects, stats.wire_version), (1, 2));
+    server2.shutdown();
+}
+
+#[test]
+fn worker_death_fails_frames_still_queued_in_the_client() {
+    worker_death_fails_queued_frames(Transport::Unix);
+}
+
+#[test]
+fn worker_death_fails_frames_still_queued_in_the_client_tcp() {
+    worker_death_fails_queued_frames(Transport::Tcp);
 }

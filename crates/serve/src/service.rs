@@ -32,7 +32,7 @@ use fact_ml::Classifier;
 use fact_net::{
     decode as net_decode, decode_request, decode_response, encode as net_encode, encode_response,
     CheckpointAckWire, ControlAckWire, ControlWire, DecisionWire, Endpoint, Frame, FrameKind,
-    NetError, PendingReply, RemoteShard, RequestWire, ResponseWire,
+    NetError, PendingPayload, PendingReply, RemoteShard, Reply, RequestWire, ResponseWire,
 };
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
@@ -1586,9 +1586,10 @@ impl ShardWorker {
 /// and a local [`DecisionService`]: decodes request frames (binary or JSON,
 /// per the frame's version; the server negotiates which), submits them
 /// into the service on the connection's reader thread (fast — bounded
-/// `try_send`), and waits for each decision inside the completion thunk on
-/// the connection's writer thread. This is what `fact-shardd` plugs into
-/// its server.
+/// `try_send`), and hands the connection's writer thread a pending reply
+/// that polls the decision with [`DecisionHandle::try_wait`] and waits for
+/// it only once every finished reply ahead of it is sent. This is what
+/// `fact-shardd` plugs into its server.
 ///
 /// Control commands: `"ping"` acks; `"checkpoint"` requests a guard
 /// checkpoint flush; `"shutdown"` sets the shutdown flag and acks —
@@ -1600,7 +1601,7 @@ impl ShardWorker {
 /// (`PROTOCOL.md §6 — Control commands`).
 pub struct NetShardHandler {
     service: DecisionService,
-    /// Worker-side ceiling on how long a thunk waits for a decision.
+    /// Worker-side ceiling on how long a reply waits for a decision.
     timeout: Duration,
     /// Set to true when a `"shutdown"` control command arrives.
     shutdown_requested: Arc<AtomicBool>,
@@ -1628,17 +1629,9 @@ impl fact_net::ShardHandler for NetShardHandler {
         fact_net::frame::VERSION
     }
 
-    fn submit(&self, frame: Frame) -> Box<dyn FnOnce() -> Vec<u8> + Send> {
+    fn submit(&self, frame: Frame) -> Reply {
         fn emit<T: serde::Serialize>(value: &T) -> Vec<u8> {
             net_encode(value).unwrap_or_else(|_| b"{}".to_vec())
-        }
-        /// A response payload in the request's frame version; one that
-        /// will not encode goes back as the encoding error instead.
-        fn respond(version: u8, resp: &ResponseWire) -> Vec<u8> {
-            encode_response(version, resp).unwrap_or_else(|e| {
-                encode_response(version, &ResponseWire::failure(e.to_string()))
-                    .expect("the server admits only versions with a payload encoding")
-            })
         }
         let version = frame.version;
         let payload = frame.payload;
@@ -1646,8 +1639,8 @@ impl fact_net::ShardHandler for NetShardHandler {
             FrameKind::Request => {
                 // Decode + submit here (reader thread): admission control
                 // stays immediate, so a full queue answers Busy without
-                // waiting behind earlier thunks.
-                let outcome = decode_request(version, &payload)
+                // waiting behind earlier replies.
+                let submitted = decode_request(version, &payload)
                     .map_err(|e| ServeError::Remote(e.to_string()))
                     .and_then(|req| {
                         self.service.submit(DecisionRequest {
@@ -1658,50 +1651,33 @@ impl fact_net::ShardHandler for NetShardHandler {
                             tenant: req.tenant.unwrap_or(0),
                         })
                     });
-                let timeout = self.timeout;
-                Box::new(move || {
-                    let resp = match outcome.and_then(|h| h.wait(timeout)) {
-                        Ok(d) => ResponseWire::success(DecisionWire {
-                            probability: d.probability,
-                            favorable: d.favorable,
-                            flagged: d.flagged,
-                            shard: d.shard,
-                        }),
-                        Err(e) => match e.wire_code() {
-                            // typed admission refusals cross the wire as
-                            // coded failures so the client can rebuild them
-                            Some(code) => {
-                                let tenant = match &e {
-                                    ServeError::Throttled { tenant } => Some(*tenant),
-                                    _ => None,
-                                };
-                                ResponseWire::failure_coded(e.to_string(), code, tenant)
-                            }
-                            None => ResponseWire::failure(e.to_string()),
-                        },
-                    };
-                    respond(version, &resp)
-                })
+                match submitted {
+                    Ok(handle) => Reply::Pending(Box::new(PendingDecision {
+                        handle,
+                        version,
+                        timeout: self.timeout,
+                    })),
+                    Err(e) => Reply::Ready(decision_payload(version, Err(e))),
+                }
             }
             FrameKind::Checkpoint => {
                 self.service.request_checkpoint();
-                let ack = CheckpointAckWire {
+                Reply::Ready(emit(&CheckpointAckWire {
                     shards: self.service.shards(),
                     decisions: self.service.metrics().served(),
-                };
-                Box::new(move || emit(&ack))
+                }))
             }
             FrameKind::Control => {
                 let command = net_decode::<ControlWire>(&payload)
                     .map(|c| c.command)
                     .unwrap_or_default();
-                // "reshard <M>" blocks for the whole cutover, so it runs in
-                // the thunk (writer thread): the reader thread stays free
-                // and the ack carries the cutover's conservation numbers.
+                // "reshard <M>" blocks for the whole cutover, so it runs on
+                // the writer thread: the reader thread stays free and the
+                // ack carries the cutover's conservation numbers.
                 if let Some(target) = command.strip_prefix("reshard ") {
                     let target: Result<usize, _> = target.trim().parse();
                     let service = self.service.clone();
-                    return Box::new(move || {
+                    return Reply::blocking(move || {
                         let (ok, info) = match target {
                             Err(_) => (false, "reshard needs a shard count".to_string()),
                             Ok(m) => match service.reshard(m) {
@@ -1735,12 +1711,67 @@ impl fact_net::ShardHandler for NetShardHandler {
                     }
                     other => (false, format!("unknown command {other:?}")),
                 };
-                Box::new(move || emit(&ControlAckWire { ok, info }))
+                Reply::Ready(emit(&ControlAckWire { ok, info }))
             }
             // a response frame arriving at a server is a protocol error
-            FrameKind::Response => Box::new(move || {
-                respond(version, &ResponseWire::failure("unexpected response frame"))
-            }),
+            FrameKind::Response => Reply::Ready(respond(
+                version,
+                &ResponseWire::failure("unexpected response frame"),
+            )),
         }
     }
+}
+
+/// A decision the worker's service accepted and has not answered yet.
+struct PendingDecision {
+    handle: DecisionHandle,
+    version: u8,
+    /// Worker-side ceiling on the blocking wait.
+    timeout: Duration,
+}
+
+impl PendingPayload for PendingDecision {
+    fn try_take(&mut self) -> Option<Vec<u8>> {
+        let result = self.handle.try_wait()?;
+        Some(decision_payload(self.version, result))
+    }
+
+    fn take(self: Box<Self>) -> Vec<u8> {
+        decision_payload(self.version, self.handle.wait(self.timeout))
+    }
+}
+
+/// The response payload for one decision outcome, in the request's frame
+/// version.
+fn decision_payload(version: u8, outcome: Result<Decision, ServeError>) -> Vec<u8> {
+    let resp = match outcome {
+        Ok(d) => ResponseWire::success(DecisionWire {
+            probability: d.probability,
+            favorable: d.favorable,
+            flagged: d.flagged,
+            shard: d.shard,
+        }),
+        Err(e) => match e.wire_code() {
+            // typed admission refusals cross the wire as coded failures so
+            // the client can rebuild them
+            Some(code) => {
+                let tenant = match &e {
+                    ServeError::Throttled { tenant } => Some(*tenant),
+                    _ => None,
+                };
+                ResponseWire::failure_coded(e.to_string(), code, tenant)
+            }
+            None => ResponseWire::failure(e.to_string()),
+        },
+    };
+    respond(version, &resp)
+}
+
+/// A response payload in the request's frame version; one that will not
+/// encode goes back as the encoding error instead.
+fn respond(version: u8, resp: &ResponseWire) -> Vec<u8> {
+    encode_response(version, resp).unwrap_or_else(|e| {
+        encode_response(version, &ResponseWire::failure(e.to_string()))
+            .expect("the server admits only versions with a payload encoding")
+    })
 }

@@ -7,56 +7,61 @@
 #                             clippy::format_collect (no per-item format!
 #                             collected into a String, e.g. per-byte hex)
 #   3. cargo test -q          the full workspace suite
-#   4. perfbench self-tests   the benchmark package sits outside the
+#   4. fact-net on one core   the fact-net suite again under taskset -c 0:
+#                             multi-frame writes and multi-frame buffered
+#                             reads mostly happen when the threads of a
+#                             connection share a core, which a multi-core
+#                             run seldom reaches
+#   5. perfbench self-tests   the benchmark package sits outside the
 #                             workspace but builds on crates/* by path,
 #                             so a fact-serve API change that breaks it
 #                             fails here
-#   5. cargo doc              workspace rustdoc, warnings are errors
-#   6. exp_e12 --smoke        parallel kernels bit-identical to sequential
-#   7. audit_recovery smoke   kill the audit writer mid-batch, restart,
+#   6. cargo doc              workspace rustdoc, warnings are errors
+#   7. exp_e12 --smoke        parallel kernels bit-identical to sequential
+#   8. audit_recovery smoke   kill the audit writer mid-batch, restart,
 #                             assert the hash chain verifies and loss is
 #                             bounded by one batch (tests + exp_e13 --smoke)
-#   8. exp_e14 --smoke        feature cache: >=5x steady-state speedup,
+#   9. exp_e14 --smoke        feature cache: >=5x steady-state speedup,
 #                             warm keys bridge a store outage, negative
 #                             cache bounds upstream probes
-#   9. exp_e15 --smoke        segmented audit rotation: recovery bytes-read
+#  10. exp_e15 --smoke        segmented audit rotation: recovery bytes-read
 #                             stays one segment as the log grows 10x, every
 #                             segment verifies standalone, a kill at the
 #                             segment boundary loses nothing silently
-#  10. exp_e16 --smoke        cross-process serving: spawn a fact-shardd
+#  11. exp_e16 --smoke        cross-process serving: spawn a fact-shardd
 #                             worker over a tempdir Unix socket, SIGKILL it
 #                             under load, respawn, assert the fairness
 #                             window + ε ledger resume from checkpoint with
 #                             bounded loss and the audit chain verifies
 #                             across the crash
-#  11. exp_e17 --smoke        columnar segments: roundtrip + aggregates
+#  12. exp_e17 --smoke        columnar segments: roundtrip + aggregates
 #                             bit-identical at 1/2/4 workers, zone maps
 #                             prune >=half the segments under a selective
 #                             predicate, column-pruned scans read <half
 #                             the stored bytes (byte-counter asserts)
-#  12. exp_e18 --smoke        adaptive admission: open-loop overload where
+#  13. exp_e18 --smoke        adaptive admission: open-loop overload where
 #                             the static queue bound blows p99 >=4x past
 #                             target while the AIMD controller holds <=2x,
 #                             a flooding tenant is throttled while a quiet
 #                             one completes >=95%, and a spawned
 #                             fact-shardd enforces quotas with typed
 #                             Throttled errors across the wire
-#  13. exp_e19 --smoke        live resharding: 4 -> 8 -> 3 cutovers under
+#  14. exp_e19 --smoke        live resharding: 4 -> 8 -> 3 cutovers under
 #                             concurrent load with zero lost decisions,
 #                             cell-exact fairness-window + ε-ledger
 #                             conservation across the transform, and a
 #                             continuous audit chain
-#  14. exp_e20 --smoke        audit archiving: background compaction of a
+#  15. exp_e20 --smoke        audit archiving: background compaction of a
 #                             10x-rotated log keeps the writer batch p99
 #                             within 5% of the archiver-off baseline,
 #                             every archive decodes byte-identically
 #                             (sha256-checked), and a SIGKILL mid-archive
 #                             recovers with zero provably-lost entries —
 #                             original xor verified archive, never neither
-#  15. doc-link check         every PROTOCOL.md / OPERATIONS.md section
+#  16. doc-link check         every PROTOCOL.md / OPERATIONS.md section
 #                             anchor referenced from the crate rustdoc
 #                             resolves to a real heading
-#  16. harness-kit check      no experiment binary or root integration test
+#  17. harness-kit check      no experiment binary or root integration test
 #                             defines a helper fact_bench::kit owns again
 #                             (worker spawn, models, lending workloads)
 #
@@ -73,6 +78,9 @@ cargo clippy --offline --all-targets -- -D warnings -D clippy::format_collect
 
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
+
+echo "==> cargo test -p fact-net on one core (coalesced frame writes and reads)"
+taskset -c 0 cargo test --offline -q -p fact-net
 
 echo "==> perfbench self-tests (benchmark builds against the crates)"
 cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml

@@ -227,6 +227,59 @@ fn a_nesting_bomb_does_not_kill_the_worker() {
     worker.shutdown();
 }
 
+/// Client churn leaves a spawned worker as it found it: 10,000 connect /
+/// ping / drop cycles over its Unix socket end with the worker's open
+/// descriptors and threads where they started, and it still decides. (Over
+/// TCP the same churn would park as many client ports in `TIME_WAIT`.)
+#[test]
+fn client_churn_leaves_the_worker_flat() {
+    const CYCLES: usize = 10_000;
+    /// The last connections' threads may still be exiting when counted.
+    const SLACK: usize = 4;
+    let dir = ScratchDir::new("shardd-churn");
+    let mut worker = Shardd::unix(shardd(), &dir.join("worker.sock"), |cmd| {
+        cmd.args(["--n-features", "2"])
+            .arg("--checkpoint-dir")
+            .arg(dir.join("checkpoints"));
+    });
+    let proc_dir = format!("/proc/{}", worker.pid());
+    let counts = || {
+        let count = |what: &str| {
+            std::fs::read_dir(format!("{proc_dir}/{what}"))
+                .unwrap_or_else(|e| panic!("{proc_dir}/{what}: {e}"))
+                .count()
+        };
+        (count("fd"), count("task"))
+    };
+    let cycle = || {
+        let ack = worker
+            .connect()
+            .control("ping", Duration::from_secs(10))
+            .unwrap();
+        let ack: ControlAckWire = fact_net::decode(&ack.payload).unwrap();
+        assert!(ack.ok, "{}", ack.info);
+    };
+    (0..8).for_each(|_| cycle());
+    let baseline = counts();
+    let grown =
+        |(fds, tasks): (usize, usize)| fds > baseline.0 + SLACK || tasks > baseline.1 + SLACK;
+
+    (0..CYCLES).for_each(|_| cycle());
+    // the worker's connection threads exit after each client hangs up
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut now = counts();
+    while grown(now) && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        now = counts();
+    }
+    assert!(
+        !grown(now),
+        "{CYCLES} client cycles grew the worker's (fds, threads) from {baseline:?} to {now:?}"
+    );
+    assert_eq!(decide(&worker.connect(), vec![0.25, 0.75], false, 1), 0.5);
+    worker.shutdown();
+}
+
 /// `std::process::Child` does not kill on drop; the kit's handle does, so
 /// a harness that panics mid-run leaves no `fact-shardd` behind.
 #[test]
