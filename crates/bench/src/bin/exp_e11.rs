@@ -14,6 +14,9 @@
 //! *waits*, not CPU, so throughput grows with shard count the way a
 //! remote-backed service's would, and the guards' CPU cost shows up
 //! undiluted in the overhead column.
+//!
+//! A full run writes `results/e11.txt`; `--smoke` runs the same trials and
+//! prints the table without writing it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -119,6 +122,7 @@ fn run_trial(model: Arc<LogisticRegression>, shards: usize, guarded: bool, seed:
 }
 
 fn main() {
+    let smoke = kit::Mode::from_args().is_smoke();
     let model = Arc::new(train_model(11, N_FEATURES));
     println!(
         "E11: guarded decision serving, open-loop load ({} req/s offered, {}ms fetch per batch)\n",
@@ -172,5 +176,7 @@ fn main() {
     print!("{summary}");
     out.push_str(&summary);
 
-    kit::write_results("e11", &out);
+    if !smoke {
+        kit::write_results("e11", &out);
+    }
 }

@@ -24,8 +24,9 @@ use bench::kit::{self, lending_request, train_model, ScratchDir};
 use fact_ml::logistic::LogisticRegression;
 use fact_serve::audit_sink::{
     parse_log, verify_all_segments, AuditEvent, AuditSink, AuditSinkConfig, AuditStorage,
-    FileStorage, MemStorage,
+    FileStorage,
 };
+use fact_serve::testing::{kill_at_byte, MemStorage};
 use fact_serve::{DecisionService, DegradePolicy, GuardConfig, ServeConfig, SimulatedRemoteSource};
 use fact_transparency::{verify_chain_from, ChainHead};
 use rand::rngs::StdRng;
@@ -223,7 +224,7 @@ fn recovery_phase(out: &mut String) {
     }
     let synced_entries = parse_log(&storage.log_bytes()).len();
     let synced_bytes = storage.log_bytes().len();
-    storage.kill_at_byte(synced_bytes as u64 + 200);
+    storage.inject(kill_at_byte(synced_bytes as u64 + 200));
     for k in 32..40u64 {
         handle.record(flagged_event(k));
     }

@@ -33,7 +33,8 @@ use std::time::{Duration, Instant};
 
 use bench::header;
 use bench::kit::{self, flagged, run_disparity, PassThrough};
-use fact_serve::audit_sink::{recover, AuditSink, AuditSinkConfig, MemStorage};
+use fact_serve::audit_sink::{recover, AuditSink, AuditSinkConfig};
+use fact_serve::testing::{kill_at_byte, MemStorage};
 use fact_serve::{
     verify_all_segments, AuditStorage, DecisionService, DegradePolicy, GuardConfig, InlineFeatures,
     ServeConfig,
@@ -299,7 +300,7 @@ fn boundary_phase(out: &mut String, requests: u64) {
     let service = start_service(&storage);
     let served = run_disparity(&service, requests);
     assert_eq!(served, requests);
-    storage.kill_at_byte(storage.log_bytes().len() as u64 + 10);
+    storage.inject(kill_at_byte(storage.log_bytes().len() as u64 + 10));
     let served2 = run_disparity(&service, requests);
     assert_eq!(served2, requests, "a dead audit disk must not stop serving");
     service.shutdown();

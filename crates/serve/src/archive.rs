@@ -26,9 +26,11 @@
 //!
 //! A crash between any two steps leaves the original, a verified archive,
 //! or both — never neither. The fault matrix in `tests/audit_recovery.rs`
-//! drives every crash point through [`MemStorage`](crate::audit_sink::MemStorage)'s
-//! `kill_on_archive_write` / `kill_on_source_delete` knobs, and the next
-//! archiver pass completes whatever step the crash interrupted.
+//! drives the crash points through one fault rule injected into
+//! [`MemStorage`](crate::testing::MemStorage): a kill at the container
+//! write, at the manifest commit or at the source delete, and a container
+//! write that reports success but lands torn. The next archiver pass
+//! completes whatever step the crash interrupted.
 //!
 //! Recovery and verification read archived segments transparently
 //! ([`crate::audit_sink::read_segment_or_archive`] decompresses on

@@ -45,19 +45,19 @@
 //!   neighbors' handoff claims — never silently skipped.
 //!
 //! Storage is injectable through [`AuditStorage`], which is what the
-//! crash/fault-injection test suite drives: [`MemStorage`] can fail an
-//! append outright, persist a short write, die mid-batch or at a segment
-//! boundary like a killed process, or lose a head-sidecar rename the way
-//! an un-fsynced directory does — the same failure surface any
-//! checkpoint/WAL path has.
+//! crash/fault-injection test suite drives:
+//! [`testing::MemStorage`](crate::testing::MemStorage) runs one fault rule
+//! over every mutating call, so any append, segment open, head, archive
+//! or manifest write, or delete can fail, tear, kill the storage like a
+//! dead process, or report success without landing — the same failure
+//! surface any checkpoint/WAL path has.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -354,411 +354,6 @@ impl AuditStorage for FileStorage {
         FileStorage::open(&self.base)
             .ok()
             .map(|s| Box::new(s) as Box<dyn AuditStorage>)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// in-memory storage with fault injection
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct MemInner {
-    segments: BTreeMap<u64, Vec<u8>>,
-    active: Option<u64>,
-    head: Option<Vec<u8>>,
-    appends: u64,
-    /// Appends (0-based) at or beyond this index fail with nothing
-    /// persisted — a storage layer that starts erroring.
-    fail_appends_from: Option<u64>,
-    /// The next append persists only this many bytes, then errors — a
-    /// short write surfaced to the caller.
-    short_write_next: Option<usize>,
-    /// Total log size (summed across segments) is capped here: the append
-    /// that would cross it persists only up to the cap and the storage
-    /// dies — a process killed mid-batch, torn line and all.
-    kill_at_byte: Option<u64>,
-    /// Opening segment ids at or beyond this value creates the (empty)
-    /// segment and then kills the storage — a crash exactly at the
-    /// rotation boundary, after the dir entry, before the handoff.
-    kill_on_open_segment: Option<u64>,
-    /// Head-sidecar writes report success but do not persist — the
-    /// un-fsynced-directory rename that a power cut reverts.
-    revert_head_writes: bool,
-    /// Archive containers, keyed by segment id.
-    archives: BTreeMap<u64, Vec<u8>>,
-    /// The archive-manifest sidecar.
-    manifest: Option<Vec<u8>>,
-    /// Writing an archive for segment ids at or beyond this value kills
-    /// the storage with *nothing* persisted — a crash before the atomic
-    /// rename landed the container.
-    kill_on_archive_write: Option<u64>,
-    /// Removing the source file of segment ids at or beyond this value
-    /// kills the storage with the file *retained* — a crash after the
-    /// manifest committed but before the delete.
-    kill_on_source_delete: Option<u64>,
-    dead: bool,
-}
-
-impl MemInner {
-    fn total_len(&self) -> usize {
-        self.segments.values().map(Vec::len).sum()
-    }
-}
-
-fn dead_err() -> io::Error {
-    io::Error::new(io::ErrorKind::BrokenPipe, "storage dead")
-}
-
-/// In-memory [`AuditStorage`] shared through an `Arc`: cloning yields a
-/// second handle onto the *same* bytes, which is how tests "restart" a
-/// sink over whatever a fault left behind. Fault injection is explicit:
-/// [`fail_appends_from`](MemStorage::fail_appends_from),
-/// [`short_write_next`](MemStorage::short_write_next),
-/// [`kill_at_byte`](MemStorage::kill_at_byte),
-/// [`kill_on_open_segment`](MemStorage::kill_on_open_segment), and
-/// [`revert_head_writes`](MemStorage::revert_head_writes).
-#[derive(Debug, Clone, Default)]
-pub struct MemStorage {
-    inner: Arc<Mutex<MemInner>>,
-}
-
-impl MemStorage {
-    /// Fresh, empty, fault-free storage.
-    pub fn new() -> Self {
-        MemStorage::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, MemInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Make append number `n` (0-based) and all later ones fail, persisting
-    /// nothing.
-    pub fn fail_appends_from(&self, n: u64) {
-        self.lock().fail_appends_from = Some(n);
-    }
-
-    /// Make the next append persist only the first `n` bytes, then error.
-    pub fn short_write_next(&self, n: usize) {
-        self.lock().short_write_next = Some(n);
-    }
-
-    /// Kill the storage once the log (summed across segments) reaches
-    /// `cap` total bytes: the crossing append persists a prefix up to the
-    /// cap (a torn line) and every operation after that fails, like a dead
-    /// process's fds.
-    pub fn kill_at_byte(&self, cap: u64) {
-        self.lock().kill_at_byte = Some(cap);
-    }
-
-    /// Kill the storage when segment `n` (or any later id) is opened: the
-    /// empty segment is created — the directory entry a real crash leaves
-    /// behind — but nothing is ever written to it.
-    pub fn kill_on_open_segment(&self, n: u64) {
-        self.lock().kill_on_open_segment = Some(n);
-    }
-
-    /// Make every subsequent head-sidecar write report success without
-    /// persisting — the rename a power cut reverts when the directory was
-    /// never fsynced (the pre-fix [`FileStorage`] behavior).
-    pub fn revert_head_writes(&self) {
-        self.lock().revert_head_writes = true;
-    }
-
-    /// Kill the storage when an archive for segment `n` (or any later id)
-    /// is written: the container never lands — a crash *before* the
-    /// atomic tmp+fsync+rename completed, so the original must survive.
-    pub fn kill_on_archive_write(&self, n: u64) {
-        self.lock().kill_on_archive_write = Some(n);
-    }
-
-    /// Kill the storage when segment `n`'s (or any later id's) source
-    /// file is removed: the file is retained — a crash *after* the
-    /// manifest commit but before the delete, so both copies survive.
-    pub fn kill_on_source_delete(&self, n: u64) {
-        self.lock().kill_on_source_delete = Some(n);
-    }
-
-    /// Clear all fault plans and revive a killed storage — the "restart".
-    pub fn restart(&self) -> MemStorage {
-        let mut g = self.lock();
-        g.fail_appends_from = None;
-        g.short_write_next = None;
-        g.kill_at_byte = None;
-        g.kill_on_open_segment = None;
-        g.revert_head_writes = false;
-        g.kill_on_archive_write = None;
-        g.kill_on_source_delete = None;
-        g.dead = false;
-        MemStorage {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-
-    /// All segments' bytes concatenated in segment order (inspection).
-    pub fn log_bytes(&self) -> Vec<u8> {
-        let g = self.lock();
-        let mut out = Vec::with_capacity(g.total_len());
-        for bytes in g.segments.values() {
-            out.extend_from_slice(bytes);
-        }
-        out
-    }
-
-    /// One segment's bytes, if it exists (inspection).
-    pub fn segment_bytes(&self, segment: u64) -> Option<Vec<u8>> {
-        self.lock().segments.get(&segment).cloned()
-    }
-
-    /// Segment ids currently present (inspection).
-    pub fn segment_ids(&self) -> Vec<u64> {
-        self.lock().segments.keys().copied().collect()
-    }
-
-    /// Delete a segment outright — the "operator removed a middle file"
-    /// fault. Returns whether it existed.
-    pub fn remove_segment(&self, segment: u64) -> bool {
-        self.lock().segments.remove(&segment).is_some()
-    }
-
-    /// Current persisted head bytes (inspection).
-    pub fn head_bytes(&self) -> Option<Vec<u8>> {
-        self.lock().head.clone()
-    }
-
-    /// Archived segment ids currently present (inspection).
-    pub fn archive_ids(&self) -> Vec<u64> {
-        self.lock().archives.keys().copied().collect()
-    }
-
-    /// One archive's container bytes, if it exists (inspection).
-    pub fn archive_bytes(&self, segment: u64) -> Option<Vec<u8>> {
-        self.lock().archives.get(&segment).cloned()
-    }
-
-    /// Delete an archive outright — the "operator removed an archive"
-    /// fault. Returns whether it existed.
-    pub fn remove_archive(&self, segment: u64) -> bool {
-        self.lock().archives.remove(&segment).is_some()
-    }
-
-    /// Overwrite an archive's bytes in place — the bit-rot fault the
-    /// archiver's read-back verification must catch. Returns whether the
-    /// archive existed.
-    pub fn corrupt_archive(&self, segment: u64, bytes: Vec<u8>) -> bool {
-        let mut g = self.lock();
-        match g.archives.get_mut(&segment) {
-            Some(slot) => {
-                *slot = bytes;
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-impl AuditStorage for MemStorage {
-    fn list_segments(&mut self) -> io::Result<Vec<u64>> {
-        let g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        Ok(g.segments.keys().copied().collect())
-    }
-
-    fn read_segment(&mut self, segment: u64) -> io::Result<Vec<u8>> {
-        let g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        g.segments
-            .get(&segment)
-            .cloned()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such segment"))
-    }
-
-    fn open_segment(&mut self, segment: u64) -> io::Result<()> {
-        let mut g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        if matches!(g.kill_on_open_segment, Some(n) if segment >= n) {
-            // the boundary crash: the segment's directory entry exists,
-            // but the process died before writing its handoff record
-            g.segments.entry(segment).or_default();
-            g.dead = true;
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "killed at segment boundary",
-            ));
-        }
-        g.segments.entry(segment).or_default();
-        g.active = Some(segment);
-        Ok(())
-    }
-
-    fn append_log(&mut self, buf: &[u8]) -> io::Result<()> {
-        let mut g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        let this_append = g.appends;
-        g.appends += 1;
-        if matches!(g.fail_appends_from, Some(n) if this_append >= n) {
-            return Err(io::Error::other("injected append failure"));
-        }
-        let Some(active) = g.active else {
-            return Err(io::Error::other("no active segment"));
-        };
-        if let Some(n) = g.short_write_next.take() {
-            let n = n.min(buf.len());
-            let prefix = buf[..n].to_vec();
-            g.segments.entry(active).or_default().extend(prefix);
-            return Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                "injected short write",
-            ));
-        }
-        if let Some(cap) = g.kill_at_byte {
-            let room = (cap as usize).saturating_sub(g.total_len());
-            if buf.len() > room {
-                let prefix = buf[..room].to_vec();
-                g.segments.entry(active).or_default().extend(prefix);
-                g.dead = true;
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "killed mid-batch",
-                ));
-            }
-        }
-        g.segments.entry(active).or_default().extend_from_slice(buf);
-        Ok(())
-    }
-
-    fn truncate_segment(&mut self, segment: u64, len: u64) -> io::Result<()> {
-        let mut g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        match g.segments.get_mut(&segment) {
-            Some(bytes) => {
-                bytes.truncate(len as usize);
-                Ok(())
-            }
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "no such segment")),
-        }
-    }
-
-    fn sync_log(&mut self) -> io::Result<()> {
-        let g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        Ok(())
-    }
-
-    fn read_head(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        Ok(g.head.clone())
-    }
-
-    fn write_head(&mut self, buf: &[u8]) -> io::Result<()> {
-        let mut g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        if g.revert_head_writes {
-            // reports success; the bytes never land (reverted rename)
-            return Ok(());
-        }
-        g.head = Some(buf.to_vec());
-        Ok(())
-    }
-
-    fn list_archives(&mut self) -> io::Result<Vec<u64>> {
-        let g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        Ok(g.archives.keys().copied().collect())
-    }
-
-    fn read_archive(&mut self, segment: u64) -> io::Result<Vec<u8>> {
-        let g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        g.archives
-            .get(&segment)
-            .cloned()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such archive"))
-    }
-
-    fn write_archive(&mut self, segment: u64, buf: &[u8]) -> io::Result<()> {
-        let mut g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        if matches!(g.kill_on_archive_write, Some(n) if segment >= n) {
-            // the crash lands before the atomic rename: no container
-            // persists, and every later operation fails like dead fds
-            g.dead = true;
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "killed before archive rename",
-            ));
-        }
-        g.archives.insert(segment, buf.to_vec());
-        Ok(())
-    }
-
-    fn remove_segment_file(&mut self, segment: u64) -> io::Result<()> {
-        let mut g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        if matches!(g.kill_on_source_delete, Some(n) if segment >= n) {
-            // the crash lands after the manifest commit, before the
-            // delete: the original survives alongside its archive
-            g.dead = true;
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "killed before source delete",
-            ));
-        }
-        if g.active == Some(segment) {
-            return Err(io::Error::other("refusing to remove the active segment"));
-        }
-        match g.segments.remove(&segment) {
-            Some(_) => Ok(()),
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "no such segment")),
-        }
-    }
-
-    fn read_manifest(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        Ok(g.manifest.clone())
-    }
-
-    fn write_manifest(&mut self, buf: &[u8]) -> io::Result<()> {
-        let mut g = self.lock();
-        if g.dead {
-            return Err(dead_err());
-        }
-        g.manifest = Some(buf.to_vec());
-        Ok(())
-    }
-
-    fn archive_handle(&self) -> Option<Box<dyn AuditStorage>> {
-        // the same Arc: a kill knob kills both handles at once, exactly
-        // the way one dead process takes the writer and archiver together
-        Some(Box::new(self.clone()))
     }
 }
 
@@ -1738,6 +1333,7 @@ pub fn parse_log(bytes: &[u8]) -> Vec<AuditEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{Fault, MemStorage, Op};
     use fact_transparency::audit::verify_chain_from;
 
     fn flagged(shard: usize, key: u64) -> AuditEvent {
@@ -1834,7 +1430,8 @@ mod tests {
     #[test]
     fn append_failure_poisons_but_does_not_wedge() {
         let storage = MemStorage::new();
-        storage.fail_appends_from(1); // sink_start succeeds, then failure
+        // sink_start succeeds, then every append fails
+        storage.inject(|op| matches!(op, Op::Append { index: 1.., .. }).then_some(Fault::Fail(0)));
         let sink = open_mem(&storage, 2);
         let h = sink.handle();
         for k in 0..20 {

@@ -44,7 +44,8 @@
 //!   [`DegradePolicy`]: keep serving but flag decisions for audit, or
 //!   hard-reject until the cooldown passes — responsibility degrades the
 //!   service, never silently disables itself.
-//! * **Observability** — a lock-free [`MetricsRegistry`]: relaxed-atomic
+//! * **Observability** — a lock-free
+//!   [`MetricsRegistry`](metrics::MetricsRegistry): relaxed-atomic
 //!   counters, log-linear latency buckets (4 linear sub-buckets per
 //!   octave) with p50/p95/p99, per-shard queue depth and shed/timeout
 //!   counts, rendered as text.
@@ -97,37 +98,35 @@ pub mod metrics;
 pub mod reshard;
 pub mod service;
 pub mod source;
+pub mod testing;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 pub use archive::{
     decode_archive, encode_archive, run_once as archive_run_once, ArchiveConfig, ArchiveManifest,
-    ArchivePassReport, ArchiveRecord, ArchiveSnapshot, ArchiveStats, Archiver,
+    ArchiveStats,
 };
 pub use audit_sink::{
     read_segment_or_archive, verify_all_segments, verify_segment, AuditEvent, AuditSink,
-    AuditSinkConfig, AuditSinkHandle, AuditStorage, FileStorage, MemStorage, RecoveryReport,
-    SegmentAudit, SinkReport,
+    AuditSinkConfig, AuditSinkHandle, AuditStorage, FileStorage, SinkReport,
 };
-pub use cache::{CacheConfig, CachedFeatureSource, Clock, ManualClock, SystemClock};
+pub use cache::{CacheConfig, CachedFeatureSource, Clock, ManualClock};
 pub use checkpoint::{
     checkpoint_path, load_checkpoint, write_checkpoint, CheckpointConfig, GuardCheckpoint,
     LedgerEntry,
 };
-pub use guards::{AlertKind, DegradePolicy, GuardConfig, ServiceAlert};
-pub use metrics::{
-    AdmissionSnapshot, AdmissionStats, CacheSnapshot, CacheStats, LatencyHistogram,
-    MetricsRegistry, MetricsSnapshot, ShardSnapshot, TenantSnapshot,
-};
-pub use reshard::{transform_checkpoints, ReshardReport, TransformReport};
+pub use guards::{DegradePolicy, GuardConfig};
+pub use metrics::{AdmissionStats, MetricsSnapshot, ShardSnapshot};
+pub use reshard::transform_checkpoints;
 pub use service::{
-    Decision, DecisionHandle, DecisionRequest, DecisionService, NetShardHandler, RemoteShardReport,
-    ServeConfig, ServeError, ServiceReport, ShardReport, ShardSlot,
+    Decision, DecisionHandle, DecisionRequest, DecisionService, NetShardHandler, ServeConfig,
+    ServeError, ServiceReport, ShardSlot,
 };
 pub use source::{FailingFeatureSource, FeatureSource, InlineFeatures, SimulatedRemoteSource};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::MemStorage;
     use fact_data::{Matrix, Result};
     use fact_ml::Classifier;
     use std::sync::atomic::{AtomicU64, Ordering};

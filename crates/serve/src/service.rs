@@ -1278,8 +1278,9 @@ impl DecisionService {
     /// rollout calls so decisions stop being served from pre-rollout
     /// features. Bumps the cache's generation counter; stale entries are
     /// dropped lazily on their next lookup (no stop-the-world sweep) and
-    /// counted in [`CacheStats`](crate::CacheStats) `invalidated`. Returns
-    /// `false` when no cache is configured (nothing to invalidate).
+    /// counted in [`CacheStats`](crate::metrics::CacheStats) `invalidated`.
+    /// Returns `false` when no cache is configured (nothing to
+    /// invalidate).
     pub fn invalidate_features(&self) -> bool {
         match &self.inner.cache {
             Some(cache) => {

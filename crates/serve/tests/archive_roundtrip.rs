@@ -10,9 +10,10 @@ use proptest::prelude::*;
 use proptest::prop::collection::vec as pvec;
 
 use fact_serve::audit_sink::parse_log;
+use fact_serve::testing::MemStorage;
 use fact_serve::{
     archive_run_once, decode_archive, encode_archive, read_segment_or_archive, verify_all_segments,
-    ArchiveConfig, ArchiveStats, AuditEvent, AuditSink, AuditSinkConfig, AuditStorage, MemStorage,
+    ArchiveConfig, ArchiveStats, AuditEvent, AuditSink, AuditSinkConfig, AuditStorage,
 };
 use fact_transparency::{verify_chain_from, ChainHead};
 

@@ -12,9 +12,10 @@ use std::time::Duration;
 
 use fact_data::{Matrix, Result};
 use fact_ml::Classifier;
+use fact_serve::testing::MemStorage;
 use fact_serve::{
     CacheConfig, Decision, DecisionRequest, DecisionService, DegradePolicy, FailingFeatureSource,
-    FeatureSource, GuardConfig, InlineFeatures, MemStorage, ServeConfig, ServeError,
+    FeatureSource, GuardConfig, InlineFeatures, ServeConfig, ServeError,
 };
 
 /// Probability = first feature, clamped.

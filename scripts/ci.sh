@@ -64,6 +64,9 @@
 #  17. harness-kit check      no experiment binary or root integration test
 #                             defines a helper fact_bench::kit owns again
 #                             (worker spawn, models, lending workloads)
+#  18. surface report         non-test LoC and crate-root `pub use` names
+#                             per crate (scripts/surface.sh); report only,
+#                             it fails nothing
 #
 # Everything runs --offline: the workspace vendors its dependencies and
 # must build with no network.
@@ -153,5 +156,8 @@ if dups=$(grep -rnE "$kit_owned" crates/bench/src/bin tests); then
     exit 1
 fi
 echo "    no kit-owned helper redefined under crates/bench/src/bin or tests/"
+
+echo "==> surface report (non-test LoC and root exports per crate; report only)"
+scripts/surface.sh
 
 echo "==> ci.sh: all green"

@@ -1,9 +1,11 @@
 //! Crash/fault-injection suite for the durable audit sink.
 //!
-//! Every test drives the sink (or a whole audited `DecisionService`)
-//! against [`MemStorage`] faults — outright append failure, a short write,
-//! a kill mid-batch — then restarts over whatever the fault left behind
-//! and asserts the recovery contract:
+//! Every test drives the sink, the archiver or a whole audited
+//! `DecisionService` against a fault injected into [`MemStorage`] — one
+//! rule that may fail, tear, kill or lie about any mutating storage call:
+//! an append failure, a short write, a kill mid-batch or mid-roll, a
+//! reverted head rename, a crash at any archiver step — then restarts
+//! over whatever the fault left behind and asserts the recovery contract:
 //!
 //! * the persisted prefix always verifies as one hash chain from genesis;
 //! * a torn tail is truncated at the exact cut point, costing at most one
@@ -18,10 +20,11 @@ use std::time::{Duration, Instant};
 
 use bench::kit::{flagged, run_disparity, sink_config, PassThrough};
 use fact_serve::audit_sink::{parse_log, recover, AuditStorage};
+use fact_serve::testing::{kill_at_byte, Fault, MemStorage, Op};
 use fact_serve::{
     archive_run_once, encode_archive, read_segment_or_archive, verify_all_segments, ArchiveConfig,
     ArchiveManifest, ArchiveStats, AuditSink, AuditSinkConfig, AuditSinkHandle, DecisionService,
-    DegradePolicy, GuardConfig, InlineFeatures, MemStorage, ServeConfig,
+    DegradePolicy, GuardConfig, InlineFeatures, ServeConfig,
 };
 use fact_transparency::{verify_chain_from, AuditEntry, ChainHead};
 
@@ -73,7 +76,7 @@ fn kill_mid_batch_recovery_is_deterministic() {
     feed_and_settle(&sink, &handle, 0..8);
     let synced_len = storage.log_bytes().len();
     let synced_entries = parse_log(&storage.log_bytes()).len();
-    storage.kill_at_byte(synced_len as u64 + 300);
+    storage.inject(kill_at_byte(synced_len as u64 + 300));
     for k in 8..12 {
         handle.record(flagged(k));
     }
@@ -152,7 +155,7 @@ fn append_failure_preserves_the_synced_prefix() {
     let good = parse_log(&storage.log_bytes()).len();
     // every append from here on fails, persisting nothing; don't wait for
     // a settle that can never come — finish() flushes and surfaces it
-    storage.fail_appends_from(0);
+    storage.inject(|op| matches!(op, Op::Append { .. }).then_some(Fault::Fail(0)));
     for k in 4..12 {
         handle.record(flagged(k));
     }
@@ -175,7 +178,11 @@ fn short_write_tears_one_line_and_recovery_cuts_it() {
     let good_len = storage.log_bytes().len();
     let good = parse_log(&storage.log_bytes()).len();
     // next batch persists 20 bytes of its first line, then errors
-    storage.short_write_next(20);
+    let mut short = Some(Fault::Fail(20));
+    storage.inject(move |op| match op {
+        Op::Append { .. } => short.take(),
+        _ => None,
+    });
     for k in 4..8 {
         handle.record(flagged(k));
     }
@@ -311,7 +318,7 @@ fn kill_mid_handoff_record_falls_back_one_segment_without_silent_loss() {
     let sink = open_rotating(&storage, 2);
     let handle = sink.handle();
     let segments_before = storage.segment_ids().len();
-    storage.kill_at_byte(storage.log_bytes().len() as u64 + 10);
+    storage.inject(kill_at_byte(storage.log_bytes().len() as u64 + 10));
     for k in 100..102 {
         handle.record(flagged(k));
     }
@@ -348,6 +355,52 @@ fn kill_mid_handoff_record_falls_back_one_segment_without_silent_loss() {
     for (id, verdict) in &audit.segments {
         assert!(verdict.is_ok(), "segment {id} must verify: {verdict:?}");
     }
+    verified_entries(&storage);
+}
+
+#[test]
+fn kill_after_roll_creates_the_segment_falls_back_over_the_empty_segment() {
+    let storage = MemStorage::new();
+    build_segmented_log(&storage, 3);
+    let newest = *storage.segment_ids().last().unwrap();
+
+    // run 2: the first flush rolls (the active segment is over the 1-byte
+    // cap). The storage dies right after the roll creates the new
+    // segment's directory entry, before its handoff record is written.
+    storage.inject(move |op| matches!(op, Op::Open(id) if id > newest).then_some(Fault::Kill(1)));
+    let sink = open_rotating(&storage, 2);
+    let handle = sink.handle();
+    for k in 100..102 {
+        handle.record(flagged(k));
+    }
+    drop(handle);
+    let killed = sink.finish();
+    assert!(killed.io_errors >= 1, "the kill must surface: {killed:?}");
+    assert_eq!(
+        storage.segment_bytes(newest + 1),
+        Some(Vec::new()),
+        "the roll left an empty newest segment"
+    );
+
+    // run 3: recovery falls back over the empty segment to the one before
+    // it; nothing promised is missing and nothing needs cutting
+    let storage = storage.restart();
+    let sink = open_rotating(&storage, 2);
+    let rec = sink.recovery().clone();
+    assert!(rec.needs_handoff, "{rec:?}");
+    assert_eq!(rec.replayed_segments, 2, "{rec:?}");
+    assert_eq!(rec.lost, 0, "{rec:?}");
+    assert_eq!(rec.truncated_bytes, 0, "{rec:?}");
+
+    // resume: the re-opened segment gets its handoff and the history
+    // stays one continuous chain
+    let handle = sink.handle();
+    feed_and_settle(&sink, &handle, 200..204);
+    drop(handle);
+    sink.finish();
+    let mut probe: Box<dyn AuditStorage> = Box::new(storage.clone());
+    let audit = verify_all_segments(probe.as_mut()).unwrap();
+    assert!(audit.continuous, "{audit:?}");
     verified_entries(&storage);
 }
 
@@ -427,7 +480,7 @@ fn head_sidecar_stale_by_a_segment_is_lag_not_loss() {
     // from here every head rename silently reverts (the failure mode the
     // missing parent-dir fsync allowed): more segments land, but the
     // sidecar stays a full segment behind
-    storage.revert_head_writes();
+    storage.inject(|op| (op == Op::WriteHead).then_some(Fault::Lie(0)));
     {
         let sink = open_rotating(&storage, 2);
         let handle = sink.handle();
@@ -492,7 +545,7 @@ fn audited_service_survives_a_storage_kill_and_restart_verifies() {
     // let some audit batches land, then schedule the kill
     let served_warmup = run_disparity(&service, 200);
     assert_eq!(served_warmup, 200);
-    storage.kill_at_byte(storage.log_bytes().len() as u64 + 120);
+    storage.inject(kill_at_byte(storage.log_bytes().len() as u64 + 120));
     let served_after = run_disparity(&service, 200);
     assert_eq!(served_after, 200, "a dead audit disk must not stop serving");
     let report = service.shutdown();
@@ -535,10 +588,13 @@ fn audited_service_survives_a_storage_kill_and_restart_verifies() {
 // re-verify → commit → delete protocol must leave each segment as the
 // original xor a verified archive — never neither — and a restarted
 // archiver must converge without losing or double-counting an entry.
-// Faults come from MemStorage's kill knobs (`kill_on_archive_write` fires
-// before the atomic rename lands the container; `kill_on_source_delete`
-// fires after the manifest commit, with the source retained), which share
-// one Arc with the writer — one kill takes both down, like a dead process.
+// Each crash is one injected rule keyed on the archiver's storage call:
+// `Kill(0)` at `WriteArchive` is a crash before the atomic rename lands
+// the container, at `WriteManifest` a crash after it landed but before
+// the commit, at `Remove` a crash after the commit with the source
+// retained; `Lie` at `WriteArchive` is a disk that reports a torn
+// container as written. The storage shares one Arc with the writer — one
+// kill takes both down, like a dead process.
 
 fn retain_none() -> ArchiveConfig {
     ArchiveConfig {
@@ -578,7 +634,7 @@ fn crash_before_archive_rename_leaves_the_original_intact() {
 
     // the kill fires inside write_archive for `victim`: the container
     // never lands (crash before the atomic rename), storage dies
-    storage.kill_on_archive_write(victim);
+    storage.inject(move |op| (op == Op::WriteArchive(victim)).then_some(Fault::Kill(0)));
     let stats = ArchiveStats::default();
     let mut probe: Box<dyn AuditStorage> = Box::new(storage.clone());
     archive_run_once(probe.as_mut(), &retain_none(), newest, &stats)
@@ -618,7 +674,7 @@ fn crash_before_source_delete_completes_without_double_counting() {
 
     // the kill fires inside remove_segment_file for `victim`: the archive
     // landed and the manifest committed, but the original survives
-    storage.kill_on_source_delete(victim);
+    storage.inject(move |op| (op == Op::Remove(victim)).then_some(Fault::Kill(0)));
     let stats = ArchiveStats::default();
     let mut probe: Box<dyn AuditStorage> = Box::new(storage.clone());
     archive_run_once(probe.as_mut(), &retain_none(), newest, &stats)
@@ -644,6 +700,93 @@ fn crash_before_source_delete_completes_without_double_counting() {
         archived_before + pass.archived.len() as u64,
         "a completed handoff must not re-count the victim"
     );
+    assert!(!storage.segment_ids().contains(&victim));
+    assert_eq!(
+        read_segment_or_archive(probe2.as_mut(), victim).unwrap(),
+        original
+    );
+    assert_whole_chain(&storage, total);
+}
+
+#[test]
+fn crash_before_manifest_commit_adopts_the_landed_archive_once() {
+    let storage = MemStorage::new();
+    build_segmented_log(&storage, 4);
+    let live = storage.segment_ids();
+    let newest = *live.last().unwrap();
+    let victim = live[1];
+    let original = storage.segment_bytes(victim).unwrap();
+    let total = parse_log(&storage.log_bytes()).len();
+
+    // the kill fires at the manifest write that follows the victim's
+    // container: the archive landed, its commit never did
+    let mut victim_written = false;
+    storage.inject(move |op| {
+        victim_written |= op == Op::WriteArchive(victim);
+        (victim_written && op == Op::WriteManifest).then_some(Fault::Kill(0))
+    });
+    let stats = ArchiveStats::default();
+    let mut probe: Box<dyn AuditStorage> = Box::new(storage.clone());
+    archive_run_once(probe.as_mut(), &retain_none(), newest, &stats)
+        .expect_err("the kill must surface as an error");
+    assert!(storage.segment_ids().contains(&victim));
+    assert!(storage.archive_ids().contains(&victim));
+    let revived = storage.restart();
+    let mut probe2: Box<dyn AuditStorage> = Box::new(revived.clone());
+    let manifest = ArchiveManifest::load(probe2.as_mut()).unwrap();
+    assert!(manifest.record(victim).is_none(), "the commit never landed");
+
+    // restart: the pass adopts the landed container (a second write of it
+    // would fail the pass) and commits it, counting the victim once
+    revived.inject(move |op| (op == Op::WriteArchive(victim)).then_some(Fault::Fail(0)));
+    let pass = archive_run_once(probe2.as_mut(), &retain_none(), newest, &stats).unwrap();
+    assert!(pass.archived.contains(&victim), "{pass:?}");
+    assert!(!pass.completed.contains(&victim), "{pass:?}");
+    assert_eq!(
+        stats.snapshot().segments_archived,
+        storage.archive_ids().len() as u64,
+        "every archive is counted exactly once"
+    );
+    let manifest = ArchiveManifest::load(probe2.as_mut()).unwrap();
+    assert!(manifest.record(victim).is_some(), "{manifest:?}");
+    assert!(!storage.segment_ids().contains(&victim));
+    assert_eq!(
+        read_segment_or_archive(probe2.as_mut(), victim).unwrap(),
+        original
+    );
+    assert_whole_chain(&storage, total);
+}
+
+#[test]
+fn torn_archive_reported_as_written_is_skipped_then_rearchived() {
+    let storage = MemStorage::new();
+    build_segmented_log(&storage, 4);
+    let live = storage.segment_ids();
+    let newest = *live.last().unwrap();
+    let victim = live[1];
+    let original = storage.segment_bytes(victim).unwrap();
+    let total = parse_log(&storage.log_bytes()).len();
+
+    // the disk reports the victim's container written but keeps only its
+    // first 16 bytes: step 4's read-back must catch it
+    storage.inject(move |op| (op == Op::WriteArchive(victim)).then_some(Fault::Lie(16)));
+    let stats = ArchiveStats::default();
+    let mut probe: Box<dyn AuditStorage> = Box::new(storage.clone());
+    let pass = archive_run_once(probe.as_mut(), &retain_none(), newest, &stats).unwrap();
+    assert!(pass.skipped.contains(&victim), "{pass:?}");
+    assert!(!pass.archived.contains(&victim), "{pass:?}");
+    assert_eq!(stats.snapshot().verify_failures, 1);
+    assert_eq!(probe.read_archive(victim).unwrap().len(), 16);
+    assert_eq!(storage.segment_bytes(victim).unwrap(), original);
+    let manifest = ArchiveManifest::load(probe.as_mut()).unwrap();
+    assert!(manifest.record(victim).is_none(), "{manifest:?}");
+
+    // the next clean pass replaces the torn container and archives it
+    let revived = storage.restart();
+    let mut probe2: Box<dyn AuditStorage> = Box::new(revived.clone());
+    let pass = archive_run_once(probe2.as_mut(), &retain_none(), newest, &stats).unwrap();
+    assert!(pass.archived.contains(&victim), "{pass:?}");
+    assert!(pass.skipped.is_empty(), "{pass:?}");
     assert!(!storage.segment_ids().contains(&victim));
     assert_eq!(
         read_segment_or_archive(probe2.as_mut(), victim).unwrap(),
