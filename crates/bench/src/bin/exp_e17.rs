@@ -15,7 +15,10 @@
 //!    the stored bytes; a selective range predicate on a monotonic column
 //!    must let the per-segment zone maps **prove away at least half the
 //!    segments**, asserted on the bytes-read counters the scan reports.
-//! 3. **Determinism** — materializing the set and aggregating under the
+//! 3. **Intersectional cells** — `intersectional_audit_segments` over
+//!    group × gender must report exactly the in-memory audit's cells while
+//!    reading under half the stored bytes.
+//! 4. **Determinism** — materializing the set and aggregating under the
 //!    predicate must be bit-identical at 1/2/4 `fact_par` workers.
 //!
 //! `--smoke` runs a small dataset in debug builds for CI: all correctness
@@ -30,6 +33,7 @@ use fact_data::agg::{aggregate, aggregate_segments, AggFn, AggSpec};
 use fact_data::bias::{group_rates, group_rates_segments};
 use fact_data::column::ColumnData;
 use fact_data::{Column, Dataset, Predicate, Result, SegmentWriteConfig};
+use fact_fairness::intersectional::{intersectional_audit, intersectional_audit_segments};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,6 +62,8 @@ const SMOKE: Sizes = Sizes {
 };
 
 const GROUPS: [&str; 6] = ["asia", "europe", "africa", "americas", "oceania", "other"];
+const GENDERS: [&str; 3] = ["f", "m", "x"];
+const ATTRIBUTES: [&str; 2] = ["group", "gender"];
 
 /// The group-by engine as it stood before the segment storage landed: string
 /// group keys materialized per row, then a `take()` **clone of the column per
@@ -103,20 +109,26 @@ fn rowish_aggregate(ds: &Dataset, key: &str, specs: &[AggSpec<'_>]) -> Result<Da
     Ok(out)
 }
 
-/// A wide dataset: one categorical group, a monotonic event-time column
-/// (the zone-map pruning target), a score, a bool outcome, and a wall of
-/// filler features nobody's audit reads.
+/// A wide dataset: two categoricals (group, gender), a monotonic
+/// event-time column (the zone-map pruning target), a score, a bool
+/// outcome, and a wall of filler features nobody's audit reads.
 fn wide_dataset(s: &Sizes, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = s.rows;
     let groups: Vec<&str> = (0..n)
         .map(|_| GROUPS[rng.gen_range(0..GROUPS.len())])
         .collect();
+    // its own stream, so every other column keeps its values
+    let mut gender_rng = StdRng::seed_from_u64(seed ^ 0x6e);
+    let genders: Vec<&str> = (0..n)
+        .map(|_| GENDERS[gender_rng.gen_range(0..GENDERS.len())])
+        .collect();
     let ts: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let score: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
     let won: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
     let mut b = Dataset::builder()
         .cat("group", &groups)
+        .cat("gender", &genders)
         .f64("ts", ts)
         .f64("score", score)
         .boolean("won", won);
@@ -288,7 +300,25 @@ fn main() {
     assert_eq!(rates, mem_rates, "probe parity under the predicate");
     assert!(rate_stats.segments_pruned * 2 >= n_seg);
 
-    // -- 3. bit-identity at 1/2/4 workers --
+    // -- 3. intersectional cells stream from the segments: the in-memory
+    // audit's report, from the three audited columns' bytes --
+    let won = ds.bool_column("won").expect("won column").to_vec();
+    let mem_inter =
+        intersectional_audit(&ds, &won, &ATTRIBUTES, 30).expect("in-memory intersectional");
+    let (seg_inter, inter_stats) = intersectional_audit_segments(&set, "won", &ATTRIBUTES, 30)
+        .expect("segment intersectional");
+    assert_eq!(
+        seg_inter, mem_inter,
+        "intersectional cells over segments must equal the in-memory audit"
+    );
+    assert!(
+        inter_stats.bytes_read * 2 < inter_stats.bytes_total,
+        "intersectional audit read {} of {} bytes — must be under half",
+        inter_stats.bytes_read,
+        inter_stats.bytes_total
+    );
+
+    // -- 4. bit-identity at 1/2/4 workers --
     let mut prints: Vec<(Vec<u64>, Vec<u64>)> = Vec::new();
     for workers in [1usize, 2, 4] {
         fact_par::set_workers(workers);
@@ -345,6 +375,14 @@ fn main() {
         format!("{}", zone_stats.rows_matched),
     );
     push(
+        "intersectional cells segments = memory",
+        format!("{} PASS", seg_inter.subgroups.len()),
+    );
+    push(
+        "intersectional bytes read / stored",
+        format!("{} / {}", inter_stats.bytes_read, inter_stats.bytes_total),
+    );
+    push(
         "bit-identical @ 1/2/4 workers",
         (if workers_identical { "PASS" } else { "FAIL" }).to_string(),
     );
@@ -360,10 +398,12 @@ fn main() {
         "\nsegment group-by runs {speedup:.2}x the pre-PR row-ish engine (the rewritten \
          in-memory aggregate is at {:.2}x); a 2-column scan reads \
          {:.1}% of stored bytes; zone maps prune {}/{n_seg} segments under a 10% range \
-         predicate; outputs bit-identical at 1/2/4 workers\n",
+         predicate; the group x gender intersectional audit matches memory cell for cell \
+         reading {:.1}% of stored bytes; outputs bit-identical at 1/2/4 workers\n",
         rowish_ms / mem_ms.max(1e-9),
         col_fraction * 100.0,
         zone_stats.segments_pruned,
+        inter_stats.bytes_read as f64 / inter_stats.bytes_total as f64 * 100.0,
     );
     print!("{summary}");
     out.push_str(&summary);

@@ -195,6 +195,12 @@ impl Column {
         self.validity.as_ref().map(|m| !m[i]).unwrap_or(false)
     }
 
+    /// The validity mask (`false` = null), or `None` when every row is
+    /// present.
+    pub fn validity(&self) -> Option<&[bool]> {
+        self.validity.as_deref()
+    }
+
     /// Count of null rows.
     pub fn null_count(&self) -> usize {
         self.validity
@@ -287,6 +293,11 @@ impl Column {
     }
 
     /// Materialize labels for a categorical column.
+    ///
+    /// The validity mask is ignored: a null slot yields the label of the
+    /// placeholder code stored under it, indistinguishable from a real
+    /// value. Check [`Column::is_null`] alongside, or count on
+    /// [`Column::as_cat`] codes and skip nulls.
     pub fn to_labels(&self) -> Result<Vec<String>> {
         let c = self.as_cat()?;
         Ok((0..self.len()).map(|i| c.label(i).to_string()).collect())

@@ -193,6 +193,9 @@ impl Dataset {
     }
 
     /// Convenience: materialize a named categorical column's labels.
+    ///
+    /// Like [`Column::to_labels`], this ignores the validity mask: a null
+    /// slot yields its placeholder code's label.
     pub fn labels(&self, name: &str) -> Result<Vec<String>> {
         self.column(name)?.to_labels().map_err(|e| match e {
             FactError::TypeMismatch {

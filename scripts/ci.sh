@@ -38,7 +38,10 @@
 #                             bit-identical at 1/2/4 workers, zone maps
 #                             prune >=half the segments under a selective
 #                             predicate, column-pruned scans read <half
-#                             the stored bytes (byte-counter asserts)
+#                             the stored bytes (byte-counter asserts),
+#                             and the intersectional audit over segments
+#                             equals the in-memory one while reading
+#                             <half the stored bytes
 #  13. exp_e18 --smoke        adaptive admission: open-loop overload where
 #                             the static queue bound blows p99 >=4x past
 #                             target while the AIMD controller holds <=2x,
@@ -110,7 +113,7 @@ echo "==> exp_e16 --smoke (cross-process checkpoint-resume gate)"
 cargo build --offline -q -p responsible-data-science --bin fact-shardd
 cargo run --offline -q -p fact-bench --bin exp_e16 -- --smoke
 
-echo "==> exp_e17 --smoke (columnar-segment pruning + determinism gate)"
+echo "==> exp_e17 --smoke (columnar-segment pruning + intersectional + determinism gate)"
 cargo run --offline -q -p fact-bench --bin exp_e17 -- --smoke
 
 echo "==> exp_e18 --smoke (adaptive-admission overload + fairness gate)"
