@@ -12,8 +12,6 @@
 //! * [`GuardedStream`] — composes the guards plus audit sampling, and counts
 //!   work done so experiment E9 can price the overhead of responsibility.
 
-use std::collections::VecDeque;
-
 use fact_data::stream::Event;
 use fact_data::{FactError, Result};
 
@@ -52,14 +50,34 @@ pub enum Alert {
     Drift(DriftAlert),
 }
 
+/// Relative margin around the division-free DI comparison inside which the
+/// verdict falls back to the division form (see
+/// [`StreamingFairnessMonitor::record`]).
+const DI_MARGIN: f64 = 1e-12;
+
+/// Window code bits: bit 1 = group B, bit 0 = favorable.
+const CODE_GROUP_B: u8 = 0b10;
+const CODE_FAVORABLE: u8 = 0b01;
+
 /// O(1)-per-event sliding-window fairness monitor.
+///
+/// The window is a byte ring of 2-bit codes (bit 1 = group B, bit 0 =
+/// favorable) and three running counters: group-B events `n_b`, favorable
+/// group-A events `p_a` and favorable group-B events `p_b` (group A's size
+/// is `len − n_b`). Code 0 (group A, unfavorable) touches none of the
+/// counters, so the zeroed ring of a filling window needs no special case.
 #[derive(Debug)]
 pub struct StreamingFairnessMonitor {
     window: usize,
     min_di: f64,
     min_samples_per_group: usize,
-    events: VecDeque<(bool, bool)>, // (group_b, favorable)
-    counts: [[usize; 2]; 2],        // [group][favorable]
+    ring: Vec<u8>,
+    /// Next slot to write; the oldest event once the window is full.
+    head: usize,
+    len: usize,
+    n_b: usize,
+    p_a: usize,
+    p_b: usize,
 }
 
 impl StreamingFairnessMonitor {
@@ -75,85 +93,157 @@ impl StreamingFairnessMonitor {
             window,
             min_di,
             min_samples_per_group,
-            events: VecDeque::with_capacity(window),
-            counts: [[0; 2]; 2],
+            ring: vec![0; window],
+            head: 0,
+            len: 0,
+            n_b: 0,
+            p_a: 0,
+            p_b: 0,
         })
     }
 
     /// Ingest one event; returns an alert when the window shows disparity.
     pub fn observe(&mut self, group_b: bool, favorable: bool) -> Option<Alert> {
-        if self.events.len() == self.window {
-            if let Some((g, f)) = self.events.pop_front() {
-                self.counts[usize::from(g)][usize::from(f)] -= 1;
+        self.record(group_b, favorable).then(|| self.alert())
+    }
+
+    /// Ingest one event and return the window's verdict: `true` when it
+    /// shows disparity, exactly when [`observe`](Self::observe) would
+    /// return an alert. The alert itself is built only on request, by
+    /// [`alert`](Self::alert).
+    ///
+    /// The verdict compares the integer products `p_b·n_a` and
+    /// `min_di·p_a·n_b` instead of dividing. Outside a 1e-12 relative
+    /// margin that comparison agrees with the division form
+    /// `rate_b / rate_a < min_di`, whose rounding error is a few ulps;
+    /// inside the margin, and when a rate is zero or a group empty, the
+    /// division form itself decides. The verdict is therefore the division
+    /// form's, bit for bit.
+    #[inline]
+    pub fn record(&mut self, group_b: bool, favorable: bool) -> bool {
+        let code = (u8::from(group_b) << 1) | u8::from(favorable);
+        // before the window fills, the slot holds code 0, which counts
+        // toward nothing
+        let old = std::mem::replace(&mut self.ring[self.head], code);
+        self.head += 1;
+        if self.head == self.window {
+            self.head = 0;
+        }
+        self.len += usize::from(self.len < self.window);
+        let (g_new, a_new, b_new) = code_counts(code);
+        let (g_old, a_old, b_old) = code_counts(old);
+        self.n_b = self.n_b + g_new - g_old;
+        self.p_a = self.p_a + a_new - a_old;
+        self.p_b = self.p_b + b_new - b_old;
+
+        let n_a = self.len - self.n_b;
+        if n_a < self.min_samples_per_group || self.n_b < self.min_samples_per_group {
+            return false;
+        }
+        if self.p_a > 0 && self.n_b > 0 {
+            // counts never exceed the window, whose ring fits in isize::MAX
+            // bytes, so the signed conversion is exact and one instruction
+            let f = |x: usize| x as i64 as f64;
+            let lhs = f(self.p_b) * f(n_a);
+            let rhs = self.min_di * (f(self.p_a) * f(self.n_b));
+            if lhs < rhs * (1.0 - DI_MARGIN) {
+                return true;
+            }
+            if lhs > rhs * (1.0 + DI_MARGIN) {
+                return false;
             }
         }
-        self.events.push_back((group_b, favorable));
-        self.counts[usize::from(group_b)][usize::from(favorable)] += 1;
+        self.division_verdict()
+    }
 
-        let n_a = self.counts[0][0] + self.counts[0][1];
-        let n_b = self.counts[1][0] + self.counts[1][1];
-        if n_a < self.min_samples_per_group || n_b < self.min_samples_per_group {
-            return None;
+    /// The verdict in its division form: DI is `rate_b / rate_a`. When
+    /// `rate_a == 0` the ratio is not finite: if `rate_b > 0` the window
+    /// shows total one-sided disparity (A never favored while B is) — the
+    /// worst case, which must alert rather than be masked; if both rates
+    /// are zero the window carries no evidence either way.
+    #[cold]
+    fn division_verdict(&self) -> bool {
+        let (rate_a, rate_b) = self.rates();
+        if rate_a > 0.0 {
+            rate_b / rate_a < self.min_di
+        } else {
+            rate_b > 0.0
         }
-        let rate_a = self.counts[0][1] as f64 / n_a as f64;
-        let rate_b = self.counts[1][1] as f64 / n_b as f64;
-        // DI is rate_b / rate_a. When rate_a == 0 the ratio is not finite:
-        // if rate_b > 0 the window shows total one-sided disparity (A never
-        // favored while B is) — the worst case, which must alert rather than
-        // be masked; if both rates are zero the window carries no evidence
-        // either way.
-        let di = if rate_a > 0.0 {
-            rate_b / rate_a
-        } else if rate_b > 0.0 {
-            f64::INFINITY
-        } else {
-            return None;
-        };
-        if di < self.min_di || di.is_infinite() {
-            Some(Alert::FairnessViolation {
-                rate_protected: rate_b,
-                rate_unprotected: rate_a,
-                disparate_impact: di,
-            })
-        } else {
-            None
+    }
+
+    /// Windowed favorable rates `(group A, group B)`; NaN for an empty
+    /// group.
+    fn rates(&self) -> (f64, f64) {
+        let n_a = self.len - self.n_b;
+        (
+            self.p_a as f64 / n_a as f64,
+            self.p_b as f64 / self.n_b as f64,
+        )
+    }
+
+    /// The [`Alert::FairnessViolation`] for the current window. Meaningful
+    /// right after [`record`](Self::record) returned `true`.
+    pub fn alert(&self) -> Alert {
+        let (rate_a, rate_b) = self.rates();
+        Alert::FairnessViolation {
+            rate_protected: rate_b,
+            rate_unprotected: rate_a,
+            disparate_impact: if rate_a > 0.0 {
+                rate_b / rate_a
+            } else {
+                f64::INFINITY
+            },
         }
     }
 
     /// Events currently held in the window.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.len
     }
 
     /// Whether the window is empty.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len == 0
     }
 
     /// Export the window contents as a mergeable [`WindowSummary`] at
     /// `segment_events` resolution — the checkpoint/merge form a shard
     /// serializes before shutdown and other shards can combine.
     pub fn summary(&self, segment_events: usize) -> Result<WindowSummary> {
-        WindowSummary::from_events(
-            self.window as u64,
-            segment_events as u64,
-            self.events.iter().copied(),
-        )
+        // oldest first: `ring[head..len]` is empty until the window has
+        // filled (then `head == len`), and the older half once it has
+        let events = self.ring[self.head..self.len]
+            .iter()
+            .chain(&self.ring[..self.head])
+            .map(|&c| (c & CODE_GROUP_B != 0, c & CODE_FAVORABLE != 0));
+        WindowSummary::from_events(self.window as u64, segment_events as u64, events)
     }
 
     /// Rebuild the window from a checkpointed summary by replaying its
-    /// resynthesized events (alerts raised during replay are discarded —
-    /// they were already raised, and acted on, before the checkpoint).
+    /// resynthesized events (verdicts during replay are discarded — their
+    /// alerts were already raised, and acted on, before the checkpoint).
     /// Window size, DI threshold and sample floor stay as constructed;
     /// per-segment counts are restored exactly, ordering within a segment
     /// is not (the documented one-segment resolution loss).
     pub fn restore(&mut self, summary: &WindowSummary) {
-        self.events.clear();
-        self.counts = [[0; 2]; 2];
+        self.ring.fill(0);
+        self.head = 0;
+        self.len = 0;
+        self.n_b = 0;
+        self.p_a = 0;
+        self.p_b = 0;
         for (group_b, favorable) in summary.events() {
-            let _ = self.observe(group_b, favorable);
+            self.record(group_b, favorable);
         }
     }
+}
+
+/// What one window code adds to the running counters `(n_b, p_a, p_b)`.
+#[inline]
+fn code_counts(code: u8) -> (usize, usize, usize) {
+    let g = usize::from(code >> 1);
+    let f = usize::from(code & CODE_FAVORABLE);
+    (g, f & (g ^ 1), f & g)
 }
 
 /// Periodic DP release of event counts under a shared budget.
@@ -186,11 +276,18 @@ impl StreamingDpCounter {
 
     /// Ingest one event; may emit a [`Alert::DpRelease`] (or a one-time
     /// [`Alert::BudgetExhausted`]).
+    #[inline]
     pub fn observe(&mut self, accountant: &mut PrivacyAccountant) -> Option<Alert> {
         self.pending += 1;
         if self.pending < self.interval {
             return None;
         }
+        self.release(accountant)
+    }
+
+    /// Close the interval: spend ε and release its noised count.
+    #[cold]
+    fn release(&mut self, accountant: &mut PrivacyAccountant) -> Option<Alert> {
         let count = self.pending;
         self.pending = 0;
         match accountant.spend(self.epsilon_per_release, 0.0, "stream dp count") {
@@ -224,10 +321,11 @@ impl StreamingDpCounter {
     }
 
     /// Restore checkpointed counter state: events pending since the last
-    /// release and the one-shot exhaustion flag. The noise RNG restarts from
-    /// the constructor seed — a restarted shard draws a fresh noise stream,
-    /// which is safe (DP noise must only be unpredictable, not continuous)
-    /// and keeps the checkpoint free of RNG internals.
+    /// release and the one-shot exhaustion flag. The checkpoint carries no
+    /// RNG state, so the noise RNG restarts from the constructor seed: a
+    /// shard restarted with the same seed replays the noise draws it made
+    /// before the checkpoint, and its post-restart releases reuse noise
+    /// values already published (see KNOWN_ISSUES.md).
     pub fn restore(&mut self, pending: usize, exhausted_reported: bool) {
         self.pending = pending;
         self.exhausted_reported = exhausted_reported;
@@ -244,7 +342,10 @@ pub struct GuardedStream {
     last_fairness_alert: Option<u64>,
     dp: Option<(StreamingDpCounter, PrivacyAccountant)>,
     drift: Option<DriftMonitor>,
+    /// Sample one audit entry per `audit_every` events; 0 = no auditing.
     audit_every: usize,
+    /// Events left until the next sampled audit entry.
+    audit_countdown: usize,
     /// Count of processed events.
     pub processed: u64,
     /// Count of audit-log entries that would be written (sampled).
@@ -266,6 +367,7 @@ impl GuardedStream {
             dp: None,
             drift: None,
             audit_every: 0,
+            audit_countdown: 0,
             processed: 0,
             audit_entries: 0,
             alerts: Vec::new(),
@@ -292,6 +394,7 @@ impl GuardedStream {
                 PrivacyAccountant::pure(epsilon_budget)?,
             )),
             audit_every: audit_every.max(1),
+            audit_countdown: audit_every.max(1),
             processed: 0,
             audit_entries: 0,
             alerts: Vec::new(),
@@ -310,14 +413,14 @@ impl GuardedStream {
         self.processed += 1;
         self.value_sum += event.value;
         if let Some(f) = &mut self.fairness {
-            if let Some(alert) = f.observe(event.group_b, event.decision_favorable) {
+            if f.record(event.group_b, event.decision_favorable) {
                 let due = match self.last_fairness_alert {
                     None => true,
                     Some(at) => self.processed - at >= self.fairness_cooldown,
                 };
                 if due {
                     self.last_fairness_alert = Some(self.processed);
-                    self.alerts.push(alert);
+                    self.alerts.push(f.alert());
                 }
             }
         }
@@ -331,8 +434,12 @@ impl GuardedStream {
                 self.alerts.push(Alert::Drift(alert));
             }
         }
-        if self.audit_every > 0 && self.processed.is_multiple_of(self.audit_every as u64) {
-            self.audit_entries += 1;
+        if self.audit_every > 0 {
+            self.audit_countdown -= 1;
+            if self.audit_countdown == 0 {
+                self.audit_countdown = self.audit_every;
+                self.audit_entries += 1;
+            }
         }
     }
 
@@ -460,6 +567,111 @@ mod tests {
         let a = m.observe(true, false);
         let b = restored.observe(true, false);
         assert_eq!(a.is_some(), b.is_some());
+    }
+
+    /// Feed `n` events of one group, the first `favorable` of them
+    /// favorable; returns the last event's alert.
+    fn feed(
+        m: &mut StreamingFairnessMonitor,
+        group_b: bool,
+        n: usize,
+        favorable: usize,
+    ) -> Option<Alert> {
+        (0..n).fold(None, |_, i| m.observe(group_b, i < favorable))
+    }
+
+    #[test]
+    fn window_exactly_at_min_di_does_not_alert() {
+        // rate_a = 5/10, rate_b = 4/10: DI is exactly 0.8
+        let mut m = StreamingFairnessMonitor::new(20, 0.8, 10).unwrap();
+        feed(&mut m, false, 10, 5);
+        assert_eq!(feed(&mut m, true, 10, 4), None);
+        // just above the same DI the window alerts, with the division
+        // form's rates and ratio
+        let mut m = StreamingFairnessMonitor::new(20, 0.81, 10).unwrap();
+        feed(&mut m, false, 10, 5);
+        let alert = feed(&mut m, true, 10, 4).expect("0.8 < 0.81");
+        let (rate_a, rate_b) = (5.0 / 10.0, 4.0 / 10.0);
+        assert_eq!(
+            alert,
+            Alert::FairnessViolation {
+                rate_protected: rate_b,
+                rate_unprotected: rate_a,
+                disparate_impact: rate_b / rate_a,
+            }
+        );
+    }
+
+    #[test]
+    fn unfavored_group_a_is_infinite_disparity() {
+        let mut m = StreamingFairnessMonitor::new(20, 0.8, 5).unwrap();
+        feed(&mut m, false, 5, 0);
+        let alert = feed(&mut m, true, 5, 1).expect("p_a = 0 < p_b alerts");
+        assert_eq!(
+            alert,
+            Alert::FairnessViolation {
+                rate_protected: 0.2,
+                rate_unprotected: 0.0,
+                disparate_impact: f64::INFINITY,
+            }
+        );
+        // with no favorable event in either group the window is silent
+        let mut m = StreamingFairnessMonitor::new(20, 0.8, 5).unwrap();
+        feed(&mut m, false, 5, 0);
+        assert_eq!(feed(&mut m, true, 5, 0), None);
+    }
+
+    #[test]
+    fn empty_group_without_a_sample_floor() {
+        // only group B: group A's rate is NaN, which reads as "A never
+        // favored" — infinite disparity once B is favored
+        let mut m = StreamingFairnessMonitor::new(10, 0.8, 0).unwrap();
+        match m.observe(true, true) {
+            Some(Alert::FairnessViolation {
+                rate_protected,
+                rate_unprotected,
+                disparate_impact,
+            }) => {
+                assert_eq!(rate_protected, 1.0);
+                assert!(rate_unprotected.is_nan());
+                assert_eq!(disparate_impact, f64::INFINITY);
+            }
+            other => panic!("expected an infinite-disparity alert, got {other:?}"),
+        }
+        // only group A: group B's rate is NaN and the window is silent
+        let mut m = StreamingFairnessMonitor::new(10, 0.8, 0).unwrap();
+        assert_eq!(feed(&mut m, false, 10, 10), None);
+        assert_eq!(m.observe(false, false), None);
+    }
+
+    #[test]
+    fn summary_restore_round_trip_after_the_ring_wraps() {
+        let mut m = StreamingFairnessMonitor::new(50, 0.8, 5).unwrap();
+        let events: Vec<(bool, bool)> = InternetMinute::new(12)
+            .with_disparity(0.9, 0.5)
+            .take(137)
+            .map(|ev| (ev.group_b, ev.decision_favorable))
+            .collect();
+        for &(g, f) in &events {
+            m.observe(g, f);
+        }
+        assert_eq!(m.len(), 50);
+        // one event per summary segment keeps the exact window order
+        let summary = m.summary(1).unwrap();
+        assert_eq!(summary.events(), events[events.len() - 50..]);
+
+        let mut restored = StreamingFairnessMonitor::new(50, 0.8, 5).unwrap();
+        restored.restore(&summary);
+        assert_eq!(restored.len(), 50);
+        assert_eq!(restored.summary(1).unwrap().counts(), summary.counts());
+        // the two windows evict the same events in the same order, so they
+        // agree on every later event
+        for ev in InternetMinute::new(13).with_disparity(0.9, 0.5).take(200) {
+            assert_eq!(
+                m.observe(ev.group_b, ev.decision_favorable),
+                restored.observe(ev.group_b, ev.decision_favorable)
+            );
+        }
     }
 
     #[test]

@@ -53,6 +53,20 @@ impl CatData {
     }
 }
 
+/// Check that every code in `codes` indexes an `n_labels`-entry dictionary,
+/// in one max-over-slice pass. An out-of-range code is
+/// [`FactError::Corrupt`]: consumers index tallies and dictionaries with
+/// codes checked here, never per row.
+pub fn check_codes(codes: &[u32], n_labels: usize) -> Result<()> {
+    let max = codes.iter().copied().fold(0, u32::max);
+    if !codes.is_empty() && max as usize >= n_labels {
+        return Err(FactError::Corrupt(format!(
+            "dictionary code {max} out of range for {n_labels} labels"
+        )));
+    }
+    Ok(())
+}
+
 /// The physical storage of a column.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {

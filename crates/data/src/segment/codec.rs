@@ -16,7 +16,7 @@
 //!   patterns, so `NaN` placeholders form runs like any other value;
 //! * **validity bitmap** — bit-packed like bools, `1` = value present.
 
-use crate::column::{CatData, Column, ColumnData};
+use crate::column::{check_codes, CatData, Column, ColumnData};
 use crate::error::{FactError, Result};
 
 /// How the writer decides between plain and run-length encoding.
@@ -291,12 +291,7 @@ pub fn rebuild_column(
         DecodedValues::Bool(v) => Column::from_bool(v),
         DecodedValues::Codes(codes) => {
             let dict = dict.ok_or_else(|| corrupt("categorical column without a dictionary"))?;
-            if let Some(&bad) = codes.iter().find(|&&c| c as usize >= dict.len()) {
-                return Err(corrupt(format!(
-                    "dictionary code {bad} out of range for {} labels",
-                    dict.len()
-                )));
-            }
+            check_codes(&codes, dict.len())?;
             Column::from_cat(CatData {
                 codes,
                 dict: dict.to_vec(),

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::column::Column;
+use crate::column::{check_codes, Column};
 use crate::error::{FactError, Result};
 use crate::frame::Dataset;
 use crate::schema::{Field, Schema};
@@ -329,7 +329,10 @@ impl SegmentSet {
     /// was pruned (or the set is empty).
     ///
     /// Segments run in parallel on [`fact_par::par_map`]; the ordered fold
-    /// makes the result bit-identical at any worker count.
+    /// makes the result bit-identical at any worker count. Every decoded
+    /// categorical column is checked against the manifest dictionary
+    /// before `map` sees it: an out-of-range code is
+    /// [`FactError::Corrupt`], so `map` may index with codes unchecked.
     pub fn scan_fold<T, M, R>(
         &self,
         columns: &[&str],
@@ -416,6 +419,10 @@ impl SegmentSet {
         for &name in decode {
             let (values, validity, bytes) = reader.read_column(name)?;
             scan.bytes_read += bytes;
+            // segment bodies carry no checksum
+            if let DecodedValues::Codes(codes) = &values {
+                check_codes(codes, self.dict(name)?.len())?;
+            }
             cols.push(BatchColumn {
                 name: name.to_string(),
                 values,

@@ -41,6 +41,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
+use fact_data::column::check_codes;
 use fact_data::segment::DecodedValues;
 use fact_data::{DataType, Dataset, FactError, Predicate, Result, ScanStats, SegmentSet};
 
@@ -127,6 +128,7 @@ pub fn intersectional_audit(
             },
             other => other,
         })?;
+        check_codes(&cat.codes, cat.dict.len())?;
         attrs.push(AttrCodes {
             codes: &cat.codes,
             validity: col.validity(),
@@ -141,9 +143,9 @@ pub fn intersectional_audit(
         pred.len(),
         512,
         |rows| Tally::count(&layout, &attrs, pred, None, rows),
-        |a, b| Ok(a?.merge(b?, &layout)),
+        |a, b| a.merge(b, &layout),
     )
-    .expect("non-empty input has a chunk")?;
+    .expect("non-empty input has a chunk");
     tally.finish(&layout, &dicts, attributes, min_cell)
 }
 
@@ -205,13 +207,13 @@ pub fn intersectional_audit_segments(
                 })
                 .collect::<Result<Vec<_>>>()?;
             // `Predicate::All` keeps every row of the batch
-            Tally::count(
+            Ok(Tally::count(
                 &layout,
                 &attrs,
                 pred,
                 pc.validity.as_deref(),
                 0..batch.n_rows,
-            )
+            ))
         },
         |a, b| a.merge(b, &layout),
     )?;
@@ -336,15 +338,15 @@ impl Tally {
 
     /// Count `rows`: each row's attribute codes pick its cell, and its
     /// prediction counts toward the cell's positives. A row with a null
-    /// attribute or prediction is skipped; a code outside its dictionary
-    /// is corruption.
+    /// attribute or prediction is skipped. Codes were checked against
+    /// their dictionaries before counting (segment codes by the scan).
     fn count(
         layout: &Layout,
         attrs: &[AttrCodes<'_>],
         pred: &[bool],
         pred_validity: Option<&[bool]>,
         rows: Range<usize>,
-    ) -> Result<Tally> {
+    ) -> Tally {
         let mut tally = Tally::new(layout, rows.len());
         let mut key = vec![0u32; attrs.len()];
         'rows: for i in rows {
@@ -352,18 +354,12 @@ impl Tally {
                 tally.skipped += 1;
                 continue;
             }
-            for ((slot, a), &r) in key.iter_mut().zip(attrs).zip(&layout.radix) {
+            for (slot, a) in key.iter_mut().zip(attrs) {
                 if a.validity.is_some_and(|v| !v[i]) {
                     tally.skipped += 1;
                     continue 'rows;
                 }
-                let code = a.codes[i];
-                if code as usize >= r {
-                    return Err(FactError::Corrupt(format!(
-                        "dictionary code {code} out of range for {r} labels"
-                    )));
-                }
-                *slot = code;
+                *slot = a.codes[i];
             }
             let cell = Cell {
                 n: 1,
@@ -371,7 +367,7 @@ impl Tally {
             };
             tally.table.add(layout, &key, cell);
         }
-        Ok(tally)
+        tally
     }
 
     /// Add two tallies. A sparse table only ever gains non-empty cells,
@@ -849,7 +845,7 @@ mod tests {
                 validity: None,
             })
             .collect();
-        let tally = Tally::count(&layout, &attrs, &[true; 511], None, 0..511).unwrap();
+        let tally = Tally::count(&layout, &attrs, &[true; 511], None, 0..511);
         match tally.table {
             Table::Sparse(map) => assert!(map.len() <= 511),
             Table::Dense(_) => panic!("511 rows cannot hold 512 dense cells"),

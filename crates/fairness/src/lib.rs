@@ -41,20 +41,39 @@ pub use summary::{SegmentCounts, WindowSummary};
 use fact_data::{Dataset, FactError, Result};
 
 /// Build a protected-group mask from a categorical column: `true` where the
-/// row's label equals `protected_label`.
+/// row's label equals `protected_label`. Rows are compared by dictionary
+/// code; a null row is never protected, whatever its placeholder code.
 pub fn protected_mask(ds: &Dataset, column: &str, protected_label: &str) -> Result<Vec<bool>> {
-    let labels = ds.labels(column)?;
-    if !labels.iter().any(|l| l == protected_label) {
+    let col = ds.column(column)?;
+    let cat = col.as_cat().map_err(|e| match e {
+        FactError::TypeMismatch {
+            expected, actual, ..
+        } => FactError::TypeMismatch {
+            column: column.to_string(),
+            expected,
+            actual,
+        },
+        other => other,
+    })?;
+    let mask: Vec<bool> = match cat.code_of(protected_label) {
+        Some(target) => cat
+            .codes
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| c == target && !col.is_null(i))
+            .collect(),
+        None => Vec::new(),
+    };
+    if !mask.contains(&true) {
         return Err(FactError::InvalidArgument(format!(
             "label '{protected_label}' does not occur in column '{column}'"
         )));
     }
-    Ok(labels.iter().map(|l| l == protected_label).collect())
+    Ok(mask)
 }
 
 /// [`protected_mask`] over an on-disk segment set: builds the mask from the
-/// single categorical column, reading nothing else. Rows are compared by
-/// dictionary code (no per-row label materialization); the mask is in
+/// single categorical column, reading nothing else. The mask is in
 /// segment/row order, matching `SegmentSet::to_dataset` row order.
 pub fn protected_mask_segments(
     set: &fact_data::SegmentSet,
@@ -62,28 +81,7 @@ pub fn protected_mask_segments(
     protected_label: &str,
 ) -> Result<(Vec<bool>, fact_data::ScanStats)> {
     let (ds, stats) = set.scan_columns(&[column], &fact_data::Predicate::All)?;
-    let col = ds.column(column)?;
-    let cat = col.as_cat()?;
-    let target = match cat.code_of(protected_label) {
-        Some(c) => c,
-        None => {
-            return Err(FactError::InvalidArgument(format!(
-                "label '{protected_label}' does not occur in column '{column}'"
-            )))
-        }
-    };
-    let mask: Vec<bool> = cat
-        .codes
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| !col.is_null(i) && c == target)
-        .collect();
-    if !mask.iter().any(|&m| m) {
-        return Err(FactError::InvalidArgument(format!(
-            "label '{protected_label}' does not occur in column '{column}'"
-        )));
-    }
-    Ok((mask, stats))
+    Ok((protected_mask(&ds, column, protected_label)?, stats))
 }
 
 #[cfg(test)]

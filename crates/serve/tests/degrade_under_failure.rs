@@ -10,6 +10,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use fact_core::runtime::Alert;
 use fact_data::{Matrix, Result};
 use fact_ml::Classifier;
 use fact_serve::testing::MemStorage;
@@ -329,4 +330,48 @@ fn slow_store_degrades_latency_not_correctness() {
     assert_eq!(source.failures(), 0);
     let report = service.shutdown();
     assert_eq!(report.decisions_served, 20);
+}
+
+#[test]
+fn every_forwarded_alert_is_audited_once_with_its_debug_summary() {
+    let storage = MemStorage::new();
+    let guards = GuardConfig {
+        dp_interval: 300,
+        ..quick_trip_guards()
+    };
+    let service = DecisionService::start_with_audit_storage(
+        Arc::new(PassThrough),
+        ServeConfig {
+            alert_debounce: 200,
+            ..config(DegradePolicy::AuditAndFlag, Some(guards))
+        },
+        Arc::new(InlineFeatures),
+        Box::new(storage.clone()),
+    )
+    .unwrap();
+    let results = run_traffic(&service, 2_000);
+    assert!(results.iter().all(|r| r.is_ok()));
+    let report = service.shutdown();
+    let forwarded = service.drain_alerts();
+    // the fairness guard trips on nearly every decision and the DP counter
+    // releases every 300: both kinds are debounced, neither is lost
+    assert!(forwarded
+        .iter()
+        .any(|a| matches!(a.alert, Alert::FairnessViolation { .. })));
+    assert!(forwarded
+        .iter()
+        .any(|a| matches!(a.alert, Alert::DpRelease { .. })));
+    assert_eq!(forwarded.len() as u64, report.alerts_raised);
+
+    let audited: Vec<String> = fact_serve::audit_sink::parse_log(&storage.log_bytes())
+        .into_iter()
+        .filter(|e| e.action == "guard_alert")
+        .map(|e| e.details)
+        .collect();
+    let expected: Vec<String> = forwarded
+        .iter()
+        .map(|a| format!("at={} {:?}", a.at_decision, a.alert))
+        .collect();
+    assert_eq!(audited.len() as u64, report.alerts_raised);
+    assert_eq!(audited, expected);
 }

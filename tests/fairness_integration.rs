@@ -2,15 +2,20 @@
 //! detection (fact-fairness metrics/proxy) → mitigation → re-audit,
 //! across multiple seeds.
 
-use fact_data::bias::{flip_labels_against_group, undersample_group};
+use bench::kit::ScratchDir;
+use fact_data::agg::{aggregate_segments, AggFn};
+use fact_data::bias::{flip_labels_against_group, group_rates_segments, undersample_group};
+use fact_data::segment::{RlePolicy, SegmentReader};
 use fact_data::split::train_test_split;
 use fact_data::synth::loans::{generate_loans, LoanConfig};
+use fact_data::{CatData, Column, Dataset, FactError, Predicate, SegmentSet, SegmentWriteConfig};
+use fact_fairness::intersectional::intersectional_audit_segments;
 use fact_fairness::metrics::{disparate_impact, statistical_parity_difference};
 use fact_fairness::mitigation::repair::repair_disparate_impact;
 use fact_fairness::mitigation::reweighing::reweighing_weights;
 use fact_fairness::mitigation::threshold::equalize_selection_rates;
-use fact_fairness::protected_mask;
 use fact_fairness::proxy::{flag_proxies, scan_proxies};
+use fact_fairness::{protected_mask, protected_mask_segments};
 use fact_ml::logistic::{LogisticConfig, LogisticRegression};
 use fact_ml::metrics::accuracy;
 use fact_ml::Classifier;
@@ -194,4 +199,79 @@ fn fairness_accuracy_tradeoff_is_monotone_in_repair_amount() {
     assert!(di1 > di0, "repair improves DI: {di0:.3} → {di1:.3}");
     // accuracy against (biased) labels may drop — that's the documented trade
     assert!(acc1 <= acc0 + 0.02);
+}
+
+#[test]
+fn protected_mask_never_marks_a_null_row_in_memory_or_on_disk() {
+    // rows 1 and 4 are null with placeholder code 1, the protected label's
+    let group = Column::from_cat(CatData {
+        codes: vec![0, 1, 1, 0, 1, 1, 0, 0],
+        dict: vec!["A".into(), "B".into()],
+    })
+    .with_validity(vec![true, false, true, true, false, true, true, true])
+    .unwrap();
+    let ds = Dataset::builder().column("group", group).build().unwrap();
+    let in_memory = protected_mask(&ds, "group", "B").unwrap();
+    assert_eq!(
+        in_memory,
+        vec![false, false, true, false, false, true, false, false]
+    );
+    let dir = ScratchDir::new("protected-mask-nulls");
+    let cfg = SegmentWriteConfig {
+        rows_per_segment: 3,
+        ..SegmentWriteConfig::default()
+    };
+    let set = ds.to_segments(dir.path(), &cfg).unwrap();
+    let (on_disk, _) = protected_mask_segments(&set, "group", "B").unwrap();
+    assert_eq!(on_disk, in_memory);
+}
+
+#[test]
+fn corrupt_segment_code_is_corruption_on_every_scan_path() {
+    let n = 64;
+    let groups: Vec<&str> = (0..n).map(|i| ["a", "b", "c"][i % 3]).collect();
+    let ds = Dataset::builder()
+        .cat("group", &groups)
+        .f64("score", (0..n).map(|i| i as f64).collect())
+        .boolean("won", (0..n).map(|i| i % 2 == 0).collect())
+        .build()
+        .unwrap();
+    let dir = ScratchDir::new("corrupt-segment-code");
+    let cfg = SegmentWriteConfig {
+        rows_per_segment: 16,
+        rle: RlePolicy::Never,
+    };
+    let set = ds.to_segments(dir.path(), &cfg).unwrap();
+    // Overwrite row 5's code in segment 2 (plain cat: one u32 LE per row)
+    // with one past the 3-label dictionary. Segment bodies carry no
+    // checksum, so the bad code reaches the scan.
+    let path = set.segment_path(2);
+    let reader = SegmentReader::open(&path).unwrap();
+    let at =
+        (reader.overhead_bytes() + reader.column_meta("group").unwrap().offset) as usize + 5 * 4;
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(bytes[at..at + 4], 1u32.to_le_bytes(), "row 37 is 'b'");
+    bytes[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+    std::fs::write(&path, bytes).unwrap();
+    let set = SegmentSet::open(dir.path()).unwrap();
+
+    let corrupt = |what: &str, err: FactError| {
+        assert!(matches!(err, FactError::Corrupt(_)), "{what}: {err:?}");
+    };
+    corrupt(
+        "group_rates_segments",
+        group_rates_segments(&set, "won", "group", &Predicate::All).unwrap_err(),
+    );
+    corrupt(
+        "aggregate_segments",
+        aggregate_segments(&set, "group", &[("score", AggFn::Mean)], &Predicate::All).unwrap_err(),
+    );
+    corrupt(
+        "intersectional_audit_segments",
+        intersectional_audit_segments(&set, "won", &["group"], 1).unwrap_err(),
+    );
+    corrupt(
+        "protected_mask_segments",
+        protected_mask_segments(&set, "group", "b").unwrap_err(),
+    );
 }

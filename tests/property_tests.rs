@@ -499,36 +499,52 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The monitor's O(1) sliding-window bookkeeping must agree with a naive
-    /// recomputation over the last `window` events, for arbitrary sequences
-    /// and window sizes — including the degenerate zero-rate windows.
+    /// The monitor's O(1) sliding-window bookkeeping and its division-free
+    /// verdict must agree with a naive recomputation over the last `window`
+    /// events, for arbitrary sequences several windows long, windows up to
+    /// ~2000, and thresholds that include exact-tie rationals — including
+    /// the degenerate zero-rate and empty-group windows.
     #[test]
     fn sliding_window_counts_match_naive_recomputation(
-        events in prop::collection::vec(any::<(bool, bool)>(), 1..400),
-        window in 1usize..64,
+        draws in prop::collection::vec((any::<bool>(), any::<u8>()), 1..6000),
+        skew_a in any::<u8>(),
+        skew_b in any::<u8>(),
+        window in (any::<bool>(), 1usize..64, 64usize..2000)
+            .prop_map(|(large, small, big)| if large { big } else { small }),
         min_samples in 0usize..8,
+        // half the cases use an exact-tie rational, half a random value
+        min_di in (0usize..12, 0.0f64..1.0).prop_map(|(k, x)| {
+            [0.0, 0.5, 2.0 / 3.0, 0.75, 0.8, 1.0].get(k).copied().unwrap_or(x)
+        }),
     ) {
         use fact_core::runtime::{Alert, StreamingFairnessMonitor};
-        let min_di = 0.8;
+        // per-group favorable shares, so windows range from fair to
+        // one-sided
+        let events: Vec<(bool, bool)> = draws
+            .iter()
+            .map(|&(g, x)| (g, x < if g { skew_b } else { skew_a }))
+            .collect();
         let mut monitor = StreamingFairnessMonitor::new(window, min_di, min_samples).unwrap();
-        let mut history: Vec<(bool, bool)> = Vec::new();
-        for &(group_b, favorable) in &events {
+        // naive model: window counts as differences of prefix counts over
+        // the whole history, indexed [group][favorable]
+        let mut prefix = vec![[[0usize; 2]; 2]];
+        for &(g, f) in &events {
+            let mut next = *prefix.last().unwrap();
+            next[usize::from(g)][usize::from(f)] += 1;
+            prefix.push(next);
+        }
+        for (t, &(group_b, favorable)) in events.iter().enumerate() {
             let got = monitor.observe(group_b, favorable);
-            history.push((group_b, favorable));
 
-            // naive model: recount the last `window` events from scratch
-            let tail = &history[history.len().saturating_sub(window)..];
-            let mut counts = [[0usize; 2]; 2];
-            for &(g, f) in tail {
-                counts[usize::from(g)][usize::from(f)] += 1;
-            }
-            let n_a = counts[0][0] + counts[0][1];
-            let n_b = counts[1][0] + counts[1][1];
+            let (hi, lo) = (prefix[t + 1], prefix[(t + 1).saturating_sub(window)]);
+            let count = |g: usize, f: usize| hi[g][f] - lo[g][f];
+            let n_a = count(0, 0) + count(0, 1);
+            let n_b = count(1, 0) + count(1, 1);
             let expect = if n_a < min_samples || n_b < min_samples {
                 None
             } else {
-                let rate_a = counts[0][1] as f64 / n_a as f64;
-                let rate_b = counts[1][1] as f64 / n_b as f64;
+                let rate_a = count(0, 1) as f64 / n_a as f64;
+                let rate_b = count(1, 1) as f64 / n_b as f64;
                 let di = if rate_a > 0.0 {
                     rate_b / rate_a
                 } else if rate_b > 0.0 {
