@@ -7,6 +7,7 @@
 //! other — is exactly the situation the paper warns gives "false advice even
 //! in the presence of 'big' data" (§2).
 
+use fact_data::column::check_codes;
 use fact_data::{Dataset, FactError, Result};
 
 /// Association within one stratum.
@@ -43,10 +44,18 @@ pub struct SimpsonReport {
     /// True when the aggregate and adjusted differences have opposite signs
     /// (both at magnitude ≥ `0.01`) — a trend reversal.
     pub reversal: bool,
+    /// Rows left out because the group or the stratifier is null there.
+    pub skipped_rows: usize,
 }
 
 /// Compare `group1` vs `group2` of `group_col` on the binary `outcome_col`,
 /// stratified by `stratifier`.
+///
+/// Groups and strata are matched by dictionary code. A row whose group or
+/// stratifier is null belongs to no group and no stratum, whatever
+/// placeholder code its null slot holds: it is left out of the aggregate
+/// and the stratified rates alike, and counted in
+/// [`SimpsonReport::skipped_rows`].
 pub fn audit_simpson(
     ds: &Dataset,
     outcome_col: &str,
@@ -55,49 +64,61 @@ pub fn audit_simpson(
     group2: &str,
     stratifier: &str,
 ) -> Result<SimpsonReport> {
-    let outcome = ds.bool_column(outcome_col)?.to_vec();
-    let groups = ds.labels(group_col)?;
-    let strata_labels = ds.labels(stratifier)?;
-    #[allow(clippy::needless_range_loop)]
-    let rate = |pred: &dyn Fn(usize) -> bool| -> Option<(f64, usize)> {
+    let outcome = ds.bool_column(outcome_col)?;
+    let (group_col, groups) = ds.cat_column(group_col)?;
+    let (strata_col, strata_cat) = ds.cat_column(stratifier)?;
+    check_codes(&groups.codes, groups.dict.len())?;
+    check_codes(&strata_cat.codes, strata_cat.dict.len())?;
+    // (group code, stratum code) per row; `None` where either is null
+    let rows: Vec<Option<(u32, u32)>> = (0..outcome.len())
+        .map(|i| {
+            (!group_col.is_null(i) && !strata_col.is_null(i))
+                .then(|| (groups.codes[i], strata_cat.codes[i]))
+        })
+        .collect();
+    let rate = |pred: &dyn Fn(u32, u32) -> bool| -> Option<(f64, usize)> {
         let mut pos = 0usize;
         let mut n = 0usize;
-        for i in 0..outcome.len() {
-            if pred(i) {
-                n += 1;
-                if outcome[i] {
-                    pos += 1;
+        for (row, &y) in rows.iter().zip(outcome) {
+            if let Some((g, s)) = *row {
+                if pred(g, s) {
+                    n += 1;
+                    pos += usize::from(y);
                 }
             }
         }
         (n > 0).then(|| (pos as f64 / n as f64, n))
     };
+    // a label absent from the dictionary matches no row
+    let code1 = groups.code_of(group1);
+    let code2 = groups.code_of(group2);
 
-    let (r1, _) = rate(&|i| groups[i] == group1)
+    let (r1, _) = rate(&|g, _| Some(g) == code1)
         .ok_or_else(|| FactError::InvalidArgument(format!("group '{group1}' has no rows")))?;
-    let (r2, _) = rate(&|i| groups[i] == group2)
+    let (r2, _) = rate(&|g, _| Some(g) == code2)
         .ok_or_else(|| FactError::InvalidArgument(format!("group '{group2}' has no rows")))?;
     let aggregate = r1 - r2;
 
     // distinct strata in first-appearance order
-    let mut strata_names: Vec<String> = Vec::new();
-    for s in &strata_labels {
-        if !strata_names.contains(s) {
-            strata_names.push(s.clone());
+    let mut seen = vec![false; strata_cat.dict.len()];
+    let mut strata_codes: Vec<u32> = Vec::new();
+    for &(_, s) in rows.iter().flatten() {
+        if !std::mem::replace(&mut seen[s as usize], true) {
+            strata_codes.push(s);
         }
     }
     let mut strata = Vec::new();
     let mut weighted = 0.0;
     let mut weight_total = 0.0;
-    for s in &strata_names {
-        let g1 = rate(&|i| &strata_labels[i] == s && groups[i] == group1);
-        let g2 = rate(&|i| &strata_labels[i] == s && groups[i] == group2);
+    for &sc in &strata_codes {
+        let g1 = rate(&|g, s| s == sc && Some(g) == code1);
+        let g2 = rate(&|g, s| s == sc && Some(g) == code2);
         if let (Some((rg1, n1)), Some((rg2, n2))) = (g1, g2) {
             let n = n1 + n2;
             weighted += (rg1 - rg2) * n as f64;
             weight_total += n as f64;
             strata.push(StratumAssociation {
-                stratum: s.clone(),
+                stratum: strata_cat.dict[sc as usize].clone(),
                 n,
                 rate_group1: rg1,
                 rate_group2: rg2,
@@ -119,6 +140,7 @@ pub fn audit_simpson(
         strata,
         adjusted_difference: adjusted,
         reversal,
+        skipped_rows: rows.iter().filter(|r| r.is_none()).count(),
     })
 }
 
@@ -225,6 +247,62 @@ mod tests {
         for s in &rep.strata {
             assert!(s.difference() > 0.0, "A leads in {}", s.stratum);
         }
+    }
+
+    #[test]
+    fn null_group_or_stratum_rows_count_nowhere() {
+        // the textbook table, optionally with rows whose group is null over
+        // group1's code ("A") or whose stratum is null over "S1"'s code
+        let table = |with_nulls: bool| {
+            let (mut g, mut s, mut y) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut g_valid, mut s_valid) = (Vec::new(), Vec::new());
+            let mut add = |gl: &'static str, sl: &'static str, yes, total, gv: bool, sv: bool| {
+                for i in 0..total {
+                    g.push(gl);
+                    s.push(sl);
+                    y.push(i < yes);
+                    g_valid.push(gv);
+                    s_valid.push(sv);
+                }
+            };
+            add("A", "S1", 81, 87, true, true);
+            add("B", "S1", 234, 270, true, true);
+            add("A", "S2", 192, 263, true, true);
+            add("B", "S2", 55, 80, true, true);
+            if with_nulls {
+                add("A", "S1", 0, 100, false, true);
+                add("B", "S1", 50, 50, true, false);
+            }
+            let cat = |labels: &[&str], valid| {
+                fact_data::Column::from_labels(labels)
+                    .with_validity(valid)
+                    .unwrap()
+            };
+            Dataset::builder()
+                .column("g", cat(&g, g_valid))
+                .column("s", cat(&s, s_valid))
+                .boolean("y", y)
+                .build()
+                .unwrap()
+        };
+        let clean = audit_simpson(&table(false), "y", "g", "A", "B", "s").unwrap();
+        let nulls = audit_simpson(&table(true), "y", "g", "A", "B", "s").unwrap();
+        assert_eq!(
+            nulls.aggregate_difference.to_bits(),
+            clean.aggregate_difference.to_bits()
+        );
+        assert_eq!(
+            nulls.adjusted_difference.to_bits(),
+            clean.adjusted_difference.to_bits()
+        );
+        assert_eq!(nulls.strata.len(), clean.strata.len());
+        for (a, b) in nulls.strata.iter().zip(&clean.strata) {
+            assert_eq!((&a.stratum, a.n), (&b.stratum, b.n));
+            assert_eq!(a.rate_group1.to_bits(), b.rate_group1.to_bits());
+            assert_eq!(a.rate_group2.to_bits(), b.rate_group2.to_bits());
+        }
+        assert!(nulls.reversal);
+        assert_eq!((clean.skipped_rows, nulls.skipped_rows), (0, 150));
     }
 
     #[test]

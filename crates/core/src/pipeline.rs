@@ -21,6 +21,7 @@ use fact_accuracy::adequacy::check_group_sizes;
 use fact_confidentiality::mechanisms::{dp_count, dp_histogram, dp_mean};
 use fact_confidentiality::risk::reidentification_risk;
 use fact_confidentiality::PrivacyAccountant;
+use fact_data::column::check_codes;
 use fact_data::split::train_test_split;
 use fact_data::{Dataset, FactError, Matrix, Result};
 use fact_fairness::intersectional::{intersectional_audit, IntersectionalReport};
@@ -460,7 +461,9 @@ impl GuardedPipeline {
     }
 
     /// Release a differentially private histogram of a categorical column:
-    /// `(label, noisy count)` pairs in dictionary order.
+    /// `(label, noisy count)` pairs in dictionary order, one per label with
+    /// at least one row. Rows are counted by dictionary code; a null row
+    /// counts toward no label, whatever placeholder code its slot holds.
     pub fn release_histogram(
         &mut self,
         column: &str,
@@ -474,42 +477,34 @@ impl GuardedPipeline {
             .data
             .as_ref()
             .ok_or_else(|| FactError::InvalidArgument("no data loaded".into()))?;
-        let labels = ds.labels(column)?;
-        // Count buckets over row chunks in parallel. Each chunk records
-        // labels in local first-appearance order; merging chunks in index
-        // order preserves the global first-appearance order exactly, so the
-        // released histogram is bit-identical at any worker count.
-        let (order, counts): (Vec<String>, Vec<u64>) = fact_par::par_reduce(
-            labels.len(),
+        let (col, cat) = ds.cat_column(column)?;
+        check_codes(&cat.codes, cat.dict.len())?;
+        // Count codes over row chunks in parallel. Summing the chunk tallies
+        // is exact, so the released histogram is bit-identical at any
+        // worker count.
+        let tally = fact_par::par_reduce(
+            cat.codes.len(),
             1024,
             |range| {
-                let mut order: Vec<String> = Vec::new();
-                let mut counts: Vec<u64> = Vec::new();
-                for l in &labels[range] {
-                    match order.iter().position(|o| o == l) {
-                        Some(i) => counts[i] += 1,
-                        None => {
-                            order.push(l.clone());
-                            counts.push(1);
-                        }
-                    }
+                let mut tally = vec![0u64; cat.dict.len()];
+                for i in range.filter(|&i| !col.is_null(i)) {
+                    tally[cat.codes[i] as usize] += 1;
                 }
-                (order, counts)
+                tally
             },
-            |(mut order, mut counts), (border, bcounts)| {
-                for (l, c) in border.into_iter().zip(bcounts) {
-                    match order.iter().position(|o| *o == l) {
-                        Some(i) => counts[i] += c,
-                        None => {
-                            order.push(l);
-                            counts.push(c);
-                        }
-                    }
-                }
-                (order, counts)
+            |mut a, b| {
+                a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
+                a
             },
         )
         .unwrap_or_default();
+        let (order, counts): (Vec<String>, Vec<u64>) = cat
+            .dict
+            .iter()
+            .zip(tally)
+            .filter(|&(_, c)| c > 0)
+            .map(|(l, c)| (l.clone(), c))
+            .unzip();
         accountant.spend(epsilon, 0.0, format!("dp_histogram({column})"))?;
         let noisy = dp_histogram(&counts, epsilon, seed)?;
         self.check(
@@ -895,6 +890,35 @@ mod tests {
         assert!((spent - 0.6).abs() < 1e-9);
         // third release at 0.5 would exceed ε=1
         assert!(p.release_mean("income", 0.0, 250.0, 0.5, 3).is_err());
+    }
+
+    #[test]
+    fn histogram_release_counts_no_null_row() {
+        // null out every tenth group slot; each keeps its stored code,
+        // group A's or B's, as the placeholder
+        let mut ds = fair_world();
+        let validity: Vec<bool> = (0..ds.n_rows()).map(|i| i % 10 != 0).collect();
+        let nulled = ds
+            .column("group")
+            .unwrap()
+            .clone()
+            .with_validity(validity)
+            .unwrap();
+        ds.replace_column("group", nulled).unwrap();
+        let release = |ds: Dataset| {
+            let mut p = GuardedPipeline::new(FactPolicy::strict("group", "B")).unwrap();
+            p.load_data("loans", "ingest", ds).unwrap();
+            p.release_histogram("group", 0.3, 2).unwrap()
+        };
+        let with_nulls = release(ds.clone());
+        let without = release(ds.drop_nulls());
+        assert_eq!(ds.drop_nulls().n_rows(), 7_200);
+        assert_eq!(with_nulls.len(), 2);
+        // same labels, same counts, same noise draws: bit-identical
+        for ((l1, c1), (l2, c2)) in with_nulls.iter().zip(&without) {
+            assert_eq!(l1, l2);
+            assert_eq!(c1.to_bits(), c2.to_bits(), "{l1}: {c1} vs {c2}");
+        }
     }
 
     #[test]

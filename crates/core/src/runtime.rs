@@ -9,8 +9,11 @@
 //!   threshold;
 //! * [`StreamingDpCounter`] — periodic differentially-private counts of
 //!   events, spending from a shared budget;
-//! * [`GuardedStream`] — composes the guards plus audit sampling, and counts
-//!   work done so experiment E9 can price the overhead of responsibility.
+//! * [`Guards`] — the one composition of both plus a [`PrivacyAccountant`]
+//!   and an optional [`DriftMonitor`], built from a [`GuardConfig`]; every
+//!   fact-serve shard owns one, with alerts debounced by [`Debounce`];
+//! * [`GuardedStream`] — the same [`Guards`] and [`Debounce`] plus audit
+//!   sampling, so experiment E9 prices the guard code serving runs.
 
 use fact_data::stream::Event;
 use fact_data::{FactError, Result};
@@ -48,6 +51,62 @@ pub enum Alert {
     BudgetExhausted,
     /// The payload-value distribution drifted from the reference (PSI).
     Drift(DriftAlert),
+}
+
+/// The kind of a guard alert, the [`Debounce`] key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AlertKind {
+    /// Windowed disparate impact below threshold.
+    Fairness,
+    /// Score distribution drifted from the reference.
+    Drift,
+    /// A DP count release (informational).
+    DpRelease,
+    /// The DP budget ran out.
+    BudgetExhausted,
+}
+
+impl AlertKind {
+    /// Classify a guard alert.
+    pub fn of(alert: &Alert) -> AlertKind {
+        match alert {
+            Alert::FairnessViolation { .. } => AlertKind::Fairness,
+            Alert::Drift(_) => AlertKind::Drift,
+            Alert::DpRelease { .. } => AlertKind::DpRelease,
+            Alert::BudgetExhausted => AlertKind::BudgetExhausted,
+        }
+    }
+}
+
+/// Per-kind alert debounce: at most one alert of each [`AlertKind`] per
+/// `interval` ticks, so a sustained violation alerts once per interval.
+/// The default admits every alert.
+#[derive(Debug, Clone, Default)]
+pub struct Debounce {
+    interval: u64,
+    last: [Option<u64>; 4],
+}
+
+impl Debounce {
+    /// A debounce of `interval` ticks (at least 1).
+    pub fn new(interval: u64) -> Self {
+        Debounce {
+            interval: interval.max(1),
+            last: [None; 4],
+        }
+    }
+
+    /// Admit an alert of `kind` at tick `at` unless one of its kind was
+    /// admitted fewer than `interval` ticks before.
+    #[inline]
+    pub fn admit(&mut self, kind: AlertKind, at: u64) -> bool {
+        let last = &mut self.last[kind as usize];
+        let due = last.is_none_or(|t| at.saturating_sub(t) >= self.interval);
+        if due {
+            *last = Some(at);
+        }
+        due
+    }
 }
 
 /// Relative margin around the division-free DI comparison inside which the
@@ -119,7 +178,9 @@ impl StreamingFairnessMonitor {
     /// inside the margin, and when a rate is zero or a group empty, the
     /// division form itself decides. The verdict is therefore the division
     /// form's, bit for bit.
-    #[inline]
+    // `always`: at plain `#[inline]`, `GuardedStream::process` calls it
+    // out of line on every event
+    #[inline(always)]
     pub fn record(&mut self, group_b: bool, favorable: bool) -> bool {
         let code = (u8::from(group_b) << 1) | u8::from(favorable);
         // before the window fills, the slot holds code 0, which counts
@@ -332,16 +393,102 @@ impl StreamingDpCounter {
     }
 }
 
-/// The composed guarded stream processor for experiment E9.
+/// Configuration of one guard set ([`Guards`]).
+#[derive(Debug, Clone)]
+pub struct GuardConfig {
+    /// Sliding window of the fairness monitor (events).
+    pub fairness_window: usize,
+    /// Minimum acceptable disparate impact.
+    pub min_di: f64,
+    /// Events per group required before the fairness monitor speaks.
+    pub min_samples_per_group: usize,
+    /// Decisions between differentially-private count releases.
+    pub dp_interval: usize,
+    /// ε spent per DP release.
+    pub epsilon_per_release: f64,
+    /// ε budget of the guard set's accountant.
+    pub epsilon_budget: f64,
+    /// Optional score-drift monitor: (reference scores, n_bins, window,
+    /// PSI threshold).
+    pub drift: Option<(Vec<f64>, usize, usize, f64)>,
+}
+
+impl Default for GuardConfig {
+    fn default() -> Self {
+        GuardConfig {
+            fairness_window: 2_000,
+            min_di: 0.8,
+            min_samples_per_group: 50,
+            dp_interval: 1_000,
+            epsilon_per_release: 0.01,
+            epsilon_budget: 1.0,
+            drift: None,
+        }
+    }
+}
+
+/// One guard set, as every fact-serve shard and E9's [`GuardedStream`] run
+/// it. The parts are public so a checkpoint can capture and restore them.
+#[derive(Debug)]
+pub struct Guards {
+    /// Sliding-window disparate-impact monitor.
+    pub fairness: StreamingFairnessMonitor,
+    /// Periodic DP count release.
+    pub dp: StreamingDpCounter,
+    /// The ε ledger the DP counter spends from.
+    pub accountant: PrivacyAccountant,
+    /// Optional PSI monitor over the scores.
+    pub drift: Option<DriftMonitor>,
+}
+
+/// The raw verdicts of one [`Guards::observe`] call, before any debounce.
+#[derive(Debug)]
+pub struct Verdict {
+    /// The window shows disparity ([`StreamingFairnessMonitor::alert`]).
+    pub fairness: bool,
+    /// A DP release, or the one-time [`Alert::BudgetExhausted`].
+    pub dp: Option<Alert>,
+    /// The score distribution drifted.
+    pub drift: Option<DriftAlert>,
+}
+
+impl Guards {
+    /// Build the guard set `cfg` describes. `seed` seeds the DP noise
+    /// stream (serving decorrelates shards with `seed + shard`).
+    pub fn new(cfg: &GuardConfig, seed: u64) -> Result<Self> {
+        Ok(Guards {
+            fairness: StreamingFairnessMonitor::new(
+                cfg.fairness_window,
+                cfg.min_di,
+                cfg.min_samples_per_group,
+            )?,
+            dp: StreamingDpCounter::new(cfg.dp_interval, cfg.epsilon_per_release, seed)?,
+            accountant: PrivacyAccountant::pure(cfg.epsilon_budget)?,
+            drift: match &cfg.drift {
+                Some((r, bins, window, psi)) => Some(DriftMonitor::new(r, *bins, *window, *psi)?),
+                None => None,
+            },
+        })
+    }
+
+    /// Observe one decision: its group, whether it was favorable, and its
+    /// score (what the drift monitor watches).
+    #[inline]
+    pub fn observe(&mut self, group_b: bool, favorable: bool, score: f64) -> Verdict {
+        Verdict {
+            fairness: self.fairness.record(group_b, favorable),
+            dp: self.dp.observe(&mut self.accountant),
+            drift: self.drift.as_mut().and_then(|d| d.observe(score)),
+        }
+    }
+}
+
+/// The guarded stream processor for experiment E9: [`Guards`] plus audit
+/// sampling, with fairness alerts debounced to one per half window.
+#[derive(Default)]
 pub struct GuardedStream {
-    fairness: Option<StreamingFairnessMonitor>,
-    /// Minimum events between recorded fairness alerts (debounce): a
-    /// sustained violation produces one alert per cooldown period, not one
-    /// per event.
-    fairness_cooldown: u64,
-    last_fairness_alert: Option<u64>,
-    dp: Option<(StreamingDpCounter, PrivacyAccountant)>,
-    drift: Option<DriftMonitor>,
+    guards: Option<Guards>,
+    debounce: Debounce,
     /// Sample one audit entry per `audit_every` events; 0 = no auditing.
     audit_every: usize,
     /// Events left until the next sampled audit entry.
@@ -360,22 +507,11 @@ pub struct GuardedStream {
 impl GuardedStream {
     /// A processor with no guards — the baseline for overhead measurements.
     pub fn unguarded() -> Self {
-        GuardedStream {
-            fairness: None,
-            fairness_cooldown: 0,
-            last_fairness_alert: None,
-            dp: None,
-            drift: None,
-            audit_every: 0,
-            audit_countdown: 0,
-            processed: 0,
-            audit_entries: 0,
-            alerts: Vec::new(),
-            value_sum: 0.0,
-        }
+        GuardedStream::default()
     }
 
-    /// A processor with the full FACT guard set.
+    /// A processor with the full FACT guard set: [`GuardConfig`] defaults
+    /// but for the given window, DI, DP interval and ε budget.
     pub fn guarded(
         fairness_window: usize,
         min_di: f64,
@@ -384,53 +520,49 @@ impl GuardedStream {
         audit_every: usize,
         seed: u64,
     ) -> Result<Self> {
+        let cfg = GuardConfig {
+            fairness_window,
+            min_di,
+            dp_interval,
+            epsilon_budget,
+            ..GuardConfig::default()
+        };
         Ok(GuardedStream {
-            fairness: Some(StreamingFairnessMonitor::new(fairness_window, min_di, 50)?),
-            fairness_cooldown: (fairness_window as u64 / 2).max(1),
-            last_fairness_alert: None,
-            drift: None,
-            dp: Some((
-                StreamingDpCounter::new(dp_interval, 0.01, seed)?,
-                PrivacyAccountant::pure(epsilon_budget)?,
-            )),
+            guards: Some(Guards::new(&cfg, seed)?),
+            debounce: Debounce::new(fairness_window as u64 / 2),
             audit_every: audit_every.max(1),
             audit_countdown: audit_every.max(1),
-            processed: 0,
-            audit_entries: 0,
-            alerts: Vec::new(),
-            value_sum: 0.0,
+            ..GuardedStream::unguarded()
         })
     }
 
-    /// Attach a PSI drift monitor over the event payload values.
+    /// Attach a PSI drift monitor over the event payload values to the
+    /// guard set; an [`unguarded`](Self::unguarded) stream drops it.
     pub fn with_drift_monitor(mut self, monitor: DriftMonitor) -> Self {
-        self.drift = Some(monitor);
+        if let Some(g) = &mut self.guards {
+            g.drift = Some(monitor);
+        }
         self
+    }
+
+    /// The guard set; `None` for an unguarded stream.
+    pub fn guards(&self) -> Option<&Guards> {
+        self.guards.as_ref()
     }
 
     /// Process one event through baseline work plus all enabled guards.
     pub fn process(&mut self, event: &Event) {
         self.processed += 1;
         self.value_sum += event.value;
-        if let Some(f) = &mut self.fairness {
-            if f.record(event.group_b, event.decision_favorable) {
-                let due = match self.last_fairness_alert {
-                    None => true,
-                    Some(at) => self.processed - at >= self.fairness_cooldown,
-                };
-                if due {
-                    self.last_fairness_alert = Some(self.processed);
-                    self.alerts.push(f.alert());
-                }
+        if let Some(g) = &mut self.guards {
+            let v = g.observe(event.group_b, event.decision_favorable, event.value);
+            if v.fairness && self.debounce.admit(AlertKind::Fairness, self.processed) {
+                self.alerts.push(g.fairness.alert());
             }
-        }
-        if let Some((dp, acc)) = &mut self.dp {
-            if let Some(alert) = dp.observe(acc) {
+            if let Some(alert) = v.dp {
                 self.alerts.push(alert);
             }
-        }
-        if let Some(d) = &mut self.drift {
-            if let Some(alert) = d.observe(event.value) {
+            if let Some(alert) = v.drift {
                 self.alerts.push(Alert::Drift(alert));
             }
         }

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use crate::builder::DatasetBuilder;
-use crate::column::Column;
+use crate::column::{CatData, Column};
 use crate::error::{FactError, Result};
 use crate::matrix::Matrix;
 use crate::schema::{Field, Schema};
@@ -180,16 +180,18 @@ impl Dataset {
 
     /// Convenience: borrow a named bool column's storage.
     pub fn bool_column(&self, name: &str) -> Result<&[bool]> {
-        self.column(name)?.as_bool_slice().map_err(|e| match e {
-            FactError::TypeMismatch {
-                expected, actual, ..
-            } => FactError::TypeMismatch {
-                column: name.to_string(),
-                expected,
-                actual,
-            },
-            other => other,
-        })
+        self.column(name)?
+            .as_bool_slice()
+            .map_err(|e| rename_column(e, name))
+    }
+
+    /// Borrow a named categorical column together with its dictionary
+    /// codes: metrics count `codes` and skip the rows the column's validity
+    /// mask marks null.
+    pub fn cat_column(&self, name: &str) -> Result<(&Column, &CatData)> {
+        let col = self.column(name)?;
+        let cat = col.as_cat().map_err(|e| rename_column(e, name))?;
+        Ok((col, cat))
     }
 
     /// Convenience: materialize a named categorical column's labels.
@@ -197,16 +199,7 @@ impl Dataset {
     /// Like [`Column::to_labels`], this ignores the validity mask: a null
     /// slot yields its placeholder code's label.
     pub fn labels(&self, name: &str) -> Result<Vec<String>> {
-        self.column(name)?.to_labels().map_err(|e| match e {
-            FactError::TypeMismatch {
-                expected, actual, ..
-            } => FactError::TypeMismatch {
-                column: name.to_string(),
-                expected,
-                actual,
-            },
-            other => other,
-        })
+        self.cat_column(name)?.0.to_labels()
     }
 
     /// Add a column; its length must match the dataset row count (any length

@@ -44,17 +44,7 @@ use fact_data::{Dataset, FactError, Result};
 /// row's label equals `protected_label`. Rows are compared by dictionary
 /// code; a null row is never protected, whatever its placeholder code.
 pub fn protected_mask(ds: &Dataset, column: &str, protected_label: &str) -> Result<Vec<bool>> {
-    let col = ds.column(column)?;
-    let cat = col.as_cat().map_err(|e| match e {
-        FactError::TypeMismatch {
-            expected, actual, ..
-        } => FactError::TypeMismatch {
-            column: column.to_string(),
-            expected,
-            actual,
-        },
-        other => other,
-    })?;
+    let (col, cat) = ds.cat_column(column)?;
     let mask: Vec<bool> = match cat.code_of(protected_label) {
         Some(target) => cat
             .codes

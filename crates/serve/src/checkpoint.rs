@@ -1,7 +1,8 @@
 //! Guard-state checkpointing: periodic + on-shutdown serialization of each
 //! shard's fairness window, ε ledger, and monitor counters to a sidecar
 //! file, restored on restart so a respawned shard **resumes** instead of
-//! silently resetting.
+//! silently resetting. [`GuardCheckpoint::capture`] and
+//! [`GuardCheckpoint::restore_into`] decide what a shard's [`Guards`] keep.
 //!
 //! The fairness window travels as a [`WindowSummary`] — per-segment paired
 //! count-vectors — so what a restart loses is *provable and bounded*: at
@@ -20,7 +21,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use fact_core::runtime::Guards;
 use fact_data::durable::write_atomic;
+use fact_data::Result;
 use fact_fairness::WindowSummary;
 use serde::{Deserialize, Serialize};
 
@@ -72,7 +75,10 @@ pub struct GuardCheckpoint {
     pub window: WindowSummary,
     /// The privacy accountant's full expenditure ledger.
     pub ledger: Vec<LedgerEntry>,
-    /// The accountant's ε budget (sanity-checked against config on load).
+    /// The accountant's ε budget when the checkpoint was written; the
+    /// reshard transform checks successor ledgers against it. Restore does
+    /// not read it: it replays the ledger into the budget configured at
+    /// restart, and fails when the ledger exceeds that budget.
     pub budget_epsilon: f64,
     /// The accountant's δ budget.
     pub budget_delta: f64,
@@ -80,6 +86,59 @@ pub struct GuardCheckpoint {
     pub dp_pending: u64,
     /// Whether the DP counter already reported budget exhaustion.
     pub dp_exhausted: bool,
+}
+
+impl GuardCheckpoint {
+    /// Capture `guards`' resumable state: the fairness window as a segment
+    /// summary, the full ε ledger, and the DP counter's counters. The drift
+    /// monitor's score window is excluded by design (see the module docs).
+    pub fn capture(
+        guards: &Guards,
+        shard: usize,
+        decisions: u64,
+        segment_events: usize,
+    ) -> Result<Self> {
+        let acc = &guards.accountant;
+        Ok(GuardCheckpoint {
+            shard: shard as u64,
+            decisions,
+            window: guards.fairness.summary(segment_events)?,
+            ledger: acc
+                .ledger()
+                .iter()
+                .map(|e| LedgerEntry {
+                    label: e.label.clone(),
+                    epsilon: e.epsilon,
+                    delta: e.delta,
+                })
+                .collect(),
+            budget_epsilon: acc.budget_epsilon(),
+            budget_delta: acc.budget_delta(),
+            dp_pending: guards.dp.pending() as u64,
+            dp_exhausted: guards.dp.exhausted_reported(),
+        })
+    }
+
+    /// Resume freshly built `guards`: the fairness window is resynthesized
+    /// from the summary (exact per-segment counts), the DP counter resumes
+    /// mid-interval, and the ledger is replayed into the budget configured
+    /// now. A ledger over that budget fails with
+    /// [`FactError::BudgetExhausted`] (startup fails; no ε is refunded); a
+    /// larger budget keeps the spent ε. Call before the guards observe.
+    ///
+    /// [`FactError::BudgetExhausted`]: fact_data::FactError::BudgetExhausted
+    pub fn restore_into(&self, guards: &mut Guards) -> Result<()> {
+        guards.fairness.restore(&self.window);
+        for e in &self.ledger {
+            guards
+                .accountant
+                .spend(e.epsilon, e.delta, e.label.clone())?;
+        }
+        guards
+            .dp
+            .restore(self.dp_pending as usize, self.dp_exhausted);
+        Ok(())
+    }
 }
 
 /// `dir/shard-N.json`.

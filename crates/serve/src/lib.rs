@@ -36,11 +36,11 @@
 //!   one key issue one upstream call). Warm entries bridge store outages;
 //!   hit/miss/negative-hit/eviction counters land in the metrics and the
 //!   final report.
-//! * **Streaming guards** — each shard owns a
-//!   [`StreamingFairnessMonitor`], an optional [`DriftMonitor`] over the
-//!   decision scores, and a [`StreamingDpCounter`] spending a per-shard ε
-//!   budget. Alerts are debounced per kind and merged into one channel
-//!   ([`DecisionService::drain_alerts`]). A trip engages the
+//! * **Streaming guards** — each shard owns one [`Guards`], as E9's
+//!   [`GuardedStream`] does: a [`StreamingFairnessMonitor`], an optional
+//!   [`DriftMonitor`] over the decision scores, and a [`StreamingDpCounter`]
+//!   spending a per-shard ε budget. Alerts are debounced per kind and
+//!   merged into one channel ([`DecisionService::drain_alerts`]). A trip engages the
 //!   [`DegradePolicy`]: keep serving but flag decisions for audit, or
 //!   hard-reject until the cooldown passes — responsibility degrades the
 //!   service, never silently disables itself.
@@ -82,6 +82,8 @@
 //! ```
 //!
 //! [`Classifier::predict_proba`]: fact_ml::Classifier::predict_proba
+//! [`Guards`]: fact_core::runtime::Guards
+//! [`GuardedStream`]: fact_core::runtime::GuardedStream
 //! [`StreamingFairnessMonitor`]: fact_core::runtime::StreamingFairnessMonitor
 //! [`StreamingDpCounter`]: fact_core::runtime::StreamingDpCounter
 //! [`DriftMonitor`]: fact_core::drift::DriftMonitor

@@ -162,12 +162,7 @@ pub fn transform_checkpoints(
     let mut dp_pending_total = 0u64;
     let mut dp_exhausted = false;
     for ck in &checkpoints {
-        let c = ck.window.counts();
-        for g in 0..2 {
-            for f in 0..2 {
-                pre_counts[g][f] += c[g][f];
-            }
-        }
+        add_counts(&mut pre_counts, ck.window.counts());
         pre_decisions += ck.decisions;
         dp_pending_total += ck.dp_pending;
         dp_exhausted |= ck.dp_exhausted;
@@ -212,12 +207,7 @@ pub fn transform_checkpoints(
     let mut post_counts: SegmentCounts = [[0; 2]; 2];
     let mut post_decisions = 0u64;
     for (i, window) in parts.iter().enumerate() {
-        let c = window.counts();
-        for g in 0..2 {
-            for f in 0..2 {
-                post_counts[g][f] += c[g][f];
-            }
-        }
+        add_counts(&mut post_counts, window.counts());
         post_decisions += decisions_parts[i];
         let ck = GuardCheckpoint {
             shard: i as u64,
@@ -247,4 +237,11 @@ pub fn transform_checkpoints(
         post_decisions,
         ledger_entries,
     })
+}
+
+/// Add one window's cell counts into `sum`.
+fn add_counts(sum: &mut SegmentCounts, counts: SegmentCounts) {
+    for (s, c) in sum.iter_mut().flatten().zip(counts.iter().flatten()) {
+        *s += c;
+    }
 }

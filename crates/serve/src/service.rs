@@ -27,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fact_core::runtime::Alert;
+use fact_core::runtime::{Alert, Guards};
 use fact_ml::Classifier;
 use fact_net::{
     decode as net_decode, decode_request, decode_response, encode as net_encode, encode_response,
@@ -40,8 +40,8 @@ use crate::audit_sink::{
     AuditEvent, AuditSink, AuditSinkConfig, AuditSinkHandle, AuditStorage, RecoveryReport,
 };
 use crate::cache::{CacheConfig, CachedFeatureSource, SystemClock};
-use crate::checkpoint::{load_checkpoint, write_checkpoint, CheckpointConfig};
-use crate::guards::{AlertHub, AlertKind, DegradePolicy, GuardConfig, ServiceAlert, ShardGuards};
+use crate::checkpoint::{load_checkpoint, write_checkpoint, CheckpointConfig, GuardCheckpoint};
+use crate::guards::{AlertHub, DegradePolicy, GuardConfig, ServiceAlert};
 use crate::metrics::{AdmissionSnapshot, CacheSnapshot, MetricsRegistry, MetricsSnapshot};
 use crate::reshard::{transform_checkpoints, ReshardReport};
 use crate::source::{FeatureSource, InlineFeatures};
@@ -929,28 +929,22 @@ impl DecisionService {
             let mut resumed_at = 0;
             let guards = match &config.guards {
                 Some(g) => {
-                    let mut guards = ShardGuards::new(g, config.seed.wrapping_add(shard as u64))
+                    let mut guards = Guards::new(g, config.seed.wrapping_add(shard as u64))
                         .map_err(|e| ServeError::BadRequest(e.to_string()))?;
                     // Resume from the sidecar checkpoint, if one exists: a
                     // respawned shard keeps its fairness window and ε
                     // ledger instead of silently resetting them.
-                    if let Some(ck_cfg) = &config.checkpoint {
-                        match load_checkpoint(&ck_cfg.dir, shard) {
-                            Ok(Some(ck)) => {
-                                guards.restore(&ck).map_err(|e| {
-                                    ServeError::Internal(format!(
-                                        "shard {shard} checkpoint restore: {e}"
-                                    ))
-                                })?;
-                                resumed_at = ck.decisions;
-                            }
-                            Ok(None) => {}
-                            Err(e) => {
-                                return Err(ServeError::Internal(format!(
-                                    "shard {shard} checkpoint load: {e}"
-                                )))
-                            }
-                        }
+                    let loaded = match &config.checkpoint {
+                        Some(ck_cfg) => load_checkpoint(&ck_cfg.dir, shard).map_err(|e| {
+                            ServeError::Internal(format!("shard {shard} checkpoint load: {e}"))
+                        })?,
+                        None => None,
+                    };
+                    if let Some(ck) = loaded {
+                        ck.restore_into(&mut guards).map_err(|e| {
+                            ServeError::Internal(format!("shard {shard} checkpoint restore: {e}"))
+                        })?;
+                        resumed_at = ck.decisions;
                     }
                     Some(guards)
                 }
@@ -1363,7 +1357,7 @@ struct ShardWorker {
     model: Arc<dyn Classifier + Send + Sync>,
     source: Arc<dyn FeatureSource>,
     metrics: Arc<MetricsRegistry>,
-    guards: Option<ShardGuards>,
+    guards: Option<Guards>,
     hub: AlertHub,
     threshold: f64,
     batch_max: usize,
@@ -1395,8 +1389,7 @@ impl ShardWorker {
         let (Some(cfg), Some(guards)) = (&self.checkpoint, &self.guards) else {
             return false;
         };
-        guards
-            .checkpoint(self.shard, decisions, cfg.segment_events)
+        GuardCheckpoint::capture(guards, self.shard, decisions, cfg.segment_events)
             .ok()
             .and_then(|ck| write_checkpoint(&cfg.dir, &ck).ok())
             .is_some()
@@ -1471,20 +1464,21 @@ impl ShardWorker {
                 }
             };
 
-            let mut raised = Vec::new();
             for (job, p) in batch.drain(..).zip(probs) {
                 let favorable = p >= self.threshold;
                 served += 1;
                 if let Some(g) = &mut self.guards {
-                    raised.clear();
-                    g.observe(job.group_b, favorable, p, &mut raised);
-                    for alert in raised.drain(..) {
+                    let v = g.observe(job.group_b, favorable, p);
+                    let trip = v.fairness.then(|| g.fairness.alert());
+                    let raised = [trip, v.dp, v.drift.map(Alert::Drift)];
+                    for alert in raised.into_iter().flatten() {
                         if let Alert::DpRelease { epsilon, .. } = &alert {
                             // ε is spent whether or not the alert is
                             // debounced out of the channel.
                             self.metrics.add_epsilon(*epsilon);
-                        }
-                        if AlertKind::of(&alert).trips_policy() {
+                        } else {
+                            // DP releases are routine; every other alert
+                            // engages the degrade policy
                             degraded_until = served + self.trip_cooldown;
                         }
                         let summary = self.audit.as_ref().map(|_| format!("{alert:?}"));
@@ -1576,7 +1570,10 @@ impl ShardWorker {
             flagged,
             batches,
             alerts,
-            epsilon_spent: self.guards.as_ref().map_or(0.0, ShardGuards::epsilon_spent),
+            epsilon_spent: self
+                .guards
+                .as_ref()
+                .map_or(0.0, |g| g.accountant.spent_epsilon()),
             checkpoints,
             resumed_at: self.base_decisions,
         }

@@ -10,11 +10,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::{temp_dir, StubModel};
+use fact_core::runtime::Guards;
+use fact_data::FactError;
 use fact_net::{Server, ShardHandler};
 use fact_serve::service::NetShardHandler;
 use fact_serve::{
     load_checkpoint, CheckpointConfig, DecisionRequest, DecisionService, GuardConfig, ServeConfig,
-    ShardSlot,
+    ServeError, ShardSlot,
 };
 
 /// Probability = first feature.
@@ -106,6 +108,52 @@ fn corrupt_checkpoint_fails_startup_loudly() {
         err.to_string().contains("checkpoint"),
         "a torn checkpoint must not silently reset guard state: {err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `guarded_config` with the ε budget set to `budget`.
+fn budget_config(dir: &std::path::Path, budget: f64) -> ServeConfig {
+    let mut cfg = guarded_config(dir);
+    if let Some(g) = &mut cfg.guards {
+        g.epsilon_budget = budget;
+    }
+    cfg
+}
+
+#[test]
+fn restore_replays_the_ledger_into_the_configured_budget() {
+    let dir = temp_dir("budget");
+    // run 1: 1000 decisions at dp_interval 100 spend 10 × 0.01 ε
+    let service = DecisionService::start(Arc::new(StubModel), guarded_config(&dir)).unwrap();
+    drive(&service, 1000);
+    let spent = service.shutdown().epsilon_spent;
+    let ck = load_checkpoint(&dir, 0).unwrap().unwrap();
+    assert_eq!(ck.ledger.len(), 10);
+
+    // the ledger does not fit a budget below what it spent: the guard set
+    // refuses it with a typed error, and startup fails instead of
+    // refunding ε
+    let mut guards = Guards::new(budget_config(&dir, 0.05).guards.as_ref().unwrap(), 0).unwrap();
+    assert!(matches!(
+        ck.restore_into(&mut guards),
+        Err(FactError::BudgetExhausted { .. })
+    ));
+    match DecisionService::start(Arc::new(StubModel), budget_config(&dir, 0.05)) {
+        Ok(_) => panic!("a budget below the spent ε must fail startup"),
+        Err(e) => assert!(
+            matches!(&e, ServeError::Internal(msg) if msg.contains("checkpoint restore")),
+            "{e}"
+        ),
+    }
+
+    // a larger budget keeps the spent ε
+    let service = DecisionService::start(Arc::new(StubModel), budget_config(&dir, 2.0)).unwrap();
+    let report = service.shutdown();
+    assert_eq!(report.shards[0].resumed_at, 1000);
+    assert_eq!(report.epsilon_spent, spent);
+    let ck2 = load_checkpoint(&dir, 0).unwrap().unwrap();
+    assert_eq!(ck2.ledger, ck.ledger);
+    assert_eq!(ck2.budget_epsilon, 2.0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -20,24 +20,27 @@
 #   7. exp_e9 --smoke         guarded stream: exact debounced fairness-alert
 #                             and DP-release counts, sampled audit entries
 #                             and the last alert's DI bit for bit
-#   8. exp_e12 --smoke        parallel kernels bit-identical to sequential
-#   9. audit_recovery smoke   kill the audit writer mid-batch, restart,
+#   8. guard examples         run examples/production_monitoring.rs and
+#                             examples/serving.rs, the two examples that
+#                             drive the guard API; a non-zero exit fails
+#   9. exp_e12 --smoke        parallel kernels bit-identical to sequential
+#  10. audit_recovery smoke   kill the audit writer mid-batch, restart,
 #                             assert the hash chain verifies and loss is
 #                             bounded by one batch (tests + exp_e13 --smoke)
-#  10. exp_e14 --smoke        feature cache: >=5x steady-state speedup,
+#  11. exp_e14 --smoke        feature cache: >=5x steady-state speedup,
 #                             warm keys bridge a store outage, negative
 #                             cache bounds upstream probes
-#  11. exp_e15 --smoke        segmented audit rotation: recovery bytes-read
+#  12. exp_e15 --smoke        segmented audit rotation: recovery bytes-read
 #                             stays one segment as the log grows 10x, every
 #                             segment verifies standalone, a kill at the
 #                             segment boundary loses nothing silently
-#  12. exp_e16 --smoke        cross-process serving: spawn a fact-shardd
+#  13. exp_e16 --smoke        cross-process serving: spawn a fact-shardd
 #                             worker over a tempdir Unix socket, SIGKILL it
 #                             under load, respawn, assert the fairness
 #                             window + ε ledger resume from checkpoint with
 #                             bounded loss and the audit chain verifies
 #                             across the crash
-#  13. exp_e17 --smoke        columnar segments: roundtrip + aggregates
+#  14. exp_e17 --smoke        columnar segments: roundtrip + aggregates
 #                             bit-identical at 1/2/4 workers, zone maps
 #                             prune >=half the segments under a selective
 #                             predicate, column-pruned scans read <half
@@ -45,32 +48,32 @@
 #                             and the intersectional audit over segments
 #                             equals the in-memory one while reading
 #                             <half the stored bytes
-#  14. exp_e18 --smoke        adaptive admission: open-loop overload where
+#  15. exp_e18 --smoke        adaptive admission: open-loop overload where
 #                             the static queue bound blows p99 >=4x past
 #                             target while the AIMD controller holds <=2x,
 #                             a flooding tenant is throttled while a quiet
 #                             one completes >=95%, and a spawned
 #                             fact-shardd enforces quotas with typed
 #                             Throttled errors across the wire
-#  15. exp_e19 --smoke        live resharding: 4 -> 8 -> 3 cutovers under
+#  16. exp_e19 --smoke        live resharding: 4 -> 8 -> 3 cutovers under
 #                             concurrent load with zero lost decisions,
 #                             cell-exact fairness-window + ε-ledger
 #                             conservation across the transform, and a
 #                             continuous audit chain
-#  16. exp_e20 --smoke        audit archiving: background compaction of a
+#  17. exp_e20 --smoke        audit archiving: background compaction of a
 #                             10x-rotated log keeps the writer batch p99
 #                             within 5% of the archiver-off baseline,
 #                             every archive decodes byte-identically
 #                             (sha256-checked), and a SIGKILL mid-archive
 #                             recovers with zero provably-lost entries —
 #                             original xor verified archive, never neither
-#  17. doc-link check         every PROTOCOL.md / OPERATIONS.md section
+#  18. doc-link check         every PROTOCOL.md / OPERATIONS.md section
 #                             anchor referenced from the crate rustdoc
 #                             resolves to a real heading
-#  18. harness-kit check      no experiment binary or root integration test
+#  19. harness-kit check      no experiment binary or root integration test
 #                             defines a helper fact_bench::kit owns again
 #                             (worker spawn, models, lending workloads)
-#  19. surface report         non-test LoC and crate-root `pub use` names
+#  20. surface report         non-test LoC and crate-root `pub use` names
 #                             per crate (scripts/surface.sh); report only,
 #                             it fails nothing
 #
@@ -99,6 +102,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline -q --workspace --no-deps
 
 echo "==> exp_e9 --smoke (guarded-stream exact-verdict gate)"
 cargo run --offline -q -p fact-bench --bin exp_e9 -- --smoke
+
+echo "==> guard examples (production_monitoring, serving)"
+cargo run --offline --release -q -p responsible-data-science --example production_monitoring
+cargo run --offline --release -q -p responsible-data-science --example serving
 
 echo "==> exp_e12 --smoke (parallel-kernel determinism gate)"
 cargo run --offline -q -p fact-bench --bin exp_e12 -- --smoke
