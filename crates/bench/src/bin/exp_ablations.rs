@@ -157,6 +157,7 @@ fn a4_calibration() {
 }
 
 fn main() {
+    bench::kit::Mode::from_args();
     a1_svt();
     a2_window();
     a3_boost_depth();

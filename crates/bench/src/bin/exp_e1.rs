@@ -44,6 +44,7 @@ fn run(ds: &fact_data::Dataset, features: &[&str], seed: u64) -> (f64, f64) {
 }
 
 fn main() {
+    bench::kit::Mode::from_args();
     println!("E1: proxy discrimination — DI (accuracy) by label-bias strength β");
     println!("world: n=20000, group B = 30%, proxy strength 0.8 in column (c)\n");
     println!(

@@ -43,6 +43,7 @@ fn reweighed(x: &Matrix, y: &[bool], d: &Dataset, seed: u64) -> Result<Box<dyn C
 }
 
 fn main() -> Result<()> {
+    bench::kit::Mode::from_args();
     let world = generate_loans(&LoanConfig {
         n: 16_000,
         seed: 10,

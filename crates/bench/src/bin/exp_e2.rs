@@ -28,6 +28,7 @@ const FEATURES: [&str; 5] = [
 ];
 
 fn main() {
+    bench::kit::Mode::from_args();
     let world = generate_loans(&LoanConfig {
         n: 24_000,
         seed: 2,

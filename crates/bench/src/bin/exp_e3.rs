@@ -37,6 +37,7 @@ fn null_p_values(n_rows: usize, m: usize, seed: u64) -> Vec<f64> {
 }
 
 fn main() {
+    bench::kit::Mode::from_args();
     println!("E3: multiple testing on pure noise (n=300 rows, α=0.05)\n");
     println!(
         "{:>6} {:>8} {:>11} {:>8} {:>8} {:>8}",

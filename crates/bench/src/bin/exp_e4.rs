@@ -10,6 +10,7 @@ use fact_accuracy::simpson::{audit_simpson, scan_stratifiers};
 use fact_data::synth::admissions::{generate_admissions, AdmissionsConfig};
 
 fn main() {
+    bench::kit::Mode::from_args();
     let ds = generate_admissions(&AdmissionsConfig { n: 24_000, seed: 4 });
 
     let rep = audit_simpson(&ds, "admitted", "gender", "male", "female", "department").unwrap();

@@ -14,6 +14,7 @@ use fact_data::synth::census::{generate_census, CensusConfig};
 use fact_stats::descriptive::mean;
 
 fn main() {
+    bench::kit::Mode::from_args();
     let census = generate_census(&CensusConfig {
         n: 10_000,
         seed: 5,

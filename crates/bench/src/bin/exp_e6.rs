@@ -10,6 +10,7 @@ use fact_confidentiality::risk::{reidentification_risk, schema_risk};
 use fact_data::synth::census::{generate_census, CensusConfig};
 
 fn main() {
+    bench::kit::Mode::from_args();
     let census = generate_census(&CensusConfig {
         n: 10_000,
         seed: 6,

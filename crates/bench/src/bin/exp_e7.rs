@@ -18,6 +18,7 @@ use fact_transparency::importance::permutation_importance;
 use fact_transparency::surrogate::SurrogateExplainer;
 
 fn main() {
+    bench::kit::Mode::from_args();
     let world = generate_hiring(&HiringConfig {
         n: 12_000,
         seed: 7,

@@ -37,6 +37,7 @@ fn biases(cfg: &ClinicalConfig) -> (f64, [f64; 6]) {
 const NAMES: [&str; 6] = ["naive", "PSM", "strata", "IPW", "regression", "AIPW"];
 
 fn main() {
+    bench::kit::Mode::from_args();
     println!("E8: estimator bias (estimate − true ATE), n = 30k per world\n");
     println!(
         "{:<34} {:>8} | {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",

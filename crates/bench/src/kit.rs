@@ -55,7 +55,9 @@ impl Mode {
 
     /// This process's mode. Any argument but `--smoke` prints a usage line
     /// and exits 2, so a typo never runs the full experiment and rewrites
-    /// its committed `results/*.txt`.
+    /// its committed `results/*.txt`. Every `exp_*` binary calls it;
+    /// one without a reduced run (E1–E8, E10, the ablations) calls it only
+    /// to refuse stray arguments and runs in full under `--smoke` too.
     pub fn from_args() -> Mode {
         let mut args = std::env::args();
         let program = args

@@ -54,7 +54,7 @@ use fact_transparency::audit::Digest;
 use fact_transparency::sha256::sha256;
 use serde::{Deserialize, Serialize};
 
-use crate::audit_sink::{check_segment_bytes, AuditStorage};
+use crate::audit_sink::{replay_bytes, AuditStorage};
 
 // ---------------------------------------------------------------------------
 // configuration
@@ -500,7 +500,7 @@ fn archive_one(
     let original = storage.read_segment(id)?;
     // step 1: the original must verify standalone — an unverifiable
     // segment is evidence of a fault and is never compacted away
-    if check_segment_bytes(&original).is_err() {
+    if replay_bytes(&original).verdict.is_err() {
         stats.verify_failures.fetch_add(1, Ordering::Relaxed);
         return Ok(ArchiveOutcome::Skipped);
     }

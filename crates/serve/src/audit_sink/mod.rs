@@ -3,7 +3,11 @@
 //!
 //! `fact-serve` used to *count* flagged decisions; a crash erased exactly
 //! the evidence the audit-and-flag degrade policy exists to preserve. This
-//! module makes the trail durable and tamper-evident:
+//! module makes the trail durable and tamper-evident. It has three parts:
+//! `mod.rs` holds the events, the configuration and the writer;
+//! `storage.rs` is where the bytes live ([`AuditStorage`],
+//! [`FileStorage`]); `recovery.rs` reads them back ([`recover`],
+//! [`verify_segment`], [`verify_all_segments`], [`parse_log`]).
 //!
 //! * **One writer thread** is fed by an `std::sync::mpsc` channel from all
 //!   shard workers. Events are batched (up to `batch_max`, or after
@@ -11,8 +15,9 @@
 //!   followed by one fsync — so a crash can tear at most the last batch.
 //! * **Every entry extends the [`fact_transparency`] hash chain**: the
 //!   writer carries a [`ChainHead`] and serializes chained
-//!   [`AuditEntry`]s as JSONL, one line per entry. The file itself *is*
-//!   the chain; any edit, deletion, or reorder is detectable offline with
+//!   [`AuditEntry`](fact_transparency::audit::AuditEntry)s as JSONL, one
+//!   line per entry. The file itself *is* the chain; any edit, deletion,
+//!   or reorder is detectable offline with
 //!   [`verify_chain_from`](fact_transparency::audit::verify_chain_from).
 //! * **The chain head is persisted** after every synced batch (a small
 //!   sidecar the storage keeps next to the log). It is advisory: losing it
@@ -26,336 +31,35 @@
 //!   ([`ChainHead::handoff_details`]). Because the claim is covered by the
 //!   entry's own digest, every segment verifies **standalone** — no need
 //!   to replay history from genesis — and old segments can be archived or
-//!   verified lazily ([`verify_segment`], [`verify_all_segments`]).
+//!   verified lazily.
 //! * **Sealed segments can be archived.** When
-//!   [`AuditSinkConfig::archive`] is set, a background
-//!   [`Archiver`] thread (never the writer hot
-//!   path) compresses sealed segments past a retention horizon into
-//!   verified `.facz` containers and deletes the originals — see
-//!   [`crate::archive`] for the crash-safe protocol. Recovery and
-//!   [`verify_all_segments`] read archived segments transparently via
-//!   [`read_segment_or_archive`], so history stays verifiable across the
-//!   live/archived boundary.
-//! * **A startup recovery pass** replays only the *newest* segment: its
-//!   handoff record says where the chain resumes, so recovery work is
-//!   O(segment), not O(history). A torn tail is truncated at the exact cut
-//!   point; a segment whose opening handoff itself tore (a crash during
-//!   the roll) is wiped and recovery falls back one segment. A *missing
-//!   middle* segment is reported as provable loss, quantified from the
-//!   neighbors' handoff claims — never silently skipped.
-//!
-//! Storage is injectable through [`AuditStorage`], which is what the
-//! crash/fault-injection test suite drives:
-//! [`testing::MemStorage`](crate::testing::MemStorage) runs one fault rule
-//! over every mutating call, so any append, segment open, head, archive
-//! or manifest write, or delete can fail, tear, kill the storage like a
-//! dead process, or report success without landing — the same failure
-//! surface any checkpoint/WAL path has.
+//!   [`AuditSinkConfig::archive`] is set, a background [`Archiver`] thread
+//!   (never the writer hot path) compresses sealed segments past a
+//!   retention horizon into verified `.facz` containers and deletes the
+//!   originals — see [`crate::archive`] for the crash-safe protocol.
+
+mod recovery;
+mod storage;
+
+pub(crate) use recovery::replay_bytes;
+pub use recovery::{
+    parse_log, read_segment_or_archive, recover, verify_all_segments, verify_segment,
+    RecoveryReport, SegmentAudit,
+};
+pub use storage::{AuditStorage, FileStorage};
 
 use std::fmt::Write as _;
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fact_data::durable::write_atomic;
-use fact_transparency::audit::{
-    is_handoff, parse_handoff_details, verify_segment_entries, AuditEntry, ChainHead, SegmentCheck,
-    SegmentError, SEGMENT_HANDOFF_ACTION,
-};
+use fact_transparency::audit::{ChainHead, SEGMENT_HANDOFF_ACTION};
 
-use crate::archive::{decode_archive, ArchiveConfig, ArchiveSnapshot, ArchiveStats, Archiver};
-
-/// Where the audit log's bytes live: an ordered set of append-only
-/// segments plus a small sidecar slot for the persisted chain head.
-/// Implementations are moved into the writer thread, so they must be
-/// `Send`.
-///
-/// The contract mirrors real files: `append_log` may persist a *prefix*
-/// of the buffer before failing (short write, kill), nothing is considered
-/// durable until `sync_log` returns `Ok`, and `truncate_segment` is
-/// durable on return.
-pub trait AuditStorage: Send {
-    /// Segment ids that exist, in ascending order.
-    fn list_segments(&mut self) -> io::Result<Vec<u64>>;
-    /// Read one whole segment (recovery and verification).
-    fn read_segment(&mut self, segment: u64) -> io::Result<Vec<u8>>;
-    /// Create `segment` if absent and make it the append target.
-    fn open_segment(&mut self, segment: u64) -> io::Result<()>;
-    /// Append raw bytes to the active segment (one batch per call).
-    fn append_log(&mut self, buf: &[u8]) -> io::Result<()>;
-    /// Durably cut `segment` back to `len` bytes (tear off a torn tail).
-    fn truncate_segment(&mut self, segment: u64, len: u64) -> io::Result<()>;
-    /// Make previous appends durable (fsync).
-    fn sync_log(&mut self) -> io::Result<()>;
-    /// Read the persisted chain head, if one exists.
-    fn read_head(&mut self) -> io::Result<Option<Vec<u8>>>;
-    /// Durably replace the persisted chain head.
-    fn write_head(&mut self, buf: &[u8]) -> io::Result<()>;
-
-    // --- archive surface (defaulted: a storage without archive support
-    // --- lists no archives and refuses to write them) ---
-
-    /// Archived segment ids present, ascending.
-    fn list_archives(&mut self) -> io::Result<Vec<u64>> {
-        Ok(Vec::new())
-    }
-    /// Read one segment's archive container bytes
-    /// (see [`crate::archive::decode_archive`]).
-    fn read_archive(&mut self, segment: u64) -> io::Result<Vec<u8>> {
-        let _ = segment;
-        Err(io::Error::new(io::ErrorKind::NotFound, "no such archive"))
-    }
-    /// Durably replace one segment's archive container. Must be atomic
-    /// (write-temp + fsync + rename): a crash leaves the old container or
-    /// the new one, never a torn mix.
-    fn write_archive(&mut self, segment: u64, buf: &[u8]) -> io::Result<()> {
-        let _ = (segment, buf);
-        Err(io::Error::other("storage does not support archives"))
-    }
-    /// Durably remove a *sealed* segment's live file (the archiver's final
-    /// step). Implementations must refuse to remove the active segment.
-    fn remove_segment_file(&mut self, segment: u64) -> io::Result<()> {
-        let _ = segment;
-        Err(io::Error::other("storage does not support archives"))
-    }
-    /// Read the archive-manifest sidecar, if one exists.
-    fn read_manifest(&mut self) -> io::Result<Option<Vec<u8>>> {
-        Ok(None)
-    }
-    /// Durably replace the archive-manifest sidecar (atomic, like
-    /// [`write_archive`](AuditStorage::write_archive)).
-    fn write_manifest(&mut self, buf: &[u8]) -> io::Result<()> {
-        let _ = buf;
-        Err(io::Error::other("storage does not support archives"))
-    }
-    /// A second, independent handle onto the *same* bytes for the archiver
-    /// thread, so archiving never serializes against the writer's handle.
-    /// `None` (the default) means archiving is unsupported; configuring
-    /// [`AuditSinkConfig::archive`] over such a storage refuses at open.
-    fn archive_handle(&self) -> Option<Box<dyn AuditStorage>> {
-        None
-    }
-}
-
-// ---------------------------------------------------------------------------
-// file-backed storage
-// ---------------------------------------------------------------------------
-
-/// Real-file storage: segment 0 is the JSONL log at `path` itself, later
-/// segments sit next to it as `<path>.000001.jsonl`, …, the chain head
-/// lives in a `<path>.head` sidecar, archives in `<segment path>.facz`,
-/// and the archive manifest in `<path>.archive` — sidecars are replaced
-/// via write-temp-then-rename-then-directory-fsync.
-#[derive(Debug)]
-pub struct FileStorage {
-    base: PathBuf,
-    head_path: PathBuf,
-    manifest_path: PathBuf,
-    active: Option<(u64, std::fs::File)>,
-}
-
-impl FileStorage {
-    /// Open storage rooted at `path` (creating parent directories if
-    /// absent); the head sidecar lives at `<path>.head`. No segment is
-    /// created until [`open_segment`](AuditStorage::open_segment).
-    pub fn open(path: &Path) -> io::Result<Self> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut head_path = path.as_os_str().to_owned();
-        head_path.push(".head");
-        let mut manifest_path = path.as_os_str().to_owned();
-        manifest_path.push(".archive");
-        Ok(FileStorage {
-            base: path.to_path_buf(),
-            head_path: PathBuf::from(head_path),
-            manifest_path: PathBuf::from(manifest_path),
-            active: None,
-        })
-    }
-
-    /// `{:06}` pads to *at least* six digits, so ids past 999999 simply
-    /// widen (`.1000000.jsonl`); listing parses digits numerically rather
-    /// than relying on the pad width.
-    fn seg_path(&self, segment: u64) -> PathBuf {
-        if segment == 0 {
-            self.base.clone()
-        } else {
-            let mut name = self.base.as_os_str().to_owned();
-            name.push(format!(".{segment:06}.jsonl"));
-            PathBuf::from(name)
-        }
-    }
-
-    fn archive_path(&self, segment: u64) -> PathBuf {
-        let mut name = self.seg_path(segment).into_os_string();
-        name.push(".facz");
-        PathBuf::from(name)
-    }
-
-    /// Parse `name` as one of this log's files with the given extra
-    /// suffix: `<base><suffix>` is segment 0,
-    /// `<base>.<digits>.jsonl<suffix>` is that numeric segment (any digit
-    /// width — ids past the six-digit pad must still be accepted).
-    fn parse_segment_name(base_name: &str, name: &str, suffix: &str) -> Option<u64> {
-        let stem = name.strip_suffix(suffix)?;
-        if stem == base_name {
-            return Some(0);
-        }
-        let mid = stem
-            .strip_prefix(base_name)
-            .and_then(|r| r.strip_prefix('.'))
-            .and_then(|r| r.strip_suffix(".jsonl"))?;
-        if mid.is_empty() || !mid.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
-        }
-        mid.parse::<u64>().ok().filter(|&n| n > 0)
-    }
-
-    fn list_by_suffix(&mut self, suffix: &str) -> io::Result<Vec<u64>> {
-        let base_name = self
-            .base
-            .file_name()
-            .and_then(|n| n.to_str())
-            .map(str::to_owned)
-            .ok_or_else(|| io::Error::other("audit log path has no file name"))?;
-        let mut segs = Vec::new();
-        for entry in std::fs::read_dir(self.dir())? {
-            let Ok(name) = entry?.file_name().into_string() else {
-                continue;
-            };
-            if let Some(n) = Self::parse_segment_name(&base_name, &name, suffix) {
-                segs.push(n);
-            }
-        }
-        segs.sort_unstable();
-        segs.dedup();
-        Ok(segs)
-    }
-
-    fn dir(&self) -> PathBuf {
-        match self.base.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-            _ => PathBuf::from("."),
-        }
-    }
-
-    /// fsync the directory holding the log: file creations and renames
-    /// are directory mutations and survive power loss only once the
-    /// directory inode itself is synced.
-    fn sync_dir(&self) -> io::Result<()> {
-        std::fs::File::open(self.dir())?.sync_all()
-    }
-}
-
-impl AuditStorage for FileStorage {
-    fn list_segments(&mut self) -> io::Result<Vec<u64>> {
-        self.list_by_suffix("")
-    }
-
-    fn read_segment(&mut self, segment: u64) -> io::Result<Vec<u8>> {
-        std::fs::read(self.seg_path(segment))
-    }
-
-    fn open_segment(&mut self, segment: u64) -> io::Result<()> {
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(self.seg_path(segment))?;
-        self.sync_dir()?;
-        self.active = Some((segment, file));
-        Ok(())
-    }
-
-    fn append_log(&mut self, buf: &[u8]) -> io::Result<()> {
-        // O_APPEND: writes land at the end regardless of other handles
-        match &mut self.active {
-            Some((_, file)) => file.write_all(buf),
-            None => Err(io::Error::other("no active segment")),
-        }
-    }
-
-    fn truncate_segment(&mut self, segment: u64, len: u64) -> io::Result<()> {
-        if let Some((active, file)) = &self.active {
-            if *active == segment {
-                file.set_len(len)?;
-                return file.sync_data();
-            }
-        }
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(self.seg_path(segment))?;
-        file.set_len(len)?;
-        file.sync_data()
-    }
-
-    fn sync_log(&mut self) -> io::Result<()> {
-        match &self.active {
-            Some((_, file)) => file.sync_data(),
-            None => Err(io::Error::other("no active segment")),
-        }
-    }
-
-    fn read_head(&mut self) -> io::Result<Option<Vec<u8>>> {
-        match std::fs::read(&self.head_path) {
-            Ok(b) => Ok(Some(b)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn write_head(&mut self, buf: &[u8]) -> io::Result<()> {
-        write_atomic(&self.head_path, buf)
-    }
-
-    fn list_archives(&mut self) -> io::Result<Vec<u64>> {
-        self.list_by_suffix(".facz")
-    }
-
-    fn read_archive(&mut self, segment: u64) -> io::Result<Vec<u8>> {
-        std::fs::read(self.archive_path(segment))
-    }
-
-    fn write_archive(&mut self, segment: u64, buf: &[u8]) -> io::Result<()> {
-        write_atomic(&self.archive_path(segment), buf)
-    }
-
-    fn remove_segment_file(&mut self, segment: u64) -> io::Result<()> {
-        if let Some((active, _)) = &self.active {
-            if *active == segment {
-                return Err(io::Error::other("refusing to remove the active segment"));
-            }
-        }
-        std::fs::remove_file(self.seg_path(segment))?;
-        self.sync_dir()
-    }
-
-    fn read_manifest(&mut self) -> io::Result<Option<Vec<u8>>> {
-        match std::fs::read(&self.manifest_path) {
-            Ok(b) => Ok(Some(b)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn write_manifest(&mut self, buf: &[u8]) -> io::Result<()> {
-        write_atomic(&self.manifest_path, buf)
-    }
-
-    fn archive_handle(&self) -> Option<Box<dyn AuditStorage>> {
-        // a fresh handle on the same paths: its own fds, no shared state
-        FileStorage::open(&self.base)
-            .ok()
-            .map(|s| Box::new(s) as Box<dyn AuditStorage>)
-    }
-}
+use crate::archive::{ArchiveConfig, ArchiveSnapshot, ArchiveStats, Archiver};
 
 // ---------------------------------------------------------------------------
 // events, config, reports
@@ -487,49 +191,6 @@ impl Default for AuditSinkConfig {
     }
 }
 
-/// What the startup recovery pass found and did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Intact chained entries replayed (the newest segment's — recovery
-    /// never re-reads older segments unless it has to fall back).
-    pub recovered: u64,
-    /// Byte offset appending resumes at within the active segment.
-    pub cut_offset: u64,
-    /// Bytes removed across segments (torn or unverifiable tails).
-    pub truncated_bytes: u64,
-    /// Complete lines discarded past the cut point (a torn final fragment
-    /// without a newline is not counted here).
-    pub cut_lines: u64,
-    /// Sequence number of the first entry that failed chain verification,
-    /// when the cut was a chain break rather than a torn/unparseable tail.
-    pub cut_seq: Option<u64>,
-    /// Entries provably lost: what the persisted chain head promised
-    /// beyond the recovered log, plus entries missing-middle segments
-    /// held (quantified from the neighbors' handoff claims). Bounded by
-    /// one batch when the only fault was a kill (the unsynced tail).
-    pub lost: u64,
-    /// The chain head appending resumes from.
-    pub resumed: ChainHead,
-    /// Segments present after recovery.
-    pub segments: u64,
-    /// Segment id appending resumes into.
-    pub active_segment: u64,
-    /// Segments the pass actually read end-to-end: 1 normally, 2 when a
-    /// torn/empty newest segment forced a one-segment fallback, 0 for a
-    /// fresh log. Gap accounting may read more, but only when segments
-    /// are already missing.
-    pub replayed_segments: u64,
-    /// Segment ids missing between present neighbors (middle gaps; a
-    /// leading gap is legitimate archival, not loss).
-    pub missing_segments: u64,
-    /// Entries those missing segments provably held, per the surviving
-    /// neighbors' handoff claims.
-    pub missing_entries: u64,
-    /// Whether the writer's first flush must open the active segment with
-    /// a fresh handoff record (set after a fallback wiped a torn roll).
-    pub needs_handoff: bool,
-}
-
 /// Final accounting returned by [`AuditSink::finish`].
 #[derive(Debug, Clone)]
 pub struct SinkReport {
@@ -578,387 +239,6 @@ impl AuditSinkHandle {
             self.shared.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// recovery
-// ---------------------------------------------------------------------------
-
-/// Line-by-line scan of one segment's bytes: establish the start head
-/// from the first entry (genesis, or a handoff record's claim), then walk
-/// the chain until it tears or breaks.
-struct SegmentScan {
-    recovered: u64,
-    good_len: usize,
-    cut_seq: Option<u64>,
-    end: ChainHead,
-}
-
-fn scan_segment(bytes: &[u8]) -> SegmentScan {
-    let mut head = ChainHead::genesis();
-    let mut started = false;
-    let mut recovered = 0u64;
-    let mut good_len = 0usize;
-    let mut cut_seq = None;
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') else {
-            break; // unterminated final fragment: torn mid-line
-        };
-        let parsed = std::str::from_utf8(&bytes[pos..pos + nl])
-            .ok()
-            .and_then(|s| serde_json::from_str::<AuditEntry>(s).ok());
-        let Some(entry) = parsed else {
-            break; // torn or garbled line
-        };
-        if !started {
-            started = true;
-            if is_handoff(&entry) {
-                match parse_handoff_details(&entry.details) {
-                    // the claim is only *trusted* if the entry itself
-                    // chains onto it, which the follows() check does below
-                    Some((_, claim)) => head = claim,
-                    None => break,
-                }
-            }
-            // a non-handoff first entry must start at genesis; anything
-            // else fails the follows() check and cuts at offset 0
-        }
-        if head.follows(&entry) {
-            head = ChainHead::advanced_past(&entry);
-            recovered += 1;
-            pos += nl + 1;
-            good_len = pos;
-        } else {
-            // parseable but breaks the chain: corruption or tampering
-            cut_seq = Some(entry.seq);
-            break;
-        }
-    }
-    SegmentScan {
-        recovered,
-        good_len,
-        cut_seq,
-        // nothing verified → the segment pins no chain position; resume
-        // from genesis and let the head sidecar report the loss
-        end: if recovered == 0 {
-            ChainHead::genesis()
-        } else {
-            head
-        },
-    }
-}
-
-/// The (self-verified) claim of a segment's opening handoff record, if it
-/// has one.
-fn first_handoff_claim(bytes: &[u8]) -> Option<ChainHead> {
-    let nl = bytes.iter().position(|&b| b == b'\n')?;
-    let entry: AuditEntry = serde_json::from_str(std::str::from_utf8(&bytes[..nl]).ok()?).ok()?;
-    if !is_handoff(&entry) {
-        return None;
-    }
-    let (_, claim) = parse_handoff_details(&entry.details)?;
-    claim.follows(&entry).then_some(claim)
-}
-
-fn count_newlines(bytes: &[u8]) -> u64 {
-    bytes.iter().filter(|&&b| b == b'\n').count() as u64
-}
-
-/// Replay the **newest live segment** in `storage`, verify it standalone
-/// from its own handoff record (or genesis), truncate whatever tail does
-/// not verify, and return the head appending should resume from.
-///
-/// Archived segments count as present: a segment the archiver compacted
-/// and deleted is *not* loss — its verified archive is read transparently
-/// wherever recovery would have read the live file. Older segments are
-/// not re-read — that is what makes restart cost O(segment) instead of
-/// O(history) — except when recovery must fall back one segment (the
-/// newest is empty or its opening handoff tore: the crash hit the roll
-/// itself), or when segments are missing in the middle and their
-/// neighbors are consulted to *quantify* the provable loss.
-pub fn recover(storage: &mut dyn AuditStorage) -> io::Result<RecoveryReport> {
-    let live = storage.list_segments()?;
-    let present = union_segments(storage)?;
-    if present.is_empty() {
-        storage.open_segment(0)?;
-        return Ok(RecoveryReport {
-            recovered: 0,
-            cut_offset: 0,
-            truncated_bytes: 0,
-            cut_lines: 0,
-            cut_seq: None,
-            lost: 0,
-            resumed: ChainHead::genesis(),
-            segments: 1,
-            active_segment: 0,
-            replayed_segments: 0,
-            missing_segments: 0,
-            missing_entries: 0,
-            needs_handoff: false,
-        });
-    }
-
-    // Middle gaps: a leading gap is legitimate archival+pruning of old
-    // segments, but a hole between present segments — no live file *and*
-    // no archive — is loss. It is *provable* loss: the segment after the
-    // gap opens with a handoff claiming the chain position at the end of
-    // the segment before it, and the last present segment before the gap
-    // replays to its own end — the difference is exactly the entries the
-    // hole swallowed.
-    let mut missing_segments = 0u64;
-    let mut missing_entries = 0u64;
-    for w in present.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        if b > a + 1 {
-            missing_segments += b - a - 1;
-            let before = scan_segment(&read_segment_or_archive(storage, a)?);
-            if let Some(claim) = first_handoff_claim(&read_segment_or_archive(storage, b)?) {
-                missing_entries += claim.next_seq.saturating_sub(before.end.next_seq);
-            }
-        }
-    }
-
-    // The head sidecar is written after the batch fsync, so it can only
-    // lag the log, never legitimately lead it — a lead is tail loss.
-    let persisted: Option<ChainHead> = storage
-        .read_head()?
-        .and_then(|b| String::from_utf8(b).ok())
-        .and_then(|s| serde_json::from_str(&s).ok());
-
-    let Some(&active) = live.last() else {
-        // Every segment is archived and its live file removed (the sink
-        // was compacted to nothing while closed). Resume the chain in a
-        // fresh segment past the newest archive, opened with a handoff —
-        // exactly as if the writer had just rolled.
-        let newest = *present.last().expect("non-empty");
-        let scan = scan_segment(&read_segment_or_archive(storage, newest)?);
-        storage.open_segment(newest + 1)?;
-        let tail_lost = persisted.map_or(0, |p| p.next_seq.saturating_sub(scan.end.next_seq));
-        return Ok(RecoveryReport {
-            recovered: scan.recovered,
-            cut_offset: 0,
-            truncated_bytes: 0,
-            cut_lines: 0,
-            cut_seq: scan.cut_seq,
-            lost: tail_lost + missing_entries,
-            resumed: scan.end,
-            segments: present.len() as u64 + 1,
-            active_segment: newest + 1,
-            replayed_segments: 1,
-            missing_segments,
-            missing_entries,
-            needs_handoff: true,
-        });
-    };
-
-    let lowest = present[0];
-    let bytes = storage.read_segment(active)?;
-    let scan = scan_segment(&bytes);
-    let mut truncated_bytes = 0u64;
-    let mut cut_lines = 0u64;
-    let mut replayed_segments = 1u64;
-    let mut needs_handoff = false;
-    let (recovered, cut_offset, cut_seq, resumed);
-
-    if scan.good_len == 0 && active > lowest {
-        // The newest segment is empty or its opening handoff tore — the
-        // crash hit the roll itself. Wipe it and fall back one present
-        // segment (live or archived); the writer re-opens the wiped
-        // segment with a fresh handoff on its first flush.
-        truncated_bytes += bytes.len() as u64;
-        cut_lines += count_newlines(&bytes);
-        if !bytes.is_empty() {
-            storage.truncate_segment(active, 0)?;
-        }
-        let at = present
-            .iter()
-            .position(|&p| p == active)
-            .expect("active is present");
-        let prev = present[at - 1];
-        let pbytes = read_segment_or_archive(storage, prev)?;
-        let pscan = scan_segment(&pbytes);
-        replayed_segments = 2;
-        needs_handoff = true;
-        if pscan.good_len < pbytes.len() {
-            truncated_bytes += (pbytes.len() - pscan.good_len) as u64;
-            cut_lines += count_newlines(&pbytes[pscan.good_len..]);
-            // an archived predecessor is immutable (and was verified when
-            // archived); only a live file can carry — and shed — a tail
-            if live.binary_search(&prev).is_ok() {
-                storage.truncate_segment(prev, pscan.good_len as u64)?;
-            }
-        }
-        recovered = pscan.recovered;
-        cut_offset = 0u64;
-        cut_seq = pscan.cut_seq;
-        resumed = pscan.end;
-    } else {
-        if scan.good_len < bytes.len() {
-            truncated_bytes += (bytes.len() - scan.good_len) as u64;
-            cut_lines += count_newlines(&bytes[scan.good_len..]);
-            storage.truncate_segment(active, scan.good_len as u64)?;
-        }
-        recovered = scan.recovered;
-        cut_offset = scan.good_len as u64;
-        cut_seq = scan.cut_seq;
-        resumed = scan.end;
-    }
-    storage.open_segment(active)?;
-
-    let tail_lost = persisted.map_or(0, |p| p.next_seq.saturating_sub(resumed.next_seq));
-    Ok(RecoveryReport {
-        recovered,
-        cut_offset,
-        truncated_bytes,
-        cut_lines,
-        cut_seq,
-        lost: tail_lost + missing_entries,
-        resumed,
-        segments: present.len() as u64,
-        active_segment: active,
-        replayed_segments,
-        missing_segments,
-        missing_entries,
-        needs_handoff,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// lazy segment verification
-// ---------------------------------------------------------------------------
-
-/// Read one segment's JSONL content, falling back to its archive when the
-/// live file is gone: the container is decoded
-/// ([`crate::archive::decode_archive`] verifies magic, length, and
-/// SHA-256) and must hold the segment id asked for. This is what keeps
-/// history verifiable across the live/archived boundary — callers never
-/// care which side a segment is on.
-pub fn read_segment_or_archive(
-    storage: &mut dyn AuditStorage,
-    segment: u64,
-) -> io::Result<Vec<u8>> {
-    match storage.read_segment(segment) {
-        Ok(b) => Ok(b),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            let container = storage.read_archive(segment)?;
-            let (held, bytes) = decode_archive(&container)?;
-            if held != segment {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "archive container holds a different segment id",
-                ));
-            }
-            Ok(bytes)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// All segment ids with *any* surviving copy — live file, archive, or
-/// both — ascending.
-fn union_segments(storage: &mut dyn AuditStorage) -> io::Result<Vec<u64>> {
-    let mut ids = storage.list_segments()?;
-    ids.extend(storage.list_archives()?);
-    ids.sort_unstable();
-    ids.dedup();
-    Ok(ids)
-}
-
-/// Verify one segment **standalone** against the hash chain: parse its
-/// bytes (live or archived — see [`read_segment_or_archive`]) and check
-/// it from its own handoff record (or genesis) via
-/// [`verify_segment_entries`]. The outer `Result` is storage I/O; the
-/// inner one is the verification verdict.
-pub fn verify_segment(
-    storage: &mut dyn AuditStorage,
-    segment: u64,
-) -> io::Result<Result<SegmentCheck, SegmentError>> {
-    let bytes = read_segment_or_archive(storage, segment)?;
-    Ok(check_segment_bytes(&bytes))
-}
-
-/// Parse raw segment bytes and verify them standalone against the chain
-/// (the in-memory half of [`verify_segment`]; the archiver uses it to
-/// vet a segment before compacting it).
-pub(crate) fn check_segment_bytes(bytes: &[u8]) -> Result<SegmentCheck, SegmentError> {
-    let mut entries = Vec::new();
-    let mut pos = 0usize;
-    let mut torn = false;
-    while pos < bytes.len() {
-        let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') else {
-            torn = true;
-            break;
-        };
-        match std::str::from_utf8(&bytes[pos..pos + nl])
-            .ok()
-            .and_then(|s| serde_json::from_str::<AuditEntry>(s).ok())
-        {
-            Some(e) => {
-                entries.push(e);
-                pos += nl + 1;
-            }
-            None => {
-                torn = true;
-                break;
-            }
-        }
-    }
-    let check = verify_segment_entries(&entries)?;
-    if torn {
-        return Err(SegmentError::TornTail(entries.len()));
-    }
-    Ok(check)
-}
-
-/// Outcome of verifying every present segment standalone plus stitching
-/// adjacent pairs, from [`verify_all_segments`].
-#[derive(Debug, Clone)]
-pub struct SegmentAudit {
-    /// Per-segment verdicts, ascending by segment id.
-    pub segments: Vec<(u64, Result<SegmentCheck, SegmentError>)>,
-    /// Whether every present segment verified, every adjacent pair is
-    /// gap-free, each handoff's claimed segment id matches its file, and
-    /// each segment's start equals its predecessor's end.
-    pub continuous: bool,
-}
-
-/// Verify **every** present segment standalone and check cross-segment
-/// continuity. Archived segments participate exactly like live ones
-/// (decompressed on demand), so a store the archiver has partially
-/// compacted still audits end to end. This is the full-history audit the
-/// lazy design defers out of the restart path; run it offline or on
-/// demand.
-pub fn verify_all_segments(storage: &mut dyn AuditStorage) -> io::Result<SegmentAudit> {
-    let present = union_segments(storage)?;
-    let mut segments = Vec::with_capacity(present.len());
-    let mut continuous = true;
-    let mut prev: Option<(u64, ChainHead)> = None;
-    for &id in &present {
-        let verdict = verify_segment(storage, id)?;
-        match &verdict {
-            Ok(check) => {
-                if id > present[0] && check.handoff_segment != Some(id) {
-                    continuous = false; // renamed/transplanted segment file
-                }
-                if let Some((pid, pend)) = prev {
-                    if pid + 1 != id || check.start != pend {
-                        continuous = false;
-                    }
-                }
-                prev = Some((id, check.end));
-            }
-            Err(_) => {
-                continuous = false;
-                prev = None;
-            }
-        }
-        segments.push((id, verdict));
-    }
-    Ok(SegmentAudit {
-        segments,
-        continuous,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1090,18 +370,9 @@ impl AuditSink {
         Arc::clone(&self.archive_stats)
     }
 
-    /// Drop the sender, let the writer drain, stamp the stop marker, and
-    /// join; then stop the archiver (it runs one final pass first).
-    /// (Outstanding [`AuditSinkHandle`]s keep the writer alive until they
-    /// are dropped too.)
+    /// Stop the sink (see `stop`) and collect its [`SinkReport`].
     pub fn finish(mut self) -> SinkReport {
-        self.tx.take();
-        if let Some(w) = self.writer.take() {
-            let _ = w.join();
-        }
-        if let Some(a) = self.archiver.take() {
-            a.stop();
-        }
+        self.stop();
         let rolls = self.shared.rolls.load(Ordering::Relaxed);
         SinkReport {
             audited: self.shared.audited.load(Ordering::Relaxed),
@@ -1113,10 +384,12 @@ impl AuditSink {
             archive: self.archive_stats.snapshot(),
         }
     }
-}
 
-impl Drop for AuditSink {
-    fn drop(&mut self) {
+    /// Drop the sender, let the writer drain, stamp the stop marker, and
+    /// join; then stop the archiver (it runs one final pass first).
+    /// (Outstanding [`AuditSinkHandle`]s keep the writer alive until they
+    /// are dropped too.) Idempotent: `finish` runs it, then `Drop` again.
+    fn stop(&mut self) {
         self.tx.take();
         if let Some(w) = self.writer.take() {
             let _ = w.join();
@@ -1124,6 +397,12 @@ impl Drop for AuditSink {
         if let Some(a) = self.archiver.take() {
             a.stop();
         }
+    }
+}
+
+impl Drop for AuditSink {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -1311,30 +590,11 @@ fn build_lines(
     buf
 }
 
-/// Parse a recovered JSONL log back into entries (verification helper for
-/// tests and offline audit tooling). Stops at the first unparseable line.
-pub fn parse_log(bytes: &[u8]) -> Vec<AuditEntry> {
-    let mut out = Vec::new();
-    for line in bytes.split(|&b| b == b'\n') {
-        if line.is_empty() {
-            continue;
-        }
-        match std::str::from_utf8(line)
-            .ok()
-            .and_then(|s| serde_json::from_str::<AuditEntry>(s).ok())
-        {
-            Some(e) => out.push(e),
-            None => break,
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testing::{Fault, MemStorage, Op};
-    use fact_transparency::audit::verify_chain_from;
+    use fact_transparency::audit::{is_handoff, verify_chain_from};
 
     fn flagged(shard: usize, key: u64) -> AuditEvent {
         AuditEvent::Flagged {

@@ -114,8 +114,9 @@ pub struct TransformReport {
 ///   are bit-equal before and after (both are returned).
 /// * ε-ledger entries are dealt round-robin (entry *j* → successor
 ///   `j % to`), so every recorded expenditure is replayed exactly once.
-///   If any successor's total ε would exceed the checkpointed budget, the
-///   transform fails **before writing anything** — conservation over
+///   If any successor's total ε would exceed `budget_epsilon` — the
+///   budget the successors restore into, which every successor records —
+///   the transform fails **before writing anything**: conservation over
 ///   silent loss.
 /// * Lifetime decision and DP-pending counts sum-then-split with the
 ///   remainder dealt to the first successors; `dp_exhausted` is OR-folded
@@ -129,6 +130,7 @@ pub fn transform_checkpoints(
     dir: &std::path::Path,
     from: usize,
     to: usize,
+    budget_epsilon: f64,
 ) -> Result<TransformReport, ServeError> {
     if from == 0 || to == 0 {
         return Err(ServeError::BadRequest(
@@ -153,7 +155,6 @@ pub fn transform_checkpoints(
             dir.display()
         )));
     };
-    let budget_epsilon = first.budget_epsilon;
     let budget_delta = first.budget_delta;
 
     // Fold the windows and account for what went in.

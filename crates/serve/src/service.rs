@@ -15,6 +15,7 @@
 //! (every accepted request is answered), then report their totals, which
 //! are merged into a [`ServiceReport`].
 
+use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
@@ -264,6 +265,10 @@ pub struct Decision {
 enum HandleInner {
     Local {
         rx: Receiver<Result<Decision, ServeError>>,
+        /// Set once a poll has returned the decision. The worker drops
+        /// its sender only some time after sending, so the channel alone
+        /// cannot tell a taken decision from one still in flight.
+        taken: Cell<bool>,
     },
     Remote {
         reply: PendingReply,
@@ -328,7 +333,7 @@ impl DecisionHandle {
     pub fn wait(self, timeout: Duration) -> Result<Decision, ServeError> {
         let m = self.metrics.shard(self.shard);
         match self.inner {
-            HandleInner::Local { rx } => match rx.recv_timeout(timeout) {
+            HandleInner::Local { rx, .. } => match rx.recv_timeout(timeout) {
                 Ok(result) => result,
                 Err(RecvTimeoutError::Timeout) => {
                     m.timeouts.fetch_add(1, Ordering::Relaxed);
@@ -360,10 +365,16 @@ impl DecisionHandle {
     }
 
     /// Non-blocking poll; `None` while the decision is still in flight.
+    /// The handle is one-shot: once a poll has returned the decision,
+    /// later polls return `Some(Err(ShuttingDown))`.
     pub fn try_wait(&self) -> Option<Result<Decision, ServeError>> {
         match &self.inner {
-            HandleInner::Local { rx } => match rx.try_recv() {
-                Ok(result) => Some(result),
+            HandleInner::Local { taken, .. } if taken.get() => Some(Err(ServeError::ShuttingDown)),
+            HandleInner::Local { rx, taken } => match rx.try_recv() {
+                Ok(result) => {
+                    taken.set(true);
+                    Some(result)
+                }
                 Err(TryRecvError::Empty) => None,
                 Err(TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
             },
@@ -1103,7 +1114,10 @@ impl DecisionService {
             Ok(()) => {
                 m.enqueued.fetch_add(1, Ordering::Relaxed);
                 Ok(DecisionHandle {
-                    inner: HandleInner::Local { rx: reply_rx },
+                    inner: HandleInner::Local {
+                        rx: reply_rx,
+                        taken: Cell::new(false),
+                    },
                     shard,
                     metrics: Arc::clone(&epoch.metrics),
                 })
@@ -1147,7 +1161,7 @@ impl DecisionService {
         if to == 0 {
             return Err(ServeError::BadRequest("cannot reshard to 0 shards".into()));
         }
-        let (Some(_), Some(checkpoint)) = (&config.guards, &config.checkpoint) else {
+        let (Some(guards), Some(checkpoint)) = (&config.guards, &config.checkpoint) else {
             return Err(ServeError::BadRequest(
                 "resharding requires guards and checkpoint in the config \
                  (the sidecars carry the guard state across the cutover)"
@@ -1177,7 +1191,7 @@ impl DecisionService {
         // every shard writes its final sidecar.
         let epoch = old.drain();
         life.drained.push(epoch.clone());
-        let transform = transform_checkpoints(&checkpoint.dir, from, to);
+        let transform = transform_checkpoints(&checkpoint.dir, from, to, guards.epsilon_budget);
         let restarted = self.restart(if transform.is_ok() { to } else { from });
         let transform = transform?;
         let held = restarted?;
@@ -1772,4 +1786,38 @@ fn respond(version: u8, resp: &ResponseWire) -> Vec<u8> {
         encode_response(version, &ResponseWire::failure(e.to_string()))
             .expect("the server admits only versions with a payload encoding")
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn local_try_wait_is_one_shot_while_the_worker_still_holds_its_sender() {
+        let (tx, rx) = channel();
+        let handle = DecisionHandle {
+            inner: HandleInner::Local {
+                rx,
+                taken: Cell::new(false),
+            },
+            shard: 0,
+            metrics: Arc::new(MetricsRegistry::new(1)),
+        };
+        assert!(handle.try_wait().is_none());
+        tx.send(Ok(Decision {
+            probability: 0.9,
+            favorable: true,
+            flagged: false,
+            shard: 0,
+        }))
+        .unwrap();
+        assert!(matches!(handle.try_wait(), Some(Ok(d)) if d.favorable));
+        // the worker has not dropped its sender yet: the handle itself
+        // must remember that the decision was taken
+        assert!(matches!(
+            handle.try_wait(),
+            Some(Err(ServeError::ShuttingDown))
+        ));
+        drop(tx);
+    }
 }

@@ -86,7 +86,7 @@ fn transform_conserves_counts_ledger_and_decisions() {
         write_checkpoint(&dir, &ck).unwrap();
     }
 
-    let shrink = transform_checkpoints(&dir, 4, 3).unwrap();
+    let shrink = transform_checkpoints(&dir, 4, 3, 1.0).unwrap();
     assert_eq!(shrink.pre_counts, shrink.post_counts, "window conservation");
     assert_eq!(shrink.pre_decisions, pre_decisions);
     assert_eq!(shrink.post_decisions, pre_decisions);
@@ -100,7 +100,7 @@ fn transform_conserves_counts_ledger_and_decisions() {
         .sum();
     assert_eq!(total_ledger as u64, pre_ledger);
 
-    let grow = transform_checkpoints(&dir, 3, 8).unwrap();
+    let grow = transform_checkpoints(&dir, 3, 8, 1.0).unwrap();
     assert_eq!(grow.pre_counts, shrink.post_counts, "chained transforms");
     assert_eq!(grow.pre_counts, grow.post_counts);
     assert_eq!(grow.post_decisions, pre_decisions);
@@ -121,14 +121,50 @@ fn transform_refuses_over_budget_successor_without_writing() {
         write_checkpoint(&dir, &sidecar(shard, 200, 30, 0.01)).unwrap();
     }
     let before = load_checkpoint(&dir, 0).unwrap().unwrap();
-    let err = transform_checkpoints(&dir, 4, 1).unwrap_err();
+    let err = transform_checkpoints(&dir, 4, 1, 1.0).unwrap_err();
     assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
     assert!(err.to_string().contains("budget"), "{err}");
     // nothing was written: sidecar 0 is untouched and 1..4 still exist
     assert_eq!(load_checkpoint(&dir, 0).unwrap().unwrap(), before);
     assert!(load_checkpoint(&dir, 3).unwrap().is_some());
     // spreading the same ledger over 2 successors fits (0.6 each)
-    transform_checkpoints(&dir, 4, 2).unwrap();
+    transform_checkpoints(&dir, 4, 2, 1.0).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn transform_judges_successors_against_the_configured_budget() {
+    let dir = temp_dir("configured-budget");
+    std::fs::create_dir_all(&dir).unwrap();
+    // sidecars written under ε-budget 1.0 holding 4 × 30 × 0.01 = 1.2 ε
+    for shard in 0..4u64 {
+        write_checkpoint(&dir, &sidecar(shard, 200, 30, 0.01)).unwrap();
+    }
+    let before: Vec<GuardCheckpoint> = (0..4)
+        .map(|s| load_checkpoint(&dir, s).unwrap().unwrap())
+        .collect();
+    // configured at 0.3, a split into 2 replays 0.6 into each successor:
+    // refused although the sidecars' own budget of 1.0 would allow it
+    let err = transform_checkpoints(&dir, 4, 2, 0.3).unwrap_err();
+    assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
+    assert!(err.to_string().contains("budget 0.3000"), "{err}");
+    for (s, ck) in before.iter().enumerate() {
+        assert_eq!(
+            &load_checkpoint(&dir, s).unwrap().unwrap(),
+            ck,
+            "sidecar {s}"
+        );
+    }
+    // one successor holding all 1.2 ε: over 1.0, within a configured 2.0
+    assert!(transform_checkpoints(&dir, 4, 1, 1.0).is_err());
+    transform_checkpoints(&dir, 4, 1, 2.0).unwrap();
+    let merged = load_checkpoint(&dir, 0).unwrap().unwrap();
+    assert_eq!(merged.ledger.len(), 120);
+    assert_eq!(
+        merged.budget_epsilon, 2.0,
+        "the successor records the budget"
+    );
+    assert!(load_checkpoint(&dir, 1).unwrap().is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

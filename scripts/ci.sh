@@ -72,7 +72,9 @@
 #                             resolves to a real heading
 #  19. harness-kit check      no experiment binary or root integration test
 #                             defines a helper fact_bench::kit owns again
-#                             (worker spawn, models, lending workloads)
+#                             (worker spawn, models, lending workloads),
+#                             and every exp_* binary with a `fn main`
+#                             parses its arguments with kit::Mode
 #  20. surface report         non-test LoC and crate-root `pub use` names
 #                             per crate (scripts/surface.sh); report only,
 #                             it fails nothing
@@ -172,6 +174,15 @@ if dups=$(grep -rnE "$kit_owned" crates/bench/src/bin tests); then
     exit 1
 fi
 echo "    no kit-owned helper redefined under crates/bench/src/bin or tests/"
+# Every experiment binary takes its arguments through kit::Mode, so a
+# stray argument exits 2 with the usage line instead of running in full.
+for bin in crates/bench/src/bin/exp_*.rs; do
+    if grep -qE '\bfn main\b' "$bin" && ! grep -q 'Mode::from_args' "$bin"; then
+        echo "harness-kit check: $bin defines fn main without kit::Mode::from_args" >&2
+        exit 1
+    fi
+done
+echo "    every exp_* binary parses its arguments with kit::Mode"
 
 echo "==> surface report (non-test LoC and root exports per crate; report only)"
 scripts/surface.sh
