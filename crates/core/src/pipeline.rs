@@ -388,76 +388,24 @@ impl GuardedPipeline {
         epsilon: f64,
         seed: u64,
     ) -> Result<f64> {
-        let accountant = self.accountant.as_mut().ok_or_else(|| {
-            FactError::InvalidArgument("no confidentiality policy/budget configured".into())
-        })?;
-        let (_, ds) = self
-            .data
-            .as_ref()
-            .ok_or_else(|| FactError::InvalidArgument("no data loaded".into()))?;
-        let values = ds.f64_column(column)?;
-        match accountant.spend(epsilon, 0.0, format!("dp_mean({column})")) {
-            Ok(()) => {}
-            Err(e) => {
-                self.audit.append(
-                    "pipeline",
-                    "release_denied",
-                    format!("dp_mean({column}) ε={epsilon}: {e}"),
-                );
-                // the guard doing its job is a *pass* for the pillar
-                self.check(
-                    Pillar::Confidentiality,
-                    "budget enforced",
-                    true,
-                    format!("release of mean({column}) denied: {e}"),
-                );
-                return Err(e);
-            }
-        }
-        let released = dp_mean(&values, lo, hi, epsilon, seed)?;
-        let (spent, budget) = self
-            .accountant
-            .as_ref()
-            .map(|a| (a.spent_epsilon(), a.budget_epsilon()))
-            .unwrap_or((0.0, 0.0));
-        self.check(
-            Pillar::Confidentiality,
-            "dp release within budget",
-            true,
-            format!("dp_mean({column}) at ε={epsilon} (ε spent {spent:.2}/{budget:.2})"),
-        );
-        self.audit.append(
-            "pipeline",
-            "release",
-            format!("dp_mean({column}) ε={epsilon} → {released:.4}"),
-        );
-        Ok(released)
+        self.dp_release(
+            format!("dp_mean({column})"),
+            epsilon,
+            |ds| ds.f64_column(column),
+            |values| dp_mean(&values, lo, hi, epsilon, seed),
+            |released| format!("dp_mean({column}) ε={epsilon} → {released:.4}"),
+        )
     }
 
     /// Release a differentially private row count (sensitivity 1, Laplace).
     pub fn release_count(&mut self, epsilon: f64, seed: u64) -> Result<f64> {
-        let accountant = self.accountant.as_mut().ok_or_else(|| {
-            FactError::InvalidArgument("no confidentiality policy/budget configured".into())
-        })?;
-        let (_, ds) = self
-            .data
-            .as_ref()
-            .ok_or_else(|| FactError::InvalidArgument("no data loaded".into()))?;
-        let n = ds.n_rows();
-        accountant.spend(epsilon, 0.0, "dp_count(rows)")?;
-        let released = dp_count(n, epsilon, seed)?;
-        self.check(
-            Pillar::Confidentiality,
-            "dp release within budget",
-            true,
-            format!("dp_count at ε={epsilon}"),
-        );
-        self.audit.append(
-            "pipeline",
-            "release",
-            format!("dp_count ε={epsilon} → {released:.1}"),
-        );
-        Ok(released)
+        self.dp_release(
+            "dp_count(rows)".to_string(),
+            epsilon,
+            |ds| Ok(ds.n_rows()),
+            |n| dp_count(n, epsilon, seed),
+            |released| format!("dp_count ε={epsilon} → {released:.1}"),
+        )
     }
 
     /// Release a differentially private histogram of a categorical column:
@@ -470,6 +418,68 @@ impl GuardedPipeline {
         epsilon: f64,
         seed: u64,
     ) -> Result<Vec<(String, f64)>> {
+        let measure = |ds: &Dataset| {
+            let (col, cat) = ds.cat_column(column)?;
+            check_codes(&cat.codes, cat.dict.len())?;
+            // Count codes over row chunks in parallel. Summing the chunk
+            // tallies is exact, so the released histogram is bit-identical
+            // at any worker count.
+            let tally = fact_par::par_reduce(
+                cat.codes.len(),
+                1024,
+                |range| {
+                    let mut tally = vec![0u64; cat.dict.len()];
+                    for i in range.filter(|&i| !col.is_null(i)) {
+                        tally[cat.codes[i] as usize] += 1;
+                    }
+                    tally
+                },
+                |mut a, b| {
+                    a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
+                    a
+                },
+            )
+            .unwrap_or_default();
+            let (order, counts): (Vec<String>, Vec<u64>) = cat
+                .dict
+                .iter()
+                .zip(tally)
+                .filter(|&(_, c)| c > 0)
+                .map(|(l, c)| (l.clone(), c))
+                .unzip();
+            Ok((order, counts))
+        };
+        self.dp_release(
+            format!("dp_histogram({column})"),
+            epsilon,
+            measure,
+            |(order, counts)| {
+                let noisy = dp_histogram(&counts, epsilon, seed)?;
+                Ok(order.into_iter().zip(noisy).collect())
+            },
+            |released: &Vec<(String, f64)>| {
+                format!(
+                    "dp_histogram({column}) ε={epsilon}, {} buckets",
+                    released.len()
+                )
+            },
+        )
+    }
+
+    /// One DP release: `measure` the loaded data, spend `epsilon` under the
+    /// ledger `label`, then `noise` the measurement. A denied spend
+    /// hard-fails, audited as `release_denied` and recorded as a passing
+    /// "budget enforced" check (the guard doing its job); a granted one is
+    /// recorded as a "dp release within budget" check and a `release` audit
+    /// entry whose details `entry` writes.
+    fn dp_release<M, T>(
+        &mut self,
+        label: String,
+        epsilon: f64,
+        measure: impl FnOnce(&Dataset) -> Result<M>,
+        noise: impl FnOnce(M) -> Result<T>,
+        entry: impl FnOnce(&T) -> String,
+    ) -> Result<T> {
         let accountant = self.accountant.as_mut().ok_or_else(|| {
             FactError::InvalidArgument("no confidentiality policy/budget configured".into())
         })?;
@@ -477,51 +487,31 @@ impl GuardedPipeline {
             .data
             .as_ref()
             .ok_or_else(|| FactError::InvalidArgument("no data loaded".into()))?;
-        let (col, cat) = ds.cat_column(column)?;
-        check_codes(&cat.codes, cat.dict.len())?;
-        // Count codes over row chunks in parallel. Summing the chunk tallies
-        // is exact, so the released histogram is bit-identical at any
-        // worker count.
-        let tally = fact_par::par_reduce(
-            cat.codes.len(),
-            1024,
-            |range| {
-                let mut tally = vec![0u64; cat.dict.len()];
-                for i in range.filter(|&i| !col.is_null(i)) {
-                    tally[cat.codes[i] as usize] += 1;
-                }
-                tally
-            },
-            |mut a, b| {
-                a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
-                a
-            },
-        )
-        .unwrap_or_default();
-        let (order, counts): (Vec<String>, Vec<u64>) = cat
-            .dict
-            .iter()
-            .zip(tally)
-            .filter(|&(_, c)| c > 0)
-            .map(|(l, c)| (l.clone(), c))
-            .unzip();
-        accountant.spend(epsilon, 0.0, format!("dp_histogram({column})"))?;
-        let noisy = dp_histogram(&counts, epsilon, seed)?;
+        let measured = measure(ds)?;
+        if let Err(e) = accountant.spend(epsilon, 0.0, label.as_str()) {
+            self.audit.append(
+                "pipeline",
+                "release_denied",
+                format!("{label} ε={epsilon}: {e}"),
+            );
+            self.check(
+                Pillar::Confidentiality,
+                "budget enforced",
+                true,
+                format!("release of {label} denied: {e}"),
+            );
+            return Err(e);
+        }
+        let released = noise(measured)?;
+        let (spent, budget) = (accountant.spent_epsilon(), accountant.budget_epsilon());
         self.check(
             Pillar::Confidentiality,
             "dp release within budget",
             true,
-            format!("dp_histogram({column}) at ε={epsilon}"),
+            format!("{label} at ε={epsilon} (ε spent {spent:.2}/{budget:.2})"),
         );
-        self.audit.append(
-            "pipeline",
-            "release",
-            format!(
-                "dp_histogram({column}) ε={epsilon}, {} buckets",
-                order.len()
-            ),
-        );
-        Ok(order.into_iter().zip(noisy).collect())
+        self.audit.append("pipeline", "release", entry(&released));
+        Ok(released)
     }
 
     /// Run the transparency guards: distill a surrogate at the policy depth
@@ -814,11 +804,21 @@ mod tests {
         let err = p.release_mean("income", 0.0, 200.0, 0.8, 2).unwrap_err();
         assert!(matches!(err, FactError::BudgetExhausted { .. }));
         // the denial is in the audit log
-        assert!(p
-            .audit_log()
-            .entries()
-            .iter()
-            .any(|e| e.action == "release_denied"));
+        let denied = |p: &GuardedPipeline| {
+            p.audit_log()
+                .entries()
+                .iter()
+                .filter(|e| e.action == "release_denied")
+                .count()
+        };
+        assert_eq!(denied(&p), 1);
+        // a denied count and a denied histogram are audited the same way
+        let err = p.release_count(0.8, 3).unwrap_err();
+        assert!(matches!(err, FactError::BudgetExhausted { .. }));
+        assert_eq!(denied(&p), 2);
+        let err = p.release_histogram("group", 0.8, 4).unwrap_err();
+        assert!(matches!(err, FactError::BudgetExhausted { .. }));
+        assert_eq!(denied(&p), 3);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * a **reader** thread decodes reply frames out of a read buffer and
 //!   matches them back to waiters through a correlation-id map, so many
 //!   requests can be in flight at once and replies may arrive in any
-//!   order.
+//!   order. Each waiter is a [`oneshot`] slot: the reader settles it and
+//!   the caller's [`PendingReply`] takes the reply from it.
 //!
 //! When the worker dies the reader thread fails every pending waiter with
 //! [`NetError::Disconnected`] and marks the connection dead; a failed
@@ -45,6 +46,7 @@ use std::time::{Duration, Instant};
 
 use crate::endpoint::{Endpoint, NetStream};
 use crate::frame::{encode_frame_into, read_frame, Frame, FrameKind, MIN_VERSION};
+use crate::oneshot::{self, RecvError};
 use crate::payload::{self, RequestWire};
 use crate::NetError;
 
@@ -53,55 +55,9 @@ use crate::NetError;
 /// waiter nobody would answer.
 type PendingMap = Arc<Mutex<Option<HashMap<u64, ReplySender>>>>;
 
-/// Where one reply meets its waiter: the reader thread fills it once, the
-/// waiter takes it once. Per request this is one small allocation by the
-/// caller; a std channel would add a cache-aligned allocation plus a block
-/// the reader thread allocates and the caller frees, which cost CPU and
-/// fragmented the caller's heap under load.
-struct ReplySlot {
-    state: Mutex<Reply>,
-    arrived: Condvar,
-}
-
-enum Reply {
-    Pending,
-    Arrived(Result<Frame, NetError>),
-    Taken,
-}
-
-impl ReplySlot {
-    /// Settle the slot; a slot settles once, later results are ignored.
-    /// Runs from `Drop`, so it must not panic: every update of the state
-    /// is one assignment, so a poisoned lock still guards a valid state.
-    fn fill(&self, result: Result<Frame, NetError>) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(*state, Reply::Pending) {
-            *state = Reply::Arrived(result);
-            self.arrived.notify_one();
-        }
-    }
-}
-
-/// The reader's end of a [`ReplySlot`]. Dropping it unfilled fails the
-/// waiter with [`NetError::Disconnected`], as a dropped channel sender
-/// would, so no waiter outlives its connection.
-struct ReplySender(Option<Arc<ReplySlot>>);
-
-impl ReplySender {
-    fn send(mut self, result: Result<Frame, NetError>) {
-        if let Some(slot) = self.0.take() {
-            slot.fill(result);
-        }
-    }
-}
-
-impl Drop for ReplySender {
-    fn drop(&mut self) {
-        if let Some(slot) = self.0.take() {
-            slot.fill(Err(NetError::Disconnected));
-        }
-    }
-}
+/// Where the reader thread settles one reply; [`PendingReply`] holds the
+/// other end.
+type ReplySender = oneshot::Sender<Result<Frame, NetError>>;
 
 /// Live counters for one remote connection.
 #[derive(Debug, Default)]
@@ -132,46 +88,26 @@ pub struct RemoteStatsSnapshot {
     pub wire_version: u8,
 }
 
-/// A reply that has been sent but not yet received.
+/// A reply that has been sent but not yet received: the waiting end of a
+/// [`oneshot`] slot the connection's reader thread settles.
 ///
 /// Mirrors `fact-serve`'s `DecisionHandle`: the caller chooses when (and
 /// whether) to block.
 pub struct PendingReply {
-    slot: Arc<ReplySlot>,
+    slot: oneshot::Receiver<Result<Frame, NetError>>,
     sent_at: Instant,
     stats: Arc<RemoteStats>,
 }
 
 impl PendingReply {
     /// Block until the reply arrives or `timeout` passes.
-    pub fn wait(self, timeout: Duration) -> Result<Frame, NetError> {
-        // an unrepresentable deadline waits without one
-        let deadline = Instant::now().checked_add(timeout);
-        let mut state = self.slot.state.lock().expect("reply slot lock");
-        while matches!(*state, Reply::Pending) {
-            state = match deadline {
-                None => self.slot.arrived.wait(state).expect("reply slot lock"),
-                Some(deadline) => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                        return Err(NetError::Timeout);
-                    }
-                    let (state, _) = self
-                        .slot
-                        .arrived
-                        .wait_timeout(state, left)
-                        .expect("reply slot lock");
-                    state
-                }
-            };
-        }
-        let reply = std::mem::replace(&mut *state, Reply::Taken);
-        drop(state);
-        match reply {
-            Reply::Arrived(result) => self.count(result),
-            // an earlier try_wait already took it
-            _ => self.count(Err(NetError::Disconnected)),
+    pub fn wait(mut self, timeout: Duration) -> Result<Frame, NetError> {
+        match self.slot.wait(timeout) {
+            Ok(result) => self.count(result),
+            Err(RecvError::Timeout) => self.count(Err(NetError::Timeout)),
+            // an earlier try_wait already took it, or the reader dropped
+            // the waiter unanswered
+            Err(RecvError::Closed) => self.count(Err(NetError::Disconnected)),
         }
     }
 
@@ -179,17 +115,9 @@ impl PendingReply {
     /// reply already consumed (or failed) polls as `Some(Err(Disconnected))`
     /// afterwards, mirroring a one-shot channel.
     pub fn try_wait(&self) -> Option<Result<Frame, NetError>> {
-        let mut state = self.slot.state.lock().expect("reply slot lock");
-        match std::mem::replace(&mut *state, Reply::Taken) {
-            Reply::Pending => {
-                *state = Reply::Pending;
-                None
-            }
-            Reply::Arrived(result) => {
-                drop(state);
-                Some(self.count(result))
-            }
-            Reply::Taken => Some(Err(NetError::Disconnected)),
+        match self.slot.try_wait()? {
+            Ok(result) => Some(self.count(result)),
+            Err(_) => Some(Err(NetError::Disconnected)),
         }
     }
 
@@ -389,10 +317,7 @@ impl RemoteShard {
         payload: impl FnOnce(u8) -> Result<(u8, Vec<u8>), NetError>,
     ) -> Result<PendingReply, NetError> {
         let corr_id = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(ReplySlot {
-            state: Mutex::new(Reply::Pending),
-            arrived: Condvar::new(),
-        });
+        let (reply, slot) = oneshot::channel();
         let mut guard = self.conn.lock().expect("conn lock");
         let queued = self.ensure_connected(&mut guard).and_then(|()| {
             let conn = guard.as_ref().expect("connected above");
@@ -413,7 +338,7 @@ impl RemoteShard {
                 queue.parked = false;
                 conn.outbox.ready.notify_one();
             }
-            waiters.insert(corr_id, ReplySender(Some(Arc::clone(&slot))));
+            waiters.insert(corr_id, reply);
             Ok(())
         });
         drop(guard);
@@ -543,16 +468,13 @@ mod tests {
     use super::*;
 
     fn pending() -> (ReplySender, PendingReply) {
-        let slot = Arc::new(ReplySlot {
-            state: Mutex::new(Reply::Pending),
-            arrived: Condvar::new(),
-        });
+        let (tx, slot) = oneshot::channel();
         let reply = PendingReply {
-            slot: Arc::clone(&slot),
+            slot,
             sent_at: Instant::now(),
             stats: Arc::new(RemoteStats::default()),
         };
-        (ReplySender(Some(slot)), reply)
+        (tx, reply)
     }
 
     fn frame() -> Frame {

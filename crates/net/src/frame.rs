@@ -173,54 +173,18 @@ pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) -> Result<(), FrameEr
     Ok(())
 }
 
-/// Read until `buf` is full or EOF; returns bytes read. Unlike
-/// `read_exact`, a short read is reported with its count so the caller can
-/// tell "clean close" from "torn frame".
-fn read_fully<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, FrameError> {
-    let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(got)
-}
-
 /// Read one frame from `r`.
 ///
 /// Returns `Ok(None)` when the stream closes cleanly on a frame boundary,
 /// `Err(Truncated)` when it closes mid-frame, and the other [`FrameError`]
-/// variants for malformed headers.
+/// variants for malformed headers. With no deadline a timeout-type I/O
+/// error is [`FrameError::Io`] like any other.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    let got = read_fully(r, &mut header)?;
-    if got == 0 {
-        return Ok(None); // clean EOF between frames
+    match read_frame_within(r, None)? {
+        DeadlineRead::Frame(frame) => Ok(Some(frame)),
+        DeadlineRead::Closed => Ok(None),
+        DeadlineRead::Idle => unreachable!("only a deadline read polls idle"),
     }
-    if got < HEADER_LEN {
-        return Err(FrameError::Truncated {
-            needed: HEADER_LEN,
-            got,
-        });
-    }
-    let (version, kind, corr_id, len) = parse_header(&header)?;
-    let mut payload = vec![0u8; len as usize];
-    let got = read_fully(r, &mut payload)?;
-    if got < payload.len() {
-        return Err(FrameError::Truncated {
-            needed: len as usize,
-            got,
-        });
-    }
-    Ok(Some(Frame {
-        version,
-        kind,
-        corr_id,
-        payload,
-    }))
 }
 
 /// Validate a raw header and extract `(version, kind, corr_id, len)`.
@@ -274,16 +238,16 @@ enum SectionRead {
 ///
 /// `started` is the arrival time of the frame's first byte, shared across
 /// the header and payload sections so a peer cannot reset the clock at a
-/// section boundary. Timeout-flavoured io errors (`WouldBlock` /
-/// `TimedOut`, produced by a socket `read_timeout`) are polls, not
-/// failures: with no frame in progress they report an idle connection;
-/// mid-frame they only fail once `deadline` has elapsed since the first
-/// byte.
-fn read_fully_deadline<R: Read>(
+/// section boundary. Under a `deadline`, timeout-flavoured io errors
+/// (`WouldBlock` / `TimedOut`, produced by a socket `read_timeout`) are
+/// polls, not failures: with no frame in progress they report an idle
+/// connection; mid-frame they only fail once `deadline` has elapsed since
+/// the first byte. With no deadline they fail like any other io error.
+fn read_section<R: Read>(
     r: &mut R,
     buf: &mut [u8],
     started: &mut Option<Instant>,
-    deadline: Duration,
+    deadline: Option<Duration>,
 ) -> Result<SectionRead, FrameError> {
     let mut got = 0;
     while got < buf.len() {
@@ -294,18 +258,18 @@ fn read_fully_deadline<R: Read>(
                 started.get_or_insert_with(Instant::now);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                match started {
-                    None => return Ok(SectionRead::TimedOut(0)),
-                    Some(t) if t.elapsed() >= deadline => {
-                        return Ok(SectionRead::TimedOut(got));
+            Err(e) => match (deadline, e.kind()) {
+                (Some(deadline), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                    match started {
+                        None => return Ok(SectionRead::TimedOut(0)),
+                        Some(t) if t.elapsed() >= deadline => {
+                            return Ok(SectionRead::TimedOut(got));
+                        }
+                        Some(_) => continue,
                     }
-                    Some(_) => continue,
                 }
-            }
-            Err(e) => return Err(FrameError::Io(e)),
+                _ => return Err(FrameError::Io(e)),
+            },
         }
     }
     Ok(SectionRead::Full)
@@ -326,9 +290,18 @@ pub fn read_frame_deadline<R: Read>(
     r: &mut R,
     deadline: Duration,
 ) -> Result<DeadlineRead, FrameError> {
+    read_frame_within(r, Some(deadline))
+}
+
+/// The one frame reader behind [`read_frame`] (no deadline) and
+/// [`read_frame_deadline`].
+fn read_frame_within<R: Read>(
+    r: &mut R,
+    deadline: Option<Duration>,
+) -> Result<DeadlineRead, FrameError> {
     let mut started: Option<Instant> = None;
     let mut header = [0u8; HEADER_LEN];
-    match read_fully_deadline(r, &mut header, &mut started, deadline)? {
+    match read_section(r, &mut header, &mut started, deadline)? {
         SectionRead::Full => {}
         SectionRead::Eof(0) => return Ok(DeadlineRead::Closed),
         SectionRead::TimedOut(0) => return Ok(DeadlineRead::Idle),
@@ -341,7 +314,7 @@ pub fn read_frame_deadline<R: Read>(
     }
     let (version, kind, corr_id, len) = parse_header(&header)?;
     let mut payload = vec![0u8; len as usize];
-    match read_fully_deadline(r, &mut payload, &mut started, deadline)? {
+    match read_section(r, &mut payload, &mut started, deadline)? {
         SectionRead::Full => {}
         // the header arrived, so even a 0-byte payload section is torn
         SectionRead::Eof(got) | SectionRead::TimedOut(got) => {
@@ -559,6 +532,26 @@ mod tests {
             read_frame_deadline(&mut r, Duration::ZERO).unwrap(),
             DeadlineRead::Idle
         );
+    }
+
+    #[test]
+    fn without_a_deadline_a_timeout_is_an_io_error_not_a_poll() {
+        let bytes = encode_frame(&Frame::new(FrameKind::Request, 5, b"x".to_vec())).unwrap();
+        for kind in [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut] {
+            // before the first byte and mid-frame alike; the scripted frame
+            // after the error is never read
+            for prefix in [Vec::new(), bytes[..3].to_vec()] {
+                let mut steps = vec![Err(kind), Ok(bytes.clone())];
+                if !prefix.is_empty() {
+                    steps.insert(0, Ok(prefix));
+                }
+                let mut r = Scripted::new(steps);
+                match read_frame(&mut r) {
+                    Err(FrameError::Io(e)) => assert_eq!(e.kind(), kind),
+                    other => panic!("expected Io({kind:?}), got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

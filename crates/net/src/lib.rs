@@ -28,6 +28,10 @@
 //!   version negotiation on every dial, reconnect-on-next-request after a
 //!   worker dies, RTT / reconnect / error counters and the negotiated
 //!   version. Dropping it closes the connection and ends both threads.
+//! * [`oneshot`] — the one-shot reply slot a decision's answer travels
+//!   through: the client's reader thread settles it for a
+//!   [`PendingReply`], and `fact-serve`'s shard workers settle it for a
+//!   local decision handle.
 //! * [`server`] — [`Server`], the worker-side acceptor: each connection
 //!   gets a reader thread that hands each frame to the [`ShardHandler`]
 //!   and a writer thread that drains the resulting [`Reply`]s in FIFO
@@ -59,6 +63,7 @@
 pub mod client;
 pub mod endpoint;
 pub mod frame;
+pub mod oneshot;
 pub mod payload;
 pub mod server;
 

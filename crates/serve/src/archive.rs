@@ -21,8 +21,7 @@
 //!    decode to **byte-identical** segment content;
 //! 5. **commit** — an [`ArchiveManifest`] sidecar records the archive
 //!    (this is the commit point);
-//! 6. **delete** — only then is the original segment file removed
-//!    (skippable via [`ArchiveConfig::delete_after_verify`]).
+//! 6. **delete** — only then is the original segment file removed.
 //!
 //! A crash between any two steps leaves the original, a verified archive,
 //! or both — never neither. The fault matrix in `tests/audit_recovery.rs`
@@ -70,10 +69,6 @@ pub struct ArchiveConfig {
     pub retain_segments: u64,
     /// How often the archiver wakes to scan for eligible segments.
     pub tick: Duration,
-    /// Remove the original segment file once its archive re-verified
-    /// byte-identical and the manifest committed. `false` keeps both (a
-    /// copy-only mode for operators who prune out of band).
-    pub delete_after_verify: bool,
 }
 
 impl Default for ArchiveConfig {
@@ -81,7 +76,6 @@ impl Default for ArchiveConfig {
         ArchiveConfig {
             retain_segments: 2,
             tick: Duration::from_millis(500),
-            delete_after_verify: true,
         }
     }
 }
@@ -471,7 +465,7 @@ pub fn run_once(
     }
     let mut manifest = ArchiveManifest::load(storage)?;
     for &id in &sealed[..eligible] {
-        match archive_one(storage, config, &mut manifest, id, stats) {
+        match archive_one(storage, &mut manifest, id, stats) {
             Ok(ArchiveOutcome::Archived) => report.archived.push(id),
             Ok(ArchiveOutcome::Completed) => report.completed.push(id),
             Ok(ArchiveOutcome::Skipped) => report.skipped.push(id),
@@ -492,7 +486,6 @@ enum ArchiveOutcome {
 
 fn archive_one(
     storage: &mut dyn AuditStorage,
-    config: &ArchiveConfig,
     manifest: &mut ArchiveManifest,
     id: u64,
     stats: &ArchiveStats,
@@ -541,10 +534,8 @@ fn archive_one(
         manifest.store(storage)?;
     }
     // step 6: delete the original
-    if config.delete_after_verify {
-        storage.remove_segment_file(id)?;
-        stats.deletes_completed.fetch_add(1, Ordering::Relaxed);
-    }
+    storage.remove_segment_file(id)?;
+    stats.deletes_completed.fetch_add(1, Ordering::Relaxed);
     if already_committed {
         Ok(ArchiveOutcome::Completed)
     } else {

@@ -565,8 +565,8 @@ mod tests {
             }
         };
         assert!(d.favorable);
-        // the reply channel is one-shot: once the decision is consumed the
-        // worker's sender is gone and further polls say so
+        // the reply slot is one-shot: once the decision is taken further
+        // polls say so
         assert!(matches!(h.try_wait(), Some(Err(ServeError::ShuttingDown))));
         service.shutdown();
     }

@@ -15,14 +15,12 @@
 //! (every accepted request is answered), then report their totals, which
 //! are merged into a [`ServiceReport`].
 
-use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
-    TrySendError,
+    channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError, TrySendError,
 };
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -30,6 +28,7 @@ use std::time::{Duration, Instant};
 
 use fact_core::runtime::{Alert, Guards};
 use fact_ml::Classifier;
+use fact_net::oneshot::{self, RecvError};
 use fact_net::{
     decode as net_decode, decode_request, decode_response, encode as net_encode, encode_response,
     CheckpointAckWire, ControlAckWire, ControlWire, DecisionWire, Endpoint, Frame, FrameKind,
@@ -260,16 +259,10 @@ pub struct Decision {
     pub shard: usize,
 }
 
-/// The transport a handle is waiting on: a local worker's reply channel
-/// or a fact-net in-flight frame.
+/// The transport a handle is waiting on: a local worker's reply slot or a
+/// fact-net in-flight frame.
 enum HandleInner {
-    Local {
-        rx: Receiver<Result<Decision, ServeError>>,
-        /// Set once a poll has returned the decision. The worker drops
-        /// its sender only some time after sending, so the channel alone
-        /// cannot tell a taken decision from one still in flight.
-        taken: Cell<bool>,
-    },
+    Local(oneshot::Receiver<Result<Decision, ServeError>>),
     Remote {
         reply: PendingReply,
         enqueued: Instant,
@@ -314,86 +307,67 @@ fn decode_remote_decision(reply: &Frame, slot: usize) -> Result<Decision, ServeE
     })
 }
 
-/// Mirror a remote worker's typed admission refusal into the client-side
-/// shard counters, so reports read the same across both topologies.
-fn count_remote_error(m: &crate::metrics::ShardMetrics, e: &ServeError) {
-    match e {
-        ServeError::Busy { .. } => {
+/// Decode a remote worker's reply and count it in the client-side shard
+/// counters the way a local shard would: a served decision with its
+/// latency, or a typed admission refusal, so reports read the same across
+/// both topologies.
+fn settle_remote(
+    metrics: &MetricsRegistry,
+    shard: usize,
+    reply: Result<Frame, NetError>,
+    enqueued: Instant,
+) -> Result<Decision, ServeError> {
+    let result = reply
+        .map_err(|e| ServeError::Remote(e.to_string()))
+        .and_then(|frame| decode_remote_decision(&frame, shard));
+    let m = metrics.shard(shard);
+    match &result {
+        Ok(_) => {
+            m.served.fetch_add(1, Ordering::Relaxed);
+            metrics.latency.record(enqueued.elapsed());
+        }
+        Err(ServeError::Busy { .. }) => {
             m.shed.fetch_add(1, Ordering::Relaxed);
         }
-        ServeError::Throttled { .. } => {
+        Err(ServeError::Throttled { .. }) => {
             m.throttled.fetch_add(1, Ordering::Relaxed);
         }
-        _ => {}
+        Err(_) => {}
     }
+    result
 }
 
 impl DecisionHandle {
     /// Block until the decision arrives or `timeout` passes.
     pub fn wait(self, timeout: Duration) -> Result<Decision, ServeError> {
-        let m = self.metrics.shard(self.shard);
         match self.inner {
-            HandleInner::Local { rx, .. } => match rx.recv_timeout(timeout) {
-                Ok(result) => result,
-                Err(RecvTimeoutError::Timeout) => {
-                    m.timeouts.fetch_add(1, Ordering::Relaxed);
-                    Err(ServeError::Timeout { waited: timeout })
-                }
-                // The worker exited without answering: only possible
-                // mid-shutdown.
-                Err(RecvTimeoutError::Disconnected) => Err(ServeError::ShuttingDown),
+            HandleInner::Local(mut rx) => match rx.wait(timeout) {
+                Ok(result) => return result,
+                // The worker exited without answering (only possible
+                // mid-shutdown), or an earlier poll took the decision.
+                Err(RecvError::Closed) => return Err(ServeError::ShuttingDown),
+                Err(RecvError::Timeout) => {}
             },
             HandleInner::Remote { reply, enqueued } => match reply.wait(timeout) {
-                Ok(frame) => {
-                    let result = decode_remote_decision(&frame, self.shard);
-                    match &result {
-                        Ok(_) => {
-                            m.served.fetch_add(1, Ordering::Relaxed);
-                            self.metrics.latency.record(enqueued.elapsed());
-                        }
-                        Err(e) => count_remote_error(m, e),
-                    }
-                    result
-                }
-                Err(NetError::Timeout) => {
-                    m.timeouts.fetch_add(1, Ordering::Relaxed);
-                    Err(ServeError::Timeout { waited: timeout })
-                }
-                Err(e) => Err(ServeError::Remote(e.to_string())),
+                Err(NetError::Timeout) => {}
+                reply => return settle_remote(&self.metrics, self.shard, reply, enqueued),
             },
         }
+        let m = self.metrics.shard(self.shard);
+        m.timeouts.fetch_add(1, Ordering::Relaxed);
+        Err(ServeError::Timeout { waited: timeout })
     }
 
     /// Non-blocking poll; `None` while the decision is still in flight.
     /// The handle is one-shot: once a poll has returned the decision,
-    /// later polls return `Some(Err(ShuttingDown))`.
+    /// later polls return `Some(Err(ShuttingDown))`, and so does `wait`.
     pub fn try_wait(&self) -> Option<Result<Decision, ServeError>> {
-        match &self.inner {
-            HandleInner::Local { taken, .. } if taken.get() => Some(Err(ServeError::ShuttingDown)),
-            HandleInner::Local { rx, taken } => match rx.try_recv() {
-                Ok(result) => {
-                    taken.set(true);
-                    Some(result)
-                }
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
-            },
-            HandleInner::Remote { reply, enqueued } => match reply.try_wait()? {
-                Ok(frame) => {
-                    let result = decode_remote_decision(&frame, self.shard);
-                    let m = self.metrics.shard(self.shard);
-                    match &result {
-                        Ok(_) => {
-                            m.served.fetch_add(1, Ordering::Relaxed);
-                            self.metrics.latency.record(enqueued.elapsed());
-                        }
-                        Err(e) => count_remote_error(m, e),
-                    }
-                    Some(result)
-                }
-                Err(e) => Some(Err(ServeError::Remote(e.to_string()))),
-            },
-        }
+        Some(match &self.inner {
+            HandleInner::Local(rx) => rx.try_wait()?.unwrap_or(Err(ServeError::ShuttingDown)),
+            HandleInner::Remote { reply, enqueued } => {
+                settle_remote(&self.metrics, self.shard, reply.try_wait()?, *enqueued)
+            }
+        })
     }
 }
 
@@ -601,46 +575,61 @@ struct Job {
     group_b: bool,
     route_key: u64,
     enqueued: Instant,
-    reply: Sender<Result<Decision, ServeError>>,
+    reply: oneshot::Sender<Result<Decision, ServeError>>,
 }
 
 /// One topology epoch: everything whose shape depends on the shard count.
 /// A live [`reshard`](DecisionService::reshard) drains one epoch and
 /// spawns the next; the rest of [`Inner`] lives as long as the service.
 struct Epoch {
-    shards: usize,
-    /// One bounded queue per shard. Dropping them is what tells the
-    /// workers to drain and exit.
-    senders: Vec<SyncSender<Job>>,
+    /// One route per shard; the routing hash picks among them.
+    routes: Vec<Route>,
     workers: Vec<JoinHandle<ShardReport>>,
-    /// One fact-net client per remote shard slot (`None` for local slots).
-    remotes: Vec<Option<Arc<RemoteShard>>>,
     metrics: Arc<MetricsRegistry>,
     /// Bumped by [`DecisionService::request_checkpoint`]; local workers
     /// compare against it after every batch and flush when it moved.
     checkpoint_gen: Arc<AtomicU64>,
 }
 
+/// Where one shard's requests go.
+enum Route {
+    /// A local worker's bounded queue. Dropping it is what tells the
+    /// worker to drain and exit.
+    Local(SyncSender<Job>),
+    /// The fact-net client of a remote worker.
+    Remote(RemoteShard),
+}
+
 impl Epoch {
+    /// The remote routes, with their shard indices.
+    fn remotes(&self) -> impl Iterator<Item = (usize, &RemoteShard)> {
+        self.routes
+            .iter()
+            .enumerate()
+            .filter_map(|(shard, route)| match route {
+                Route::Remote(remote) => Some((shard, remote)),
+                Route::Local(_) => None,
+            })
+    }
+
     /// Stop admitting into this epoch, let every shard serve what it
     /// already accepted and write its final checkpoint, and account for
     /// it. The audit fields stay zero: the sink outlives the epoch.
     fn drain(self) -> ServiceReport {
+        let remotes = remote_reports(self.remotes(), &self.metrics.snapshot());
         let Epoch {
-            senders,
+            routes,
             workers,
-            remotes,
             metrics,
             ..
         } = self;
-        drop(senders);
+        drop(routes);
         let mut shards: Vec<ShardReport> = workers
             .into_iter()
             .map(|h| h.join().expect("fact-serve worker panicked"))
             .collect();
         shards.sort_by_key(|s| s.shard);
         let snap = metrics.snapshot();
-        let remotes = remote_reports(&remotes, &snap);
         ServiceReport {
             decisions_served: shards.iter().map(|s| s.served).sum::<u64>()
                 + remotes.iter().map(|r| r.served).sum::<u64>(),
@@ -665,26 +654,22 @@ impl Epoch {
     }
 }
 
-fn remote_reports(
-    remotes: &[Option<Arc<RemoteShard>>],
+fn remote_reports<'a>(
+    remotes: impl Iterator<Item = (usize, &'a RemoteShard)>,
     snap: &MetricsSnapshot,
 ) -> Vec<RemoteShardReport> {
     remotes
-        .iter()
-        .enumerate()
-        .filter_map(|(shard, r)| {
-            r.as_ref().map(|remote| {
-                let s = remote.stats();
-                RemoteShardReport {
-                    shard,
-                    served: snap.shards[shard].served,
-                    requests: s.requests,
-                    reconnects: s.reconnects,
-                    errors: s.errors,
-                    rtt_mean_micros: s.rtt_mean_micros,
-                    wire_version: s.wire_version,
-                }
-            })
+        .map(|(shard, remote)| {
+            let s = remote.stats();
+            RemoteShardReport {
+                shard,
+                served: snap.shards[shard].served,
+                requests: s.requests,
+                reconnects: s.reconnects,
+                errors: s.errors,
+                rtt_mean_micros: s.rtt_mean_micros,
+                wire_version: s.wire_version,
+            }
         })
         .collect()
 }
@@ -913,30 +898,23 @@ impl DecisionService {
         let config = &inner.config;
         let sink = inner.sink.lock().unwrap_or_else(|e| e.into_inner());
         let checkpoint_gen = Arc::new(AtomicU64::new(0));
-        let mut senders = Vec::with_capacity(shards);
+        let mut routes = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
-        let mut remotes: Vec<Option<Arc<RemoteShard>>> = Vec::with_capacity(shards);
         for shard in 0..shards {
             let slot = config
                 .topology
                 .as_ref()
                 .map_or(&ShardSlot::Local, |t| &t[shard]);
             if let Some(endpoint) = slot.endpoint() {
-                // No local worker: a dummy sender keeps the vec aligned
-                // (its receiver drops here, so a stray send just reports
-                // ShuttingDown rather than wedging).
-                let (tx, _) = sync_channel::<Job>(1);
-                senders.push(tx);
-                remotes.push(Some(Arc::new(
+                routes.push(Route::Remote(
                     RemoteShard::connect_endpoint(endpoint.clone()).map_err(|e| {
                         ServeError::Remote(format!("shard {shard} at {endpoint}: {e}"))
                     })?,
-                )));
+                ));
                 continue;
             }
-            remotes.push(None);
             let (tx, rx) = sync_channel::<Job>(config.queue_cap);
-            senders.push(tx);
+            routes.push(Route::Local(tx));
             let mut resumed_at = 0;
             let guards = match &config.guards {
                 Some(g) => {
@@ -995,10 +973,8 @@ impl DecisionService {
         }
         *inner.metrics.lock().unwrap_or_else(|e| e.into_inner()) = Arc::clone(&metrics);
         Ok(Epoch {
-            shards,
-            senders,
+            routes,
             workers,
-            remotes,
             metrics,
             checkpoint_gen,
         })
@@ -1076,12 +1052,13 @@ impl DecisionService {
         epoch: &Epoch,
         request: DecisionRequest,
     ) -> Result<DecisionHandle, ServeError> {
-        let shard = shard_of(request.route_key, epoch.shards);
-        if let Some(remote) = epoch.remotes[shard].as_deref() {
+        let shard = shard_of(request.route_key, epoch.routes.len());
+        let queue = match &epoch.routes[shard] {
+            Route::Local(queue) => queue,
             // remote slots enforce their own admission policy worker-side,
             // where the depth gauge and latency window actually live
-            return submit_remote(epoch, remote, shard, request);
-        }
+            Route::Remote(remote) => return submit_remote(epoch, remote, shard, request),
+        };
         let m = epoch.metrics.shard(shard);
         if let Some(adm) = &self.inner.admission {
             match adm.admit(request.tenant, m.depth.load(Ordering::Relaxed)) {
@@ -1098,7 +1075,7 @@ impl DecisionService {
                 }
             }
         }
-        let (reply_tx, reply_rx) = channel();
+        let (reply_tx, reply_rx) = oneshot::channel();
         let job = Job {
             features: request.features,
             group_b: request.group_b,
@@ -1110,14 +1087,11 @@ impl DecisionService {
         // decrement) the instant try_send returns, so incrementing after
         // would transiently wrap the gauge below zero.
         m.depth_inc();
-        match epoch.senders[shard].try_send(job) {
+        match queue.try_send(job) {
             Ok(()) => {
                 m.enqueued.fetch_add(1, Ordering::Relaxed);
                 Ok(DecisionHandle {
-                    inner: HandleInner::Local {
-                        rx: reply_rx,
-                        taken: Cell::new(false),
-                    },
+                    inner: HandleInner::Local(reply_rx),
                     shard,
                     metrics: Arc::clone(&epoch.metrics),
                 })
@@ -1186,7 +1160,7 @@ impl DecisionService {
             return Err(ServeError::ShuttingDown);
         };
         let started = Instant::now();
-        let from = old.shards;
+        let from = old.routes.len();
         // Drain: every request accepted before the swap is answered and
         // every shard writes its final sidecar.
         let epoch = old.drain();
@@ -1239,7 +1213,7 @@ impl DecisionService {
     /// the final [`ServiceReport`] carries them then).
     pub fn remote_stats(&self) -> Vec<RemoteShardReport> {
         match &*self.inner.phase.read().unwrap_or_else(|e| e.into_inner()) {
-            Phase::Serving(epoch) => remote_reports(&epoch.remotes, &epoch.metrics.snapshot()),
+            Phase::Serving(epoch) => remote_reports(epoch.remotes(), &epoch.metrics.snapshot()),
             _ => Vec::new(),
         }
     }
@@ -1472,7 +1446,7 @@ impl ShardWorker {
                 Err(e) => {
                     let msg = e.to_string();
                     for job in batch.drain(..) {
-                        let _ = job.reply.send(Err(ServeError::Internal(msg.clone())));
+                        job.reply.send(Err(ServeError::Internal(msg.clone())));
                     }
                     continue;
                 }
@@ -1553,7 +1527,7 @@ impl ShardWorker {
                 }
                 // The caller may have timed out and dropped the receiver;
                 // an accepted request is still counted as served.
-                let _ = job.reply.send(result);
+                job.reply.send(result);
             }
 
             // Periodic guard checkpoint at the batch boundary: on the
@@ -1793,15 +1767,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn local_try_wait_is_one_shot_while_the_worker_still_holds_its_sender() {
-        let (tx, rx) = channel();
+    fn a_local_handle_is_one_shot_for_polls_and_wait() {
+        let (tx, rx) = oneshot::channel();
+        let metrics = Arc::new(MetricsRegistry::new(1));
         let handle = DecisionHandle {
-            inner: HandleInner::Local {
-                rx,
-                taken: Cell::new(false),
-            },
+            inner: HandleInner::Local(rx),
             shard: 0,
-            metrics: Arc::new(MetricsRegistry::new(1)),
+            metrics: Arc::clone(&metrics),
         };
         assert!(handle.try_wait().is_none());
         tx.send(Ok(Decision {
@@ -1809,15 +1781,19 @@ mod tests {
             favorable: true,
             flagged: false,
             shard: 0,
-        }))
-        .unwrap();
+        }));
         assert!(matches!(handle.try_wait(), Some(Ok(d)) if d.favorable));
-        // the worker has not dropped its sender yet: the handle itself
-        // must remember that the decision was taken
         assert!(matches!(
             handle.try_wait(),
             Some(Err(ServeError::ShuttingDown))
         ));
-        drop(tx);
+        // the decision is gone, so waiting answers at once and is no timeout
+        let started = Instant::now();
+        assert!(matches!(
+            handle.wait(Duration::from_secs(5)),
+            Err(ServeError::ShuttingDown)
+        ));
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert_eq!(metrics.snapshot().shards[0].timeouts, 0);
     }
 }

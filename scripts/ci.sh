@@ -7,10 +7,12 @@
 #                             clippy::format_collect (no per-item format!
 #                             collected into a String, e.g. per-byte hex)
 #   3. cargo test -q          the full workspace suite
-#   4. fact-net on one core   the fact-net suite again under taskset -c 0:
-#                             multi-frame writes and multi-frame buffered
-#                             reads mostly happen when the threads of a
-#                             connection share a core, which a multi-core
+#   4. one core               the fact-net suite and fact-serve's unit
+#                             tests again under taskset -c 0: multi-frame
+#                             writes and multi-frame buffered reads, and
+#                             races between a decision handle and the
+#                             worker that answers it, mostly happen when
+#                             the threads share a core, which a multi-core
 #                             run seldom reaches
 #   5. perfbench self-tests   the benchmark package sits outside the
 #                             workspace but builds on crates/* by path,
@@ -93,8 +95,9 @@ cargo clippy --offline --all-targets -- -D warnings -D clippy::format_collect
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
 
-echo "==> cargo test -p fact-net on one core (coalesced frame writes and reads)"
+echo "==> fact-net and fact-serve --lib on one core (coalesced frame I/O, reply races)"
 taskset -c 0 cargo test --offline -q -p fact-net
+taskset -c 0 cargo test --offline -q -p fact-serve --lib
 
 echo "==> perfbench self-tests (benchmark builds against the crates)"
 cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml

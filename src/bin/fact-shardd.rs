@@ -242,7 +242,6 @@ fn main() {
                 archive: args.archive_retain.map(|retain_segments| ArchiveConfig {
                     retain_segments,
                     tick: Duration::from_millis(args.archive_tick_ms),
-                    ..ArchiveConfig::default()
                 }),
                 ..defaults
             }

@@ -868,7 +868,6 @@ fn background_archiver_compacts_a_live_sink_with_zero_loss() {
             archive: Some(ArchiveConfig {
                 retain_segments: 1,
                 tick: Duration::from_millis(5),
-                ..ArchiveConfig::default()
             }),
             ..rotating_config(2)
         },
