@@ -22,9 +22,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench::kit::{self, PassThrough};
+use fact_serve::testing::FailingFeatureSource;
 use fact_serve::{
     CacheConfig, CachedFeatureSource, DecisionRequest, DecisionService, DegradePolicy,
-    FailingFeatureSource, FeatureSource, ServeConfig, SimulatedRemoteSource,
+    FeatureSource, ServeConfig, SimulatedRemoteSource,
 };
 
 const N_FEATURES: usize = 8;

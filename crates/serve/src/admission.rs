@@ -33,7 +33,7 @@
 //! `admit` and `record_latency` poll the tick deadline — and all timing
 //! goes through the [`Clock`] seam from [`crate::cache`], so every
 //! control transition is unit-testable with a
-//! [`ManualClock`](crate::cache::ManualClock) and no sleeps.
+//! [`ManualClock`](crate::testing::ManualClock) and no sleeps.
 //!
 //! Edge cases are pinned by tests: `queue_cap == 0` keeps an effective
 //! capacity of exactly 0 (nothing is admitted, nothing "adapts" it up),
@@ -41,7 +41,7 @@
 //! controller can never adapt a live service into a black hole.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -146,9 +146,6 @@ pub struct AdmissionController {
     cfg: AdmissionConfig,
     queue_cap: usize,
     floor: usize,
-    /// Current effective capacity; `admit` sheds when a shard's depth
-    /// gauge has reached it.
-    cap: AtomicU64,
     /// Rolling window of served latencies, reset each tick.
     window: LatencyHistogram,
     /// Deadline of the next control tick.
@@ -187,11 +184,13 @@ impl AdmissionController {
             cfg.min_cap.clamp(1, queue_cap)
         };
         let next = clock.now() + cfg.tick;
-        let controller = AdmissionController {
+        // `stats.effective_cap` is the one copy of the current capacity:
+        // `admit` sheds when a shard's depth gauge has reached it.
+        stats.effective_cap.store(floor as u64, Ordering::Relaxed);
+        AdmissionController {
             cfg,
             queue_cap,
             floor,
-            cap: AtomicU64::new(floor as u64),
             window: LatencyHistogram::new(),
             next_tick: Mutex::new(next),
             clock,
@@ -199,17 +198,12 @@ impl AdmissionController {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             stats,
-        };
-        controller
-            .stats
-            .effective_cap
-            .store(floor as u64, Ordering::Relaxed);
-        controller
+        }
     }
 
     /// The capacity the controller is currently willing to queue.
     pub fn effective_cap(&self) -> usize {
-        self.cap.load(Ordering::Relaxed) as usize
+        self.stats.effective_cap.load(Ordering::Relaxed) as usize
     }
 
     /// Feed one served request's end-to-end latency into the rolling
@@ -232,7 +226,7 @@ impl AdmissionController {
             self.stats.tenant_throttled(tenant);
             return AdmissionDecision::Throttle;
         }
-        if depth >= self.cap.load(Ordering::Relaxed) {
+        if depth >= self.stats.effective_cap.load(Ordering::Relaxed) {
             self.stats.shed.fetch_add(1, Ordering::Relaxed);
             self.stats.tenant_shed(tenant);
             return AdmissionDecision::Shed;
@@ -263,7 +257,7 @@ impl AdmissionController {
             None => false, // idle window: probe upward
         };
         self.window.reset();
-        let cap = self.cap.load(Ordering::Relaxed) as usize;
+        let cap = self.effective_cap();
         let next = if over {
             self.stats.shrinks.fetch_add(1, Ordering::Relaxed);
             ((cap as f64 * self.cfg.decrease).floor() as usize).max(self.floor)
@@ -271,7 +265,6 @@ impl AdmissionController {
             self.stats.grows.fetch_add(1, Ordering::Relaxed);
             cap.saturating_add(self.cfg.increase).min(self.queue_cap)
         };
-        self.cap.store(next as u64, Ordering::Relaxed);
         self.stats.ticks.fetch_add(1, Ordering::Relaxed);
         self.stats
             .effective_cap
@@ -312,7 +305,7 @@ impl AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ManualClock;
+    use crate::testing::ManualClock;
 
     fn controller(
         cfg: AdmissionConfig,

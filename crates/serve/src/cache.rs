@@ -59,7 +59,8 @@
 //!
 //! All expiry decisions go through a [`Clock`], so TTL expiry, negative-
 //! cache recovery, and outage bridging are deterministically testable with
-//! a [`ManualClock`] — no sleeps, no wall-clock flakiness. Production uses
+//! a [`ManualClock`](crate::testing::ManualClock) — no sleeps, no
+//! wall-clock flakiness. Production uses
 //! the zero-cost [`SystemClock`].
 //!
 //! [`DegradePolicy`]: crate::guards::DegradePolicy
@@ -79,7 +80,8 @@ use crate::source::FeatureSource;
 ///
 /// The cache never calls `Instant::now()` directly; every expiry check
 /// asks the clock, which is what makes TTL behaviour reproducible in
-/// tests ([`ManualClock`]) and free in production ([`SystemClock`]).
+/// tests ([`ManualClock`](crate::testing::ManualClock)) and free in
+/// production ([`SystemClock`]).
 pub trait Clock: Send + Sync {
     /// The current instant.
     fn now(&self) -> Instant;
@@ -92,44 +94,6 @@ pub struct SystemClock;
 impl Clock for SystemClock {
     fn now(&self) -> Instant {
         Instant::now()
-    }
-}
-
-/// A test clock that only moves when [`advance`](ManualClock::advance) is
-/// called, so TTL expiry and negative-cache recovery replay exactly.
-#[derive(Debug)]
-pub struct ManualClock {
-    base: Instant,
-    offset_nanos: AtomicU64,
-}
-
-impl ManualClock {
-    /// A clock frozen at construction time.
-    pub fn new() -> Self {
-        ManualClock {
-            base: Instant::now(),
-            offset_nanos: AtomicU64::new(0),
-        }
-    }
-
-    /// Move the clock forward by `by` (never backward).
-    pub fn advance(&self, by: Duration) {
-        self.offset_nanos.fetch_add(
-            by.as_nanos().min(u128::from(u64::MAX)) as u64,
-            Ordering::SeqCst,
-        );
-    }
-}
-
-impl Default for ManualClock {
-    fn default() -> Self {
-        ManualClock::new()
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> Instant {
-        self.base + Duration::from_nanos(self.offset_nanos.load(Ordering::SeqCst))
     }
 }
 
@@ -644,7 +608,8 @@ impl CachedFeatureSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{FailingFeatureSource, InlineFeatures};
+    use crate::source::InlineFeatures;
+    use crate::testing::{FailingFeatureSource, ManualClock};
     use std::sync::atomic::AtomicU64;
     use std::sync::Barrier;
 

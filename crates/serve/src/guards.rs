@@ -44,7 +44,7 @@ pub struct ServiceAlert {
 }
 
 /// The shard-side end of the merged alert channel: forwards alerts after
-/// per-kind debouncing and counts what it forwards.
+/// per-kind debouncing and counts what it forwards in its shard's cell.
 pub struct AlertHub {
     shard: usize,
     tx: Sender<ServiceAlert>,
@@ -75,7 +75,10 @@ impl AlertHub {
         if !self.debounce.admit(AlertKind::of(&alert), at_decision) {
             return false;
         }
-        self.metrics.alerts.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .shard(self.shard)
+            .alerts
+            .fetch_add(1, Ordering::Relaxed);
         // The receiver may be gone (owner dropped it); alerts are advisory,
         // so a failed send is not an error.
         let _ = self.tx.send(ServiceAlert {
@@ -120,7 +123,7 @@ mod tests {
         assert!(hub.raise(110, fv));
         drop(hub);
         assert_eq!(rx.iter().count(), 3);
-        assert_eq!(metrics.alerts.load(Ordering::Relaxed), 3);
+        assert_eq!(metrics.shard(0).alerts.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -45,10 +45,12 @@
 //!   hard-reject until the cooldown passes — responsibility degrades the
 //!   service, never silently disables itself.
 //! * **Observability** — a lock-free
-//!   [`MetricsRegistry`](metrics::MetricsRegistry): relaxed-atomic
-//!   counters, log-linear latency buckets (4 linear sub-buckets per
-//!   octave) with p50/p95/p99, per-shard queue depth and shed/timeout
-//!   counts, rendered as text.
+//!   [`MetricsRegistry`](metrics::MetricsRegistry), the one tally of every
+//!   serving fact: relaxed-atomic counters, log-linear latency buckets (4
+//!   linear sub-buckets per octave) with p50/p95/p99, and per shard the
+//!   queue depth, shed/timeout/alert counts and ε ledger total. Live
+//!   snapshots and the final [`ServiceReport`] read it and render text
+//!   through one set of line writers.
 //! * **Graceful shutdown** — [`DecisionService::shutdown`] stops admission,
 //!   lets every shard serve what it already accepted, and returns a
 //!   [`ServiceReport`] with decisions served, alerts raised, and ε spent.
@@ -111,7 +113,7 @@ pub use audit_sink::{
     read_segment_or_archive, verify_all_segments, verify_segment, AuditEvent, AuditSink,
     AuditSinkConfig, AuditSinkHandle, AuditStorage, FileStorage, SinkReport,
 };
-pub use cache::{CacheConfig, CachedFeatureSource, Clock, ManualClock};
+pub use cache::{CacheConfig, CachedFeatureSource, Clock};
 pub use checkpoint::{
     checkpoint_path, load_checkpoint, write_checkpoint, CheckpointConfig, GuardCheckpoint,
     LedgerEntry,
@@ -123,7 +125,7 @@ pub use service::{
     Decision, DecisionHandle, DecisionRequest, DecisionService, NetShardHandler, ServeConfig,
     ServeError, ServiceReport, ShardSlot,
 };
-pub use source::{FailingFeatureSource, FeatureSource, InlineFeatures, SimulatedRemoteSource};
+pub use source::{FeatureSource, InlineFeatures, SimulatedRemoteSource};
 
 #[cfg(test)]
 mod tests {

@@ -136,9 +136,26 @@ pub struct ShardMetrics {
     pub depth: AtomicU64,
     /// High-water mark of the queue depth.
     pub depth_max: AtomicU64,
+    /// Guard alerts forwarded to the global channel (after debouncing).
+    pub alerts: AtomicU64,
+    /// Guard checkpoints durably written (periodic + final).
+    pub checkpoints: AtomicU64,
+    /// Lifetime decision count restored from a checkpoint at spawn (zero
+    /// on first boot or when checkpointing is off).
+    pub resumed_at: AtomicU64,
+    /// The shard's ε ledger total, as `f64` bits.
+    epsilon_bits: AtomicU64,
 }
 
 impl ShardMetrics {
+    /// Store the shard accountant's own ε total: at spawn, after any
+    /// checkpoint restore, and again after each DP release. It is the
+    /// ledger, so it does not restart at a reshard.
+    pub(crate) fn set_epsilon_spent(&self, epsilon: f64) {
+        self.epsilon_bits
+            .store(epsilon.to_bits(), Ordering::Relaxed);
+    }
+
     /// Bump the depth gauge (on successful enqueue).
     pub fn depth_inc(&self) {
         let d = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
@@ -261,7 +278,8 @@ pub struct AdmissionStats {
     /// idle window).
     pub grows: AtomicU64,
     /// Current effective queue capacity (gauge; 0 when admission control
-    /// is off or `queue_cap` is 0).
+    /// is off or `queue_cap` is 0). The controller keeps no other copy:
+    /// its admit path and its control tick read and write this cell.
     pub effective_cap: AtomicU64,
     tenants: Vec<Mutex<HashMap<u64, TenantCounters>>>,
     /// Admission outcomes for tenants beyond the tracking cap (counted,
@@ -391,11 +409,6 @@ pub struct MetricsRegistry {
     shards: Vec<ShardMetrics>,
     /// End-to-end decision latency (enqueue → reply).
     pub latency: LatencyHistogram,
-    /// Guard alerts forwarded to the global channel (after debouncing).
-    pub alerts: AtomicU64,
-    /// Differential-privacy budget spent, in micro-ε (ε × 1e6), summed
-    /// across shards.
-    pub epsilon_micro: AtomicU64,
     /// Feature-cache counters; all zeros unless `ServeConfig.cache` wired
     /// a [`CachedFeatureSource`](crate::cache::CachedFeatureSource) in.
     pub cache: Arc<CacheStats>,
@@ -422,8 +435,6 @@ impl MetricsRegistry {
         MetricsRegistry {
             shards: (0..shards).map(|_| ShardMetrics::default()).collect(),
             latency: LatencyHistogram::new(),
-            alerts: AtomicU64::new(0),
-            epsilon_micro: AtomicU64::new(0),
             cache: Arc::new(CacheStats::default()),
             admission: Arc::new(AdmissionStats::default()),
             archive,
@@ -451,12 +462,6 @@ impl MetricsRegistry {
         self.shards.len()
     }
 
-    /// Record ε spent on a DP release.
-    pub fn add_epsilon(&self, epsilon: f64) {
-        self.epsilon_micro
-            .fetch_add((epsilon * 1e6).round() as u64, Ordering::Relaxed);
-    }
-
     /// An instantaneous copy of every counter plus latency quantiles.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let shards: Vec<ShardSnapshot> = self
@@ -474,16 +479,20 @@ impl MetricsRegistry {
                 batch_items: s.batch_items.load(Ordering::Relaxed),
                 depth: s.depth.load(Ordering::Relaxed),
                 depth_max: s.depth_max.load(Ordering::Relaxed),
+                alerts: s.alerts.load(Ordering::Relaxed),
+                checkpoints: s.checkpoints.load(Ordering::Relaxed),
+                resumed_at: s.resumed_at.load(Ordering::Relaxed),
+                epsilon_spent: f64::from_bits(s.epsilon_bits.load(Ordering::Relaxed)),
             })
             .collect();
         MetricsSnapshot {
-            shards,
             latency_count: self.latency.count(),
             p50: self.latency.quantile(0.50),
             p95: self.latency.quantile(0.95),
             p99: self.latency.quantile(0.99),
-            alerts: self.alerts.load(Ordering::Relaxed),
-            epsilon_spent: self.epsilon_micro.load(Ordering::Relaxed) as f64 / 1e6,
+            alerts: shards.iter().map(|s| s.alerts).sum(),
+            epsilon_spent: shards.iter().map(|s| s.epsilon_spent).sum(),
+            shards,
             cache: self.cache.snapshot(),
             admission: self.admission.snapshot(),
             archive: self.archive.snapshot(),
@@ -492,7 +501,7 @@ impl MetricsRegistry {
 }
 
 /// Plain-data copy of one shard's counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardSnapshot {
     /// Requests accepted into the queue.
     pub enqueued: u64,
@@ -516,6 +525,14 @@ pub struct ShardSnapshot {
     pub depth: u64,
     /// Queue-depth high-water mark.
     pub depth_max: u64,
+    /// Alerts forwarded to the global channel.
+    pub alerts: u64,
+    /// Guard checkpoints durably written.
+    pub checkpoints: u64,
+    /// Lifetime decision count restored from a checkpoint at spawn.
+    pub resumed_at: u64,
+    /// The shard's ε ledger total, restored history included.
+    pub epsilon_spent: f64,
 }
 
 impl ShardSnapshot {
@@ -542,9 +559,9 @@ pub struct MetricsSnapshot {
     pub p95: Option<Duration>,
     /// 99th-percentile latency.
     pub p99: Option<Duration>,
-    /// Alerts forwarded to the global channel.
+    /// Alerts forwarded to the global channel, summed over the shards.
     pub alerts: u64,
-    /// Total differential-privacy ε spent.
+    /// Differential-privacy ε spent, summed over the shards' ledgers.
     pub epsilon_spent: f64,
     /// Feature-cache counters (all zero when no cache is configured).
     pub cache: CacheSnapshot,
@@ -570,28 +587,13 @@ impl MetricsSnapshot {
         self.shards.iter().map(|s| s.throttled).sum()
     }
 
-    /// Render as a plain-text block (one line per shard plus totals),
-    /// suitable for logs or a `/metrics`-style endpoint.
+    /// Render as a plain-text block: the shard table, one totals line,
+    /// then the cache, admission, tenant and archive lines. Suitable for
+    /// logs or a `/metrics`-style endpoint; the shutdown report prints
+    /// the sections they share through the same line writers.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        out.push_str(
-            "shard  served  shed  throttle  timeout  reject  flagged  depth  depth_max  mean_batch\n",
-        );
-        for (i, s) in self.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "{:>5}  {:>6}  {:>4}  {:>8}  {:>7}  {:>6}  {:>7}  {:>5}  {:>9}  {:>10.2}\n",
-                i,
-                s.served,
-                s.shed,
-                s.throttled,
-                s.timeouts,
-                s.rejected,
-                s.flagged,
-                s.depth,
-                s.depth_max,
-                s.mean_batch(),
-            ));
-        }
+        write_shard_table(&mut out, &self.shards);
         let fmt = |d: Option<Duration>| match d {
             Some(d) => format!("{:.1}us", d.as_nanos() as f64 / 1e3),
             None => "-".to_string(),
@@ -606,43 +608,84 @@ impl MetricsSnapshot {
             fmt(self.p95),
             fmt(self.p99),
         ));
-        out.push_str(&format!(
-            "cache hits={} misses={} neg_hits={} evictions={} coalesced={} upstream={} \
-             invalidated={} hit_rate={:.3}\n",
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.negative_hits,
-            self.cache.evictions,
-            self.cache.coalesced,
-            self.cache.upstream_batches,
-            self.cache.invalidated,
-            self.cache.hit_rate(),
-        ));
-        let a = &self.admission;
-        out.push_str(&format!(
-            "admission cap={} ticks={} shrinks={} grows={} throttled={} adm_shed={} untracked={}\n",
-            a.effective_cap, a.ticks, a.shrinks, a.grows, a.throttled, a.shed, a.untracked,
-        ));
-        for t in &a.tenants {
-            out.push_str(&format!(
-                "tenant {} admitted={} shed={} throttled={}\n",
-                t.tenant, t.admitted, t.shed, t.throttled,
-            ));
-        }
-        let ar = &self.archive;
-        out.push_str(&format!(
-            "archive segments={} bytes_before={} bytes_after={} ratio={:.3} \
-             verify_failures={} deletes={} ticks={}\n",
-            ar.segments_archived,
-            ar.bytes_before,
-            ar.bytes_after,
-            ar.ratio(),
-            ar.verify_failures,
-            ar.deletes_completed,
-            ar.ticks,
-        ));
+        write_layer_lines(&mut out, &self.cache, &self.admission, &self.archive);
         out
     }
+}
+
+/// Append the shard table: a header, then one row per slot.
+pub(crate) fn write_shard_table(out: &mut String, shards: &[ShardSnapshot]) {
+    out.push_str(
+        "shard  served  shed  throttle  timeout  reject  flagged  depth  depth_max  mean_batch  \
+         batches  alerts  eps_spent  checkpoints  resumed_at\n",
+    );
+    for (i, s) in shards.iter().enumerate() {
+        out.push_str(&format!(
+            "{:>5}  {:>6}  {:>4}  {:>8}  {:>7}  {:>6}  {:>7}  {:>5}  {:>9}  {:>10.2}  \
+             {:>7}  {:>6}  {:>9.4}  {:>11}  {:>10}\n",
+            i,
+            s.served,
+            s.shed,
+            s.throttled,
+            s.timeouts,
+            s.rejected,
+            s.flagged,
+            s.depth,
+            s.depth_max,
+            s.mean_batch(),
+            s.batches,
+            s.alerts,
+            s.epsilon_spent,
+            s.checkpoints,
+            s.resumed_at,
+        ));
+    }
+}
+
+/// Append the feature-cache line, the admission line with one line per
+/// tracked tenant after it, and the archive line.
+pub(crate) fn write_layer_lines(
+    out: &mut String,
+    cache: &CacheSnapshot,
+    admission: &AdmissionSnapshot,
+    archive: &crate::archive::ArchiveSnapshot,
+) {
+    out.push_str(&format!(
+        "cache hits={} misses={} neg_hits={} evictions={} coalesced={} upstream={} \
+         invalidated={} hit_rate={:.3}\n",
+        cache.hits,
+        cache.misses,
+        cache.negative_hits,
+        cache.evictions,
+        cache.coalesced,
+        cache.upstream_batches,
+        cache.invalidated,
+        cache.hit_rate(),
+    ));
+    let a = admission;
+    out.push_str(&format!(
+        "admission cap={} ticks={} shrinks={} grows={} throttled={} adm_shed={} untracked={}\n",
+        a.effective_cap, a.ticks, a.shrinks, a.grows, a.throttled, a.shed, a.untracked,
+    ));
+    for t in &a.tenants {
+        out.push_str(&format!(
+            "tenant {}: admitted={} shed={} throttled={}\n",
+            t.tenant, t.admitted, t.shed, t.throttled,
+        ));
+    }
+    let ar = archive;
+    out.push_str(&format!(
+        "archive segments={} bytes_before={} bytes_after={} ratio={:.3} \
+         verify_failures={} io_errors={} deletes={} ticks={}\n",
+        ar.segments_archived,
+        ar.bytes_before,
+        ar.bytes_after,
+        ar.ratio(),
+        ar.verify_failures,
+        ar.io_errors,
+        ar.deletes_completed,
+        ar.ticks,
+    ));
 }
 
 #[cfg(test)]
@@ -683,7 +726,7 @@ mod tests {
         m.shard(0).depth_inc();
         m.shard(0).depth_inc();
         m.shard(0).depth_dec();
-        m.add_epsilon(0.25);
+        m.shard(1).set_epsilon_spent(0.25);
         let snap = m.snapshot();
         assert_eq!(snap.served(), 3);
         assert_eq!(snap.shed(), 2);

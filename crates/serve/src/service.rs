@@ -12,8 +12,8 @@
 //! hard-rejected until the cooldown expires.
 //!
 //! Shutdown drops the queue senders; workers finish whatever is buffered
-//! (every accepted request is answered), then report their totals, which
-//! are merged into a [`ServiceReport`].
+//! (every accepted request is answered) and exit, and the [`ServiceReport`]
+//! is read from the counters they kept in the metrics registry.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -42,7 +42,10 @@ use crate::audit_sink::{
 use crate::cache::{CacheConfig, CachedFeatureSource, SystemClock};
 use crate::checkpoint::{load_checkpoint, write_checkpoint, CheckpointConfig, GuardCheckpoint};
 use crate::guards::{AlertHub, DegradePolicy, GuardConfig, ServiceAlert};
-use crate::metrics::{AdmissionSnapshot, CacheSnapshot, MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{
+    write_layer_lines, write_shard_table, AdmissionSnapshot, CacheSnapshot, MetricsRegistry,
+    MetricsSnapshot, ShardSnapshot,
+};
 use crate::reshard::{transform_checkpoints, ReshardReport};
 use crate::source::{FeatureSource, InlineFeatures};
 
@@ -371,30 +374,6 @@ impl DecisionHandle {
     }
 }
 
-/// What one worker reports when it drains and exits.
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Shard index.
-    pub shard: usize,
-    /// Decisions served (including flagged ones).
-    pub served: u64,
-    /// Hard rejections issued while degraded.
-    pub rejected: u64,
-    /// Decisions flagged for audit.
-    pub flagged: u64,
-    /// Micro-batches executed.
-    pub batches: u64,
-    /// Alerts forwarded to the global channel.
-    pub alerts: u64,
-    /// ε spent by this shard's DP counter.
-    pub epsilon_spent: f64,
-    /// Guard checkpoints durably written (periodic + final).
-    pub checkpoints: u64,
-    /// Lifetime decision count restored from a checkpoint at startup
-    /// (zero on first boot or when checkpointing is off).
-    pub resumed_at: u64,
-}
-
 /// Client-side view of one remote shard's connection at shutdown.
 #[derive(Debug, Clone)]
 pub struct RemoteShardReport {
@@ -415,9 +394,10 @@ pub struct RemoteShardReport {
     pub wire_version: u8,
 }
 
-/// The final accounting returned by [`DecisionService::shutdown`]. It
-/// covers the service's whole lifetime: additive counters are summed over
-/// the topology epochs, while ε and the shard and remote breakdowns are the
+/// The final accounting returned by [`DecisionService::shutdown`], read
+/// from each topology epoch's final [`MetricsSnapshot`]. It covers the
+/// service's whole lifetime: additive counters are summed over the
+/// topology epochs, while ε and the shard and remote breakdowns are the
 /// final epoch's, because the ε ledger is carried through every reshard.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
@@ -435,7 +415,8 @@ pub struct ServiceReport {
     pub flagged: u64,
     /// Alerts forwarded to the global channel.
     pub alerts_raised: u64,
-    /// Total ε spent across shards.
+    /// ε spent: the final epoch's shard ledgers summed, restored history
+    /// included; bit-equal to the final snapshot's `epsilon_spent`.
     pub epsilon_spent: f64,
     /// Audit entries durably written (and fsynced) by the sink this run,
     /// including the sink's own lifecycle markers. Zero when no sink is
@@ -461,9 +442,10 @@ pub struct ServiceReport {
     pub archive: crate::archive::ArchiveSnapshot,
     /// Guard checkpoints durably written across all local shards.
     pub checkpoints_written: u64,
-    /// Per-shard breakdown (local shards only; remote workers keep their
-    /// own reports in their own processes).
-    pub shards: Vec<ShardReport>,
+    /// Every slot of the final epoch, indexed by slot. Remote slots carry
+    /// the client-side counts (served, shed, throttled, timeouts); their
+    /// guard counters live in the worker's own report.
+    pub shards: Vec<ShardSnapshot>,
     /// Topology epochs the service ran: one at start plus one per
     /// [`reshard`](DecisionService::reshard) that drained the running
     /// topology, rolled-back ones included.
@@ -495,11 +477,40 @@ impl ServiceReport {
         total
     }
 
-    /// Render as a short plain-text block.
+    /// The report of one drained epoch: its final snapshot, summed.
+    fn from_snapshot(snap: MetricsSnapshot, remotes: Vec<RemoteShardReport>) -> ServiceReport {
+        let sum = |f: fn(&ShardSnapshot) -> u64| snap.shards.iter().map(f).sum::<u64>();
+        ServiceReport {
+            decisions_served: snap.served(),
+            shed: snap.shed(),
+            throttled: snap.throttled(),
+            timed_out: sum(|s| s.timeouts),
+            rejected: sum(|s| s.rejected),
+            flagged: sum(|s| s.flagged),
+            alerts_raised: snap.alerts,
+            epsilon_spent: snap.epsilon_spent,
+            audited: 0,
+            lost_on_recovery: 0,
+            audit_segments: 0,
+            checkpoints_written: sum(|s| s.checkpoints),
+            epochs: 1,
+            shards: snap.shards,
+            cache: snap.cache,
+            admission: snap.admission,
+            archive: snap.archive,
+            remotes,
+        }
+    }
+
+    /// Render as a plain-text block: one totals line, then the shard
+    /// table and the cache, admission, tenant and archive lines that
+    /// [`MetricsSnapshot::render_text`] prints through the same writers,
+    /// then one line per remote slot.
     pub fn render_text(&self) -> String {
         let mut out = format!(
             "served={} shed={} throttled={} timed_out={} rejected={} flagged={} alerts={} \
-             eps_spent={:.4} audited={} lost_on_recovery={} audit_segments={}\n",
+             eps_spent={:.4} audited={} lost_on_recovery={} audit_segments={} checkpoints={} \
+             epochs={}\n",
             self.decisions_served,
             self.shed,
             self.throttled,
@@ -511,58 +522,22 @@ impl ServiceReport {
             self.audited,
             self.lost_on_recovery,
             self.audit_segments,
+            self.checkpoints_written,
+            self.epochs,
         );
-        out.push_str(&format!(
-            "cache hits={} misses={} neg_hits={} evictions={} hit_rate={:.3}\n",
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.negative_hits,
-            self.cache.evictions,
-            self.cache.hit_rate(),
-        ));
-        out.push_str(&format!(
-            "admission cap={} ticks={} shrinks={} grows={} throttled={} adm_shed={}\n",
-            self.admission.effective_cap,
-            self.admission.ticks,
-            self.admission.shrinks,
-            self.admission.grows,
-            self.admission.throttled,
-            self.admission.shed,
-        ));
-        out.push_str(&format!(
-            "archive segments={} bytes_before={} bytes_after={} ratio={:.3} verify_failures={}\n",
-            self.archive.segments_archived,
-            self.archive.bytes_before,
-            self.archive.bytes_after,
-            self.archive.ratio(),
-            self.archive.verify_failures,
-        ));
-        for t in &self.admission.tenants {
-            out.push_str(&format!(
-                "  tenant {}: admitted={} shed={} throttled={}\n",
-                t.tenant, t.admitted, t.shed, t.throttled,
-            ));
-        }
-        for s in &self.shards {
-            out.push_str(&format!(
-                "  shard {}: served={} batches={} rejected={} flagged={} alerts={} eps={:.4} \
-                 checkpoints={} resumed_at={}\n",
-                s.shard,
-                s.served,
-                s.batches,
-                s.rejected,
-                s.flagged,
-                s.alerts,
-                s.epsilon_spent,
-                s.checkpoints,
-                s.resumed_at,
-            ));
-        }
+        write_shard_table(&mut out, &self.shards);
+        write_layer_lines(&mut out, &self.cache, &self.admission, &self.archive);
         for r in &self.remotes {
             out.push_str(&format!(
-                "  remote shard {}: served={} requests={} reconnects={} errors={} \
-                 rtt_mean={:.1}us\n",
-                r.shard, r.served, r.requests, r.reconnects, r.errors, r.rtt_mean_micros,
+                "remote shard {}: served={} requests={} reconnects={} errors={} \
+                 rtt_mean={:.1}us wire_version={}\n",
+                r.shard,
+                r.served,
+                r.requests,
+                r.reconnects,
+                r.errors,
+                r.rtt_mean_micros,
+                r.wire_version,
             ));
         }
         out
@@ -584,7 +559,7 @@ struct Job {
 struct Epoch {
     /// One route per shard; the routing hash picks among them.
     routes: Vec<Route>,
-    workers: Vec<JoinHandle<ShardReport>>,
+    workers: Vec<JoinHandle<()>>,
     metrics: Arc<MetricsRegistry>,
     /// Bumped by [`DecisionService::request_checkpoint`]; local workers
     /// compare against it after every batch and flush when it moved.
@@ -614,43 +589,26 @@ impl Epoch {
 
     /// Stop admitting into this epoch, let every shard serve what it
     /// already accepted and write its final checkpoint, and account for
-    /// it. The audit fields stay zero: the sink outlives the epoch.
+    /// it from the registry's final snapshot. The audit fields stay zero:
+    /// the sink outlives the epoch.
     fn drain(self) -> ServiceReport {
-        let remotes = remote_reports(self.remotes(), &self.metrics.snapshot());
-        let Epoch {
-            routes,
-            workers,
-            metrics,
-            ..
-        } = self;
-        drop(routes);
-        let mut shards: Vec<ShardReport> = workers
+        // Dropping a local queue is what tells its worker to drain and
+        // exit; the remote clients stay up until their stats are read.
+        let remotes: Vec<(usize, RemoteShard)> = self
+            .routes
             .into_iter()
-            .map(|h| h.join().expect("fact-serve worker panicked"))
+            .enumerate()
+            .filter_map(|(shard, route)| match route {
+                Route::Remote(remote) => Some((shard, remote)),
+                Route::Local(_) => None,
+            })
             .collect();
-        shards.sort_by_key(|s| s.shard);
-        let snap = metrics.snapshot();
-        ServiceReport {
-            decisions_served: shards.iter().map(|s| s.served).sum::<u64>()
-                + remotes.iter().map(|r| r.served).sum::<u64>(),
-            shed: snap.shed(),
-            throttled: snap.throttled(),
-            timed_out: snap.shards.iter().map(|s| s.timeouts).sum(),
-            rejected: shards.iter().map(|s| s.rejected).sum(),
-            flagged: shards.iter().map(|s| s.flagged).sum(),
-            alerts_raised: shards.iter().map(|s| s.alerts).sum(),
-            epsilon_spent: shards.iter().map(|s| s.epsilon_spent).sum(),
-            audited: 0,
-            lost_on_recovery: 0,
-            audit_segments: 0,
-            cache: snap.cache,
-            admission: snap.admission,
-            archive: snap.archive,
-            checkpoints_written: shards.iter().map(|s| s.checkpoints).sum(),
-            epochs: 1,
-            shards,
-            remotes,
+        for worker in self.workers {
+            worker.join().expect("fact-serve worker panicked");
         }
+        let snap = self.metrics.snapshot();
+        let remotes = remote_reports(remotes.iter().map(|(shard, r)| (*shard, r)), &snap);
+        ServiceReport::from_snapshot(snap, remotes)
     }
 }
 
@@ -939,6 +897,13 @@ impl DecisionService {
                 }
                 None => None,
             };
+            // The shard's cells start from what it restored: the ε ledger
+            // is history, not a per-epoch count.
+            let m = metrics.shard(shard);
+            m.resumed_at.store(resumed_at, Ordering::Relaxed);
+            if let Some(g) = &guards {
+                m.set_epsilon_spent(g.accountant.spent_epsilon());
+            }
             let hub = AlertHub::new(
                 shard,
                 inner.alert_tx.clone(),
@@ -1223,8 +1188,10 @@ impl DecisionService {
     }
 
     /// An instantaneous metrics snapshot of the current topology epoch.
-    /// Per-shard counters, latency, alerts and ε restart at each
-    /// [`reshard`](Self::reshard); the cache, admission and archive
+    /// ε is each shard's ledger total, so it carries everything already
+    /// spent through a checkpoint restore and a [`reshard`](Self::reshard);
+    /// the per-shard counters (served, alerts, checkpoints, …) and the
+    /// latency restart at each reshard; the cache, admission and archive
     /// counters span the service's lifetime.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.latest_metrics().snapshot()
@@ -1383,13 +1350,11 @@ impl ShardWorker {
             .is_some()
     }
 
-    fn run(mut self) -> ShardReport {
+    /// Serve until the queue disconnects. Every fact it serves is counted
+    /// in its shard's registry cells; `served` is only the decision clock
+    /// that drives the debounce, the cooldown and the checkpoint cadence.
+    fn run(mut self) {
         let mut served: u64 = 0;
-        let mut rejected: u64 = 0;
-        let mut flagged: u64 = 0;
-        let mut batches: u64 = 0;
-        let mut alerts: u64 = 0;
-        let mut checkpoints: u64 = 0;
         let mut last_checkpoint_at: u64 = self.base_decisions;
         let mut seen_gen = self.checkpoint_gen.load(Ordering::Acquire);
         // decision count until which the degrade policy stays engaged
@@ -1430,7 +1395,6 @@ impl ShardWorker {
             m.batches.fetch_add(1, Ordering::Relaxed);
             m.batch_items
                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            batches += 1;
 
             // One batched feature fetch per micro-batch, then one
             // matrix-level model call: both the round trip and the model
@@ -1460,10 +1424,10 @@ impl ShardWorker {
                     let trip = v.fairness.then(|| g.fairness.alert());
                     let raised = [trip, v.dp, v.drift.map(Alert::Drift)];
                     for alert in raised.into_iter().flatten() {
-                        if let Alert::DpRelease { epsilon, .. } = &alert {
+                        if let Alert::DpRelease { .. } = &alert {
                             // ε is spent whether or not the alert is
                             // debounced out of the channel.
-                            self.metrics.add_epsilon(*epsilon);
+                            m.set_epsilon_spent(g.accountant.spent_epsilon());
                         } else {
                             // DP releases are routine; every other alert
                             // engages the degrade policy
@@ -1471,7 +1435,6 @@ impl ShardWorker {
                         }
                         let summary = self.audit.as_ref().map(|_| format!("{alert:?}"));
                         if self.hub.raise(served, alert) {
-                            alerts += 1;
                             if let (Some(sink), Some(summary)) = (&self.audit, summary) {
                                 sink.record(AuditEvent::Alert {
                                     shard: self.shard,
@@ -1484,7 +1447,6 @@ impl ShardWorker {
                 }
                 let degraded = self.policy != DegradePolicy::Off && served <= degraded_until;
                 let result = if degraded && self.policy == DegradePolicy::HardReject {
-                    rejected += 1;
                     m.rejected.fetch_add(1, Ordering::Relaxed);
                     if let Some(sink) = &self.audit {
                         sink.record(AuditEvent::Rejected {
@@ -1498,7 +1460,6 @@ impl ShardWorker {
                 } else {
                     let flag = degraded && self.policy == DegradePolicy::AuditAndFlag;
                     if flag {
-                        flagged += 1;
                         m.flagged.fetch_add(1, Ordering::Relaxed);
                         if let Some(sink) = &self.audit {
                             sink.record(AuditEvent::Flagged {
@@ -1537,7 +1498,7 @@ impl ShardWorker {
                 let gen = self.checkpoint_gen.load(Ordering::Acquire);
                 if decisions.saturating_sub(last_checkpoint_at) >= cfg.every || gen != seen_gen {
                     if self.write_guard_checkpoint(decisions) {
-                        checkpoints += 1;
+                        m.checkpoints.fetch_add(1, Ordering::Relaxed);
                         last_checkpoint_at = decisions;
                     }
                     seen_gen = gen;
@@ -1548,22 +1509,10 @@ impl ShardWorker {
         // Final checkpoint on clean drain, so a graceful shutdown loses
         // nothing at all.
         if self.checkpoint.is_some() && self.write_guard_checkpoint(self.base_decisions + served) {
-            checkpoints += 1;
-        }
-
-        ShardReport {
-            shard: self.shard,
-            served,
-            rejected,
-            flagged,
-            batches,
-            alerts,
-            epsilon_spent: self
-                .guards
-                .as_ref()
-                .map_or(0.0, |g| g.accountant.spent_epsilon()),
-            checkpoints,
-            resumed_at: self.base_decisions,
+            self.metrics
+                .shard(self.shard)
+                .checkpoints
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -1795,5 +1744,104 @@ mod tests {
         ));
         assert!(started.elapsed() < Duration::from_secs(1));
         assert_eq!(metrics.snapshot().shards[0].timeouts, 0);
+    }
+
+    #[test]
+    fn snapshot_and_report_render_the_same_registry_byte_for_byte() {
+        let relaxed = Ordering::Relaxed;
+        let m = MetricsRegistry::new(2);
+        // slot 0: a local shard restored from a checkpoint
+        let local = m.shard(0);
+        for (cell, v) in [
+            (&local.enqueued, 6),
+            (&local.served, 5),
+            (&local.rejected, 1),
+            (&local.flagged, 2),
+            (&local.batches, 2),
+            (&local.batch_items, 5),
+            (&local.alerts, 1),
+            (&local.checkpoints, 3),
+            (&local.resumed_at, 100),
+        ] {
+            cell.store(v, relaxed);
+        }
+        local.set_epsilon_spent(0.25);
+        local.depth_inc();
+        // slot 1: a remote shard, with client-side counts only
+        let remote = m.shard(1);
+        for (cell, v) in [
+            (&remote.enqueued, 7),
+            (&remote.served, 4),
+            (&remote.shed, 1),
+            (&remote.throttled, 1),
+            (&remote.timeouts, 1),
+        ] {
+            cell.store(v, relaxed);
+        }
+        m.latency.record(Duration::from_nanos(1_000));
+        m.cache.hits.store(3, relaxed);
+        m.cache.misses.store(1, relaxed);
+        m.cache.upstream_batches.store(1, relaxed);
+        m.admission.effective_cap.store(8, relaxed);
+        m.admission.ticks.store(3, relaxed);
+        m.admission.grows.store(3, relaxed);
+        m.admission.throttled.store(1, relaxed);
+        m.admission.tenant_admitted(9);
+        m.admission.tenant_throttled(9);
+        m.archive.segments_archived.store(2, relaxed);
+        m.archive.bytes_before.store(1_000, relaxed);
+        m.archive.bytes_after.store(250, relaxed);
+        m.archive.deletes_completed.store(2, relaxed);
+        m.archive.ticks.store(4, relaxed);
+
+        // the sections both renderings share, through one set of writers
+        let table = concat!(
+            "shard  served  shed  throttle  timeout  reject  flagged  depth  depth_max  mean_batch  batches  alerts  eps_spent  checkpoints  resumed_at\n",
+            "    0       5     0         0        0       1        2      1          1        2.50        2       1     0.2500            3         100\n",
+            "    1       4     1         1        1       0        0      0          0        0.00        0       0     0.0000            0           0\n",
+        );
+        let layers = concat!(
+            "cache hits=3 misses=1 neg_hits=0 evictions=0 coalesced=0 upstream=1 invalidated=0 hit_rate=0.750\n",
+            "admission cap=8 ticks=3 shrinks=0 grows=3 throttled=1 adm_shed=0 untracked=0\n",
+            "tenant 9: admitted=1 shed=0 throttled=1\n",
+            "archive segments=2 bytes_before=1000 bytes_after=250 ratio=0.250 verify_failures=0 io_errors=0 deletes=2 ticks=4\n",
+        );
+        let snap = m.snapshot();
+        assert_eq!(
+            snap.render_text(),
+            format!(
+                "{table}total served=9 shed=1 alerts=1 eps_spent=0.2500 \
+                 p50=1.0us p95=1.0us p99=1.0us\n{layers}"
+            )
+        );
+        let report = ServiceReport::from_snapshot(
+            snap.clone(),
+            vec![RemoteShardReport {
+                shard: 1,
+                served: 4,
+                requests: 7,
+                reconnects: 0,
+                errors: 1,
+                rtt_mean_micros: 42.5,
+                wire_version: 2,
+            }],
+        );
+        assert_eq!(
+            report.render_text(),
+            format!(
+                "served=9 shed=1 throttled=1 timed_out=1 rejected=1 flagged=2 alerts=1 \
+                 eps_spent=0.2500 audited=0 lost_on_recovery=0 audit_segments=0 \
+                 checkpoints=3 epochs=1\n{table}{layers}remote shard 1: served=4 \
+                 requests=7 reconnects=0 errors=1 rtt_mean=42.5us wire_version=2\n"
+            )
+        );
+        // the report's totals are the snapshot's sums
+        assert_eq!(report.decisions_served, snap.served());
+        assert_eq!(report.epsilon_spent.to_bits(), snap.epsilon_spent.to_bits());
+        assert_eq!(report.alerts_raised, snap.alerts);
+        assert_eq!((report.shed, report.throttled, report.timed_out), (1, 1, 1));
+        assert_eq!((report.rejected, report.flagged), (1, 2));
+        assert_eq!(report.checkpoints_written, 3);
+        assert_eq!(report.shards, snap.shards);
     }
 }

@@ -17,11 +17,9 @@
 //!
 //! [`DecisionService::start`]: crate::service::DecisionService::start
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use fact_data::{FactError, Matrix, Result};
+use fact_data::{Matrix, Result};
 
 /// A per-batch provider of model-ready feature matrices.
 ///
@@ -72,83 +70,6 @@ impl FeatureSource for SimulatedRemoteSource {
             std::thread::sleep(self.latency);
         }
         Matrix::from_rows(inline)
-    }
-}
-
-/// A fault-injecting wrapper around another [`FeatureSource`], for
-/// resilience tests: a configurable window of batched fetches fails (as a
-/// feature store outage would), and every fetch can be stalled by an extra
-/// latency. Failure is by *fetch index* — deterministic under a
-/// single-shard service — and the wrapper counts fetches and failures so
-/// tests can assert the outage actually happened.
-pub struct FailingFeatureSource {
-    inner: Arc<dyn FeatureSource>,
-    fetches: AtomicU64,
-    failures: AtomicU64,
-    /// Fetch indices in `fail_from..fail_until` (0-based, half-open) fail.
-    fail_from: u64,
-    fail_until: u64,
-    extra_latency: Duration,
-}
-
-impl FailingFeatureSource {
-    /// Wrap `inner` with no faults configured (a passthrough).
-    pub fn new(inner: Arc<dyn FeatureSource>) -> Self {
-        FailingFeatureSource {
-            inner,
-            fetches: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
-            fail_from: 0,
-            fail_until: 0,
-            extra_latency: Duration::ZERO,
-        }
-    }
-
-    /// Fail every batched fetch whose 0-based index falls in
-    /// `from..until` — a bounded outage.
-    pub fn fail_window(mut self, from: u64, until: u64) -> Self {
-        self.fail_from = from;
-        self.fail_until = until;
-        self
-    }
-
-    /// Fail every fetch from `from` on — an outage that never heals.
-    pub fn fail_from(self, from: u64) -> Self {
-        self.fail_window(from, u64::MAX)
-    }
-
-    /// Stall every fetch (failing or not) by `latency` — a degraded, slow
-    /// store rather than a dead one.
-    pub fn with_latency(mut self, latency: Duration) -> Self {
-        self.extra_latency = latency;
-        self
-    }
-
-    /// Batched fetches attempted so far.
-    pub fn fetches(&self) -> u64 {
-        self.fetches.load(Ordering::Relaxed)
-    }
-
-    /// Fetches that were failed by injection.
-    pub fn failures(&self) -> u64 {
-        self.failures.load(Ordering::Relaxed)
-    }
-}
-
-impl FeatureSource for FailingFeatureSource {
-    fn fetch_batch(&self, keys: &[u64], inline: &[Vec<f64>]) -> Result<Matrix> {
-        let n = self.fetches.fetch_add(1, Ordering::Relaxed);
-        if !self.extra_latency.is_zero() {
-            std::thread::sleep(self.extra_latency);
-        }
-        if (self.fail_from..self.fail_until).contains(&n) {
-            self.failures.fetch_add(1, Ordering::Relaxed);
-            return Err(FactError::Io(std::io::Error::new(
-                std::io::ErrorKind::ConnectionReset,
-                format!("injected feature-store failure (fetch {n})"),
-            )));
-        }
-        self.inner.fetch_batch(keys, inline)
     }
 }
 

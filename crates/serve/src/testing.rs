@@ -1,6 +1,8 @@
-//! In-memory audit storage with one fault rule: the test double behind
-//! the audit crash/fault-injection suites and the `exp_e13`/`exp_e15`
-//! recovery phases.
+//! Test doubles: in-memory audit storage with one fault rule (the double
+//! behind the audit crash/fault-injection suites and the `exp_e13`/`exp_e15`
+//! recovery phases), a [`ManualClock`] for the feature cache and the
+//! admission controller, and a [`FailingFeatureSource`] for feature-store
+//! outages.
 //!
 //! [`MemStorage`] keeps the segments, head sidecar, archives and archive
 //! manifest in memory. [`MemStorage::inject`] installs a rule that sees
@@ -11,9 +13,15 @@
 
 use std::collections::BTreeMap;
 use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+use fact_data::{FactError, Matrix, Result};
 
 use crate::audit_sink::AuditStorage;
+use crate::cache::Clock;
+use crate::source::FeatureSource;
 
 /// One mutating storage call, as a fault rule sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -314,5 +322,120 @@ impl AuditStorage for MemStorage {
         // the same Arc: a kill kills both handles at once, exactly the
         // way one dead process takes the writer and archiver together
         Some(Box::new(self.clone()))
+    }
+}
+
+/// A test clock that only moves when [`advance`](ManualClock::advance) is
+/// called, so TTL expiry and negative-cache recovery replay exactly.
+#[derive(Debug)]
+pub struct ManualClock {
+    base: Instant,
+    offset_nanos: AtomicU64,
+}
+
+impl ManualClock {
+    /// A clock frozen at construction time.
+    pub fn new() -> Self {
+        ManualClock {
+            base: Instant::now(),
+            offset_nanos: AtomicU64::new(0),
+        }
+    }
+
+    /// Move the clock forward by `by` (never backward).
+    pub fn advance(&self, by: Duration) {
+        self.offset_nanos.fetch_add(
+            by.as_nanos().min(u128::from(u64::MAX)) as u64,
+            Ordering::SeqCst,
+        );
+    }
+}
+
+impl Default for ManualClock {
+    fn default() -> Self {
+        ManualClock::new()
+    }
+}
+
+impl Clock for ManualClock {
+    fn now(&self) -> Instant {
+        self.base + Duration::from_nanos(self.offset_nanos.load(Ordering::SeqCst))
+    }
+}
+
+/// A fault-injecting wrapper around another [`FeatureSource`], for
+/// resilience tests: a configurable window of batched fetches fails (as a
+/// feature store outage would), and every fetch can be stalled by an extra
+/// latency. Failure is by *fetch index* — deterministic under a
+/// single-shard service — and the wrapper counts fetches and failures so
+/// tests can assert the outage actually happened.
+pub struct FailingFeatureSource {
+    inner: Arc<dyn FeatureSource>,
+    fetches: AtomicU64,
+    failures: AtomicU64,
+    /// Fetch indices in `fail_from..fail_until` (0-based, half-open) fail.
+    fail_from: u64,
+    fail_until: u64,
+    extra_latency: Duration,
+}
+
+impl FailingFeatureSource {
+    /// Wrap `inner` with no faults configured (a passthrough).
+    pub fn new(inner: Arc<dyn FeatureSource>) -> Self {
+        FailingFeatureSource {
+            inner,
+            fetches: AtomicU64::new(0),
+            failures: AtomicU64::new(0),
+            fail_from: 0,
+            fail_until: 0,
+            extra_latency: Duration::ZERO,
+        }
+    }
+
+    /// Fail every batched fetch whose 0-based index falls in
+    /// `from..until` — a bounded outage.
+    pub fn fail_window(mut self, from: u64, until: u64) -> Self {
+        self.fail_from = from;
+        self.fail_until = until;
+        self
+    }
+
+    /// Fail every fetch from `from` on — an outage that never heals.
+    pub fn fail_from(self, from: u64) -> Self {
+        self.fail_window(from, u64::MAX)
+    }
+
+    /// Stall every fetch (failing or not) by `latency` — a degraded, slow
+    /// store rather than a dead one.
+    pub fn with_latency(mut self, latency: Duration) -> Self {
+        self.extra_latency = latency;
+        self
+    }
+
+    /// Batched fetches attempted so far.
+    pub fn fetches(&self) -> u64 {
+        self.fetches.load(Ordering::Relaxed)
+    }
+
+    /// Fetches that were failed by injection.
+    pub fn failures(&self) -> u64 {
+        self.failures.load(Ordering::Relaxed)
+    }
+}
+
+impl FeatureSource for FailingFeatureSource {
+    fn fetch_batch(&self, keys: &[u64], inline: &[Vec<f64>]) -> Result<Matrix> {
+        let n = self.fetches.fetch_add(1, Ordering::Relaxed);
+        if !self.extra_latency.is_zero() {
+            std::thread::sleep(self.extra_latency);
+        }
+        if (self.fail_from..self.fail_until).contains(&n) {
+            self.failures.fetch_add(1, Ordering::Relaxed);
+            return Err(FactError::Io(std::io::Error::new(
+                std::io::ErrorKind::ConnectionReset,
+                format!("injected feature-store failure (fetch {n})"),
+            )));
+        }
+        self.inner.fetch_batch(keys, inline)
     }
 }

@@ -19,7 +19,8 @@ use std::time::Duration;
 
 use fact_data::Matrix;
 use fact_ml::Classifier;
-use fact_serve::cache::{Clock, ManualClock};
+use fact_serve::cache::Clock;
+use fact_serve::testing::ManualClock;
 use fact_serve::{
     AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats, CacheConfig,
     DecisionRequest, DecisionService, ServeConfig, ServeError,

@@ -13,9 +13,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use fact_serve::{
-    CacheConfig, CachedFeatureSource, Clock, FeatureSource, InlineFeatures, ManualClock,
-};
+use fact_serve::testing::ManualClock;
+use fact_serve::{CacheConfig, CachedFeatureSource, Clock, FeatureSource, InlineFeatures};
 use proptest::prelude::*;
 
 /// The key-deterministic feature row: any pure function of the key works;

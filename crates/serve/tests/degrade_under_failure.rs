@@ -13,10 +13,10 @@ use std::time::Duration;
 use fact_core::runtime::Alert;
 use fact_data::{Matrix, Result};
 use fact_ml::Classifier;
-use fact_serve::testing::MemStorage;
+use fact_serve::testing::{FailingFeatureSource, MemStorage};
 use fact_serve::{
-    CacheConfig, Decision, DecisionRequest, DecisionService, DegradePolicy, FailingFeatureSource,
-    FeatureSource, GuardConfig, InlineFeatures, ServeConfig, ServeError,
+    CacheConfig, Decision, DecisionRequest, DecisionService, DegradePolicy, FeatureSource,
+    GuardConfig, InlineFeatures, ServeConfig, ServeError,
 };
 
 /// Probability = first feature, clamped.

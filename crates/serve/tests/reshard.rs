@@ -247,6 +247,118 @@ fn reshard_grows_and_shrinks_under_concurrent_load_without_losing_decisions() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `config` with one DP release per 300 decisions. After a 2 → 3
+/// cutover each successor holds at most ⌈2·299/3⌉ = 200 pending
+/// decisions, so it makes no release in its first 100.
+fn slow_release_config(shards: usize, ckpt_dir: &std::path::Path) -> ServeConfig {
+    let mut cfg = config(shards, ckpt_dir);
+    if let Some(g) = cfg.guards.as_mut() {
+        g.dp_interval = 300;
+    }
+    ServeConfig {
+        reshard_hold: Duration::from_secs(30),
+        ..cfg
+    }
+}
+
+/// ε of every sidecar ledger in `dir`, summed shard by shard.
+fn sidecar_epsilon(dir: &std::path::Path, shards: usize) -> f64 {
+    (0..shards)
+        .map(|s| {
+            let ck = load_checkpoint(dir, s).unwrap().unwrap();
+            ck.ledger.iter().map(|e| e.epsilon).sum::<f64>()
+        })
+        .sum()
+}
+
+#[test]
+fn live_epsilon_is_the_ledger_across_restart_and_reshard() {
+    let dir = temp_dir("live-eps");
+    // run 1: one shard spends ε, and its final checkpoint keeps the ledger
+    let first = DecisionService::start(Arc::new(StubModel), slow_release_config(1, &dir)).unwrap();
+    for i in 0..1_000 {
+        first.decide(request(i)).unwrap();
+    }
+    let spent = first.shutdown().epsilon_spent;
+    assert!(spent > 0.0);
+
+    // run 2 restarts on that ledger: before any new release the live view
+    // already carries it, bit for bit
+    let service =
+        DecisionService::start(Arc::new(StubModel), slow_release_config(1, &dir)).unwrap();
+    let restored = sidecar_epsilon(&dir, 1);
+    assert_eq!(restored, spent);
+    assert_eq!(service.metrics().epsilon_spent, restored);
+    let grow = service.reshard(2).unwrap();
+    assert_eq!(grow.epoch.epsilon_spent, restored);
+
+    // load on 2 shards up to the cutover to 3: a submit the cutover parks
+    // is replayed into the new epoch, then its load thread stops
+    let load: Vec<_> = (1..=2u64)
+        .map(|t| {
+            let service = service.clone();
+            std::thread::spawn(move || {
+                let mut served = 0u64;
+                while service.shards() == 2 {
+                    service.decide(request(t * 1_000_000 + served)).unwrap();
+                    served += 1;
+                }
+                served
+            })
+        })
+        .collect();
+    while service.metrics().served() < 1_500 {
+        assert!(
+            load.iter().all(|d| !d.is_finished()),
+            "a load thread saw an error"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let cut = service.reshard(3).unwrap();
+    let live = service.metrics().epsilon_spent;
+    assert!(cut.epoch.epsilon_spent > restored, "the load spent ε");
+    // the transform moves ledger entries between shards, so the sums
+    // group the same entries differently
+    let before = cut.epoch.epsilon_spent;
+    assert!(
+        (live - before).abs() < 1e-12,
+        "live {live} vs ledger {before}"
+    );
+    let moved = sidecar_epsilon(&dir, 3);
+    assert!(
+        (moved - before).abs() < 1e-12,
+        "sidecars {moved} vs {before}"
+    );
+
+    let served: u64 = load.into_iter().map(|d| d.join().unwrap()).sum();
+    let report = service.shutdown();
+    let snap = service.metrics();
+    // the report is the final snapshot, summed, plus the drained epochs
+    assert_eq!(report.epsilon_spent.to_bits(), snap.epsilon_spent.to_bits());
+    assert_eq!(
+        report.epsilon_spent.to_bits(),
+        sidecar_epsilon(&dir, 3).to_bits()
+    );
+    assert_eq!(report.shards, snap.shards);
+    assert_eq!(report.epochs, 3);
+    let drained = [&grow.epoch, &cut.epoch];
+    assert_eq!(
+        report.decisions_served,
+        drained.iter().map(|e| e.decisions_served).sum::<u64>() + snap.served()
+    );
+    assert_eq!(report.decisions_served, served, "zero lost decisions");
+    assert_eq!(
+        report.checkpoints_written,
+        drained.iter().map(|e| e.checkpoints_written).sum::<u64>()
+            + snap.shards.iter().map(|s| s.checkpoints).sum::<u64>()
+    );
+    assert_eq!(
+        report.alerts_raised,
+        drained.iter().map(|e| e.alerts_raised).sum::<u64>() + snap.alerts
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn submits_past_the_hold_window_get_a_typed_retryable_refusal() {
     let dir = temp_dir("hold");

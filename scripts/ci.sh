@@ -77,9 +77,9 @@
 #                             (worker spawn, models, lending workloads),
 #                             and every exp_* binary with a `fn main`
 #                             parses its arguments with kit::Mode
-#  20. surface report         non-test LoC and crate-root `pub use` names
-#                             per crate (scripts/surface.sh); report only,
-#                             it fails nothing
+#  20. surface report         non-test LoC, crate-root `pub use` names and
+#                             public types per crate (scripts/surface.sh);
+#                             report only, it fails nothing
 #
 # Everything runs --offline: the workspace vendors its dependencies and
 # must build with no network.
@@ -187,7 +187,7 @@ for bin in crates/bench/src/bin/exp_*.rs; do
 done
 echo "    every exp_* binary parses its arguments with kit::Mode"
 
-echo "==> surface report (non-test LoC and root exports per crate; report only)"
+echo "==> surface report (non-test LoC, root exports and public types per crate; report only)"
 scripts/surface.sh
 
 echo "==> ci.sh: all green"
