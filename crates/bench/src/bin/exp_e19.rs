@@ -128,12 +128,12 @@ fn local_phase(per_epoch: u64) {
         wait_for(per_epoch * (i as u64 + 1));
         let report = service.reshard(to).expect("reshard");
         assert_eq!(
-            report.pre_counts, report.post_counts,
+            report.transform.pre_counts, report.transform.post_counts,
             "fairness-window counts must conserve across {} -> {}",
             report.from, report.to
         );
         assert_eq!(
-            report.pre_decisions, report.post_decisions,
+            report.transform.pre_decisions, report.transform.post_decisions,
             "lifetime decision counts must conserve across {} -> {}",
             report.from, report.to
         );
@@ -141,7 +141,7 @@ fn local_phase(per_epoch: u64) {
         println!(
             "{:>12} {:>14} {:>6} {:>10.1}",
             format!("{} -> {}", report.from, report.to),
-            report.pre_decisions,
+            report.transform.pre_decisions,
             report.held,
             report.cutover.as_secs_f64() * 1e3,
         );

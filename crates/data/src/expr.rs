@@ -158,8 +158,15 @@ impl Predicate {
                 Ok(mask)
             }
             Predicate::Label(name, label) => {
-                let labels = ds.labels(name)?;
-                Ok(labels.iter().map(|l| l == label).collect())
+                // codes plus validity: a null slot never matches, whatever
+                // its placeholder code
+                let (col, cat) = ds.cat_column(name)?;
+                Ok(match cat.code_of(label) {
+                    Some(target) => (cat.codes.iter().enumerate())
+                        .map(|(i, &c)| c == target && !col.is_null(i))
+                        .collect(),
+                    None => vec![false; ds.n_rows()],
+                })
             }
             Predicate::IsTrue(name) => Ok(ds.bool_column(name)?.to_vec()),
             Predicate::IsNull(name) => {
@@ -251,6 +258,20 @@ mod tests {
             col("approved").is_true().eval(&ds).unwrap(),
             vec![false, true, false, true]
         );
+    }
+
+    #[test]
+    fn a_null_label_slot_never_matches() {
+        // the third row is null over "a"'s dictionary code
+        let g = crate::Column::from_labels(&["a", "b", "a"])
+            .with_validity(vec![true, true, false])
+            .unwrap();
+        let ds = Dataset::builder().column("g", g).build().unwrap();
+        assert_eq!(
+            col("g").eq_label("a").eval(&ds).unwrap(),
+            vec![true, false, false]
+        );
+        assert_eq!(col("g").eq_label("zz").eval(&ds).unwrap(), vec![false; 3]);
     }
 
     #[test]

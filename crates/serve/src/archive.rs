@@ -567,17 +567,18 @@ pub struct Archiver {
 impl Archiver {
     /// Spawn the archiver thread. `active_segment` is polled each pass to
     /// learn the writer's current segment — everything below it is sealed
-    /// and eligible (minus the retention horizon).
+    /// and eligible (minus the retention horizon). A zero tick fails with
+    /// [`io::ErrorKind::InvalidInput`].
     pub fn spawn(
         config: ArchiveConfig,
         mut storage: Box<dyn AuditStorage>,
         active_segment: impl Fn() -> u64 + Send + 'static,
         stats: Arc<ArchiveStats>,
     ) -> io::Result<Archiver> {
-        assert!(
-            config.tick > Duration::ZERO,
-            "archive tick must be positive"
-        );
+        if config.tick.is_zero() {
+            let msg = "archive tick must be positive";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        }
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let thread = std::thread::Builder::new()

@@ -191,6 +191,26 @@ impl Default for AuditSinkConfig {
     }
 }
 
+impl AuditSinkConfig {
+    /// Refuse a zero batch, queue, segment cap or archive tick with
+    /// [`io::ErrorKind::InvalidInput`], before anything touches storage.
+    fn validate(&self) -> io::Result<()> {
+        let tick = self.archive.as_ref().map_or(1, |a| a.tick.as_nanos());
+        for (knob, value) in [
+            ("batch_max", self.batch_max as u128),
+            ("queue_cap", self.queue_cap as u128),
+            ("max_segment_bytes", u128::from(self.max_segment_bytes)),
+            ("archive tick", tick),
+        ] {
+            if value == 0 {
+                let msg = format!("{knob} must be positive");
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Final accounting returned by [`AuditSink::finish`].
 #[derive(Debug, Clone)]
 pub struct SinkReport {
@@ -263,23 +283,21 @@ pub struct AuditSink {
 
 impl AuditSink {
     /// Open a file-backed sink at `config.path`, running recovery first.
+    /// A zero batch, queue, segment cap or archive tick fails with
+    /// [`io::ErrorKind::InvalidInput`] before anything is created.
     pub fn open(config: &AuditSinkConfig) -> io::Result<AuditSink> {
+        config.validate()?;
         let storage = FileStorage::open(&config.path)?;
         Self::open_with_storage(config, Box::new(storage))
     }
 
-    /// Open over explicit storage (`config.path` is ignored), running
-    /// recovery first.
+    /// Open over explicit storage (`config.path` is ignored), checking the
+    /// configuration as [`open`](AuditSink::open) does, then recovering.
     pub fn open_with_storage(
         config: &AuditSinkConfig,
         mut storage: Box<dyn AuditStorage>,
     ) -> io::Result<AuditSink> {
-        assert!(config.batch_max > 0, "batch_max must be positive");
-        assert!(config.queue_cap > 0, "queue_cap must be positive");
-        assert!(
-            config.max_segment_bytes > 0,
-            "max_segment_bytes must be positive"
-        );
+        config.validate()?;
         // take the archiver's independent handle *before* the writer owns
         // the storage; refuse up front rather than silently not archiving
         let archiver_storage = match &config.archive {

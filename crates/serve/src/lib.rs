@@ -99,7 +99,6 @@ pub mod cache;
 pub mod checkpoint;
 pub mod guards;
 pub mod metrics;
-pub mod reshard;
 pub mod service;
 pub mod source;
 pub mod testing;
@@ -115,12 +114,11 @@ pub use audit_sink::{
 };
 pub use cache::{CacheConfig, CachedFeatureSource, Clock};
 pub use checkpoint::{
-    checkpoint_path, load_checkpoint, write_checkpoint, CheckpointConfig, GuardCheckpoint,
-    LedgerEntry,
+    checkpoint_path, load_checkpoint, transform_checkpoints, write_checkpoint, CheckpointConfig,
+    GuardCheckpoint, LedgerEntry,
 };
 pub use guards::{DegradePolicy, GuardConfig};
 pub use metrics::{AdmissionStats, MetricsSnapshot, ShardSnapshot};
-pub use reshard::transform_checkpoints;
 pub use service::{
     Decision, DecisionHandle, DecisionRequest, DecisionService, NetShardHandler, ServeConfig,
     ServeError, ServiceReport, ShardSlot,

@@ -40,13 +40,15 @@ use crate::audit_sink::{
     AuditEvent, AuditSink, AuditSinkConfig, AuditSinkHandle, AuditStorage, RecoveryReport,
 };
 use crate::cache::{CacheConfig, CachedFeatureSource, SystemClock};
-use crate::checkpoint::{load_checkpoint, write_checkpoint, CheckpointConfig, GuardCheckpoint};
+use crate::checkpoint::{
+    load_sidecars, transform_checkpoints, write_checkpoint, CheckpointConfig, GuardCheckpoint,
+    TransformReport,
+};
 use crate::guards::{AlertHub, DegradePolicy, GuardConfig, ServiceAlert};
 use crate::metrics::{
     write_layer_lines, write_shard_table, AdmissionSnapshot, CacheSnapshot, MetricsRegistry,
     MetricsSnapshot, ShardSnapshot,
 };
-use crate::reshard::{transform_checkpoints, ReshardReport};
 use crate::source::{FeatureSource, InlineFeatures};
 
 /// Errors surfaced to callers of the service.
@@ -84,7 +86,7 @@ pub enum ServeError {
     /// request was neither enqueued nor served. Retrying after backoff is
     /// safe — requests that arrive during cutover are held and replayed
     /// into the new topology, and only the tail past the hold window sees
-    /// this error (see [`crate::reshard`]).
+    /// this error (see [`DecisionService::reshard`]).
     Resharding,
     /// The model failed on this batch.
     Internal(String),
@@ -682,6 +684,27 @@ struct Inner {
     lifecycle: Mutex<Lifecycle>,
 }
 
+/// What one completed [`reshard`](DecisionService::reshard) did, with
+/// enough numbers to *prove* nothing was lost in the transform.
+#[derive(Debug, Clone)]
+pub struct ReshardReport {
+    /// Shard count before the cutover.
+    pub from: usize,
+    /// Shard count after the cutover.
+    pub to: usize,
+    /// What the checkpoint transform conserved, before and after.
+    pub transform: TransformReport,
+    /// Submits still parked when the new topology opened, all of them
+    /// replayed into it (the tail past the hold window was refused and is
+    /// not counted here).
+    pub held: u64,
+    /// How long the cutover lasted, from the drain to serving again.
+    pub cutover: Duration,
+    /// The drained epoch's own accounting. Its audit fields are zero:
+    /// the audit sink outlives the epoch and reports at shutdown.
+    pub epoch: ServiceReport,
+}
+
 /// A cheaply-cloneable handle to the serving fabric. All clones address the
 /// same shards; the service keeps running until [`shutdown`] is called.
 ///
@@ -715,13 +738,7 @@ impl DecisionService {
         config: ServeConfig,
         source: Arc<dyn FeatureSource>,
     ) -> Result<Self, ServeError> {
-        let sink = match &config.audit {
-            Some(audit_cfg) => Some(
-                AuditSink::open(audit_cfg)
-                    .map_err(|e| ServeError::Internal(format!("audit sink: {e}")))?,
-            ),
-            None => None,
-        };
+        let sink = config.audit.as_ref().map(AuditSink::open);
         Self::start_inner(model, config, source, sink)
     }
 
@@ -736,8 +753,7 @@ impl DecisionService {
         storage: Box<dyn AuditStorage>,
     ) -> Result<Self, ServeError> {
         let audit_cfg = config.audit.clone().unwrap_or_default();
-        let sink = AuditSink::open_with_storage(&audit_cfg, storage)
-            .map_err(|e| ServeError::Internal(format!("audit sink: {e}")))?;
+        let sink = AuditSink::open_with_storage(&audit_cfg, storage);
         Self::start_inner(model, config, source, Some(sink))
     }
 
@@ -745,8 +761,14 @@ impl DecisionService {
         model: Arc<dyn Classifier + Send + Sync>,
         config: ServeConfig,
         source: Arc<dyn FeatureSource>,
-        sink: Option<AuditSink>,
+        sink: Option<std::io::Result<AuditSink>>,
     ) -> Result<Self, ServeError> {
+        // A configuration the sink refuses is a bad request; any other
+        // failure to open it is internal.
+        let sink = sink.transpose().map_err(|e| match e.kind() {
+            std::io::ErrorKind::InvalidInput => ServeError::BadRequest(format!("audit sink: {e}")),
+            _ => ServeError::Internal(format!("audit sink: {e}")),
+        })?;
         if config.shards == 0
             || config.queue_cap == 0
             || config.batch_max == 0
@@ -855,6 +877,12 @@ impl DecisionService {
         let inner = &*self.inner;
         let config = &inner.config;
         let sink = inner.sink.lock().unwrap_or_else(|e| e.into_inner());
+        // Every local shard's sidecar is read before any worker spawns; a
+        // set written by more shards than this epoch has is refused.
+        let mut sidecars = match (&config.guards, &config.checkpoint) {
+            (Some(_), Some(ck_cfg)) => load_sidecars(&ck_cfg.dir, shards)?,
+            _ => vec![None; shards],
+        };
         let checkpoint_gen = Arc::new(AtomicU64::new(0));
         let mut routes = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
@@ -873,29 +901,21 @@ impl DecisionService {
             }
             let (tx, rx) = sync_channel::<Job>(config.queue_cap);
             routes.push(Route::Local(tx));
-            let mut resumed_at = 0;
-            let guards = match &config.guards {
-                Some(g) => {
-                    let mut guards = Guards::new(g, config.seed.wrapping_add(shard as u64))
-                        .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-                    // Resume from the sidecar checkpoint, if one exists: a
-                    // respawned shard keeps its fairness window and ε
-                    // ledger instead of silently resetting them.
-                    let loaded = match &config.checkpoint {
-                        Some(ck_cfg) => load_checkpoint(&ck_cfg.dir, shard).map_err(|e| {
-                            ServeError::Internal(format!("shard {shard} checkpoint load: {e}"))
-                        })?,
-                        None => None,
-                    };
-                    if let Some(ck) = loaded {
-                        ck.restore_into(&mut guards).map_err(|e| {
-                            ServeError::Internal(format!("shard {shard} checkpoint restore: {e}"))
-                        })?;
-                        resumed_at = ck.decisions;
-                    }
-                    Some(guards)
+            let mut guards = (config.guards.as_ref())
+                .map(|g| Guards::new(g, config.seed.wrapping_add(shard as u64)))
+                .transpose()
+                .map_err(|e| ServeError::BadRequest(e.to_string()))?;
+            // Resume from the sidecar checkpoint, if one exists: a respawned
+            // shard keeps its fairness window and ε ledger instead of
+            // silently resetting them.
+            let resumed_at = match (&mut guards, sidecars[shard].take()) {
+                (Some(guards), Some(ck)) => {
+                    ck.restore_into(guards).map_err(|e| {
+                        ServeError::Internal(format!("shard {shard} checkpoint restore: {e}"))
+                    })?;
+                    ck.decisions
                 }
-                None => None,
+                _ => 0,
             };
             // The shard's cells start from what it restored: the ε ledger
             // is history, not a per-epoch count.
@@ -1081,20 +1101,43 @@ impl DecisionService {
     }
 
     /// Change the shard count from the current `N` to `to` while serving,
-    /// conserving guard state. See [`crate::reshard`] for the protocol;
-    /// the returned [`ReshardReport`]'s pre/post counts prove
-    /// conservation.
+    /// without dropping a request or forgetting guard state.
     ///
-    /// Requires `guards` and `checkpoint` and an all-local topology in the
-    /// configuration; without them, or with `to == 0`, it fails with
-    /// [`ServeError::BadRequest`] before touching the running service. If
-    /// the checkpoint transform refuses — e.g. shrinking would replay more
-    /// ε into a successor than its budget allows (the ledger is conserved,
-    /// never truncated) — the service **rolls back**: the refused
-    /// transform wrote nothing, so it restarts on the untouched sidecars
-    /// and keeps serving at the old shard count while the error is
-    /// surfaced to the caller. Only if that restart fails too does the
-    /// service stop.
+    /// Everything shaped by the shard count (queues, workers, remote
+    /// slots, per-shard metrics, checkpoint generation) is one *topology
+    /// epoch* behind the lock every submit takes for reading. A reshard
+    /// replaces it:
+    ///
+    /// 1. **Drain** — the phase swaps to *cutover* under the write lock, so
+    ///    a submit either enqueued into the old epoch or parks. The old
+    ///    epoch answers every accepted request and each shard writes its
+    ///    final [`GuardCheckpoint`] sidecar.
+    /// 2. **Transform** — [`transform_checkpoints`] rewrites the N sidecars
+    ///    as M: the fairness windows merged and re-split, the ε ledger
+    ///    dealt round-robin, stale sidecars removed.
+    /// 3. **Restart** — an epoch of M shards restores from the new
+    ///    sidecars. The model, feature source and cache, admission
+    ///    controller, alert channel and audit sink belong to the service,
+    ///    not the epoch, so the audit hash chain runs on unbroken.
+    /// 4. **Replay** — the parked submits wake and enqueue into the new
+    ///    topology (`key % M`; no routing table crosses the wire). Only
+    ///    those parked past [`ServeConfig::reshard_hold`] see the retryable
+    ///    [`ServeError::Resharding`], never a silent drop.
+    ///
+    /// The returned [`ReshardReport`] proves **conservation**: the summed
+    /// window counts are equal cell for cell before and after, every
+    /// ledger entry lands in exactly one successor, and lifetime decisions
+    /// sum-then-split exactly.
+    ///
+    /// Requires `guards`, `checkpoint` and an all-local topology — the
+    /// sidecars *are* the portable form of the guard state; without them,
+    /// or with `to == 0`, it fails with [`ServeError::BadRequest`] before
+    /// touching the running service. If the transform refuses — e.g. a
+    /// successor would replay more ε than its budget allows (the ledger is
+    /// conserved, never truncated) — the service **rolls back**: the
+    /// refused transform wrote nothing, so it restarts on the untouched
+    /// sidecars at the old shard count and returns the error. Only if that
+    /// restart fails too does the service stop.
     pub fn reshard(&self, to: usize) -> Result<ReshardReport, ServeError> {
         let config = &self.inner.config;
         if to == 0 {
@@ -1137,11 +1180,7 @@ impl DecisionService {
         Ok(ReshardReport {
             from,
             to,
-            pre_counts: transform.pre_counts,
-            post_counts: transform.post_counts,
-            pre_decisions: transform.pre_decisions,
-            post_decisions: transform.post_decisions,
-            ledger_entries: transform.ledger_entries,
+            transform,
             held,
             cutover: started.elapsed(),
             epoch,
@@ -1336,18 +1375,23 @@ struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// Write a guard checkpoint if guards and checkpointing are both on.
-    /// Returns whether one was durably written; failures are swallowed
-    /// (serving outranks checkpoint freshness — the previous checkpoint
-    /// file is still intact).
+    /// Write a guard checkpoint if guards and checkpointing are both on,
+    /// and count it. Returns whether one was durably written; failures are
+    /// swallowed (serving outranks checkpoint freshness — the previous
+    /// checkpoint file is still intact).
     fn write_guard_checkpoint(&self, decisions: u64) -> bool {
         let (Some(cfg), Some(guards)) = (&self.checkpoint, &self.guards) else {
             return false;
         };
-        GuardCheckpoint::capture(guards, self.shard, decisions, cfg.segment_events)
+        let written = GuardCheckpoint::capture(guards, self.shard, decisions, cfg.segment_events)
             .ok()
             .and_then(|ck| write_checkpoint(&cfg.dir, &ck).ok())
-            .is_some()
+            .is_some();
+        if written {
+            let m = self.metrics.shard(self.shard);
+            m.checkpoints.fetch_add(1, Ordering::Relaxed);
+        }
+        written
     }
 
     /// Serve until the queue disconnects. Every fact it serves is counted
@@ -1498,7 +1542,6 @@ impl ShardWorker {
                 let gen = self.checkpoint_gen.load(Ordering::Acquire);
                 if decisions.saturating_sub(last_checkpoint_at) >= cfg.every || gen != seen_gen {
                     if self.write_guard_checkpoint(decisions) {
-                        m.checkpoints.fetch_add(1, Ordering::Relaxed);
                         last_checkpoint_at = decisions;
                     }
                     seen_gen = gen;
@@ -1508,12 +1551,7 @@ impl ShardWorker {
 
         // Final checkpoint on clean drain, so a graceful shutdown loses
         // nothing at all.
-        if self.checkpoint.is_some() && self.write_guard_checkpoint(self.base_decisions + served) {
-            self.metrics
-                .shard(self.shard)
-                .checkpoints
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.write_guard_checkpoint(self.base_decisions + served);
     }
 }
 
@@ -1597,9 +1635,11 @@ impl fact_net::ShardHandler for NetShardHandler {
             }
             FrameKind::Checkpoint => {
                 self.service.request_checkpoint();
+                // lifetime decisions: restored plus served since
+                let snap = self.service.metrics();
                 Reply::Ready(emit(&CheckpointAckWire {
-                    shards: self.service.shards(),
-                    decisions: self.service.metrics().served(),
+                    shards: snap.shards.len(),
+                    decisions: snap.shards.iter().map(|s| s.resumed_at + s.served).sum(),
                 }))
             }
             FrameKind::Control => {
@@ -1624,7 +1664,7 @@ impl fact_net::ShardHandler for NetShardHandler {
                                         r.from,
                                         r.to,
                                         r.epoch.decisions_served,
-                                        r.ledger_entries,
+                                        r.transform.ledger_entries,
                                         r.held
                                     ),
                                 ),
@@ -1714,6 +1754,57 @@ fn respond(version: u8, resp: &ResponseWire) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::archive::ArchiveConfig;
+
+    /// A zero sink or archiver knob is a bad request, refused before
+    /// recovery creates anything on disk or any thread spawns.
+    #[test]
+    fn zero_sink_and_archive_knobs_are_bad_requests_before_any_file_exists() {
+        struct Half;
+        impl Classifier for Half {
+            fn predict_proba(&self, x: &fact_data::Matrix) -> fact_data::Result<Vec<f64>> {
+                Ok(vec![0.5; x.rows()])
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("fact-serve-knobs-{}", std::process::id()));
+        let sink = AuditSinkConfig {
+            path: dir.join("audit.jsonl"),
+            ..AuditSinkConfig::default()
+        };
+        let with = |knob: fn(&mut AuditSinkConfig)| {
+            let mut audit = sink.clone();
+            knob(&mut audit);
+            audit
+        };
+        for (knob, audit) in [
+            ("batch_max", with(|c| c.batch_max = 0)),
+            ("queue_cap", with(|c| c.queue_cap = 0)),
+            ("max_segment_bytes", with(|c| c.max_segment_bytes = 0)),
+            (
+                "archive tick",
+                with(|c| {
+                    c.archive = Some(ArchiveConfig {
+                        retain_segments: 1,
+                        tick: Duration::ZERO,
+                    })
+                }),
+            ),
+        ] {
+            let config = ServeConfig {
+                n_features: 1,
+                audit: Some(audit),
+                ..ServeConfig::default()
+            };
+            let err = DecisionService::start(Arc::new(Half), config)
+                .err()
+                .expect(knob);
+            assert!(
+                matches!(&err, ServeError::BadRequest(m) if m.contains(knob)),
+                "{knob}: {err}"
+            );
+            assert!(!dir.exists(), "{knob}: nothing may be created");
+        }
+    }
 
     #[test]
     fn a_local_handle_is_one_shot_for_polls_and_wait() {

@@ -217,15 +217,18 @@ fn reshard_grows_and_shrinks_under_concurrent_load_without_losing_decisions() {
     wait_for(500);
     let grow = service.reshard(8).unwrap();
     assert_eq!((grow.from, grow.to), (4, 8));
-    assert_eq!(grow.pre_counts, grow.post_counts, "window conservation");
-    assert_eq!(grow.pre_decisions, grow.post_decisions);
+    assert_eq!(
+        grow.transform.pre_counts, grow.transform.post_counts,
+        "window conservation"
+    );
+    assert_eq!(grow.transform.pre_decisions, grow.transform.post_decisions);
     assert_eq!(service.shards(), 8);
 
     let mid = ok.load(Ordering::Relaxed);
     wait_for(mid + 500);
     let shrink = service.reshard(3).unwrap();
     assert_eq!((shrink.from, shrink.to), (8, 3));
-    assert_eq!(shrink.pre_counts, shrink.post_counts);
+    assert_eq!(shrink.transform.pre_counts, shrink.transform.post_counts);
     assert_eq!(service.shards(), 3);
     // the drained epoch between the two cutovers is accounted for
     assert!(shrink.epoch.decisions_served >= 500, "{:?}", shrink.epoch);
@@ -360,6 +363,50 @@ fn live_epsilon_is_the_ledger_across_restart_and_reshard() {
 }
 
 #[test]
+fn a_restart_with_fewer_shards_than_sidecars_is_refused() {
+    let dir = temp_dir("stale");
+    let first = DecisionService::start(Arc::new(StubModel), config(2, &dir)).unwrap();
+    for i in 0..1_000 {
+        first.decide(request(i)).unwrap();
+    }
+    let spent = first.shutdown().epsilon_spent;
+    assert!(spent > 0.0);
+    let sidecars = || -> Vec<Vec<u8>> {
+        (0..2)
+            .map(|s| std::fs::read(fact_serve::checkpoint_path(&dir, s)).unwrap())
+            .collect()
+    };
+    let written = sidecars();
+
+    // one shard would drop shard 1's ledger and refund its ε
+    let err = DecisionService::start(Arc::new(StubModel), config(1, &dir))
+        .err()
+        .expect("a 1-shard start on a 2-shard set is refused");
+    assert!(
+        matches!(&err, ServeError::BadRequest(msg)
+            if msg.contains("shard-1.json") && msg.contains("reshard")),
+        "{err}"
+    );
+    assert_eq!(sidecars(), written, "the refusal touches no sidecar");
+    // without guards no sidecar is read, so there is nothing to drop
+    let unguarded = ServeConfig {
+        guards: None,
+        ..config(1, &dir)
+    };
+    DecisionService::start(Arc::new(StubModel), unguarded)
+        .unwrap()
+        .shutdown();
+    assert_eq!(sidecars(), written);
+
+    // the full count resumes every ledger
+    let service = DecisionService::start(Arc::new(StubModel), config(2, &dir)).unwrap();
+    assert_eq!(service.metrics().epsilon_spent, sidecar_epsilon(&dir, 2));
+    assert_eq!(service.metrics().epsilon_spent, spent);
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn submits_past_the_hold_window_get_a_typed_retryable_refusal() {
     let dir = temp_dir("hold");
     // a reshard against a service whose guards/checkpoints are off fails
@@ -456,7 +503,7 @@ fn over_budget_shrink_rolls_back_and_keeps_serving() {
     assert_eq!(total, 600, "drained sidecars survive the refusal untouched");
     // a feasible target still works after the refusal
     let report = service.reshard(8).unwrap();
-    assert_eq!(report.pre_counts, report.post_counts);
+    assert_eq!(report.transform.pre_counts, report.transform.post_counts);
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -540,6 +587,50 @@ fn reshard_control_command_works_over_fact_net() {
 
     plain_server.shutdown();
     plain.shutdown();
+    server.shutdown();
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `Checkpoint` frame's ack counts lifetime decisions: what each
+/// shard restored from its sidecar plus what it served since, across a
+/// restart and a reshard.
+#[test]
+fn checkpoint_ack_counts_lifetime_decisions_across_restart_and_reshard() {
+    let dir = temp_dir("ack");
+    let sock = std::env::temp_dir().join(format!("fact-reshard-ack-{}.sock", std::process::id()));
+    let first = DecisionService::start(Arc::new(StubModel), config(1, &dir)).unwrap();
+    for i in 0..300 {
+        first.decide(request(i)).unwrap();
+    }
+    first.shutdown();
+
+    let service = DecisionService::start(Arc::new(StubModel), config(1, &dir)).unwrap();
+    let handler = NetShardHandler::new(service.clone(), Duration::from_secs(5));
+    let mut server = Server::bind(&sock, Arc::new(handler) as Arc<dyn ShardHandler>).unwrap();
+    let client = RemoteShard::connect(&sock).unwrap();
+    let ack = || -> fact_net::CheckpointAckWire {
+        let frame = client
+            .send(fact_net::FrameKind::Checkpoint, Vec::new())
+            .unwrap()
+            .wait(Duration::from_secs(5))
+            .unwrap();
+        fact_net::decode(&frame.payload).unwrap()
+    };
+    for i in 300..500u64 {
+        decide_over(&client, 0.4, i % 2 == 0, i);
+    }
+    let restored = ack();
+    assert_eq!((restored.shards, restored.decisions), (1, 500));
+
+    let wire = control_ack(&client, "reshard 2");
+    assert!(wire.ok, "{}", wire.info);
+    for i in 500..600u64 {
+        decide_over(&client, 0.4, i % 2 == 0, i);
+    }
+    let resharded = ack();
+    assert_eq!((resharded.shards, resharded.decisions), (2, 600));
+
     server.shutdown();
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

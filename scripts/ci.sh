@@ -77,7 +77,11 @@
 #                             (worker spawn, models, lending workloads),
 #                             and every exp_* binary with a `fn main`
 #                             parses its arguments with kit::Mode
-#  20. surface report         non-test LoC, crate-root `pub use` names and
+#  20. storage-seam check     no non-test code under crates/serve/src
+#                             touches std::fs outside checkpoint.rs (guard
+#                             sidecars) and audit_sink/storage.rs (audit
+#                             segments), so on-disk state has two owners
+#  21. surface report         non-test LoC, crate-root `pub use` names and
 #                             public types per crate (scripts/surface.sh);
 #                             report only, it fails nothing
 #
@@ -186,6 +190,24 @@ for bin in crates/bench/src/bin/exp_*.rs; do
     fi
 done
 echo "    every exp_* binary parses its arguments with kit::Mode"
+
+echo "==> storage-seam check (std::fs only in checkpoint.rs and audit_sink/storage.rs)"
+# Each file is cut at its first #[cfg(test)] line, as scripts/surface.sh
+# cuts it, and comment lines are skipped; what is left may not name
+# std::fs, import fs from std, or call through an `fs::` path.
+fs_uses=$(find crates/serve/src -name '*.rs' \
+        ! -path crates/serve/src/checkpoint.rs ! -path crates/serve/src/audit_sink/storage.rs \
+        -exec awk '
+            FNR == 1 { live = 1 }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
+            live && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' {} + |
+    grep -E 'std::fs|use std::\{[^}]*\<fs\>|(^|[^[:alnum:]_:])fs::' || true)
+if [ -n "$fs_uses" ]; then
+    echo "storage-seam check: std::fs outside the two storage seams:" >&2
+    echo "$fs_uses" >&2
+    exit 1
+fi
+echo "    std::fs appears only in checkpoint.rs and audit_sink/storage.rs"
 
 echo "==> surface report (non-test LoC, root exports and public types per crate; report only)"
 scripts/surface.sh

@@ -85,6 +85,44 @@ fn missing_required_args_print_usage_and_exit_2() {
     assert_usage_exit(&run(&["--socket", "/tmp/x.sock"]), "--checkpoint-dir");
 }
 
+/// A zero audit segment cap or archive tick is a configuration error:
+/// the worker prints it and exits 1 before recovery creates the log.
+#[test]
+fn zero_audit_knobs_exit_1_before_the_log_exists() {
+    let dir = ScratchDir::new("shardd-knobs");
+    let audit = dir.join("audit.jsonl");
+    let (sock, ckpt) = (dir.join("worker.sock"), dir.join("checkpoints"));
+    let path = |p: &Path| p.to_str().expect("utf-8 scratch path").to_string();
+    for (flags, needle) in [
+        (
+            &["--audit-segment-bytes", "0"][..],
+            "max_segment_bytes must be positive",
+        ),
+        (
+            &["--archive-retain", "1", "--archive-tick-ms", "0"][..],
+            "archive tick must be positive",
+        ),
+    ] {
+        let mut args = vec![
+            "--socket".to_string(),
+            path(&sock),
+            "--checkpoint-dir".to_string(),
+            path(&ckpt),
+            "--audit".to_string(),
+            path(&audit),
+        ];
+        args.extend(flags.iter().map(|f| f.to_string()));
+        let out = Command::new(shardd())
+            .args(&args)
+            .output()
+            .expect("spawn fact-shardd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(stderr.contains(needle), "{flags:?}: {stderr}");
+        assert!(!audit.exists(), "{flags:?}: the audit log was created");
+    }
+}
+
 /// Decide `features` for `key` through `client`; returns the worker's
 /// probability.
 fn decide(client: &RemoteShard, features: Vec<f64>, group_b: bool, key: u64) -> f64 {
