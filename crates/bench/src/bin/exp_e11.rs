@@ -15,8 +15,9 @@
 //! remote-backed service's would, and the guards' CPU cost shows up
 //! undiluted in the overhead column.
 //!
-//! A full run writes `results/e11.txt`; `--smoke` runs the same trials and
-//! prints the table without writing it.
+//! Every trial asserts conservation: each submit is either served or
+//! refused at admission. A full run writes `results/e11.txt`; `--smoke`
+//! runs the same trials and prints the table without writing it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -107,6 +108,12 @@ fn run_trial(model: Arc<LogisticRegression>, shards: usize, guarded: bool, seed:
         std::thread::sleep(Duration::from_millis(1));
     }
     let report = service.shutdown(); // drain what was accepted
+                                     // conservation: every submit was either served or refused at admission
+    assert_eq!(
+        report.decisions_served + shed,
+        key,
+        "{shards} shard(s), guarded {guarded}: served + refused != submitted"
+    );
     let elapsed = start.elapsed().as_secs_f64();
     let snap = service.metrics();
     let us = |d: Option<Duration>| d.map_or(0.0, |d| d.as_nanos() as f64 / 1e3);

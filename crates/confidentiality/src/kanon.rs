@@ -322,47 +322,59 @@ pub fn is_k_anonymous(ds: &Dataset, qis: &[&str], k: usize) -> Result<bool> {
 
 /// Distinct l-diversity: every equivalence class must contain at least `l`
 /// distinct values of the sensitive column. Returns the minimum diversity
-/// observed (compare with your target `l`).
+/// observed (compare with your target `l`). A null sensitive value is
+/// skipped, never counted as its placeholder's value, and a class whose
+/// sensitive values are all null is skipped as if its rows were filtered
+/// out.
 pub fn min_l_diversity(anon: &Anonymized, sensitive: &str) -> Result<usize> {
     use std::collections::HashSet;
-    let labels = anon.data.labels(sensitive)?;
-    let mut per_class: Vec<HashSet<&str>> = vec![HashSet::new(); anon.n_classes];
+    let (col, cat) = anon.data.cat_column(sensitive)?;
+    let mut per_class: Vec<HashSet<u32>> = vec![HashSet::new(); anon.n_classes];
     for (i, &c) in anon.class_of.iter().enumerate() {
-        per_class[c].insert(labels[i].as_str());
+        if !col.is_null(i) {
+            per_class[c].insert(cat.codes[i]);
+        }
     }
     per_class
         .iter()
         .map(|s| s.len())
+        .filter(|&l| l > 0)
         .min()
-        .ok_or_else(|| FactError::EmptyData("no equivalence classes".into()))
+        .ok_or_else(|| FactError::EmptyData("no equivalence class with a sensitive value".into()))
 }
 
 /// t-closeness via total variation distance: the maximum, over equivalence
 /// classes, of the TV distance between the class's sensitive-value
 /// distribution and the global one. Small values mean classes reveal little
-/// beyond the global distribution.
+/// beyond the global distribution. Null sensitive values are skipped: the
+/// distance equals that of the same data with the null rows filtered out.
 pub fn max_t_distance(anon: &Anonymized, sensitive: &str) -> Result<f64> {
     use std::collections::HashMap;
-    let labels = anon.data.labels(sensitive)?;
-    let n = labels.len() as f64;
-    let mut global: HashMap<&str, f64> = HashMap::new();
-    for l in &labels {
-        *global.entry(l.as_str()).or_insert(0.0) += 1.0 / n;
-    }
-    let mut class_counts: Vec<HashMap<&str, f64>> = vec![HashMap::new(); anon.n_classes];
+    let (col, cat) = anon.data.cat_column(sensitive)?;
+    // per-code counts, globally and per class, over the non-null rows
+    let mut global = vec![0usize; cat.dict.len()];
+    let mut class_counts: Vec<HashMap<usize, usize>> = vec![HashMap::new(); anon.n_classes];
     let mut class_sizes = vec![0usize; anon.n_classes];
     for (i, &c) in anon.class_of.iter().enumerate() {
-        *class_counts[c].entry(labels[i].as_str()).or_insert(0.0) += 1.0;
-        class_sizes[c] += 1;
-    }
-    let mut worst: f64 = 0.0;
-    for (c, counts) in class_counts.iter().enumerate() {
-        let size = class_sizes[c] as f64;
-        let mut tv = 0.0;
-        for (value, &gp) in &global {
-            let cp = counts.get(value).copied().unwrap_or(0.0) / size;
-            tv += (cp - gp).abs();
+        if !col.is_null(i) {
+            let code = cat.codes[i] as usize;
+            global[code] += 1;
+            *class_counts[c].entry(code).or_insert(0) += 1;
+            class_sizes[c] += 1;
         }
+    }
+    let n = class_sizes.iter().sum::<usize>() as f64;
+    let mut worst: f64 = 0.0;
+    for (counts, &size) in class_counts.iter().zip(&class_sizes) {
+        if size == 0 {
+            continue;
+        }
+        let tv: f64 = (global.iter().enumerate())
+            .map(|(code, &g)| {
+                let c = counts.get(&code).copied().unwrap_or(0);
+                (c as f64 / size as f64 - g as f64 / n).abs()
+            })
+            .sum();
         worst = worst.max(tv / 2.0);
     }
     Ok(worst)
@@ -466,6 +478,50 @@ mod tests {
         let t_large = max_t_distance(&large, "diagnosis").unwrap();
         assert!(t_large <= t_small);
         assert!((0.0..=1.0).contains(&t_small));
+    }
+
+    /// `sensitive` as a categorical column with `nulls` marked null,
+    /// dealt into equivalence classes by `class_of`.
+    fn anonymized(sensitive: &[&str], nulls: &[usize], class_of: Vec<usize>) -> Anonymized {
+        let valid = (0..sensitive.len()).map(|i| !nulls.contains(&i)).collect();
+        let col = Column::from_labels(sensitive).with_validity(valid).unwrap();
+        Anonymized {
+            data: Dataset::from_columns(vec![("s".into(), col)]).unwrap(),
+            n_classes: class_of.iter().max().map_or(0, |&c| c + 1),
+            class_of,
+            k: 2,
+            information_loss: 0.0,
+        }
+    }
+
+    #[test]
+    fn a_null_sensitive_value_raises_no_diversity() {
+        // class 0 holds {x, null over y}; class 1 holds {x, y}
+        let anon = anonymized(&["x", "y", "x", "y"], &[1], vec![0, 0, 1, 1]);
+        assert_eq!(min_l_diversity(&anon, "s").unwrap(), 1);
+    }
+
+    #[test]
+    fn t_distance_with_nulls_equals_it_with_the_null_rows_filtered_out() {
+        let labels = ["x", "y", "x", "z", "y", "y", "x", "z"];
+        let class_of = vec![0, 0, 1, 1, 1, 2, 2, 2];
+        let nulls = [1, 3, 6];
+        let with_nulls = anonymized(&labels, &nulls, class_of.clone());
+        let kept: Vec<usize> = (0..labels.len()).filter(|i| !nulls.contains(i)).collect();
+        let filtered = anonymized(
+            &kept.iter().map(|&i| labels[i]).collect::<Vec<_>>(),
+            &[],
+            kept.iter().map(|&i| class_of[i]).collect(),
+        );
+        let (t, t_filtered) = (
+            max_t_distance(&with_nulls, "s").unwrap(),
+            max_t_distance(&filtered, "s").unwrap(),
+        );
+        assert!((t - t_filtered).abs() < 1e-12, "{t} vs {t_filtered}");
+        assert_eq!(
+            min_l_diversity(&with_nulls, "s").unwrap(),
+            min_l_diversity(&filtered, "s").unwrap()
+        );
     }
 
     #[test]

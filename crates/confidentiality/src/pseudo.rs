@@ -47,12 +47,23 @@ impl Pseudonymizer {
         h
     }
 
-    /// Replace a categorical identifier column with pseudonym tokens.
+    /// Replace a categorical identifier column with pseudonym tokens. A
+    /// null identifier stays null, over an empty placeholder that is no
+    /// one's token, so a missing identifier is never linked to a person.
     pub fn pseudonymize_column(&self, ds: &Dataset, column: &str) -> Result<Dataset> {
-        let labels = ds.labels(column)?;
-        let tokens: Vec<String> = labels.iter().map(|l| self.token(l)).collect();
+        let (col, cat) = ds.cat_column(column)?;
+        let tokens: Vec<String> = (0..col.len())
+            .map(|i| match col.is_null(i) {
+                true => String::new(),
+                false => self.token(cat.label(i)),
+            })
+            .collect();
+        let mut tokenized = Column::from_labels(&tokens);
+        if let Some(valid) = col.validity() {
+            tokenized = tokenized.with_validity(valid.to_vec())?;
+        }
         let mut out = ds.clone();
-        out.replace_column(column, Column::from_labels(&tokens))?;
+        out.replace_column(column, tokenized)?;
         Ok(out)
     }
 }
@@ -114,6 +125,24 @@ mod tests {
             p.pseudonymize_column(&ds, "v"),
             Err(FactError::TypeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_null_identifier_stays_null_and_unlinked() {
+        let user = Column::from_labels(&["u1", "u2", "u2"])
+            .with_validity(vec![true, false, true])
+            .unwrap();
+        let ds = Dataset::from_columns(vec![("user".into(), user)]).unwrap();
+        let p = Pseudonymizer::new(3);
+        let out = p.pseudonymize_column(&ds, "user").unwrap();
+        let col = out.column("user").unwrap();
+        assert!(col.is_null(1), "the missing identifier became a value");
+        assert!(!col.is_null(0) && !col.is_null(2));
+        let toks = out.labels("user").unwrap();
+        assert_eq!(toks[0], p.token("u1"));
+        assert_eq!(toks[2], p.token("u2"));
+        // the null slot's placeholder is no one's pseudonym
+        assert!(toks[1] != toks[0] && toks[1] != toks[2], "{toks:?}");
     }
 
     #[test]

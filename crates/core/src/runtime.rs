@@ -80,6 +80,7 @@ impl AlertKind {
 
 /// Per-kind alert debounce: at most one alert of each [`AlertKind`] per
 /// `interval` ticks, so a sustained violation alerts once per interval.
+/// A DP release is never held back: its ε is spent, so it is published.
 /// The default admits every alert.
 #[derive(Debug, Clone, Default)]
 pub struct Debounce {
@@ -101,7 +102,8 @@ impl Debounce {
     #[inline]
     pub fn admit(&mut self, kind: AlertKind, at: u64) -> bool {
         let last = &mut self.last[kind as usize];
-        let due = last.is_none_or(|t| at.saturating_sub(t) >= self.interval);
+        let due = kind == AlertKind::DpRelease
+            || last.is_none_or(|t| at.saturating_sub(t) >= self.interval);
         if due {
             *last = Some(at);
         }

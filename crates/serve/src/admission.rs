@@ -95,32 +95,6 @@ impl Default for AdmissionConfig {
     }
 }
 
-impl AdmissionConfig {
-    /// Validate the knobs; `Err` carries the reason a service start should
-    /// report as `BadRequest`.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.target_p99.is_zero() {
-            return Err("admission.target_p99 must be positive".into());
-        }
-        if self.tick.is_zero() {
-            return Err("admission.tick must be positive".into());
-        }
-        if self.increase == 0 {
-            return Err("admission.increase must be at least 1".into());
-        }
-        if !(self.decrease > 0.0 && self.decrease < 1.0) {
-            return Err("admission.decrease must be in (0, 1)".into());
-        }
-        if !self.tenant_rate.is_finite() || self.tenant_rate < 0.0 {
-            return Err("admission.tenant_rate must be finite and >= 0".into());
-        }
-        if self.tenant_rate > 0.0 && !(self.tenant_burst.is_finite() && self.tenant_burst >= 1.0) {
-            return Err("admission.tenant_burst must be >= 1 when quotas are on".into());
-        }
-        Ok(())
-    }
-}
-
 /// What the controller decided about one arriving request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionDecision {
@@ -167,8 +141,8 @@ impl std::fmt::Debug for AdmissionController {
 
 impl AdmissionController {
     /// Build a controller for a service whose shard channels are bounded
-    /// at `queue_cap`. The config must already be
-    /// [`validate`](AdmissionConfig::validate)d.
+    /// at `queue_cap`. A service start checks the config's knobs before it
+    /// builds one.
     pub fn new(
         cfg: AdmissionConfig,
         queue_cap: usize,
@@ -510,33 +484,6 @@ mod tests {
         }
         let held: usize = c.buckets.iter().map(|s| s.lock().unwrap().len()).sum();
         assert!(held <= BUCKET_STRIPES * BUCKETS_PER_STRIPE);
-    }
-
-    #[test]
-    fn config_validation_rejects_bad_knobs() {
-        let ok = base_cfg();
-        assert!(ok.validate().is_ok());
-        let mut bad = base_cfg();
-        bad.target_p99 = Duration::ZERO;
-        assert!(bad.validate().is_err());
-        let mut bad = base_cfg();
-        bad.tick = Duration::ZERO;
-        assert!(bad.validate().is_err());
-        let mut bad = base_cfg();
-        bad.increase = 0;
-        assert!(bad.validate().is_err());
-        for d in [0.0, 1.0, 1.5, -0.5, f64::NAN] {
-            let mut bad = base_cfg();
-            bad.decrease = d;
-            assert!(bad.validate().is_err(), "decrease {d} should be rejected");
-        }
-        let mut bad = base_cfg();
-        bad.tenant_rate = f64::INFINITY;
-        assert!(bad.validate().is_err());
-        let mut bad = base_cfg();
-        bad.tenant_rate = 5.0;
-        bad.tenant_burst = 0.5;
-        assert!(bad.validate().is_err());
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl Default for AuditSinkConfig {
 impl AuditSinkConfig {
     /// Refuse a zero batch, queue, segment cap or archive tick with
     /// [`io::ErrorKind::InvalidInput`], before anything touches storage.
-    fn validate(&self) -> io::Result<()> {
+    pub(crate) fn validate(&self) -> io::Result<()> {
         let tick = self.archive.as_ref().map_or(1, |a| a.tick.as_nanos());
         for (knob, value) in [
             ("batch_max", self.batch_max as u128),

@@ -16,9 +16,10 @@
 //! Files are one JSON document per shard, `shard-N.json`, written with
 //! [`write_atomic`] so a crash mid-write leaves the previous checkpoint
 //! intact rather than a torn one. This module is the only one that knows
-//! that layout: one reader loads a topology's whole set before any worker
-//! spawns, a pure function turns N shards' state into M shards' with no
-//! I/O, and [`transform_checkpoints`] runs it over a directory.
+//! that layout: one reader loads a topology's whole set, one builder makes
+//! each local shard's restored [`Guards`] from it before any worker spawns,
+//! a pure function turns N shards' state into M shards' with no I/O, and
+//! [`transform_checkpoints`] runs it over a directory.
 
 use std::fs;
 use std::io;
@@ -30,7 +31,7 @@ use fact_data::Result;
 use fact_fairness::{SegmentCounts, WindowSummary};
 use serde::{Deserialize, Serialize};
 
-use crate::service::ServeError;
+use crate::service::{ServeConfig, ServeError};
 
 /// When and where guard state is checkpointed.
 #[derive(Debug, Clone)]
@@ -194,12 +195,12 @@ type Served<T> = std::result::Result<T, ServeError>;
 /// [`ServeError::BadRequest`], files untouched: starting fewer shards than
 /// wrote the set would drop those shards' fairness windows and ε ledgers,
 /// refunding privacy budget. Reshard the set first.
-pub(crate) fn load_sidecars(dir: &Path, shards: usize) -> Served<Vec<Option<GuardCheckpoint>>> {
+fn load_sidecars(dir: &Path, shards: usize) -> Served<Vec<Option<GuardCheckpoint>>> {
     let listing = match fs::read_dir(dir) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         listing => listing
             .and_then(|l| l.collect::<io::Result<Vec<_>>>())
-            .map_err(io_failed(format!("listing {}", dir.display())))?,
+            .map_err(failed(format!("listing {}", dir.display())))?,
     };
     let mut stale: Vec<usize> = (listing.iter())
         .filter_map(|entry| shard_of_file(&entry.file_name()))
@@ -220,7 +221,40 @@ pub(crate) fn load_sidecars(dir: &Path, shards: usize) -> Served<Vec<Option<Guar
     }
     (0..shards)
         .map(|shard| {
-            load_checkpoint(dir, shard).map_err(io_failed(format!("shard {shard} checkpoint load")))
+            load_checkpoint(dir, shard).map_err(failed(format!("shard {shard} checkpoint load")))
+        })
+        .collect()
+}
+
+/// A local shard's guard set (`None` with guards off) and the lifetime
+/// decisions its sidecar restored (0 without one).
+pub(crate) type ShardState = (Option<Guards>, u64);
+
+/// The [`ShardState`] of each shard in `local`, its guards seeded with
+/// `config.seed + shard` and restored from its sidecar. The sidecar set is
+/// read and checked as [`load_sidecars`] does first; nothing is written.
+pub(crate) fn build_guard_state(
+    config: &ServeConfig,
+    shards: usize,
+    local: &[usize],
+) -> Served<Vec<ShardState>> {
+    let Some(guard_config) = &config.guards else {
+        return Ok(local.iter().map(|_| (None, 0)).collect());
+    };
+    let mut sidecars = match &config.checkpoint {
+        Some(ck) => load_sidecars(&ck.dir, shards)?,
+        None => vec![None; shards],
+    };
+    (local.iter())
+        .map(|&shard| {
+            let mut guards = Guards::new(guard_config, config.seed.wrapping_add(shard as u64))
+                .map_err(|e| ServeError::BadRequest(e.to_string()))?;
+            let ck = sidecars[shard].take();
+            if let Some(ck) = &ck {
+                (ck.restore_into(&mut guards))
+                    .map_err(failed(format!("shard {shard} checkpoint restore")))?;
+            }
+            Ok((Some(guards), ck.map_or(0, |ck| ck.decisions)))
         })
         .collect()
 }
@@ -338,18 +372,18 @@ pub fn transform_checkpoints(
         load_sidecars(dir, from)?.into_iter().flatten().collect();
     let (successors, report) = transform(&checkpoints, to, budget_epsilon)?;
     for ck in &successors {
-        write_checkpoint(dir, ck).map_err(io_failed(format!("writing sidecar {}", ck.shard)))?;
+        write_checkpoint(dir, ck).map_err(failed(format!("writing sidecar {}", ck.shard)))?;
     }
     for stale in (to..from).map(|k| checkpoint_path(dir, k)) {
         if stale.exists() {
-            fs::remove_file(&stale).map_err(io_failed(format!("removing {}", stale.display())))?;
+            fs::remove_file(&stale).map_err(failed(format!("removing {}", stale.display())))?;
         }
     }
     Ok(report)
 }
 
-/// Map an I/O failure while `doing` something to [`ServeError::Internal`].
-fn io_failed(doing: String) -> impl FnOnce(io::Error) -> ServeError {
+/// Map a failure while `doing` something to [`ServeError::Internal`].
+fn failed<E: std::fmt::Display>(doing: String) -> impl FnOnce(E) -> ServeError {
     move |e| ServeError::Internal(format!("{doing}: {e}"))
 }
 

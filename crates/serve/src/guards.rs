@@ -69,8 +69,8 @@ impl AlertHub {
         }
     }
 
-    /// Forward `alert` unless one of the same kind was forwarded within the
-    /// debounce interval. Returns true when forwarded.
+    /// Forward `alert` unless one of its kind was forwarded within the
+    /// debounce interval (a DP release always is). Returns true if sent.
     pub fn raise(&mut self, at_decision: u64, alert: Alert) -> bool {
         if !self.debounce.admit(AlertKind::of(&alert), at_decision) {
             return false;
@@ -121,9 +121,16 @@ mod tests {
         // a different kind is not suppressed by the fairness debounce
         assert!(hub.raise(50, Alert::BudgetExhausted));
         assert!(hub.raise(110, fv));
+        // a DP release spent ε, so it is never debounced
+        let release = Alert::DpRelease {
+            noisy_count: 50.0,
+            epsilon: 0.01,
+        };
+        assert!(hub.raise(111, release.clone()));
+        assert!(hub.raise(112, release));
         drop(hub);
-        assert_eq!(rx.iter().count(), 3);
-        assert_eq!(metrics.shard(0).alerts.load(Ordering::Relaxed), 3);
+        assert_eq!(rx.iter().count(), 5);
+        assert_eq!(metrics.shard(0).alerts.load(Ordering::Relaxed), 5);
     }
 
     #[test]

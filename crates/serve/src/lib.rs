@@ -39,8 +39,8 @@
 //! * **Streaming guards** — each shard owns one [`Guards`], as E9's
 //!   [`GuardedStream`] does: a [`StreamingFairnessMonitor`], an optional
 //!   [`DriftMonitor`] over the decision scores, and a [`StreamingDpCounter`]
-//!   spending a per-shard ε budget. Alerts are debounced per kind and
-//!   merged into one channel ([`DecisionService::drain_alerts`]). A trip engages the
+//!   spending a per-shard ε budget. Alerts are debounced per kind, DP
+//!   releases excepted, and merged into one channel ([`DecisionService::drain_alerts`]). A trip engages the
 //!   [`DegradePolicy`]: keep serving but flag decisions for audit, or
 //!   hard-reject until the cooldown passes — responsibility degrades the
 //!   service, never silently disables itself.

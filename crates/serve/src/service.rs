@@ -41,7 +41,7 @@ use crate::audit_sink::{
 };
 use crate::cache::{CacheConfig, CachedFeatureSource, SystemClock};
 use crate::checkpoint::{
-    load_sidecars, transform_checkpoints, write_checkpoint, CheckpointConfig, GuardCheckpoint,
+    build_guard_state, transform_checkpoints, write_checkpoint, CheckpointConfig, GuardCheckpoint,
     TransformReport,
 };
 use crate::guards::{AlertHub, DegradePolicy, GuardConfig, ServiceAlert};
@@ -149,7 +149,7 @@ pub struct ServeConfig {
     pub policy: DegradePolicy,
     /// Decisions a guard trip stays in effect for (per shard).
     pub trip_cooldown: u64,
-    /// Minimum decisions between forwarded alerts of one kind (per shard).
+    /// Minimum decisions between forwarded alerts of one kind (DP releases are never held).
     pub alert_debounce: u64,
     /// The FACT guard set; `None` serves unguarded (baseline).
     pub guards: Option<GuardConfig>,
@@ -231,6 +231,48 @@ impl Default for ServeConfig {
             admission: None,
             reshard_hold: Duration::from_secs(5),
         }
+    }
+}
+
+impl ServeConfig {
+    /// Every static refusal of a start, checked before anything is planned.
+    fn check(&self) -> Result<(), ServeError> {
+        let adm = |bad: fn(&AdmissionConfig) -> bool| self.admission.as_ref().is_some_and(bad);
+        let slots = self.topology.as_ref().map_or(self.shards, Vec::len);
+        let sizes = [self.shards, self.queue_cap, self.batch_max, self.n_features];
+        let refusal: String = if sizes.contains(&0) {
+            "shards, queue_cap, batch_max, and n_features must be positive".into()
+        } else if !(0.0..=1.0).contains(&self.threshold) {
+            "threshold must be in [0, 1]".into()
+        } else if (self.cache.as_ref())
+            .is_some_and(|c| [c.stripes, c.capacity_per_stripe].contains(&0))
+        {
+            "cache stripes and capacity_per_stripe must be positive".into()
+        } else if slots != self.shards {
+            format!("topology has {slots} slots but shards is {}", self.shards)
+        } else if (self.checkpoint.as_ref()).is_some_and(|c| c.every == 0 || c.segment_events == 0)
+        {
+            "checkpoint.every and checkpoint.segment_events must be positive".into()
+        } else if adm(|a| a.target_p99.is_zero()) {
+            "admission.target_p99 must be positive".into()
+        } else if adm(|a| a.tick.is_zero()) {
+            "admission.tick must be positive".into()
+        } else if adm(|a| a.increase == 0) {
+            "admission.increase must be at least 1".into()
+        } else if adm(|a| !(a.decrease > 0.0 && a.decrease < 1.0)) {
+            "admission.decrease must be in (0, 1)".into()
+        } else if adm(|a| !a.tenant_rate.is_finite() || a.tenant_rate < 0.0) {
+            "admission.tenant_rate must be finite and >= 0".into()
+        } else if adm(|a| {
+            a.tenant_rate > 0.0 && !(a.tenant_burst >= 1.0 && a.tenant_burst.is_finite())
+        }) {
+            "admission.tenant_burst must be >= 1 when quotas are on".into()
+        } else if let Some(Err(e)) = self.audit.as_ref().map(AuditSinkConfig::validate) {
+            format!("audit sink: {e}")
+        } else {
+            return Ok(());
+        };
+        Err(ServeError::BadRequest(refusal))
     }
 }
 
@@ -578,17 +620,6 @@ enum Route {
 }
 
 impl Epoch {
-    /// The remote routes, with their shard indices.
-    fn remotes(&self) -> impl Iterator<Item = (usize, &RemoteShard)> {
-        self.routes
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, route)| match route {
-                Route::Remote(remote) => Some((shard, remote)),
-                Route::Local(_) => None,
-            })
-    }
-
     /// Stop admitting into this epoch, let every shard serve what it
     /// already accepted and write its final checkpoint, and account for
     /// it from the registry's final snapshot. The audit fields stay zero:
@@ -596,14 +627,8 @@ impl Epoch {
     fn drain(self) -> ServiceReport {
         // Dropping a local queue is what tells its worker to drain and
         // exit; the remote clients stay up until their stats are read.
-        let remotes: Vec<(usize, RemoteShard)> = self
-            .routes
-            .into_iter()
-            .enumerate()
-            .filter_map(|(shard, route)| match route {
-                Route::Remote(remote) => Some((shard, remote)),
-                Route::Local(_) => None,
-            })
+        let remotes: Vec<(usize, Route)> = (self.routes.into_iter().enumerate())
+            .filter(|(_, route)| matches!(route, Route::Remote(_)))
             .collect();
         for worker in self.workers {
             worker.join().expect("fact-serve worker panicked");
@@ -614,14 +639,18 @@ impl Epoch {
     }
 }
 
+/// Client-side stats of each remote route, with served counts from `snap`.
 fn remote_reports<'a>(
-    remotes: impl Iterator<Item = (usize, &'a RemoteShard)>,
+    routes: impl Iterator<Item = (usize, &'a Route)>,
     snap: &MetricsSnapshot,
 ) -> Vec<RemoteShardReport> {
-    remotes
-        .map(|(shard, remote)| {
+    routes
+        .filter_map(|(shard, route)| {
+            let Route::Remote(remote) = route else {
+                return None;
+            };
             let s = remote.stats();
-            RemoteShardReport {
+            Some(RemoteShardReport {
                 shard,
                 served: snap.shards[shard].served,
                 requests: s.requests,
@@ -629,7 +658,7 @@ fn remote_reports<'a>(
                 errors: s.errors,
                 rtt_mean_micros: s.rtt_mean_micros,
                 wire_version: s.wire_version,
-            }
+            })
         })
         .collect()
 }
@@ -714,6 +743,37 @@ pub struct DecisionService {
     inner: Arc<Inner>,
 }
 
+/// An epoch before launch: every shard's route, in shard order, and each
+/// local shard's queue end, guard set and restored lifetime decisions.
+#[derive(Default)]
+struct Plan {
+    routes: Vec<Route>,
+    locals: Vec<(usize, Receiver<Job>, crate::checkpoint::ShardState)>,
+}
+
+/// Plan an epoch of `shards` shards: build every local shard's guard state
+/// and dial every remote slot. It writes no file and spawns no worker, so
+/// a refusal leaves the disk as it was (a dialed remote closes on drop).
+fn plan_epoch(config: &ServeConfig, shards: usize) -> Result<Plan, ServeError> {
+    let endpoint = |shard: usize| config.topology.as_ref()?[shard].endpoint();
+    let local: Vec<usize> = (0..shards).filter(|&s| endpoint(s).is_none()).collect();
+    let mut built = build_guard_state(config, shards, &local)?.into_iter();
+    let mut plan = Plan::default();
+    for shard in 0..shards {
+        let Some(endpoint) = endpoint(shard) else {
+            let (tx, rx) = sync_channel::<Job>(config.queue_cap);
+            plan.routes.push(Route::Local(tx));
+            plan.locals
+                .push((shard, rx, built.next().expect("one state per local shard")));
+            continue;
+        };
+        let remote = RemoteShard::connect_endpoint(endpoint.clone())
+            .map_err(|e| ServeError::Remote(format!("shard {shard} at {endpoint}: {e}")))?;
+        plan.routes.push(Route::Remote(remote));
+    }
+    Ok(plan)
+}
+
 fn shard_of(route_key: u64, shards: usize) -> usize {
     let mut h = DefaultHasher::new();
     route_key.hash(&mut h);
@@ -738,8 +798,7 @@ impl DecisionService {
         config: ServeConfig,
         source: Arc<dyn FeatureSource>,
     ) -> Result<Self, ServeError> {
-        let sink = config.audit.as_ref().map(AuditSink::open);
-        Self::start_inner(model, config, source, sink)
+        Self::start_inner(model, config, source, None)
     }
 
     /// Start with an explicit [`AuditStorage`] backing the audit sink —
@@ -752,61 +811,28 @@ impl DecisionService {
         source: Arc<dyn FeatureSource>,
         storage: Box<dyn AuditStorage>,
     ) -> Result<Self, ServeError> {
-        let audit_cfg = config.audit.clone().unwrap_or_default();
-        let sink = AuditSink::open_with_storage(&audit_cfg, storage);
-        Self::start_inner(model, config, source, Some(sink))
+        Self::start_inner(model, config, source, Some(storage))
     }
 
+    /// Check, plan, open the audit sink (over `storage`, else at the path
+    /// `config.audit` names), launch: every refusal comes before the sink
+    /// opens, so a refused start touches no file and leaves no thread.
     fn start_inner(
         model: Arc<dyn Classifier + Send + Sync>,
         config: ServeConfig,
         source: Arc<dyn FeatureSource>,
-        sink: Option<std::io::Result<AuditSink>>,
+        storage: Option<Box<dyn AuditStorage>>,
     ) -> Result<Self, ServeError> {
-        // A configuration the sink refuses is a bad request; any other
-        // failure to open it is internal.
-        let sink = sink.transpose().map_err(|e| match e.kind() {
-            std::io::ErrorKind::InvalidInput => ServeError::BadRequest(format!("audit sink: {e}")),
-            _ => ServeError::Internal(format!("audit sink: {e}")),
-        })?;
-        if config.shards == 0
-            || config.queue_cap == 0
-            || config.batch_max == 0
-            || config.n_features == 0
-        {
-            return Err(ServeError::BadRequest(
-                "shards, queue_cap, batch_max, and n_features must be positive".into(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&config.threshold) {
-            return Err(ServeError::BadRequest("threshold must be in [0, 1]".into()));
-        }
-        if let Some(cache) = &config.cache {
-            if cache.stripes == 0 || cache.capacity_per_stripe == 0 {
-                return Err(ServeError::BadRequest(
-                    "cache stripes and capacity_per_stripe must be positive".into(),
-                ));
+        config.check()?;
+        let plan = plan_epoch(&config, config.shards)?;
+        let opened = match (storage, &config.audit) {
+            (Some(storage), audit) => {
+                AuditSink::open_with_storage(&audit.clone().unwrap_or_default(), storage).map(Some)
             }
-        }
-        if let Some(topology) = &config.topology {
-            if topology.len() != config.shards {
-                return Err(ServeError::BadRequest(format!(
-                    "topology has {} slots but shards is {}",
-                    topology.len(),
-                    config.shards
-                )));
-            }
-        }
-        if let Some(ck) = &config.checkpoint {
-            if ck.every == 0 || ck.segment_events == 0 {
-                return Err(ServeError::BadRequest(
-                    "checkpoint.every and checkpoint.segment_events must be positive".into(),
-                ));
-            }
-        }
-        if let Some(adm) = &config.admission {
-            adm.validate().map_err(ServeError::BadRequest)?;
-        }
+            (None, Some(audit)) => AuditSink::open(audit).map(Some),
+            (None, None) => Ok(None),
+        };
+        let sink = opened.map_err(|e| ServeError::Internal(format!("audit sink: {e}")))?;
         // The archiver's counters are shared with the registry so metrics
         // snapshots see compaction progress while the service runs.
         let archive_stats = sink
@@ -841,7 +867,6 @@ impl DecisionService {
             None => source,
         };
         let (alert_tx, alert_rx) = channel();
-        let shards = config.shards;
         let service = DecisionService {
             inner: Arc::new(Inner {
                 config,
@@ -860,63 +885,25 @@ impl DecisionService {
                 lifecycle: Mutex::default(),
             }),
         };
-        let epoch = service.spawn_epoch(shards, metrics)?;
+        let epoch = service.launch(plan, metrics)?;
         service.set_phase(Phase::Serving(epoch));
         Ok(service)
     }
 
-    /// Spawn one worker per local shard (restoring each from its
-    /// checkpoint sidecar) and dial every remote slot, counting into
-    /// `metrics`, which becomes the registry [`metrics`](Self::metrics)
-    /// reads.
-    fn spawn_epoch(
-        &self,
-        shards: usize,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Result<Epoch, ServeError> {
+    /// Spawn a worker per planned local shard, counting into `metrics`, the
+    /// registry [`metrics`](Self::metrics) reads from then on. If a thread
+    /// will not spawn, those already started are joined before the error.
+    fn launch(&self, plan: Plan, metrics: Arc<MetricsRegistry>) -> Result<Epoch, ServeError> {
         let inner = &*self.inner;
         let config = &inner.config;
         let sink = inner.sink.lock().unwrap_or_else(|e| e.into_inner());
-        // Every local shard's sidecar is read before any worker spawns; a
-        // set written by more shards than this epoch has is refused.
-        let mut sidecars = match (&config.guards, &config.checkpoint) {
-            (Some(_), Some(ck_cfg)) => load_sidecars(&ck_cfg.dir, shards)?,
-            _ => vec![None; shards],
+        let mut epoch = Epoch {
+            routes: plan.routes,
+            workers: Vec::with_capacity(plan.locals.len()),
+            metrics: Arc::clone(&metrics),
+            checkpoint_gen: Arc::new(AtomicU64::new(0)),
         };
-        let checkpoint_gen = Arc::new(AtomicU64::new(0));
-        let mut routes = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let slot = config
-                .topology
-                .as_ref()
-                .map_or(&ShardSlot::Local, |t| &t[shard]);
-            if let Some(endpoint) = slot.endpoint() {
-                routes.push(Route::Remote(
-                    RemoteShard::connect_endpoint(endpoint.clone()).map_err(|e| {
-                        ServeError::Remote(format!("shard {shard} at {endpoint}: {e}"))
-                    })?,
-                ));
-                continue;
-            }
-            let (tx, rx) = sync_channel::<Job>(config.queue_cap);
-            routes.push(Route::Local(tx));
-            let mut guards = (config.guards.as_ref())
-                .map(|g| Guards::new(g, config.seed.wrapping_add(shard as u64)))
-                .transpose()
-                .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-            // Resume from the sidecar checkpoint, if one exists: a respawned
-            // shard keeps its fairness window and ε ledger instead of
-            // silently resetting them.
-            let resumed_at = match (&mut guards, sidecars[shard].take()) {
-                (Some(guards), Some(ck)) => {
-                    ck.restore_into(guards).map_err(|e| {
-                        ServeError::Internal(format!("shard {shard} checkpoint restore: {e}"))
-                    })?;
-                    ck.decisions
-                }
-                _ => 0,
-            };
+        for (shard, rx, (guards, resumed_at)) in plan.locals {
             // The shard's cells start from what it restored: the ε ledger
             // is history, not a per-epoch count.
             let m = metrics.shard(shard);
@@ -945,24 +932,22 @@ impl DecisionService {
                 trip_cooldown: config.trip_cooldown,
                 audit: sink.as_ref().map(AuditSink::handle),
                 checkpoint: config.checkpoint.clone(),
-                base_decisions: resumed_at,
-                checkpoint_gen: Arc::clone(&checkpoint_gen),
+                checkpoint_gen: Arc::clone(&epoch.checkpoint_gen),
                 admission: inner.admission.clone(),
             };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("fact-serve-{shard}"))
-                    .spawn(move || worker.run())
-                    .map_err(|e| ServeError::Internal(e.to_string()))?,
-            );
+            let spawned = std::thread::Builder::new()
+                .name(format!("fact-serve-{shard}"))
+                .spawn(move || worker.run());
+            match spawned {
+                Ok(handle) => epoch.workers.push(handle),
+                Err(e) => {
+                    epoch.drain();
+                    return Err(ServeError::Internal(format!("spawning shard {shard}: {e}")));
+                }
+            }
         }
-        *inner.metrics.lock().unwrap_or_else(|e| e.into_inner()) = Arc::clone(&metrics);
-        Ok(Epoch {
-            routes,
-            workers,
-            metrics,
-            checkpoint_gen,
-        })
+        *inner.metrics.lock().unwrap_or_else(|e| e.into_inner()) = metrics;
+        Ok(epoch)
     }
 
     /// Enqueue a request without waiting for the decision.
@@ -1187,13 +1172,14 @@ impl DecisionService {
         })
     }
 
-    /// Leave a cutover: spawn an epoch of `shards` on the sidecars as they
-    /// now stand and serve it, or stop (loud, typed) if that fails rather
-    /// than serve with unknown guard state. Returns how many parked
-    /// submits the new epoch released.
+    /// Leave a cutover: plan an epoch of `shards` on the sidecars as they
+    /// now stand, launch it and serve it, or stop (loud, typed) if either
+    /// fails rather than serve with unknown guard state. Returns how many
+    /// parked submits the new epoch released.
     fn restart(&self, shards: usize) -> Result<u64, ServeError> {
         let metrics = Arc::new(self.latest_metrics().next_epoch(shards));
-        match self.spawn_epoch(shards, metrics) {
+        let epoch = plan_epoch(&self.inner.config, shards).and_then(|p| self.launch(p, metrics));
+        match epoch {
             Ok(epoch) => Ok(self.set_phase(Phase::Serving(epoch)).1),
             Err(e) => {
                 self.set_phase(Phase::Stopped);
@@ -1217,7 +1203,9 @@ impl DecisionService {
     /// the final [`ServiceReport`] carries them then).
     pub fn remote_stats(&self) -> Vec<RemoteShardReport> {
         match &*self.inner.phase.read().unwrap_or_else(|e| e.into_inner()) {
-            Phase::Serving(epoch) => remote_reports(epoch.remotes(), &epoch.metrics.snapshot()),
+            Phase::Serving(epoch) => {
+                remote_reports(epoch.routes.iter().enumerate(), &epoch.metrics.snapshot())
+            }
             _ => Vec::new(),
         }
     }
@@ -1236,7 +1224,10 @@ impl DecisionService {
         self.latest_metrics().snapshot()
     }
 
-    /// Drain all alerts currently buffered on the global channel.
+    /// Drain all alerts currently buffered on the global channel. It is
+    /// unbounded, so a long-running owner that does not read the alerts
+    /// must still drain and discard them; that loses nothing, as each one
+    /// is counted in the registry and written to the audit sink, if any.
     pub fn drain_alerts(&self) -> Vec<ServiceAlert> {
         let rx = self
             .inner
@@ -1362,10 +1353,6 @@ struct ShardWorker {
     audit: Option<AuditSinkHandle>,
     /// Guard-state checkpoint cadence; `None` disables checkpointing.
     checkpoint: Option<CheckpointConfig>,
-    /// Lifetime decisions restored from a checkpoint at startup; the
-    /// shard keeps counting from here so its decision count survives
-    /// restarts.
-    base_decisions: u64,
     /// Shared flush-request generation (see
     /// [`DecisionService::request_checkpoint`]).
     checkpoint_gen: Arc<AtomicU64>,
@@ -1399,7 +1386,14 @@ impl ShardWorker {
     /// that drives the debounce, the cooldown and the checkpoint cadence.
     fn run(mut self) {
         let mut served: u64 = 0;
-        let mut last_checkpoint_at: u64 = self.base_decisions;
+        // Lifetime decisions restored at startup: the shard keeps counting
+        // from here, so its decision count survives restarts.
+        let base_decisions = self
+            .metrics
+            .shard(self.shard)
+            .resumed_at
+            .load(Ordering::Relaxed);
+        let mut last_checkpoint_at: u64 = base_decisions;
         let mut seen_gen = self.checkpoint_gen.load(Ordering::Acquire);
         // decision count until which the degrade policy stays engaged
         let mut degraded_until: u64 = 0;
@@ -1469,8 +1463,8 @@ impl ShardWorker {
                     let raised = [trip, v.dp, v.drift.map(Alert::Drift)];
                     for alert in raised.into_iter().flatten() {
                         if let Alert::DpRelease { .. } = &alert {
-                            // ε is spent whether or not the alert is
-                            // debounced out of the channel.
+                            // every release spends ε, and the hub
+                            // forwards every release
                             m.set_epsilon_spent(g.accountant.spent_epsilon());
                         } else {
                             // DP releases are routine; every other alert
@@ -1538,7 +1532,7 @@ impl ShardWorker {
             // Periodic guard checkpoint at the batch boundary: on the
             // cadence, or when a flush was requested via the service.
             if let Some(cfg) = &self.checkpoint {
-                let decisions = self.base_decisions + served;
+                let decisions = base_decisions + served;
                 let gen = self.checkpoint_gen.load(Ordering::Acquire);
                 if decisions.saturating_sub(last_checkpoint_at) >= cfg.every || gen != seen_gen {
                     if self.write_guard_checkpoint(decisions) {
@@ -1551,7 +1545,7 @@ impl ShardWorker {
 
         // Final checkpoint on clean drain, so a graceful shutdown loses
         // nothing at all.
-        self.write_guard_checkpoint(self.base_decisions + served);
+        self.write_guard_checkpoint(base_decisions + served);
     }
 }
 
@@ -1803,6 +1797,42 @@ mod tests {
                 "{knob}: {err}"
             );
             assert!(!dir.exists(), "{knob}: nothing may be created");
+        }
+    }
+
+    #[test]
+    fn the_config_check_refuses_bad_admission_knobs() {
+        let check = |knob: fn(&mut AdmissionConfig)| {
+            let mut admission = AdmissionConfig::default();
+            knob(&mut admission);
+            let config = ServeConfig {
+                admission: Some(admission),
+                ..ServeConfig::default()
+            };
+            config.check()
+        };
+        assert!(check(|_| {}).is_ok());
+        let bad: [fn(&mut AdmissionConfig); 10] = [
+            |a| a.target_p99 = Duration::ZERO,
+            |a| a.tick = Duration::ZERO,
+            |a| a.increase = 0,
+            |a| a.decrease = 0.0,
+            |a| a.decrease = 1.0,
+            |a| a.decrease = 1.5,
+            |a| a.decrease = -0.5,
+            |a| a.decrease = f64::NAN,
+            |a| a.tenant_rate = f64::INFINITY,
+            |a| {
+                a.tenant_rate = 5.0;
+                a.tenant_burst = 0.5;
+            },
+        ];
+        for (i, knob) in bad.into_iter().enumerate() {
+            let err = check(knob).expect_err("a bad knob passed");
+            assert!(
+                matches!(&err, ServeError::BadRequest(m) if m.starts_with("admission.")),
+                "knob {i}: {err}"
+            );
         }
     }
 

@@ -1,7 +1,8 @@
 //! E9 runs what serving runs: a one-shard `DecisionService` and a
 //! `GuardedStream` fed the same decisions hold the same guard set, so they
 //! release the same DP noise in the same order and end with the same
-//! fairness window and ε ledger.
+//! fairness window and ε ledger. Neither debounces a DP release: every ε
+//! spent is published and, in serving, audited.
 
 mod common;
 
@@ -11,9 +12,11 @@ use std::time::Duration;
 use common::{temp_dir, StubModel};
 use fact_core::runtime::{Alert, GuardedStream};
 use fact_data::stream::InternetMinute;
+use fact_serve::audit_sink::parse_log;
+use fact_serve::testing::MemStorage;
 use fact_serve::{
-    load_checkpoint, CheckpointConfig, DecisionRequest, DecisionService, DegradePolicy,
-    GuardCheckpoint, GuardConfig, ServeConfig,
+    load_checkpoint, AuditSinkConfig, CheckpointConfig, DecisionRequest, DecisionService,
+    DegradePolicy, GuardCheckpoint, GuardConfig, InlineFeatures, ServeConfig,
 };
 
 const SEED: u64 = 42;
@@ -104,4 +107,60 @@ fn e9_stream_and_a_serving_shard_run_the_same_guards() {
     assert_eq!(shard.ledger, captured.ledger);
     assert_eq!(shard, captured);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Releases closer together than the alert debounce are each forwarded and
+/// audited, and the ledger charges exactly those releases.
+#[test]
+fn a_dp_release_is_never_debounced() {
+    const INTERVAL: usize = 50;
+    const RELEASES: usize = 20;
+    const EPS: f64 = 0.01;
+    let storage = MemStorage::new();
+    let service = DecisionService::start_with_audit_storage(
+        Arc::new(StubModel),
+        ServeConfig {
+            shards: 1,
+            batch_linger: Duration::ZERO,
+            policy: DegradePolicy::Off,
+            alert_debounce: 500,
+            guards: Some(GuardConfig {
+                dp_interval: INTERVAL,
+                epsilon_per_release: EPS,
+                ..GuardConfig::default()
+            }),
+            audit: Some(AuditSinkConfig {
+                flush_interval: Duration::from_millis(1),
+                ..AuditSinkConfig::default()
+            }),
+            ..ServeConfig::default()
+        },
+        Arc::new(InlineFeatures),
+        Box::new(storage.clone()),
+    )
+    .unwrap();
+    // equal favorable rates in both groups: no fairness or drift alert
+    for key in 0..(INTERVAL * RELEASES) as u64 {
+        service
+            .decide(DecisionRequest {
+                features: vec![if key % 4 < 2 { 1.0 } else { 0.0 }],
+                group_b: key % 2 == 0,
+                route_key: key,
+                tenant: 0,
+            })
+            .unwrap();
+    }
+    let report = service.shutdown();
+    let forwarded = service.drain_alerts();
+    assert_eq!(forwarded.len(), RELEASES, "{forwarded:?}");
+    assert!(forwarded
+        .iter()
+        .all(|a| matches!(a.alert, Alert::DpRelease { .. })));
+    assert_eq!(report.alerts_raised, RELEASES as u64);
+    let audited = parse_log(&storage.log_bytes())
+        .into_iter()
+        .filter(|e| e.action == "guard_alert" && e.details.contains("DpRelease"))
+        .count();
+    assert_eq!(audited, RELEASES);
+    assert!((report.epsilon_spent - RELEASES as f64 * EPS).abs() < 1e-12);
 }

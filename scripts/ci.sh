@@ -26,23 +26,26 @@
 #                             examples/serving.rs, the two examples that
 #                             drive the guard API; a non-zero exit fails
 #   9. exp_e12 --smoke        parallel kernels bit-identical to sequential
-#  10. audit_recovery smoke   kill the audit writer mid-batch, restart,
+#  10. exp_e11 --smoke        guarded serving under open-loop load: every
+#                             submit of every trial is either served or
+#                             refused at admission (a conservation check)
+#  11. audit_recovery smoke   kill the audit writer mid-batch, restart,
 #                             assert the hash chain verifies and loss is
 #                             bounded by one batch (tests + exp_e13 --smoke)
-#  11. exp_e14 --smoke        feature cache: >=5x steady-state speedup,
+#  12. exp_e14 --smoke        feature cache: >=5x steady-state speedup,
 #                             warm keys bridge a store outage, negative
 #                             cache bounds upstream probes
-#  12. exp_e15 --smoke        segmented audit rotation: recovery bytes-read
+#  13. exp_e15 --smoke        segmented audit rotation: recovery bytes-read
 #                             stays one segment as the log grows 10x, every
 #                             segment verifies standalone, a kill at the
 #                             segment boundary loses nothing silently
-#  13. exp_e16 --smoke        cross-process serving: spawn a fact-shardd
+#  14. exp_e16 --smoke        cross-process serving: spawn a fact-shardd
 #                             worker over a tempdir Unix socket, SIGKILL it
 #                             under load, respawn, assert the fairness
 #                             window + ε ledger resume from checkpoint with
 #                             bounded loss and the audit chain verifies
 #                             across the crash
-#  14. exp_e17 --smoke        columnar segments: roundtrip + aggregates
+#  15. exp_e17 --smoke        columnar segments: roundtrip + aggregates
 #                             bit-identical at 1/2/4 workers, zone maps
 #                             prune >=half the segments under a selective
 #                             predicate, column-pruned scans read <half
@@ -50,38 +53,38 @@
 #                             and the intersectional audit over segments
 #                             equals the in-memory one while reading
 #                             <half the stored bytes
-#  15. exp_e18 --smoke        adaptive admission: open-loop overload where
+#  16. exp_e18 --smoke        adaptive admission: open-loop overload where
 #                             the static queue bound blows p99 >=4x past
 #                             target while the AIMD controller holds <=2x,
 #                             a flooding tenant is throttled while a quiet
 #                             one completes >=95%, and a spawned
 #                             fact-shardd enforces quotas with typed
 #                             Throttled errors across the wire
-#  16. exp_e19 --smoke        live resharding: 4 -> 8 -> 3 cutovers under
+#  17. exp_e19 --smoke        live resharding: 4 -> 8 -> 3 cutovers under
 #                             concurrent load with zero lost decisions,
 #                             cell-exact fairness-window + ε-ledger
 #                             conservation across the transform, and a
 #                             continuous audit chain
-#  17. exp_e20 --smoke        audit archiving: background compaction of a
+#  18. exp_e20 --smoke        audit archiving: background compaction of a
 #                             10x-rotated log keeps the writer batch p99
 #                             within 5% of the archiver-off baseline,
 #                             every archive decodes byte-identically
 #                             (sha256-checked), and a SIGKILL mid-archive
 #                             recovers with zero provably-lost entries —
 #                             original xor verified archive, never neither
-#  18. doc-link check         every PROTOCOL.md / OPERATIONS.md section
+#  19. doc-link check         every PROTOCOL.md / OPERATIONS.md section
 #                             anchor referenced from the crate rustdoc
 #                             resolves to a real heading
-#  19. harness-kit check      no experiment binary or root integration test
+#  20. harness-kit check      no experiment binary or root integration test
 #                             defines a helper fact_bench::kit owns again
 #                             (worker spawn, models, lending workloads),
 #                             and every exp_* binary with a `fn main`
 #                             parses its arguments with kit::Mode
-#  20. storage-seam check     no non-test code under crates/serve/src
+#  21. storage-seam check     no non-test code under crates/serve/src
 #                             touches std::fs outside checkpoint.rs (guard
 #                             sidecars) and audit_sink/storage.rs (audit
 #                             segments), so on-disk state has two owners
-#  21. surface report         non-test LoC, crate-root `pub use` names and
+#  22. surface report         non-test LoC, crate-root `pub use` names and
 #                             public types per crate (scripts/surface.sh);
 #                             report only, it fails nothing
 #
@@ -118,6 +121,9 @@ cargo run --offline --release -q -p responsible-data-science --example serving
 
 echo "==> exp_e12 --smoke (parallel-kernel determinism gate)"
 cargo run --offline -q -p fact-bench --bin exp_e12 -- --smoke
+
+echo "==> exp_e11 --smoke (guarded-serving conservation gate)"
+cargo run --offline -q -p fact-bench --bin exp_e11 -- --smoke
 
 echo "==> audit_recovery --smoke (crash-recovery gate)"
 cargo test --offline -q --test audit_recovery -- kill_mid_batch_recovery_is_deterministic

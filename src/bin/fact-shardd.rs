@@ -300,6 +300,9 @@ fn main() {
 
     while !shutdown.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_millis(25));
+        // Nothing here reads the alerts, and the channel is unbounded; each
+        // one is already counted in the registry and, with --audit, logged.
+        drop(service.drain_alerts());
     }
     // the ack for the shutdown control rides the connection's writer
     // thread; give it a beat to flush before tearing the sockets down

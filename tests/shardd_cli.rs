@@ -5,14 +5,17 @@
 //! for it. A well-formed worker, once drained, prints one exit line whose
 //! counts span every topology epoch it ran.
 
-use std::path::Path;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::Duration;
 
 use bench::kit::{self, MeanScorer, ScratchDir, Shardd};
+use fact_core::runtime::Guards;
 use fact_data::Matrix;
 use fact_ml::Classifier;
 use fact_net::{ControlAckWire, FrameKind, RemoteShard, RequestWire, ResponseWire};
+use fact_serve::{write_checkpoint, GuardCheckpoint, GuardConfig};
 
 fn shardd() -> &'static Path {
     Path::new(env!("CARGO_BIN_EXE_fact-shardd"))
@@ -121,6 +124,54 @@ fn zero_audit_knobs_exit_1_before_the_log_exists() {
         assert!(stderr.contains(needle), "{flags:?}: {stderr}");
         assert!(!audit.exists(), "{flags:?}: the audit log was created");
     }
+}
+
+/// Every file under `dir` with its bytes, by path.
+fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).expect("list scratch dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            files.extend(tree(&path));
+        } else {
+            let bytes = std::fs::read(&path).expect("read scratch file");
+            files.insert(path, bytes);
+        }
+    }
+    files
+}
+
+/// A start with sidecars past `--shards` is refused before the audit log
+/// opens: exit 1, no audit log created, the sidecars byte-identical, and
+/// no file written, even some time after the exit.
+#[test]
+fn sidecars_past_shards_exit_1_without_touching_a_file() {
+    let dir = ScratchDir::new("shardd-past-shards");
+    let (sock, ckpt, audit) = (
+        dir.join("worker.sock"),
+        dir.join("checkpoints"),
+        dir.join("audit.jsonl"),
+    );
+    let guards = Guards::new(&GuardConfig::default(), 0).expect("default guards");
+    for shard in 0..4 {
+        let ck = GuardCheckpoint::capture(&guards, shard, 10 * shard as u64, 128).unwrap();
+        write_checkpoint(&ckpt, &ck).expect("write sidecar");
+    }
+    let before = tree(dir.path());
+    let path = |p: &Path| p.to_str().expect("utf-8 scratch path").to_string();
+    let out = Command::new(shardd())
+        .args(["--socket", &path(&sock), "--checkpoint-dir", &path(&ckpt)])
+        .args(["--shards", "2", "--audit", &path(&audit)])
+        .output()
+        .expect("spawn fact-shardd");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("shard-3.json"), "{stderr}");
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(!audit.exists(), "the audit log was created");
+    let after = tree(dir.path());
+    assert!(after.keys().eq(before.keys()), "{:?}", after.keys());
+    assert!(after == before, "a refused start changed a sidecar");
 }
 
 /// Decide `features` for `key` through `client`; returns the worker's
