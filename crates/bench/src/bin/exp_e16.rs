@@ -8,7 +8,7 @@
 //!    through a `ShardSlot::Remote` topology, then SIGKILLs the worker
 //!    mid-load. Hard-asserts the periodic checkpoints bound the loss
 //!    (decisions lost < shards × checkpoint interval, never a silent
-//!    reset to zero), respawns the worker over the same sidecar
+//!    reset to zero), respawns the worker over the same checkpoint
 //!    directory, and verifies it *resumes*: lifetime decision counts,
 //!    fairness window, and ε ledger all continue from the checkpoint.
 //!    The worker's durable audit log must verify segment-by-segment
@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use bench::header;
 use bench::kit::{self, disparate_request, MeanScorer, ScratchDir, Shardd};
-use fact_serve::{load_checkpoint, DecisionService, DegradePolicy, GuardConfig, ServeConfig};
+use fact_serve::{DecisionService, DegradePolicy, GuardConfig, GuardState, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,12 +52,11 @@ fn checkpoint_totals(dir: &Path) -> (u64, usize, f64) {
     let mut decisions = 0;
     let mut ledger = 0;
     let mut window_events = 0f64;
-    for shard in 0..WORKER_SHARDS {
-        if let Some(ck) = load_checkpoint(dir, shard).expect("readable checkpoint") {
-            decisions += ck.decisions;
-            ledger += ck.ledger.len();
-            window_events += ck.window.total_events() as f64;
-        }
+    let state = GuardState::load(dir).expect("readable checkpoint");
+    for ck in state.into_iter().flat_map(|s| s.shards).flatten() {
+        decisions += ck.decisions;
+        ledger += ck.ledger.len();
+        window_events += ck.window.total_events() as f64;
     }
     (decisions, ledger, window_events)
 }
@@ -98,7 +97,7 @@ fn kill_restart_phase(n_load: u64, n_resume: u64) {
     let dead = client.decide(disparate_request(&mut rng, 999_999, N_FEATURES));
     assert!(dead.is_err(), "decisions against a dead worker must fail");
 
-    // --- run 2: respawn over the same sidecars, resume, drain cleanly ---
+    // --- run 2: respawn over the same guard state, resume, drain cleanly ---
     let mut worker = spawn_worker(&dir, true);
     let served2 = kit::drive(&client, &mut rng, n_resume, n_load, N_FEATURES);
     assert_eq!(served2, n_resume, "respawned worker must serve everything");

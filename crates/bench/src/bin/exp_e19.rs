@@ -9,9 +9,10 @@
 //!    that land mid-cutover park and replay into the new topology (the hold window is set above the cutover time, so no
 //!    request sees `ServeError::Resharding`).
 //! 2. **Window-state continuity** — per cutover, the fairness-window
-//!    counts summed over the post-split sidecars are cell-for-cell equal
-//!    to the pre-merge sum, and lifetime decision counts conserve
-//!    exactly; the final sidecars account for every decision served.
+//!    counts summed over the post-split checkpoints are cell-for-cell
+//!    equal to the pre-merge sum, and lifetime decision counts conserve
+//!    exactly; the final guard-state document holds one slot per final
+//!    shard and accounts for every decision served.
 //! 3. **Audit-chain continuity** — the hash-chained audit log verifies
 //!    segment-by-segment and `continuous` across both cutovers (the audit
 //!    sink stays open while the topology epochs change).
@@ -28,8 +29,8 @@ use std::time::Duration;
 
 use bench::kit::{self, disparate_request, MeanScorer, ScratchDir, Shardd};
 use fact_serve::{
-    load_checkpoint, AuditSinkConfig, CheckpointConfig, DecisionService, DegradePolicy,
-    GuardConfig, ServeConfig,
+    AuditSinkConfig, CheckpointConfig, DecisionService, DegradePolicy, GuardConfig, GuardState,
+    ServeConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,11 +44,12 @@ const SCHEDULE: [usize; 2] = [8, 3];
 const START_SHARDS: usize = 4;
 
 fn sidecar_decisions(dir: &Path, shards: usize) -> u64 {
-    (0..shards)
-        .map(|s| {
-            load_checkpoint(dir, s)
-                .expect("readable sidecar")
-                .unwrap_or_else(|| panic!("sidecar {s} missing after reshard"))
+    let state = (GuardState::load(dir).expect("readable guard state"))
+        .expect("guard state written by the reshard");
+    assert_eq!(state.shards.len(), shards, "the document's shard count");
+    (state.shards.into_iter().enumerate())
+        .map(|(s, ck)| {
+            ck.unwrap_or_else(|| panic!("shard {s}'s checkpoint missing after reshard"))
                 .decisions
         })
         .sum()

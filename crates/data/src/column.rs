@@ -5,6 +5,8 @@
 //! optional validity mask (`true` = value present). Operations pre-allocate
 //! their outputs.
 
+use std::collections::HashMap;
+
 use crate::error::{FactError, Result};
 use crate::value::{DataType, Value};
 
@@ -19,21 +21,21 @@ pub struct CatData {
 
 impl CatData {
     /// Build categorical storage from string labels, constructing the
-    /// dictionary in first-appearance order.
+    /// dictionary in first-appearance order. Codes are found through a
+    /// hash map that borrows the input labels, so n rows cost O(n) however
+    /// many of them are distinct.
     pub fn from_labels<S: AsRef<str>>(labels: &[S]) -> Self {
+        let mut code_of: HashMap<&str, u32> = HashMap::new();
         let mut dict: Vec<String> = Vec::new();
-        let mut codes = Vec::with_capacity(labels.len());
-        for l in labels {
-            let l = l.as_ref();
-            let code = match dict.iter().position(|d| d == l) {
-                Some(i) => i as u32,
-                None => {
+        let codes = (labels.iter())
+            .map(|l| {
+                let l = l.as_ref();
+                *code_of.entry(l).or_insert_with(|| {
                     dict.push(l.to_string());
                     (dict.len() - 1) as u32
-                }
-            };
-            codes.push(code);
-        }
+                })
+            })
+            .collect();
         CatData { codes, dict }
     }
 
@@ -468,7 +470,48 @@ impl Column {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The linear-scan dictionary build `from_labels` replaced: the oracle.
+    fn linear_from_labels(labels: &[String]) -> CatData {
+        let mut dict: Vec<String> = Vec::new();
+        let mut codes = Vec::with_capacity(labels.len());
+        for l in labels {
+            let code = match dict.iter().position(|d| d == l) {
+                Some(i) => i as u32,
+                None => {
+                    dict.push(l.clone());
+                    (dict.len() - 1) as u32
+                }
+            };
+            codes.push(code);
+        }
+        CatData { codes, dict }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The hashed build gives the linear scan's dictionary, in
+        /// first-appearance order, and its codes, for any label list:
+        /// duplicates, the empty string and lookalike labels included.
+        #[test]
+        fn from_labels_matches_the_linear_scan(
+            picks in prop::collection::vec(0usize..1_000, 0..300),
+            distinct in 1usize..40,
+        ) {
+            const POOL: [&str; 6] = ["", "a", "A", "a ", " a", "ä"];
+            let labels: Vec<String> = (picks.iter())
+                .map(|&p| match p % distinct {
+                    k if k < POOL.len() => POOL[k].to_string(),
+                    k => format!("label-{k}"),
+                })
+                .collect();
+            prop_assert_eq!(CatData::from_labels(&labels), linear_from_labels(&labels));
+        }
+    }
 
     #[test]
     fn cat_dictionary_built_in_first_appearance_order() {

@@ -113,7 +113,7 @@ impl AuditEvent {
         const INFALLIBLE: &str = "formatting into a String cannot fail";
         actor.clear();
         details.clear();
-        match self {
+        let (shard, action) = match self {
             AuditEvent::Flagged {
                 shard,
                 route_key,
@@ -121,34 +121,35 @@ impl AuditEvent {
                 favorable,
                 group_b,
             } => {
-                write!(actor, "shard-{shard}").expect(INFALLIBLE);
                 write!(
                     details,
                     "key={route_key} p={probability:.6} favorable={favorable} group_b={group_b}"
                 )
                 .expect(INFALLIBLE);
-                "flagged_decision"
+                (shard, "flagged_decision")
             }
             AuditEvent::Rejected { shard, route_key } => {
-                write!(actor, "shard-{shard}").expect(INFALLIBLE);
                 write!(details, "key={route_key} policy=hard_reject").expect(INFALLIBLE);
-                "rejected_decision"
+                (shard, "rejected_decision")
             }
             AuditEvent::Alert {
                 shard,
                 at_decision,
                 summary,
             } => {
-                write!(actor, "shard-{shard}").expect(INFALLIBLE);
                 write!(details, "at={at_decision} {summary}").expect(INFALLIBLE);
-                "guard_alert"
+                (shard, "guard_alert")
             }
             AuditEvent::Lifecycle { what, detail } => {
                 actor.push_str("fact-serve");
                 details.push_str(detail);
-                what
+                return what;
             }
-        }
+        };
+        // a shard's events are signed `shard-<index>`
+        actor.push_str("shard-");
+        write!(actor, "{shard}").expect(INFALLIBLE);
+        action
     }
 }
 

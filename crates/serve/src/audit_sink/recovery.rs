@@ -441,9 +441,9 @@ mod tests {
             head.extend_line("fact-serve", SEGMENT_HANDOFF_ACTION, &details, &mut bytes);
         }
         for i in 0..n {
-            let actor = format!("shard-{}", i % 3);
+            let actor = ["shard-0", "shard-1", "shard-2"][i % 3];
             let details = format!("key={i} p=0.250000 favorable=false group_b={}", i % 2 == 0);
-            head.extend_line(&actor, "flagged_decision", &details, &mut bytes);
+            head.extend_line(actor, "flagged_decision", &details, &mut bytes);
         }
         let mut lines: Vec<Vec<u8>> = bytes
             .split_inclusive(|&c| c == b'\n')

@@ -1,6 +1,6 @@
 //! Guard state on disk: periodic + on-shutdown serialization of each
-//! shard's fairness window, ε ledger, and monitor counters to a sidecar
-//! file, restored on restart so a respawned shard **resumes** instead of
+//! shard's fairness window, ε ledger, and monitor counters, restored on
+//! restart so a respawned shard **resumes** instead of
 //! silently resetting. [`GuardCheckpoint::capture`] and
 //! [`GuardCheckpoint::restore_into`] decide what a shard's [`Guards`] keep.
 //!
@@ -13,17 +13,17 @@
 //! checkpointed: its reference distribution is configuration, and its
 //! sliding window refills within `window` decisions.
 //!
-//! Files are one JSON document per shard, `shard-N.json`, written with
-//! [`write_atomic`] so a crash mid-write leaves the previous checkpoint
-//! intact rather than a torn one. This module is the only one that knows
-//! that layout: one reader loads a topology's whole set, one builder makes
-//! each local shard's restored [`Guards`] from it before any worker spawns,
-//! a pure function turns N shards' state into M shards' with no I/O, and
-//! [`transform_checkpoints`] runs it over a directory.
+//! All shards' state is one document, [`GuardState`], replaced as a whole,
+//! so a crash leaves the previous set intact, never a torn one or a mix.
+//! Only this module knows that layout; it restores each local shard's
+//! [`Guards`] before any worker spawns, takes the workers' writes, and
+//! turns N shards' state into M shards' ([`transform_checkpoints`]).
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Mutex};
 
 use fact_core::runtime::Guards;
 use fact_data::durable::write_atomic;
@@ -36,7 +36,7 @@ use crate::service::{ServeConfig, ServeError};
 /// When and where guard state is checkpointed.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
-    /// Directory holding one `shard-N.json` per shard.
+    /// Directory holding the guard-state document, `guards.json`.
     pub dir: PathBuf,
     /// Decisions between periodic checkpoints (a final checkpoint is
     /// always written on clean worker exit regardless).
@@ -147,116 +147,164 @@ impl GuardCheckpoint {
     }
 }
 
-/// `dir/shard-N.json`.
-pub fn checkpoint_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}.json"))
-}
-
-/// The shard a `shard-N.json` file name belongs to: the inverse of
-/// [`checkpoint_path`].
-fn shard_of_file(name: &std::ffi::OsStr) -> Option<usize> {
-    let stem = name.to_str()?.strip_prefix("shard-")?;
-    stem.strip_suffix(".json")?.parse().ok()
-}
-
-/// Durably write `ck` under `dir`, creating the directory if needed.
-/// Atomic against crashes via [`write_atomic`]: a crash mid-write leaves
-/// the previous checkpoint intact.
-pub fn write_checkpoint(dir: &Path, ck: &GuardCheckpoint) -> io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let json = serde_json::to_string(ck)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    write_atomic(&checkpoint_path(dir, ck.shard as usize), json.as_bytes())
-}
-
-/// Load shard `shard`'s checkpoint from `dir`; `Ok(None)` when none has
-/// been written yet (first boot). A present-but-unparseable checkpoint is
-/// an error, not a silent reset — resuming from nothing when state was
-/// expected is exactly the failure checkpointing exists to prevent.
-pub fn load_checkpoint(dir: &Path, shard: usize) -> io::Result<Option<GuardCheckpoint>> {
-    let path = checkpoint_path(dir, shard);
-    let json = match fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    serde_json::from_str(&json)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
+/// The document under [`CheckpointConfig::dir`] holding every shard's state.
+const DOCUMENT: &str = "guards.json";
 
 /// A result whose error is a [`ServeError`].
 type Served<T> = std::result::Result<T, ServeError>;
 
-/// Read the sidecar set of a `shards`-shard topology from `dir`: entry
-/// `k` is shard `k`'s checkpoint, `None` before its first write (a
-/// missing directory is a first boot); an unreadable one fails the set.
-/// A sidecar for a shard `>= shards` is refused with
-/// [`ServeError::BadRequest`], files untouched: starting fewer shards than
-/// wrote the set would drop those shards' fairness windows and ε ledgers,
-/// refunding privacy budget. Reshard the set first.
-fn load_sidecars(dir: &Path, shards: usize) -> Served<Vec<Option<GuardCheckpoint>>> {
-    let listing = match fs::read_dir(dir) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        listing => listing
-            .and_then(|l| l.collect::<io::Result<Vec<_>>>())
-            .map_err(failed(format!("listing {}", dir.display())))?,
-    };
-    let mut stale: Vec<usize> = (listing.iter())
-        .filter_map(|entry| shard_of_file(&entry.file_name()))
-        .filter(|&k| k >= shards)
-        .collect();
-    stale.sort_unstable();
-    if let Some(last) = stale.last() {
-        let files: Vec<String> = (stale.iter())
-            .map(|&k| checkpoint_path(dir, k).display().to_string())
-            .collect();
-        return Err(ServeError::BadRequest(format!(
-            "sidecars for shards past {shards} exist: {}; starting {shards} shard(s) would \
-             drop their fairness windows and ε ledgers — reshard the directory to {shards} \
-             first, or start {} shards",
-            files.join(", "),
-            last + 1
-        )));
+/// The guard-state document, `guards.json`: slot `k` holds shard `k`'s
+/// last checkpoint, so it records the shard count that wrote it. Its
+/// [`write_atomic`] rename is the commit point of the whole set.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct GuardState {
+    /// One slot per shard, in shard order.
+    pub shards: Vec<Option<GuardCheckpoint>>,
+}
+
+impl GuardState {
+    /// Read the document under `dir`; `Ok(None)` on first boot. A corrupt
+    /// document, or a directory of the `shard-*.json` files it replaced,
+    /// fails rather than resets: ignoring either would refund ε.
+    pub fn load(dir: &Path) -> Served<Option<GuardState>> {
+        let path = dir.join(DOCUMENT);
+        let corrupt =
+            |e| ServeError::Internal(format!("checkpoint {} is corrupt: {e}", path.display()));
+        match fs::read(&path) {
+            Ok(bytes) => GuardState::parse(&bytes).map(Some).map_err(corrupt),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => refuse_old_layout(dir).map(|()| None),
+            Err(e) => Err(failed(format!("reading {}", path.display()))(e)),
+        }
     }
-    (0..shards)
-        .map(|shard| {
-            load_checkpoint(dir, shard).map_err(failed(format!("shard {shard} checkpoint load")))
-        })
-        .collect()
+
+    /// Decode a document, refusing a slot holding another shard's
+    /// checkpoint or a non-finite ε or δ.
+    fn parse(bytes: &[u8]) -> std::result::Result<GuardState, String> {
+        let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+        let state: GuardState = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        for (k, ck) in state.shards.iter().enumerate() {
+            let Some(ck) = ck else { continue };
+            if ck.shard != k as u64 {
+                return Err(format!("slot {k} holds shard {}'s checkpoint", ck.shard));
+            }
+            let ledger = ck.ledger.iter().flat_map(|e| [e.epsilon, e.delta]);
+            let mut floats = ledger.chain([ck.budget_epsilon, ck.budget_delta]);
+            if !floats.all(f64::is_finite) {
+                return Err(format!("shard {k} records a non-finite ε or δ"));
+            }
+        }
+        Ok(state)
+    }
+
+    /// Durably replace the document under `dir`, creating `dir` if needed.
+    pub fn write(&self, dir: &Path) -> io::Result<()> {
+        fs::create_dir_all(dir)?;
+        let json = serde_json::to_string(self)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        write_atomic(&dir.join(DOCUMENT), json.as_bytes())
+    }
+}
+
+/// Refuse a directory of `shard-*.json` files, the layout [`GuardState`]
+/// replaced.
+fn refuse_old_layout(dir: &Path) -> Served<()> {
+    let listing = match fs::read_dir(dir) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        listing => listing.and_then(Iterator::collect::<io::Result<Vec<_>>>),
+    };
+    let listing = listing.map_err(failed(format!("listing {}", dir.display())))?;
+    let mut old: Vec<String> = (listing.iter())
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("shard-") && name.ends_with(".json"))
+        .collect();
+    if old.is_empty() {
+        return Ok(());
+    }
+    old.sort_unstable();
+    Err(ServeError::BadRequest(format!(
+        "{} holds per-shard checkpoints ({}) and no {DOCUMENT}; starting without their \
+         fairness windows and ε ledgers would drop them",
+        dir.display(),
+        old.join(", ")
+    )))
 }
 
 /// A local shard's guard set (`None` with guards off) and the lifetime
-/// decisions its sidecar restored (0 without one).
+/// decisions its checkpoint restored (0 without one).
 pub(crate) type ShardState = (Option<Guards>, u64);
 
+/// The document a running epoch checkpoints into, seeded with what its
+/// start loaded so a shard that has not written yet keeps its restored
+/// state there.
+pub(crate) struct GuardSlots {
+    pub(crate) config: CheckpointConfig,
+    /// Flush requests; workers compare it after every batch.
+    pub(crate) requested: AtomicU64,
+    state: Mutex<GuardState>,
+}
+
+impl GuardSlots {
+    /// Capture `guards` into slot `shard` and durably rewrite the document;
+    /// returns whether it was written. The lock is held through the write:
+    /// [`write_atomic`] stages at one fixed `<path>.tmp`.
+    pub(crate) fn checkpoint(&self, guards: &Guards, shard: usize, decisions: u64) -> bool {
+        let segment_events = self.config.segment_events;
+        let Ok(ck) = GuardCheckpoint::capture(guards, shard, decisions, segment_events) else {
+            return false;
+        };
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.shards[shard] = Some(ck);
+        state.write(&self.config.dir).is_ok()
+    }
+}
+
 /// The [`ShardState`] of each shard in `local`, its guards seeded with
-/// `config.seed + shard` and restored from its sidecar. The sidecar set is
-/// read and checked as [`load_sidecars`] does first; nothing is written.
+/// `config.seed + shard` and restored from the document, and the slots the
+/// epoch writes. A document of another shard count is refused: fewer
+/// shards would drop ε ledgers, more would mis-route keys' windows.
 pub(crate) fn build_guard_state(
     config: &ServeConfig,
     shards: usize,
     local: &[usize],
-) -> Served<Vec<ShardState>> {
+) -> Served<(Vec<ShardState>, Option<Arc<GuardSlots>>)> {
     let Some(guard_config) = &config.guards else {
-        return Ok(local.iter().map(|_| (None, 0)).collect());
+        return Ok((local.iter().map(|_| (None, 0)).collect(), None));
     };
-    let mut sidecars = match &config.checkpoint {
-        Some(ck) => load_sidecars(&ck.dir, shards)?,
-        None => vec![None; shards],
-    };
-    (local.iter())
+    let mut slots = vec![None; shards];
+    if let Some(ck) = &config.checkpoint {
+        if let Some(state) = GuardState::load(&ck.dir)? {
+            let wrote = state.shards.len();
+            if wrote != shards {
+                return Err(ServeError::BadRequest(format!(
+                    "the guard state in {} was written by {wrote} shard(s), and this start \
+                     asks for {shards} — reshard the directory first, or start {wrote}",
+                    ck.dir.display()
+                )));
+            }
+            slots = state.shards;
+        }
+    }
+    let states = (local.iter())
         .map(|&shard| {
             let mut guards = Guards::new(guard_config, config.seed.wrapping_add(shard as u64))
                 .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-            let ck = sidecars[shard].take();
-            if let Some(ck) = &ck {
+            let ck = slots[shard].as_ref();
+            if let Some(ck) = ck {
                 (ck.restore_into(&mut guards))
                     .map_err(failed(format!("shard {shard} checkpoint restore")))?;
             }
             Ok((Some(guards), ck.map_or(0, |ck| ck.decisions)))
         })
-        .collect()
+        .collect::<Served<_>>()?;
+    let state = Mutex::new(GuardState { shards: slots });
+    let table = (config.checkpoint.clone()).map(|config| {
+        Arc::new(GuardSlots {
+            config,
+            requested: AtomicU64::new(0),
+            state,
+        })
+    });
+    Ok((states, table))
 }
 
 /// What [`transform_checkpoints`] conserved, with the numbers to prove it.
@@ -275,7 +323,7 @@ pub struct TransformReport {
 }
 
 /// The transform behind [`transform_checkpoints`], over the shards that
-/// have a sidecar (a shard that never served has none; one is needed).
+/// have a checkpoint (a shard that never served has none; one is needed).
 /// Pure: it reads and writes nothing.
 pub(crate) fn transform(
     checkpoints: &[GuardCheckpoint],
@@ -284,7 +332,7 @@ pub(crate) fn transform(
 ) -> Served<(Vec<GuardCheckpoint>, TransformReport)> {
     let merged = WindowSummary::merge_all(checkpoints.iter().map(|ck| &ck.window))
         .map_err(|e| ServeError::Internal(format!("window merge failed: {e}")))?
-        .ok_or_else(|| ServeError::Internal("no sidecar to transform".into()))?;
+        .ok_or_else(|| ServeError::Internal("no checkpoint to transform".into()))?;
     let parts = merged
         .split(to)
         .map_err(|e| ServeError::Internal(format!("window split failed: {e}")))?;
@@ -334,8 +382,8 @@ pub(crate) fn transform(
     Ok((successors, report))
 }
 
-/// Rewrite the sidecars under `dir` from `from` shards to `to`,
-/// conserving every count. This is the state transform behind
+/// Rewrite the guard state under `dir` for `to` shards, conserving every
+/// count. This is the state transform behind
 /// [`DecisionService::reshard`](crate::DecisionService::reshard); it also
 /// runs offline between process generations.
 ///
@@ -351,34 +399,26 @@ pub(crate) fn transform(
 /// * Lifetime decision and DP-pending counts sum-then-split with the
 ///   remainder dealt to the first successors; `dp_exhausted` is OR-folded
 ///   (an exhausted budget anywhere stays exhausted everywhere).
-/// * When shrinking, the stale `shard-j.json` for `j >= to` are removed
-///   so a later grow cannot resurrect pre-transform state.
 ///
-/// The set is read as a start reads it, so a sidecar past `from` is
-/// refused. A shard without a sidecar is skipped (one that never served
-/// still drains cleanly); at least one must exist.
+/// The document is read as a start reads it and replaced in one write, so
+/// a refused or failed transform leaves `dir` byte-identical. A shard
+/// without a checkpoint is skipped; at least one must exist.
 pub fn transform_checkpoints(
     dir: &Path,
-    from: usize,
     to: usize,
     budget_epsilon: f64,
 ) -> Served<TransformReport> {
-    if from == 0 || to == 0 {
-        return Err(ServeError::BadRequest(
-            "transform needs from > 0 and to > 0".into(),
-        ));
+    if to == 0 {
+        return Err(ServeError::BadRequest("transform needs to > 0".into()));
     }
-    let checkpoints: Vec<GuardCheckpoint> =
-        load_sidecars(dir, from)?.into_iter().flatten().collect();
+    let checkpoints: Vec<GuardCheckpoint> = (GuardState::load(dir)?.into_iter())
+        .flat_map(|state| state.shards)
+        .flatten()
+        .collect();
     let (successors, report) = transform(&checkpoints, to, budget_epsilon)?;
-    for ck in &successors {
-        write_checkpoint(dir, ck).map_err(failed(format!("writing sidecar {}", ck.shard)))?;
-    }
-    for stale in (to..from).map(|k| checkpoint_path(dir, k)) {
-        if stale.exists() {
-            fs::remove_file(&stale).map_err(failed(format!("removing {}", stale.display())))?;
-        }
-    }
+    let shards = successors.into_iter().map(Some).collect();
+    (GuardState { shards }.write(dir))
+        .map_err(failed(format!("writing {}", dir.join(DOCUMENT).display())))?;
     Ok(report)
 }
 
@@ -437,19 +477,50 @@ mod tests {
         }
     }
 
+    /// A document of `shards` slots, `Some` where `present` says so.
+    fn state(present: &[bool]) -> GuardState {
+        let slot = |(k, &p): (usize, &bool)| p.then(|| sample(k as u64));
+        GuardState {
+            shards: present.iter().enumerate().map(slot).collect(),
+        }
+    }
+
     #[test]
     fn roundtrips_through_disk() {
         let dir = temp_dir("roundtrip");
-        let ck = sample(3);
-        write_checkpoint(&dir, &ck).unwrap();
-        let back = load_checkpoint(&dir, 3).unwrap().unwrap();
-        assert_eq!(back, ck);
-        // other shards are unaffected / absent
-        assert!(load_checkpoint(&dir, 4).unwrap().is_none());
+        let written = state(&[false, true, false, true]);
+        written.write(&dir).unwrap();
+        assert_eq!(GuardState::load(&dir).unwrap(), Some(written));
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A sidecar with `events` in a 200-event window at 10-event segments.
+    #[test]
+    fn a_slot_holding_another_shards_checkpoint_is_corrupt() {
+        let mut swapped = state(&[true, true]);
+        swapped.shards.swap(0, 1);
+        let json = serde_json::to_string(&swapped).unwrap();
+        let err = GuardState::parse(json.as_bytes()).unwrap_err();
+        assert!(err.contains("slot 0 holds shard 1"), "{err}");
+    }
+
+    #[test]
+    fn the_per_shard_layout_is_refused_naming_its_files() {
+        let dir = temp_dir("old-layout");
+        fs::create_dir_all(&dir).unwrap();
+        for (k, name) in ["shard-0.json", "shard-1.json"].into_iter().enumerate() {
+            let json = serde_json::to_string(&sample(k as u64)).unwrap();
+            fs::write(dir.join(name), json).unwrap();
+        }
+        let err = GuardState::load(&dir).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::BadRequest(msg)
+                if msg.contains("shard-0.json, shard-1.json") && msg.contains(DOCUMENT)),
+            "{err}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint with `events` in a 200-event window at 10-event segments.
     fn arbitrary_checkpoint(
         shard: u64,
         events: Vec<(bool, bool)>,
@@ -552,17 +623,19 @@ mod tests {
     #[test]
     fn missing_dir_is_first_boot_not_error() {
         let dir = temp_dir("absent");
-        assert!(load_checkpoint(&dir, 0).unwrap().is_none());
+        assert_eq!(GuardState::load(&dir).unwrap(), None);
     }
 
     #[test]
     fn rewrite_replaces_atomically_and_corruption_is_loud() {
         let dir = temp_dir("rewrite");
-        write_checkpoint(&dir, &sample(0)).unwrap();
-        let mut newer = sample(0);
-        newer.decisions = 9999;
-        write_checkpoint(&dir, &newer).unwrap();
-        assert_eq!(load_checkpoint(&dir, 0).unwrap().unwrap().decisions, 9999);
+        state(&[true]).write(&dir).unwrap();
+        let mut newer = state(&[true]);
+        if let Some(ck) = &mut newer.shards[0] {
+            ck.decisions = 9999;
+        }
+        newer.write(&dir).unwrap();
+        assert_eq!(GuardState::load(&dir).unwrap(), Some(newer));
         // no stray tmp files left behind
         let stray: Vec<_> = fs::read_dir(&dir)
             .unwrap()
@@ -576,8 +649,82 @@ mod tests {
             .collect();
         assert!(stray.is_empty());
 
-        fs::write(checkpoint_path(&dir, 0), b"{ torn").unwrap();
-        assert!(load_checkpoint(&dir, 0).is_err(), "corruption must be loud");
+        fs::write(dir.join(DOCUMENT), b"{ torn").unwrap();
+        let err = GuardState::load(&dir).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Internal(msg) if msg.contains("corrupt")),
+            "{err}"
+        );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `json` with the first value of `"field"` replaced by `token`.
+    fn replace_field(json: &str, field: &str, token: &str) -> String {
+        let key = format!("\"{field}\":");
+        let start = json.find(&key).expect("field present") + key.len();
+        let len = json[start..].find([',', '}', ']']).expect("scalar value");
+        format!("{}{token}{}", &json[..start], &json[start + len..])
+    }
+
+    /// The integer and float fields of a slot, and what a hostile writer
+    /// can put in their place.
+    const INT_FIELDS: [&str; 3] = ["shard", "decisions", "dp_pending"];
+    const FLOAT_FIELDS: [&str; 4] = ["epsilon", "delta", "budget_epsilon", "budget_delta"];
+    const HUGE_INTS: [&str; 4] = [
+        "184467440737095516160",
+        "18446744073709551616",
+        "1e400",
+        "-1",
+    ];
+    const NON_FINITE: [&str; 5] = ["1e999", "-1e999", "NaN", "Infinity", "inf"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Hostile bytes fed to the document decoder return a typed error,
+        /// never a panic: arbitrary bytes, every truncation and any byte
+        /// flip of a valid document, nesting past any depth in place of a
+        /// value, out-of-range integers and non-finite floats.
+        #[test]
+        fn hostile_guard_state_bytes_are_refused_not_panicked_on(
+            garbage in prop::collection::vec(any::<u8>(), 0..512),
+            present in prop::collection::vec(any::<bool>(), 1..4),
+            cut in any::<usize>(),
+            flip in (any::<usize>(), 1u8..=255),
+            depth in 1usize..400,
+            field in any::<usize>(),
+            token in any::<usize>(),
+        ) {
+            prop_assert!(GuardState::parse(&garbage).is_err());
+
+            let mut valid = state(&present);
+            valid.shards[0] = Some(sample(0));
+            let json = serde_json::to_string(&valid).unwrap();
+            prop_assert_eq!(GuardState::parse(json.as_bytes()), Ok(valid.clone()));
+
+            let bytes = json.as_bytes();
+            prop_assert!(GuardState::parse(&bytes[..cut % bytes.len()]).is_err());
+
+            // a flip may leave a valid document, which must then pass the
+            // same checks as any other
+            let mut flipped = bytes.to_vec();
+            flipped[flip.0 % bytes.len()] ^= flip.1;
+            if let Ok(state) = GuardState::parse(&flipped) {
+                let again = serde_json::to_string(&state).unwrap();
+                prop_assert_eq!(GuardState::parse(again.as_bytes()), Ok(state));
+            }
+
+            let nested = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+            let mut all_fields = INT_FIELDS.iter().chain(&FLOAT_FIELDS);
+            let at = *all_fields.nth(field % 7).unwrap();
+            prop_assert!(GuardState::parse(replace_field(&json, at, &nested).as_bytes()).is_err());
+
+            let int = INT_FIELDS[field % INT_FIELDS.len()];
+            let huge = replace_field(&json, int, HUGE_INTS[token % HUGE_INTS.len()]);
+            prop_assert!(GuardState::parse(huge.as_bytes()).is_err(), "{}", huge);
+            let float = FLOAT_FIELDS[field % FLOAT_FIELDS.len()];
+            let bad = replace_field(&json, float, NON_FINITE[token % NON_FINITE.len()]);
+            prop_assert!(GuardState::parse(bad.as_bytes()).is_err(), "{}", bad);
+        }
     }
 }

@@ -114,8 +114,7 @@ pub use audit_sink::{
 };
 pub use cache::{CacheConfig, CachedFeatureSource, Clock};
 pub use checkpoint::{
-    checkpoint_path, load_checkpoint, transform_checkpoints, write_checkpoint, CheckpointConfig,
-    GuardCheckpoint, LedgerEntry,
+    transform_checkpoints, CheckpointConfig, GuardCheckpoint, GuardState, LedgerEntry,
 };
 pub use guards::{DegradePolicy, GuardConfig};
 pub use metrics::{AdmissionStats, MetricsSnapshot, ShardSnapshot};

@@ -140,6 +140,9 @@ pub struct ShardMetrics {
     pub alerts: AtomicU64,
     /// Guard checkpoints durably written (periodic + final).
     pub checkpoints: AtomicU64,
+    /// Guard checkpoints that failed to capture or write; the previous
+    /// guard-state document stays in place.
+    pub checkpoint_failures: AtomicU64,
     /// Lifetime decision count restored from a checkpoint at spawn (zero
     /// on first boot or when checkpointing is off).
     pub resumed_at: AtomicU64,
@@ -481,6 +484,7 @@ impl MetricsRegistry {
                 depth_max: s.depth_max.load(Ordering::Relaxed),
                 alerts: s.alerts.load(Ordering::Relaxed),
                 checkpoints: s.checkpoints.load(Ordering::Relaxed),
+                checkpoint_failures: s.checkpoint_failures.load(Ordering::Relaxed),
                 resumed_at: s.resumed_at.load(Ordering::Relaxed),
                 epsilon_spent: f64::from_bits(s.epsilon_bits.load(Ordering::Relaxed)),
             })
@@ -529,6 +533,8 @@ pub struct ShardSnapshot {
     pub alerts: u64,
     /// Guard checkpoints durably written.
     pub checkpoints: u64,
+    /// Guard checkpoints that failed.
+    pub checkpoint_failures: u64,
     /// Lifetime decision count restored from a checkpoint at spawn.
     pub resumed_at: u64,
     /// The shard's ε ledger total, restored history included.
@@ -617,12 +623,12 @@ impl MetricsSnapshot {
 pub(crate) fn write_shard_table(out: &mut String, shards: &[ShardSnapshot]) {
     out.push_str(
         "shard  served  shed  throttle  timeout  reject  flagged  depth  depth_max  mean_batch  \
-         batches  alerts  eps_spent  checkpoints  resumed_at\n",
+         batches  alerts  eps_spent  checkpoints  ckpt_failed  resumed_at\n",
     );
     for (i, s) in shards.iter().enumerate() {
         out.push_str(&format!(
             "{:>5}  {:>6}  {:>4}  {:>8}  {:>7}  {:>6}  {:>7}  {:>5}  {:>9}  {:>10.2}  \
-             {:>7}  {:>6}  {:>9.4}  {:>11}  {:>10}\n",
+             {:>7}  {:>6}  {:>9.4}  {:>11}  {:>11}  {:>10}\n",
             i,
             s.served,
             s.shed,
@@ -637,6 +643,7 @@ pub(crate) fn write_shard_table(out: &mut String, shards: &[ShardSnapshot]) {
             s.alerts,
             s.epsilon_spent,
             s.checkpoints,
+            s.checkpoint_failures,
             s.resumed_at,
         ));
     }

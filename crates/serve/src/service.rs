@@ -18,7 +18,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError, TrySendError,
 };
@@ -41,8 +41,7 @@ use crate::audit_sink::{
 };
 use crate::cache::{CacheConfig, CachedFeatureSource, SystemClock};
 use crate::checkpoint::{
-    build_guard_state, transform_checkpoints, write_checkpoint, CheckpointConfig, GuardCheckpoint,
-    TransformReport,
+    build_guard_state, transform_checkpoints, CheckpointConfig, GuardSlots, TransformReport,
 };
 use crate::guards::{AlertHub, DegradePolicy, GuardConfig, ServiceAlert};
 use crate::metrics::{
@@ -171,7 +170,7 @@ pub struct ServeConfig {
     pub topology: Option<Vec<ShardSlot>>,
     /// Periodic + on-shutdown guard-state checkpointing for local shards;
     /// on startup each local shard restores its fairness window, ε
-    /// ledger, and DP counters from its sidecar file if one exists.
+    /// ledger, and DP counters from [`GuardState`](crate::GuardState).
     pub checkpoint: Option<CheckpointConfig>,
     /// Adaptive admission control: an AIMD latency-target controller plus
     /// per-tenant token quotas layered on the depth gauge (see
@@ -605,9 +604,8 @@ struct Epoch {
     routes: Vec<Route>,
     workers: Vec<JoinHandle<()>>,
     metrics: Arc<MetricsRegistry>,
-    /// Bumped by [`DecisionService::request_checkpoint`]; local workers
-    /// compare against it after every batch and flush when it moved.
-    checkpoint_gen: Arc<AtomicU64>,
+    /// The guard-state slots the local workers checkpoint into.
+    guard_slots: Option<Arc<GuardSlots>>,
 }
 
 /// Where one shard's requests go.
@@ -743,12 +741,13 @@ pub struct DecisionService {
     inner: Arc<Inner>,
 }
 
-/// An epoch before launch: every shard's route, in shard order, and each
-/// local shard's queue end, guard set and restored lifetime decisions.
+/// An epoch before launch: every shard's route, in shard order, each local
+/// shard's queue end, guard set and restored decisions, and its slots.
 #[derive(Default)]
 struct Plan {
     routes: Vec<Route>,
     locals: Vec<(usize, Receiver<Job>, crate::checkpoint::ShardState)>,
+    guard_slots: Option<Arc<GuardSlots>>,
 }
 
 /// Plan an epoch of `shards` shards: build every local shard's guard state
@@ -757,8 +756,12 @@ struct Plan {
 fn plan_epoch(config: &ServeConfig, shards: usize) -> Result<Plan, ServeError> {
     let endpoint = |shard: usize| config.topology.as_ref()?[shard].endpoint();
     let local: Vec<usize> = (0..shards).filter(|&s| endpoint(s).is_none()).collect();
-    let mut built = build_guard_state(config, shards, &local)?.into_iter();
-    let mut plan = Plan::default();
+    let (built, guard_slots) = build_guard_state(config, shards, &local)?;
+    let mut built = built.into_iter();
+    let mut plan = Plan {
+        guard_slots,
+        ..Plan::default()
+    };
     for shard in 0..shards {
         let Some(endpoint) = endpoint(shard) else {
             let (tx, rx) = sync_channel::<Job>(config.queue_cap);
@@ -901,7 +904,7 @@ impl DecisionService {
             routes: plan.routes,
             workers: Vec::with_capacity(plan.locals.len()),
             metrics: Arc::clone(&metrics),
-            checkpoint_gen: Arc::new(AtomicU64::new(0)),
+            guard_slots: plan.guard_slots,
         };
         for (shard, rx, (guards, resumed_at)) in plan.locals {
             // The shard's cells start from what it restored: the ε ledger
@@ -931,8 +934,7 @@ impl DecisionService {
                 policy: config.policy,
                 trip_cooldown: config.trip_cooldown,
                 audit: sink.as_ref().map(AuditSink::handle),
-                checkpoint: config.checkpoint.clone(),
-                checkpoint_gen: Arc::clone(&epoch.checkpoint_gen),
+                checkpoint: epoch.guard_slots.clone(),
                 admission: inner.admission.clone(),
             };
             let spawned = std::thread::Builder::new()
@@ -1096,12 +1098,12 @@ impl DecisionService {
     /// 1. **Drain** — the phase swaps to *cutover* under the write lock, so
     ///    a submit either enqueued into the old epoch or parks. The old
     ///    epoch answers every accepted request and each shard writes its
-    ///    final [`GuardCheckpoint`] sidecar.
-    /// 2. **Transform** — [`transform_checkpoints`] rewrites the N sidecars
-    ///    as M: the fairness windows merged and re-split, the ε ledger
-    ///    dealt round-robin, stale sidecars removed.
+    ///    final [`GuardCheckpoint`](crate::GuardCheckpoint).
+    /// 2. **Transform** — [`transform_checkpoints`] replaces the N shards'
+    ///    document with M's in one atomic write: the fairness windows
+    ///    merged and re-split, the ε ledger dealt round-robin.
     /// 3. **Restart** — an epoch of M shards restores from the new
-    ///    sidecars. The model, feature source and cache, admission
+    ///    document. The model, feature source and cache, admission
     ///    controller, alert channel and audit sink belong to the service,
     ///    not the epoch, so the audit hash chain runs on unbroken.
     /// 4. **Replay** — the parked submits wake and enqueue into the new
@@ -1115,14 +1117,14 @@ impl DecisionService {
     /// sum-then-split exactly.
     ///
     /// Requires `guards`, `checkpoint` and an all-local topology — the
-    /// sidecars *are* the portable form of the guard state; without them,
+    /// document *is* the portable form of the guard state; without it,
     /// or with `to == 0`, it fails with [`ServeError::BadRequest`] before
     /// touching the running service. If the transform refuses — e.g. a
     /// successor would replay more ε than its budget allows (the ledger is
-    /// conserved, never truncated) — the service **rolls back**: the
-    /// refused transform wrote nothing, so it restarts on the untouched
-    /// sidecars at the old shard count and returns the error. Only if that
-    /// restart fails too does the service stop.
+    /// conserved, never truncated) or its write fails — the service
+    /// **rolls back**: the transform replaced nothing, so it restarts on the
+    /// untouched document at the old shard count and returns the error.
+    /// Only if that restart fails too does the service stop.
     pub fn reshard(&self, to: usize) -> Result<ReshardReport, ServeError> {
         let config = &self.inner.config;
         if to == 0 {
@@ -1131,7 +1133,7 @@ impl DecisionService {
         let (Some(guards), Some(checkpoint)) = (&config.guards, &config.checkpoint) else {
             return Err(ServeError::BadRequest(
                 "resharding requires guards and checkpoint in the config \
-                 (the sidecars carry the guard state across the cutover)"
+                 (the checkpoint carries the guard state across the cutover)"
                     .into(),
             ));
         };
@@ -1155,10 +1157,10 @@ impl DecisionService {
         let started = Instant::now();
         let from = old.routes.len();
         // Drain: every request accepted before the swap is answered and
-        // every shard writes its final sidecar.
+        // every shard writes its final checkpoint.
         let epoch = old.drain();
         life.drained.push(epoch.clone());
-        let transform = transform_checkpoints(&checkpoint.dir, from, to, guards.epsilon_budget);
+        let transform = transform_checkpoints(&checkpoint.dir, to, guards.epsilon_budget);
         let restarted = self.restart(if transform.is_ok() { to } else { from });
         let transform = transform?;
         let held = restarted?;
@@ -1172,8 +1174,8 @@ impl DecisionService {
         })
     }
 
-    /// Leave a cutover: plan an epoch of `shards` on the sidecars as they
-    /// now stand, launch it and serve it, or stop (loud, typed) if either
+    /// Leave a cutover: plan an epoch of `shards` on the guard state as it
+    /// now stands, launch it and serve it, or stop (loud, typed) if either
     /// fails rather than serve with unknown guard state. Returns how many
     /// parked submits the new epoch released.
     fn restart(&self, shards: usize) -> Result<u64, ServeError> {
@@ -1194,7 +1196,9 @@ impl DecisionService {
     pub fn request_checkpoint(&self) {
         if let Phase::Serving(epoch) = &*self.inner.phase.read().unwrap_or_else(|e| e.into_inner())
         {
-            epoch.checkpoint_gen.fetch_add(1, Ordering::Release);
+            if let Some(slots) = &epoch.guard_slots {
+                slots.requested.fetch_add(1, Ordering::Release);
+            }
         }
     }
 
@@ -1351,11 +1355,9 @@ struct ShardWorker {
     trip_cooldown: u64,
     /// Sender into the durable audit sink; `None` when auditing is off.
     audit: Option<AuditSinkHandle>,
-    /// Guard-state checkpoint cadence; `None` disables checkpointing.
-    checkpoint: Option<CheckpointConfig>,
-    /// Shared flush-request generation (see
-    /// [`DecisionService::request_checkpoint`]).
-    checkpoint_gen: Arc<AtomicU64>,
+    /// The epoch's guard-state slots, checkpoint cadence and flush
+    /// requests; `None` when guards or checkpointing are off.
+    checkpoint: Option<Arc<GuardSlots>>,
     /// Feeds served latencies into the admission controller's rolling
     /// window; `None` when admission control is off.
     admission: Option<Arc<AdmissionController>>,
@@ -1363,21 +1365,21 @@ struct ShardWorker {
 
 impl ShardWorker {
     /// Write a guard checkpoint if guards and checkpointing are both on,
-    /// and count it. Returns whether one was durably written; failures are
-    /// swallowed (serving outranks checkpoint freshness — the previous
-    /// checkpoint file is still intact).
+    /// and count it as written or failed. Returns whether it was durably
+    /// written; a failure does not stop serving (serving outranks
+    /// checkpoint freshness — the previous document is still intact).
     fn write_guard_checkpoint(&self, decisions: u64) -> bool {
-        let (Some(cfg), Some(guards)) = (&self.checkpoint, &self.guards) else {
+        let (Some(slots), Some(guards)) = (&self.checkpoint, &self.guards) else {
             return false;
         };
-        let written = GuardCheckpoint::capture(guards, self.shard, decisions, cfg.segment_events)
-            .ok()
-            .and_then(|ck| write_checkpoint(&cfg.dir, &ck).ok())
-            .is_some();
-        if written {
-            let m = self.metrics.shard(self.shard);
-            m.checkpoints.fetch_add(1, Ordering::Relaxed);
-        }
+        let written = slots.checkpoint(guards, self.shard, decisions);
+        let m = self.metrics.shard(self.shard);
+        let counter = if written {
+            &m.checkpoints
+        } else {
+            &m.checkpoint_failures
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         written
     }
 
@@ -1394,7 +1396,9 @@ impl ShardWorker {
             .resumed_at
             .load(Ordering::Relaxed);
         let mut last_checkpoint_at: u64 = base_decisions;
-        let mut seen_gen = self.checkpoint_gen.load(Ordering::Acquire);
+        // The epoch's generation starts at 0, so a flush requested before
+        // this thread first ran is still honoured.
+        let mut seen_gen = 0;
         // decision count until which the degrade policy stays engaged
         let mut degraded_until: u64 = 0;
         let mut batch: Vec<Job> = Vec::with_capacity(self.batch_max);
@@ -1531,10 +1535,12 @@ impl ShardWorker {
 
             // Periodic guard checkpoint at the batch boundary: on the
             // cadence, or when a flush was requested via the service.
-            if let Some(cfg) = &self.checkpoint {
+            if let Some(slots) = &self.checkpoint {
                 let decisions = base_decisions + served;
-                let gen = self.checkpoint_gen.load(Ordering::Acquire);
-                if decisions.saturating_sub(last_checkpoint_at) >= cfg.every || gen != seen_gen {
+                let gen = slots.requested.load(Ordering::Acquire);
+                if decisions.saturating_sub(last_checkpoint_at) >= slots.config.every
+                    || gen != seen_gen
+                {
                     if self.write_guard_checkpoint(decisions) {
                         last_checkpoint_at = decisions;
                     }
@@ -1882,6 +1888,7 @@ mod tests {
             (&local.batch_items, 5),
             (&local.alerts, 1),
             (&local.checkpoints, 3),
+            (&local.checkpoint_failures, 1),
             (&local.resumed_at, 100),
         ] {
             cell.store(v, relaxed);
@@ -1917,9 +1924,9 @@ mod tests {
 
         // the sections both renderings share, through one set of writers
         let table = concat!(
-            "shard  served  shed  throttle  timeout  reject  flagged  depth  depth_max  mean_batch  batches  alerts  eps_spent  checkpoints  resumed_at\n",
-            "    0       5     0         0        0       1        2      1          1        2.50        2       1     0.2500            3         100\n",
-            "    1       4     1         1        1       0        0      0          0        0.00        0       0     0.0000            0           0\n",
+            "shard  served  shed  throttle  timeout  reject  flagged  depth  depth_max  mean_batch  batches  alerts  eps_spent  checkpoints  ckpt_failed  resumed_at\n",
+            "    0       5     0         0        0       1        2      1          1        2.50        2       1     0.2500            3            1         100\n",
+            "    1       4     1         1        1       0        0      0          0        0.00        0       0     0.0000            0            0           0\n",
         );
         let layers = concat!(
             "cache hits=3 misses=1 neg_hits=0 evictions=0 coalesced=0 upstream=1 invalidated=0 hit_rate=0.750\n",

@@ -9,14 +9,14 @@ mod common;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{temp_dir, StubModel};
+use common::{guard_slots, temp_dir, StubModel};
 use fact_core::runtime::{Alert, GuardedStream};
 use fact_data::stream::InternetMinute;
 use fact_serve::audit_sink::parse_log;
 use fact_serve::testing::MemStorage;
 use fact_serve::{
-    load_checkpoint, AuditSinkConfig, CheckpointConfig, DecisionRequest, DecisionService,
-    DegradePolicy, GuardCheckpoint, GuardConfig, InlineFeatures, ServeConfig,
+    AuditSinkConfig, CheckpointConfig, DecisionRequest, DecisionService, DegradePolicy,
+    GuardCheckpoint, GuardConfig, InlineFeatures, ServeConfig,
 };
 
 const SEED: u64 = 42;
@@ -100,7 +100,7 @@ fn e9_stream_and_a_serving_shard_run_the_same_guards() {
 
     // the shard's final checkpoint and one captured from the stream agree
     // on the fairness window, the ε ledger and the DP counters
-    let shard = load_checkpoint(&dir, 0).unwrap().expect("final checkpoint");
+    let shard = guard_slots(&dir)[0].clone().expect("final checkpoint");
     let guards = stream.guards().expect("guarded stream");
     let captured = GuardCheckpoint::capture(guards, 0, N, SEGMENT_EVENTS).unwrap();
     assert_eq!(shard.window, captured.window);

@@ -2,7 +2,8 @@
 //! log opens, a sidecar is written or a worker spawns, so the audit path
 //! and the checkpoint directory stay byte-identical and no file appears,
 //! even after a detached worker would have had time to write its final
-//! checkpoint.
+//! checkpoint. So does a start on guard state it may not read: a document
+//! written by another shard count, or the per-shard files it replaced.
 
 mod common;
 
@@ -11,30 +12,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{temp_dir, StubModel};
+use common::{temp_dir, tree, StubModel};
 use fact_serve::{
-    AuditSinkConfig, CheckpointConfig, DecisionRequest, DecisionService, GuardConfig, ServeConfig,
-    ServeError, ShardSlot,
+    transform_checkpoints, AuditSinkConfig, CheckpointConfig, DecisionRequest, DecisionService,
+    GuardConfig, ServeConfig, ServeError, ShardSlot,
 };
-
-/// Every file under `dir` with its bytes, by path; empty when `dir` does
-/// not exist.
-fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
-    let mut files = BTreeMap::new();
-    let Ok(listing) = std::fs::read_dir(dir) else {
-        return files;
-    };
-    for entry in listing {
-        let path = entry.expect("dir entry").path();
-        if path.is_dir() {
-            files.extend(tree(&path));
-        } else {
-            let bytes = std::fs::read(&path).expect("read scratch file");
-            files.insert(path, bytes);
-        }
-    }
-    files
-}
 
 /// Two guarded local shards, checkpointing and auditing under `dir`.
 fn config(dir: &Path) -> ServeConfig {
@@ -110,5 +92,72 @@ fn a_refused_start_leaves_the_audit_log_and_sidecars_untouched() {
             );
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A start whose shard count differs from the one that wrote the
+/// guard-state document is refused in both directions, and so is a start
+/// on a directory in the per-shard layout (`shard-N.json`, no document),
+/// which the offline transform refuses too. No file changes.
+#[test]
+fn a_start_on_another_shard_count_or_the_old_layout_touches_nothing() {
+    let dir = temp_dir("refused-count");
+    let service = DecisionService::start(Arc::new(StubModel), config(&dir)).unwrap();
+    for key in 0..200u64 {
+        service
+            .decide(DecisionRequest {
+                features: vec![if key % 3 == 0 { 0.9 } else { 0.1 }],
+                group_b: key % 2 == 0,
+                route_key: key,
+                tenant: 0,
+            })
+            .unwrap();
+    }
+    assert!(service.shutdown().epsilon_spent > 0.0);
+    let unchanged = |before: &BTreeMap<PathBuf, Vec<u8>>, what: &str| {
+        std::thread::sleep(Duration::from_millis(300));
+        assert!(tree(&dir) == *before, "{what}: a file changed");
+    };
+
+    let before = tree(&dir);
+    for shards in [1, 3] {
+        let err = DecisionService::start(
+            Arc::new(StubModel),
+            ServeConfig {
+                shards,
+                ..config(&dir)
+            },
+        )
+        .err()
+        .unwrap_or_else(|| panic!("a {shards}-shard start on 2 shards' state ran"));
+        let asks = format!("asks for {shards}");
+        assert!(
+            matches!(&err, ServeError::BadRequest(msg)
+                if msg.contains("written by 2 shard(s)") && msg.contains(&asks)),
+            "{err}"
+        );
+        unchanged(&before, &format!("{shards} shards"));
+    }
+
+    let ckpt = dir.join("ckpt");
+    std::fs::remove_file(ckpt.join("guards.json")).unwrap();
+    for k in 0..2 {
+        std::fs::write(ckpt.join(format!("shard-{k}.json")), b"{}").unwrap();
+    }
+    let before = tree(&dir);
+    let old_layout = |err: ServeError| {
+        assert!(
+            matches!(&err, ServeError::BadRequest(msg)
+                if msg.contains("shard-0.json, shard-1.json") && msg.contains("guards.json")),
+            "{err}"
+        );
+    };
+    old_layout(
+        DecisionService::start(Arc::new(StubModel), config(&dir))
+            .err()
+            .expect("a start on the per-shard layout ran"),
+    );
+    old_layout(transform_checkpoints(&ckpt, 1, 1.0).unwrap_err());
+    unchanged(&before, "per-shard layout");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,14 +9,14 @@ mod common;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{temp_dir, StubModel};
+use common::{guard_slots, temp_dir, StubModel};
 use fact_core::runtime::Guards;
 use fact_data::FactError;
 use fact_net::{Server, ShardHandler};
 use fact_serve::service::NetShardHandler;
 use fact_serve::{
-    load_checkpoint, CheckpointConfig, DecisionRequest, DecisionService, GuardConfig, ServeConfig,
-    ServeError, ShardSlot,
+    CheckpointConfig, DecisionRequest, DecisionService, GuardConfig, ServeConfig, ServeError,
+    ShardSlot,
 };
 
 /// Probability = first feature.
@@ -67,7 +67,7 @@ fn restart_resumes_fairness_window_and_epsilon_ledger() {
     // 1000 decisions at dp_interval 100 → ε was spent
     assert!(report1.epsilon_spent > 0.0);
 
-    let ck = load_checkpoint(&dir, 0).unwrap().expect("final checkpoint");
+    let ck = guard_slots(&dir)[0].clone().expect("final checkpoint");
     assert_eq!(ck.decisions, 1000);
     assert_eq!(ck.ledger.len(), 10);
     // the window carries real counts (last 500 events, segment-summarized)
@@ -86,7 +86,7 @@ fn restart_resumes_fairness_window_and_epsilon_ledger() {
         report2.epsilon_spent,
         report1.epsilon_spent
     );
-    let ck2 = load_checkpoint(&dir, 0).unwrap().unwrap();
+    let ck2 = guard_slots(&dir)[0].clone().unwrap();
     assert_eq!(
         ck2.decisions, 1250,
         "lifetime decision count survives restarts"
@@ -99,7 +99,7 @@ fn restart_resumes_fairness_window_and_epsilon_ledger() {
 fn corrupt_checkpoint_fails_startup_loudly() {
     let dir = temp_dir("corrupt");
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(fact_serve::checkpoint_path(&dir, 0), b"{ torn").unwrap();
+    std::fs::write(dir.join("guards.json"), b"{ torn").unwrap();
     let err = match DecisionService::start(Arc::new(StubModel), guarded_config(&dir)) {
         Ok(_) => panic!("startup over a torn checkpoint must fail"),
         Err(e) => e,
@@ -127,7 +127,7 @@ fn restore_replays_the_ledger_into_the_configured_budget() {
     let service = DecisionService::start(Arc::new(StubModel), guarded_config(&dir)).unwrap();
     drive(&service, 1000);
     let spent = service.shutdown().epsilon_spent;
-    let ck = load_checkpoint(&dir, 0).unwrap().unwrap();
+    let ck = guard_slots(&dir)[0].clone().unwrap();
     assert_eq!(ck.ledger.len(), 10);
 
     // the ledger does not fit a budget below what it spent: the guard set
@@ -151,7 +151,7 @@ fn restore_replays_the_ledger_into_the_configured_budget() {
     let report = service.shutdown();
     assert_eq!(report.shards[0].resumed_at, 1000);
     assert_eq!(report.epsilon_spent, spent);
-    let ck2 = load_checkpoint(&dir, 0).unwrap().unwrap();
+    let ck2 = guard_slots(&dir)[0].clone().unwrap();
     assert_eq!(ck2.ledger, ck.ledger);
     assert_eq!(ck2.budget_epsilon, 2.0);
     let _ = std::fs::remove_dir_all(&dir);

@@ -9,12 +9,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{temp_dir, StubModel};
+use common::{guard_slots, temp_dir, tree, write_guard_state, StubModel};
 use fact_net::{RemoteShard, Server, ShardHandler};
 use fact_serve::{
-    load_checkpoint, transform_checkpoints, write_checkpoint, CheckpointConfig, DecisionRequest,
-    DecisionService, GuardCheckpoint, GuardConfig, LedgerEntry, NetShardHandler, ServeConfig,
-    ServeError,
+    transform_checkpoints, CheckpointConfig, DecisionRequest, DecisionService, GuardCheckpoint,
+    GuardConfig, LedgerEntry, NetShardHandler, ServeConfig, ServeError,
 };
 
 /// Probability = first feature.
@@ -79,34 +78,38 @@ fn transform_conserves_counts_ledger_and_decisions() {
     // 4 uneven shards, shrink to 3 then grow to 8
     let mut pre_decisions = 0;
     let mut pre_ledger = 0;
+    let mut cks = Vec::new();
     for shard in 0..4u64 {
         let ck = sidecar(shard, 100 + shard * 37, 3 + shard as usize, 0.01);
         pre_decisions += ck.decisions;
         pre_ledger += ck.ledger.len() as u64;
-        write_checkpoint(&dir, &ck).unwrap();
+        cks.push(ck);
     }
+    write_guard_state(&dir, cks);
 
-    let shrink = transform_checkpoints(&dir, 4, 3, 1.0).unwrap();
+    let shrink = transform_checkpoints(&dir, 3, 1.0).unwrap();
     assert_eq!(shrink.pre_counts, shrink.post_counts, "window conservation");
     assert_eq!(shrink.pre_decisions, pre_decisions);
     assert_eq!(shrink.post_decisions, pre_decisions);
     assert_eq!(shrink.ledger_entries, pre_ledger);
-    // the stale 4th sidecar is gone so a later grow cannot resurrect it
-    assert!(load_checkpoint(&dir, 3).unwrap().is_none());
+    // the 4th slot is gone so a later grow cannot resurrect it
+    assert_eq!(guard_slots(&dir).len(), 3);
 
-    // every surviving sidecar is loadable and the ledgers sum back
-    let total_ledger: usize = (0..3)
-        .map(|s| load_checkpoint(&dir, s).unwrap().unwrap().ledger.len())
+    // every surviving slot is loadable and the ledgers sum back
+    let total_ledger: usize = (guard_slots(&dir).into_iter())
+        .map(|ck| ck.unwrap().ledger.len())
         .sum();
     assert_eq!(total_ledger as u64, pre_ledger);
 
-    let grow = transform_checkpoints(&dir, 3, 8, 1.0).unwrap();
+    let grow = transform_checkpoints(&dir, 8, 1.0).unwrap();
     assert_eq!(grow.pre_counts, shrink.post_counts, "chained transforms");
     assert_eq!(grow.pre_counts, grow.post_counts);
     assert_eq!(grow.post_decisions, pre_decisions);
     assert_eq!(grow.ledger_entries, pre_ledger);
-    for s in 0..8 {
-        assert!(load_checkpoint(&dir, s).unwrap().is_some(), "sidecar {s}");
+    let slots = guard_slots(&dir);
+    assert_eq!(slots.len(), 8);
+    for (s, ck) in slots.iter().enumerate() {
+        assert!(ck.is_some(), "slot {s}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -117,18 +120,15 @@ fn transform_refuses_over_budget_successor_without_writing() {
     std::fs::create_dir_all(&dir).unwrap();
     // 4 shards × 30 entries × 0.01 ε = 1.2 ε total; into 1 successor that
     // exceeds the 1.0 budget, so the shrink must refuse
-    for shard in 0..4u64 {
-        write_checkpoint(&dir, &sidecar(shard, 200, 30, 0.01)).unwrap();
-    }
-    let before = load_checkpoint(&dir, 0).unwrap().unwrap();
-    let err = transform_checkpoints(&dir, 4, 1, 1.0).unwrap_err();
+    write_guard_state(&dir, (0..4).map(|s| sidecar(s, 200, 30, 0.01)).collect());
+    let before = guard_slots(&dir);
+    let err = transform_checkpoints(&dir, 1, 1.0).unwrap_err();
     assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
     assert!(err.to_string().contains("budget"), "{err}");
-    // nothing was written: sidecar 0 is untouched and 1..4 still exist
-    assert_eq!(load_checkpoint(&dir, 0).unwrap().unwrap(), before);
-    assert!(load_checkpoint(&dir, 3).unwrap().is_some());
+    // nothing was written: all 4 slots are untouched
+    assert_eq!(guard_slots(&dir), before);
     // spreading the same ledger over 2 successors fits (0.6 each)
-    transform_checkpoints(&dir, 4, 2, 1.0).unwrap();
+    transform_checkpoints(&dir, 2, 1.0).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -137,34 +137,25 @@ fn transform_judges_successors_against_the_configured_budget() {
     let dir = temp_dir("configured-budget");
     std::fs::create_dir_all(&dir).unwrap();
     // sidecars written under ε-budget 1.0 holding 4 × 30 × 0.01 = 1.2 ε
-    for shard in 0..4u64 {
-        write_checkpoint(&dir, &sidecar(shard, 200, 30, 0.01)).unwrap();
-    }
-    let before: Vec<GuardCheckpoint> = (0..4)
-        .map(|s| load_checkpoint(&dir, s).unwrap().unwrap())
-        .collect();
+    write_guard_state(&dir, (0..4).map(|s| sidecar(s, 200, 30, 0.01)).collect());
+    let before = guard_slots(&dir);
     // configured at 0.3, a split into 2 replays 0.6 into each successor:
     // refused although the sidecars' own budget of 1.0 would allow it
-    let err = transform_checkpoints(&dir, 4, 2, 0.3).unwrap_err();
+    let err = transform_checkpoints(&dir, 2, 0.3).unwrap_err();
     assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
     assert!(err.to_string().contains("budget 0.3000"), "{err}");
-    for (s, ck) in before.iter().enumerate() {
-        assert_eq!(
-            &load_checkpoint(&dir, s).unwrap().unwrap(),
-            ck,
-            "sidecar {s}"
-        );
-    }
+    assert_eq!(guard_slots(&dir), before);
     // one successor holding all 1.2 ε: over 1.0, within a configured 2.0
-    assert!(transform_checkpoints(&dir, 4, 1, 1.0).is_err());
-    transform_checkpoints(&dir, 4, 1, 2.0).unwrap();
-    let merged = load_checkpoint(&dir, 0).unwrap().unwrap();
+    assert!(transform_checkpoints(&dir, 1, 1.0).is_err());
+    transform_checkpoints(&dir, 1, 2.0).unwrap();
+    let slots = guard_slots(&dir);
+    let merged = slots[0].clone().unwrap();
     assert_eq!(merged.ledger.len(), 120);
     assert_eq!(
         merged.budget_epsilon, 2.0,
         "the successor records the budget"
     );
-    assert!(load_checkpoint(&dir, 1).unwrap().is_none());
+    assert_eq!(slots.len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -243,9 +234,9 @@ fn reshard_grows_and_shrinks_under_concurrent_load_without_losing_decisions() {
     assert_eq!(issued.load(Ordering::Relaxed), ok.load(Ordering::Relaxed));
     assert_eq!(served, ok.load(Ordering::Relaxed), "zero lost decisions");
     // lifetime decisions survived both transforms into the final sidecars
-    let ck_total: u64 = (0..3)
-        .map(|s| load_checkpoint(&dir, s).unwrap().unwrap().decisions)
-        .sum();
+    let slots = guard_slots(&dir);
+    assert_eq!(slots.len(), 3);
+    let ck_total: u64 = slots.into_iter().map(|ck| ck.unwrap().decisions).sum();
     assert_eq!(ck_total, served);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -264,13 +255,12 @@ fn slow_release_config(shards: usize, ckpt_dir: &std::path::Path) -> ServeConfig
     }
 }
 
-/// ε of every sidecar ledger in `dir`, summed shard by shard.
+/// ε of every ledger in `dir`'s `shards` slots, summed shard by shard.
 fn sidecar_epsilon(dir: &std::path::Path, shards: usize) -> f64 {
-    (0..shards)
-        .map(|s| {
-            let ck = load_checkpoint(dir, s).unwrap().unwrap();
-            ck.ledger.iter().map(|e| e.epsilon).sum::<f64>()
-        })
+    let slots = guard_slots(dir);
+    assert_eq!(slots.len(), shards);
+    (slots.into_iter())
+        .map(|ck| ck.unwrap().ledger.iter().map(|e| e.epsilon).sum::<f64>())
         .sum()
 }
 
@@ -371,11 +361,7 @@ fn a_restart_with_fewer_shards_than_sidecars_is_refused() {
     }
     let spent = first.shutdown().epsilon_spent;
     assert!(spent > 0.0);
-    let sidecars = || -> Vec<Vec<u8>> {
-        (0..2)
-            .map(|s| std::fs::read(fact_serve::checkpoint_path(&dir, s)).unwrap())
-            .collect()
-    };
+    let sidecars = || -> Vec<u8> { std::fs::read(dir.join("guards.json")).unwrap() };
     let written = sidecars();
 
     // one shard would drop shard 1's ledger and refund its ε
@@ -384,7 +370,8 @@ fn a_restart_with_fewer_shards_than_sidecars_is_refused() {
         .expect("a 1-shard start on a 2-shard set is refused");
     assert!(
         matches!(&err, ServeError::BadRequest(msg)
-            if msg.contains("shard-1.json") && msg.contains("reshard")),
+            if msg.contains("written by 2 shard(s)") && msg.contains("asks for 1")
+                && msg.contains("reshard")),
         "{err}"
     );
     assert_eq!(sidecars(), written, "the refusal touches no sidecar");
@@ -497,13 +484,98 @@ fn over_budget_shrink_rolls_back_and_keeps_serving() {
     // sidecars still carry the full 4-shard state
     assert_eq!(service.shards(), 4);
     service.decide(request(9_999)).unwrap();
-    let total: u64 = (0..4)
-        .map(|s| load_checkpoint(&dir, s).unwrap().unwrap().decisions)
-        .sum();
+    let slots = guard_slots(&dir);
+    assert_eq!(slots.len(), 4);
+    let total: u64 = slots.into_iter().map(|ck| ck.unwrap().decisions).sum();
     assert_eq!(total, 600, "drained sidecars survive the refusal untouched");
     // a feasible target still works after the refusal
     let report = service.reshard(8).unwrap();
     assert_eq!(report.transform.pre_counts, report.transform.post_counts);
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run 1 of a restart test: `shards` shards serve 1,000 decisions, spend
+/// ε, and leave their final state in `dir`.
+fn serve_and_stop(shards: usize, dir: &std::path::Path) {
+    let first = DecisionService::start(Arc::new(StubModel), config(shards, dir)).unwrap();
+    for i in 0..1_000 {
+        first.decide(request(i)).unwrap();
+    }
+    assert!(first.shutdown().epsilon_spent > 0.0);
+}
+
+/// Wait up to 10 s for `done` to hold over the service's metrics.
+fn wait_until(service: &DecisionService, done: impl Fn(&fact_serve::MetricsSnapshot) -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !done(&service.metrics()) {
+        assert!(std::time::Instant::now() < deadline, "timed out");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn a_failed_transform_write_leaves_the_document_and_rolls_back() {
+    let dir = temp_dir("failed-write");
+    serve_and_stop(2, &dir);
+    let service = DecisionService::start(Arc::new(StubModel), config(2, &dir)).unwrap();
+    let live = service.metrics().epsilon_spent;
+    // a directory where the document's temp file goes fails every write
+    // of the document: the drained shards' final ones and the transform's
+    std::fs::create_dir(dir.join("guards.json.tmp")).unwrap();
+    let before = tree(&dir);
+
+    let err = service.reshard(3).unwrap_err();
+    assert!(
+        matches!(&err, ServeError::Internal(msg) if msg.contains("guards.json")),
+        "{err}"
+    );
+    assert!(tree(&dir) == before, "the failed transform changed a file");
+    // rolled back onto the untouched document: 2 shards, the same ε
+    assert_eq!(service.shards(), 2);
+    assert_eq!(service.metrics().epsilon_spent.to_bits(), live.to_bits());
+
+    // a failed periodic write is counted, and serving goes on
+    service.request_checkpoint();
+    for i in 0..20 {
+        service.decide(request(i)).unwrap();
+    }
+    wait_until(&service, |m| {
+        m.shards.iter().any(|s| s.checkpoint_failures > 0)
+    });
+    assert!(tree(&dir) == before);
+
+    std::fs::remove_dir(dir.join("guards.json.tmp")).unwrap();
+    let grow = service.reshard(3).unwrap();
+    assert_eq!(grow.transform.pre_counts, grow.transform.post_counts);
+    let report = service.shutdown();
+    assert_eq!(report.epsilon_spent, sidecar_epsilon(&dir, 3));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_shard_that_has_not_checkpointed_keeps_its_restored_state_in_the_document() {
+    let dir = temp_dir("idle-slot");
+    serve_and_stop(2, &dir);
+    let restored = guard_slots(&dir);
+    let service = DecisionService::start(Arc::new(StubModel), config(2, &dir)).unwrap();
+    // a key routed to shard 0 (a probe served by shard 1 stays far below
+    // its 200-decision cadence)
+    let key = (0u64..)
+        .find(|&k| service.decide(request(k)).unwrap().shard == 0)
+        .unwrap();
+    for _ in 0..400 {
+        service.decide(request(key)).unwrap();
+    }
+    wait_until(&service, |m| m.shards[0].checkpoints > 0);
+    assert_eq!(service.metrics().shards[1].checkpoints, 0);
+
+    // shard 0 rewrote the document; shard 1's slot is still its restored
+    // ledger and window
+    let slots = guard_slots(&dir);
+    assert!(slots[0].as_ref().unwrap().decisions > restored[0].as_ref().unwrap().decisions);
+    assert_eq!(slots[1], restored[1]);
+    assert!(!restored[1].as_ref().unwrap().ledger.is_empty());
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,33 +19,38 @@
 #                             so a fact-serve API change that breaks it
 #                             fails here
 #   6. cargo doc              workspace rustdoc, warnings are errors
-#   7. exp_e9 --smoke         guarded stream: exact debounced fairness-alert
+#   7. exp_e3 --smoke         multiple testing on noise: Holm keeps FWER
+#                             within alpha + 3 binomial sigma at every m,
+#                             uncorrected FWER reaches 0.9 by m = 400, and
+#                             naive discoveries at m = 5000 sit within
+#                             4 sigma of alpha*m
+#   8. exp_e9 --smoke         guarded stream: exact debounced fairness-alert
 #                             and DP-release counts, sampled audit entries
 #                             and the last alert's DI bit for bit
-#   8. guard examples         run examples/production_monitoring.rs and
+#   9. guard examples         run examples/production_monitoring.rs and
 #                             examples/serving.rs, the two examples that
 #                             drive the guard API; a non-zero exit fails
-#   9. exp_e12 --smoke        parallel kernels bit-identical to sequential
-#  10. exp_e11 --smoke        guarded serving under open-loop load: every
+#  10. exp_e12 --smoke        parallel kernels bit-identical to sequential
+#  11. exp_e11 --smoke        guarded serving under open-loop load: every
 #                             submit of every trial is either served or
 #                             refused at admission (a conservation check)
-#  11. audit_recovery smoke   kill the audit writer mid-batch, restart,
+#  12. audit_recovery smoke   kill the audit writer mid-batch, restart,
 #                             assert the hash chain verifies and loss is
 #                             bounded by one batch (tests + exp_e13 --smoke)
-#  12. exp_e14 --smoke        feature cache: >=5x steady-state speedup,
+#  13. exp_e14 --smoke        feature cache: >=5x steady-state speedup,
 #                             warm keys bridge a store outage, negative
 #                             cache bounds upstream probes
-#  13. exp_e15 --smoke        segmented audit rotation: recovery bytes-read
+#  14. exp_e15 --smoke        segmented audit rotation: recovery bytes-read
 #                             stays one segment as the log grows 10x, every
 #                             segment verifies standalone, a kill at the
 #                             segment boundary loses nothing silently
-#  14. exp_e16 --smoke        cross-process serving: spawn a fact-shardd
+#  15. exp_e16 --smoke        cross-process serving: spawn a fact-shardd
 #                             worker over a tempdir Unix socket, SIGKILL it
 #                             under load, respawn, assert the fairness
 #                             window + ε ledger resume from checkpoint with
 #                             bounded loss and the audit chain verifies
 #                             across the crash
-#  15. exp_e17 --smoke        columnar segments: roundtrip + aggregates
+#  16. exp_e17 --smoke        columnar segments: roundtrip + aggregates
 #                             bit-identical at 1/2/4 workers, zone maps
 #                             prune >=half the segments under a selective
 #                             predicate, column-pruned scans read <half
@@ -53,38 +58,38 @@
 #                             and the intersectional audit over segments
 #                             equals the in-memory one while reading
 #                             <half the stored bytes
-#  16. exp_e18 --smoke        adaptive admission: open-loop overload where
+#  17. exp_e18 --smoke        adaptive admission: open-loop overload where
 #                             the static queue bound blows p99 >=4x past
 #                             target while the AIMD controller holds <=2x,
 #                             a flooding tenant is throttled while a quiet
 #                             one completes >=95%, and a spawned
 #                             fact-shardd enforces quotas with typed
 #                             Throttled errors across the wire
-#  17. exp_e19 --smoke        live resharding: 4 -> 8 -> 3 cutovers under
+#  18. exp_e19 --smoke        live resharding: 4 -> 8 -> 3 cutovers under
 #                             concurrent load with zero lost decisions,
 #                             cell-exact fairness-window + ε-ledger
 #                             conservation across the transform, and a
 #                             continuous audit chain
-#  18. exp_e20 --smoke        audit archiving: background compaction of a
+#  19. exp_e20 --smoke        audit archiving: background compaction of a
 #                             10x-rotated log keeps the writer batch p99
 #                             within 5% of the archiver-off baseline,
 #                             every archive decodes byte-identically
 #                             (sha256-checked), and a SIGKILL mid-archive
 #                             recovers with zero provably-lost entries —
 #                             original xor verified archive, never neither
-#  19. doc-link check         every PROTOCOL.md / OPERATIONS.md section
+#  20. doc-link check         every PROTOCOL.md / OPERATIONS.md section
 #                             anchor referenced from the crate rustdoc
 #                             resolves to a real heading
-#  20. harness-kit check      no experiment binary or root integration test
+#  21. harness-kit check      no experiment binary or root integration test
 #                             defines a helper fact_bench::kit owns again
 #                             (worker spawn, models, lending workloads),
 #                             and every exp_* binary with a `fn main`
 #                             parses its arguments with kit::Mode
-#  21. storage-seam check     no non-test code under crates/serve/src
+#  22. storage-seam check     no non-test code under crates/serve/src
 #                             touches std::fs outside checkpoint.rs (guard
-#                             sidecars) and audit_sink/storage.rs (audit
+#                             state) and audit_sink/storage.rs (audit
 #                             segments), so on-disk state has two owners
-#  22. surface report         non-test LoC, crate-root `pub use` names and
+#  23. surface report         non-test LoC, crate-root `pub use` names and
 #                             public types per crate (scripts/surface.sh);
 #                             report only, it fails nothing
 #
@@ -111,6 +116,9 @@ cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline -q --workspace --no-deps
+
+echo "==> exp_e3 --smoke (multiple-testing FWER claim gate)"
+cargo run --offline -q -p fact-bench --bin exp_e3 -- --smoke
 
 echo "==> exp_e9 --smoke (guarded-stream exact-verdict gate)"
 cargo run --offline -q -p fact-bench --bin exp_e9 -- --smoke

@@ -7,17 +7,21 @@
 //! `ShardSlot::Remote(socket)` or `ShardSlot::RemoteTcp(addr)` routes
 //! decisions here exactly as it would to an in-process worker thread.
 //!
-//! Guard state (fairness window, ε ledger, DP counters) is checkpointed to
-//! sidecar files in `--checkpoint-dir` every `--checkpoint-every` decisions
-//! and on graceful shutdown. On startup each shard restores from its
-//! sidecar if one exists, so a respawned worker *resumes* its monitors
-//! instead of silently resetting them — after a hard kill the loss is
-//! bounded by the checkpoint interval.
+//! Guard state (fairness window, ε ledger, DP counters) is checkpointed
+//! into one document, `guards.json` in `--checkpoint-dir`, every
+//! `--checkpoint-every` decisions and on graceful shutdown; each shard
+//! owns one slot and the document is replaced atomically as a whole. On
+//! startup each shard restores from its slot if the document exists, so a
+//! respawned worker *resumes* its monitors instead of silently resetting
+//! them — after a hard kill the loss is bounded by the checkpoint
+//! interval. The document records the shard count that wrote it: a start
+//! with another `--shards`, or on a directory of the older per-shard
+//! `shard-N.json` files, exits 1 without touching a file.
 //!
 //! A `Control {"command":"reshard <M>"}` frame runs
 //! `DecisionService::reshard` on the hosted service: it drains the current
-//! topology, transforms the checkpoint sidecars from N to M shards
-//! (conserving the fairness windows and ε ledgers), and restarts with M
+//! topology, transforms the guard-state document from N to M shards in one
+//! atomic write (conserving the fairness windows and ε ledgers), and restarts with M
 //! shards while the audit log stays open — requests that arrive during the
 //! cutover are held up to `--reshard-hold-ms` and replayed, never silently
 //! dropped.
@@ -49,7 +53,8 @@ options:
   --tcp ADDR               TCP host:port to listen on (port 0 picks one;
                            the resolved address is printed at startup);
                            may be combined with --socket
-  --checkpoint-dir DIR     guard-state sidecar directory (required)
+  --checkpoint-dir DIR     guard-state directory: one guards.json for all
+                           shards, written by this --shards (required)
   --shards N               worker shards to host            [default: 2]
   --n-features N           feature-vector length            [default: 8]
   --checkpoint-every N     decisions between checkpoints    [default: 500]

@@ -15,7 +15,7 @@ use fact_core::runtime::Guards;
 use fact_data::Matrix;
 use fact_ml::Classifier;
 use fact_net::{ControlAckWire, FrameKind, RemoteShard, RequestWire, ResponseWire};
-use fact_serve::{write_checkpoint, GuardCheckpoint, GuardConfig};
+use fact_serve::{GuardCheckpoint, GuardConfig, GuardState};
 
 fn shardd() -> &'static Path {
     Path::new(env!("CARGO_BIN_EXE_fact-shardd"))
@@ -141,9 +141,12 @@ fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
     files
 }
 
-/// A start with sidecars past `--shards` is refused before the audit log
-/// opens: exit 1, no audit log created, the sidecars byte-identical, and
-/// no file written, even some time after the exit.
+/// A start whose `--shards` differs from the shard count that wrote the
+/// guard-state document, fewer or more, is refused before the audit log
+/// opens: exit 1 naming both counts, no audit log created, the document
+/// byte-identical, and no file written, even some time after the exit. A
+/// directory in the per-shard layout (`shard-N.json`, no document) is
+/// refused the same way, naming its files.
 #[test]
 fn sidecars_past_shards_exit_1_without_touching_a_file() {
     let dir = ScratchDir::new("shardd-past-shards");
@@ -153,25 +156,41 @@ fn sidecars_past_shards_exit_1_without_touching_a_file() {
         dir.join("audit.jsonl"),
     );
     let guards = Guards::new(&GuardConfig::default(), 0).expect("default guards");
-    for shard in 0..4 {
-        let ck = GuardCheckpoint::capture(&guards, shard, 10 * shard as u64, 128).unwrap();
-        write_checkpoint(&ckpt, &ck).expect("write sidecar");
-    }
-    let before = tree(dir.path());
+    let shards = (0..4)
+        .map(|shard| {
+            Some(GuardCheckpoint::capture(&guards, shard, 10 * shard as u64, 128).unwrap())
+        })
+        .collect();
+    GuardState { shards }
+        .write(&ckpt)
+        .expect("write guard state");
     let path = |p: &Path| p.to_str().expect("utf-8 scratch path").to_string();
-    let out = Command::new(shardd())
-        .args(["--socket", &path(&sock), "--checkpoint-dir", &path(&ckpt)])
-        .args(["--shards", "2", "--audit", &path(&audit)])
-        .output()
-        .expect("spawn fact-shardd");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("shard-3.json"), "{stderr}");
-    std::thread::sleep(Duration::from_millis(300));
-    assert!(!audit.exists(), "the audit log was created");
-    let after = tree(dir.path());
-    assert!(after.keys().eq(before.keys()), "{:?}", after.keys());
-    assert!(after == before, "a refused start changed a sidecar");
+    let refused = |shards: &str, needles: &[&str]| {
+        let before = tree(dir.path());
+        let out = Command::new(shardd())
+            .args(["--socket", &path(&sock), "--checkpoint-dir", &path(&ckpt)])
+            .args(["--shards", shards, "--audit", &path(&audit)])
+            .output()
+            .expect("spawn fact-shardd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        for needle in needles {
+            assert!(stderr.contains(needle), "{stderr}");
+        }
+        std::thread::sleep(Duration::from_millis(300));
+        assert!(!audit.exists(), "the audit log was created");
+        let after = tree(dir.path());
+        assert!(after.keys().eq(before.keys()), "{:?}", after.keys());
+        assert!(after == before, "a refused start changed the guard state");
+    };
+    refused("2", &["written by 4 shard(s)", "asks for 2"]);
+    refused("6", &["written by 4 shard(s)", "asks for 6"]);
+
+    std::fs::remove_file(ckpt.join("guards.json")).expect("remove the document");
+    for k in 0..2 {
+        std::fs::write(ckpt.join(format!("shard-{k}.json")), b"{}").expect("write old file");
+    }
+    refused("2", &["shard-0.json, shard-1.json", "guards.json"]);
 }
 
 /// Decide `features` for `key` through `client`; returns the worker's
