@@ -56,7 +56,7 @@ fn checkpoint_totals(dir: &Path) -> (u64, usize, f64) {
     for ck in state.into_iter().flat_map(|s| s.shards).flatten() {
         decisions += ck.decisions;
         ledger += ck.ledger.len();
-        window_events += ck.window.total_events() as f64;
+        window_events += ck.window.len() as f64;
     }
     (decisions, ledger, window_events)
 }

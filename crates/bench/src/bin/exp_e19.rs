@@ -73,11 +73,10 @@ fn local_phase(per_epoch: u64) {
                 dp_interval: DP_INTERVAL,
                 ..GuardConfig::default()
             }),
-            checkpoint: Some(CheckpointConfig {
-                dir: dir.join("checkpoints"),
-                every: CHECKPOINT_EVERY,
-                segment_events: 100,
-            }),
+            checkpoint: Some(CheckpointConfig::new(
+                dir.join("checkpoints"),
+                CHECKPOINT_EVERY,
+            )),
             audit: Some(AuditSinkConfig {
                 path: dir.join("audit.jsonl"),
                 ..AuditSinkConfig::default()

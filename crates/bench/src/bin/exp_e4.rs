@@ -5,6 +5,11 @@
 //!
 //! Berkeley-style admissions; the auditor must flag the reversal, and a
 //! placebo stratifier must not be flagged.
+//!
+//! The claim's shape is asserted in every mode (`--smoke` runs in full):
+//! the aggregate gap favors men by more than 8pp, the department-adjusted
+//! gap favors women, the department stratifier reports the reversal and
+//! the coin does not.
 
 use fact_accuracy::simpson::{audit_simpson, scan_stratifiers};
 use fact_data::synth::admissions::{generate_admissions, AdmissionsConfig};
@@ -69,4 +74,22 @@ fn main() {
         "\nExpected shape: aggregate favors men by >8pp; within departments women\n\
          match or lead; the department stratifier flags the reversal, the coin does not."
     );
+
+    assert!(
+        rep.aggregate_difference > 0.08,
+        "aggregate gap {:+.3} does not favor men by >8pp",
+        rep.aggregate_difference
+    );
+    assert!(
+        rep.adjusted_difference < 0.0,
+        "department-adjusted gap {:+.3} does not favor women",
+        rep.adjusted_difference
+    );
+    let reversal = |stratifier: &str| {
+        let scan = scans.iter().find(|s| s.stratifier == stratifier);
+        scan.unwrap_or_else(|| panic!("no scan of {stratifier}"))
+            .reversal
+    };
+    assert!(reversal("department"), "the department reversal was missed");
+    assert!(!reversal("coin"), "the placebo coin reported a reversal");
 }

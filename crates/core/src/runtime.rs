@@ -22,7 +22,6 @@ use crate::drift::{DriftAlert, DriftMonitor};
 
 use fact_confidentiality::mechanisms::laplace_noise;
 use fact_confidentiality::PrivacyAccountant;
-use fact_fairness::WindowSummary;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -269,35 +268,43 @@ impl StreamingFairnessMonitor {
         self.len == 0
     }
 
-    /// Export the window contents as a mergeable [`WindowSummary`] at
-    /// `segment_events` resolution — the checkpoint/merge form a shard
-    /// serializes before shutdown and other shards can combine.
-    pub fn summary(&self, segment_events: usize) -> Result<WindowSummary> {
+    /// The window's events oldest first, one character `0`–`3` per event:
+    /// the event's code (bit 1 = group B, bit 0 = favorable). This is the
+    /// checkpoint form, at most `window` bytes.
+    pub fn codes(&self) -> String {
         // oldest first: `ring[head..len]` is empty until the window has
         // filled (then `head == len`), and the older half once it has
-        let events = self.ring[self.head..self.len]
-            .iter()
+        (self.ring[self.head..self.len].iter())
             .chain(&self.ring[..self.head])
-            .map(|&c| (c & CODE_GROUP_B != 0, c & CODE_FAVORABLE != 0));
-        WindowSummary::from_events(self.window as u64, segment_events as u64, events)
+            .map(|&code| char::from(b'0' + code))
+            .collect()
     }
 
-    /// Rebuild the window from a checkpointed summary by replaying its
-    /// resynthesized events (verdicts during replay are discarded — their
-    /// alerts were already raised, and acted on, before the checkpoint).
-    /// Window size, DI threshold and sample floor stay as constructed;
-    /// per-segment counts are restored exactly, ordering within a segment
-    /// is not (the documented one-segment resolution loss).
-    pub fn restore(&mut self, summary: &WindowSummary) {
+    /// Rebuild the window from [`codes`](Self::codes) by replaying the
+    /// newest `window` of them (verdicts during replay are discarded —
+    /// their alerts were already raised, and acted on, before the
+    /// checkpoint). The restored window is the captured one, event for
+    /// event, so both give the same verdict on every later event. Window
+    /// size, DI threshold and sample floor stay as constructed. A
+    /// character outside `0`–`3` fails, leaving the monitor untouched.
+    pub fn restore(&mut self, codes: &str) -> Result<()> {
+        let codes = codes.as_bytes();
+        if let Some(at) = codes.iter().position(|c| !(b'0'..=b'3').contains(c)) {
+            return Err(FactError::InvalidArgument(format!(
+                "window code at byte {at} is not one of 0-3"
+            )));
+        }
         self.ring.fill(0);
         self.head = 0;
         self.len = 0;
         self.n_b = 0;
         self.p_a = 0;
         self.p_b = 0;
-        for (group_b, favorable) in summary.events() {
-            self.record(group_b, favorable);
+        for &c in &codes[codes.len().saturating_sub(self.window)..] {
+            let code = c - b'0';
+            self.record(code & CODE_GROUP_B != 0, code & CODE_FAVORABLE != 0);
         }
+        Ok(())
     }
 }
 
@@ -587,6 +594,7 @@ impl GuardedStream {
 mod tests {
     use super::*;
     use fact_data::stream::InternetMinute;
+    use proptest::prelude::*;
 
     #[test]
     fn fairness_monitor_stays_quiet_on_fair_traffic() {
@@ -684,25 +692,6 @@ mod tests {
             .any(|a| matches!(a, Alert::DpRelease { .. })));
     }
 
-    #[test]
-    fn monitor_summary_round_trip_preserves_window_counts() {
-        let mut m = StreamingFairnessMonitor::new(500, 0.8, 50).unwrap();
-        for ev in InternetMinute::new(11).with_disparity(0.9, 0.4).take(2_300) {
-            m.observe(ev.group_b, ev.decision_favorable);
-        }
-        let summary = m.summary(50).unwrap();
-        assert_eq!(summary.total_events() as usize, m.len());
-
-        let mut restored = StreamingFairnessMonitor::new(500, 0.8, 50).unwrap();
-        restored.restore(&summary);
-        assert_eq!(restored.len(), m.len());
-        assert_eq!(restored.summary(50).unwrap().counts(), summary.counts());
-        // both monitors alert identically on the next disparate event
-        let a = m.observe(true, false);
-        let b = restored.observe(true, false);
-        assert_eq!(a.is_some(), b.is_some());
-    }
-
     /// Feed `n` events of one group, the first `favorable` of them
     /// favorable; returns the last event's alert.
     fn feed(
@@ -778,34 +767,57 @@ mod tests {
         assert_eq!(m.observe(false, false), None);
     }
 
-    #[test]
-    fn summary_restore_round_trip_after_the_ring_wraps() {
-        let mut m = StreamingFairnessMonitor::new(50, 0.8, 5).unwrap();
-        let events: Vec<(bool, bool)> = InternetMinute::new(12)
-            .with_disparity(0.9, 0.5)
-            .take(137)
-            .map(|ev| (ev.group_b, ev.decision_favorable))
-            .collect();
-        for &(g, f) in &events {
-            m.observe(g, f);
-        }
-        assert_eq!(m.len(), 50);
-        // one event per summary segment keeps the exact window order
-        let summary = m.summary(1).unwrap();
-        assert_eq!(summary.events(), events[events.len() - 50..]);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-        let mut restored = StreamingFairnessMonitor::new(50, 0.8, 5).unwrap();
-        restored.restore(&summary);
-        assert_eq!(restored.len(), 50);
-        assert_eq!(restored.summary(1).unwrap().counts(), summary.counts());
-        // the two windows evict the same events in the same order, so they
-        // agree on every later event
-        for ev in InternetMinute::new(13).with_disparity(0.9, 0.5).take(200) {
-            assert_eq!(
-                m.observe(ev.group_b, ev.decision_favorable),
-                restored.observe(ev.group_b, ev.decision_favorable)
-            );
+        /// Capture → restore → capture is byte-identical, and the restored
+        /// monitor gives the uninterrupted one's verdict on every event of
+        /// a continuing stream, whether or not the ring has wrapped.
+        #[test]
+        fn codes_restore_the_window_exactly(
+            window in 1usize..120,
+            min_samples in 0usize..8,
+            before in prop::collection::vec((any::<bool>(), any::<bool>()), 0..400),
+            after in prop::collection::vec((any::<bool>(), any::<bool>()), 0..200),
+        ) {
+            let mut m = StreamingFairnessMonitor::new(window, 0.8, min_samples).unwrap();
+            for &(g, f) in &before {
+                m.record(g, f);
+            }
+            let codes = m.codes();
+            prop_assert_eq!(codes.len(), before.len().min(window));
+            let newest = &before[before.len() - codes.len()..];
+            let decoded: Vec<(bool, bool)> = (codes.bytes())
+                .map(|c| c - b'0')
+                .map(|code| (code & CODE_GROUP_B != 0, code & CODE_FAVORABLE != 0))
+                .collect();
+            prop_assert_eq!(decoded.as_slice(), newest);
+
+            let mut restored = StreamingFairnessMonitor::new(window, 0.8, min_samples).unwrap();
+            restored.restore(&codes).unwrap();
+            prop_assert_eq!(restored.codes(), codes);
+            for &(g, f) in &after {
+                let verdict = m.record(g, f);
+                prop_assert_eq!(verdict, restored.record(g, f));
+                // Debug, not ==: an empty group's rate is NaN
+                let alert = |m: &StreamingFairnessMonitor| format!("{:?}", m.alert());
+                prop_assert_eq!(alert(&m), alert(&restored));
+            }
+            prop_assert_eq!(m.codes(), restored.codes());
         }
+    }
+
+    #[test]
+    fn restore_refuses_a_non_code_and_keeps_only_the_newest_window() {
+        let mut m = StreamingFairnessMonitor::new(4, 0.8, 0).unwrap();
+        m.restore("0123").unwrap();
+        for bad in ["4", "01a", "0 1", "é"] {
+            assert!(matches!(m.restore(bad), Err(FactError::InvalidArgument(_))));
+            assert_eq!(m.codes(), "0123", "a refused restore changes nothing");
+        }
+        m.restore("33330120").unwrap();
+        assert_eq!(m.codes(), "0120");
+        assert_eq!(m.len(), 4);
     }
 
     #[test]

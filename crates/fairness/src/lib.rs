@@ -16,10 +16,7 @@
 //!   stigmatized intersections single-attribute audits miss);
 //! * [`mitigation`] — pre-processing (reweighing, disparate-impact repair),
 //!   in-processing (prejudice-remover regularizer), and post-processing
-//!   (per-group threshold optimization) interventions;
-//! * [`summary`] — mergeable sliding-window monitor summaries (paired
-//!   count-vectors per window segment) that checkpoint, merge, and split a
-//!   streaming monitor's state across process boundaries.
+//!   (per-group threshold optimization) interventions.
 //!
 //! The protected group is always expressed as a boolean mask (`true` =
 //! member of the protected group), constructed from a dataset column with
@@ -33,10 +30,8 @@ pub mod metrics;
 pub mod mitigation;
 pub mod proxy;
 pub mod report;
-pub mod summary;
 
 pub use report::{FairnessReport, FairnessThresholds};
-pub use summary::{SegmentCounts, WindowSummary};
 
 use fact_data::{Dataset, FactError, Result};
 

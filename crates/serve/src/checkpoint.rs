@@ -4,11 +4,13 @@
 //! silently resetting. [`GuardCheckpoint::capture`] and
 //! [`GuardCheckpoint::restore_into`] decide what a shard's [`Guards`] keep.
 //!
-//! The fairness window travels as a [`WindowSummary`] — per-segment paired
-//! count-vectors — so what a restart loses is *provable and bounded*: at
-//! most the decisions since the last checkpoint, and within the restored
-//! window at most one segment's worth of event ordering. The ε ledger is
-//! exact (every recorded expenditure is replayed into a fresh accountant).
+//! The fairness window travels as the monitor's own codes, oldest first,
+//! one character `0`–`3` per event ([`StreamingFairnessMonitor::codes`]):
+//! a capture is at most `fairness_window` bytes, and a restore rebuilds it
+//! event for event. What a restart loses is therefore *provable and
+//! bounded*: at most the decisions since the last checkpoint. The ε
+//! ledger is exact (every recorded expenditure is replayed into a fresh
+//! accountant).
 //! The drift monitor's recent-score window is deliberately *not*
 //! checkpointed: its reference distribution is configuration, and its
 //! sliding window refills within `window` decisions.
@@ -18,6 +20,8 @@
 //! Only this module knows that layout; it restores each local shard's
 //! [`Guards`] before any worker spawns, takes the workers' writes, and
 //! turns N shards' state into M shards' ([`transform_checkpoints`]).
+//!
+//! [`StreamingFairnessMonitor::codes`]: fact_core::runtime::StreamingFairnessMonitor::codes
 
 use std::fs;
 use std::io;
@@ -28,7 +32,6 @@ use std::sync::{Arc, Mutex};
 use fact_core::runtime::Guards;
 use fact_data::durable::write_atomic;
 use fact_data::Result;
-use fact_fairness::{SegmentCounts, WindowSummary};
 use serde::{Deserialize, Serialize};
 
 use crate::service::{ServeConfig, ServeError};
@@ -41,19 +44,14 @@ pub struct CheckpointConfig {
     /// Decisions between periodic checkpoints (a final checkpoint is
     /// always written on clean worker exit regardless).
     pub every: u64,
-    /// Segment resolution for the serialized fairness window: smaller
-    /// segments mean finer restored ordering at more checkpoint bytes.
-    pub segment_events: usize,
 }
 
 impl CheckpointConfig {
-    /// Checkpoint every `every` decisions into `dir` at the default
-    /// resolution (1/16 of nothing in particular — 128-event segments).
+    /// Checkpoint every `every` decisions into `dir`.
     pub fn new(dir: impl Into<PathBuf>, every: u64) -> Self {
         CheckpointConfig {
             dir: dir.into(),
             every,
-            segment_events: 128,
         }
     }
 }
@@ -77,8 +75,9 @@ pub struct GuardCheckpoint {
     /// Lifetime decisions served by the shard at checkpoint time
     /// (survives restarts: a restored shard keeps counting from here).
     pub decisions: u64,
-    /// The fairness monitor's sliding window, segment-summarized.
-    pub window: WindowSummary,
+    /// The fairness monitor's sliding window, oldest first, one character
+    /// `0`–`3` per event (bit 1 = group B, bit 0 = favorable).
+    pub window: String,
     /// The privacy accountant's full expenditure ledger.
     pub ledger: Vec<LedgerEntry>,
     /// The accountant's ε budget when the checkpoint was written; the
@@ -95,20 +94,15 @@ pub struct GuardCheckpoint {
 }
 
 impl GuardCheckpoint {
-    /// Capture `guards`' resumable state: the fairness window as a segment
-    /// summary, the full ε ledger, and the DP counter's counters. The drift
-    /// monitor's score window is excluded by design (see the module docs).
-    pub fn capture(
-        guards: &Guards,
-        shard: usize,
-        decisions: u64,
-        segment_events: usize,
-    ) -> Result<Self> {
+    /// Capture `guards`' resumable state: the fairness window's codes, the
+    /// full ε ledger, and the DP counter's counters. The drift monitor's
+    /// score window is excluded by design (see the module docs).
+    pub fn capture(guards: &Guards, shard: usize, decisions: u64) -> Self {
         let acc = &guards.accountant;
-        Ok(GuardCheckpoint {
+        GuardCheckpoint {
             shard: shard as u64,
             decisions,
-            window: guards.fairness.summary(segment_events)?,
+            window: guards.fairness.codes(),
             ledger: acc
                 .ledger()
                 .iter()
@@ -122,19 +116,19 @@ impl GuardCheckpoint {
             budget_delta: acc.budget_delta(),
             dp_pending: guards.dp.pending() as u64,
             dp_exhausted: guards.dp.exhausted_reported(),
-        })
+        }
     }
 
-    /// Resume freshly built `guards`: the fairness window is resynthesized
-    /// from the summary (exact per-segment counts), the DP counter resumes
-    /// mid-interval, and the ledger is replayed into the budget configured
-    /// now. A ledger over that budget fails with
-    /// [`FactError::BudgetExhausted`] (startup fails; no ε is refunded); a
-    /// larger budget keeps the spent ε. Call before the guards observe.
+    /// Resume freshly built `guards`: the fairness window replays its
+    /// newest `fairness_window` codes, the DP counter resumes mid-interval,
+    /// and the ledger is replayed into the budget configured now. A ledger
+    /// over that budget fails with [`FactError::BudgetExhausted`] (startup
+    /// fails; no ε is refunded); a larger budget keeps the spent ε. Call
+    /// before the guards observe.
     ///
     /// [`FactError::BudgetExhausted`]: fact_data::FactError::BudgetExhausted
     pub fn restore_into(&self, guards: &mut Guards) -> Result<()> {
-        guards.fairness.restore(&self.window);
+        guards.fairness.restore(&self.window)?;
         for e in &self.ledger {
             guards
                 .accountant
@@ -178,7 +172,8 @@ impl GuardState {
     }
 
     /// Decode a document, refusing a slot holding another shard's
-    /// checkpoint or a non-finite ε or δ.
+    /// checkpoint, a window character other than `0`–`3`, or a non-finite
+    /// ε or δ.
     fn parse(bytes: &[u8]) -> std::result::Result<GuardState, String> {
         let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
         let state: GuardState = serde_json::from_str(text).map_err(|e| e.to_string())?;
@@ -186,6 +181,9 @@ impl GuardState {
             let Some(ck) = ck else { continue };
             if ck.shard != k as u64 {
                 return Err(format!("slot {k} holds shard {}'s checkpoint", ck.shard));
+            }
+            if !ck.window.bytes().all(|c| (b'0'..=b'3').contains(&c)) {
+                return Err(format!("shard {k}'s window holds a code other than 0-3"));
             }
             let ledger = ck.ledger.iter().flat_map(|e| [e.epsilon, e.delta]);
             let mut floats = ledger.chain([ck.budget_epsilon, ck.budget_delta]);
@@ -248,42 +246,55 @@ impl GuardSlots {
     /// returns whether it was written. The lock is held through the write:
     /// [`write_atomic`] stages at one fixed `<path>.tmp`.
     pub(crate) fn checkpoint(&self, guards: &Guards, shard: usize, decisions: u64) -> bool {
-        let segment_events = self.config.segment_events;
-        let Ok(ck) = GuardCheckpoint::capture(guards, shard, decisions, segment_events) else {
-            return false;
-        };
+        let ck = GuardCheckpoint::capture(guards, shard, decisions);
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.shards[shard] = Some(ck);
         state.write(&self.config.dir).is_ok()
     }
+
+    /// Every slot as the epoch last captured it, whether or not that
+    /// capture reached the disk.
+    pub(crate) fn slots(&self) -> Vec<Option<GuardCheckpoint>> {
+        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.shards.clone()
+    }
+}
+
+/// The slots a start restores from: the document under the checkpoint
+/// directory, or `config.shards` empty ones on first boot or with guards
+/// or checkpointing off. A document of another shard count is refused:
+/// fewer shards would drop ε ledgers, more would mis-route keys' windows.
+pub(crate) fn load_slots(config: &ServeConfig) -> Served<Vec<Option<GuardCheckpoint>>> {
+    let (shards, empty) = (config.shards, vec![None; config.shards]);
+    let (Some(_), Some(ck)) = (&config.guards, &config.checkpoint) else {
+        return Ok(empty);
+    };
+    let Some(state) = GuardState::load(&ck.dir)? else {
+        return Ok(empty);
+    };
+    let wrote = state.shards.len();
+    if wrote != shards {
+        return Err(ServeError::BadRequest(format!(
+            "the guard state in {} was written by {wrote} shard(s), and this start \
+             asks for {shards} — reshard the directory first, or start {wrote}",
+            ck.dir.display()
+        )));
+    }
+    Ok(state.shards)
 }
 
 /// The [`ShardState`] of each shard in `local`, its guards seeded with
-/// `config.seed + shard` and restored from the document, and the slots the
-/// epoch writes. A document of another shard count is refused: fewer
-/// shards would drop ε ledgers, more would mis-route keys' windows.
+/// `config.seed + shard` and restored from its slot, and the table the
+/// epoch writes, seeded with `slots` so a shard that has not written yet
+/// keeps its restored state there.
 pub(crate) fn build_guard_state(
     config: &ServeConfig,
-    shards: usize,
+    slots: Vec<Option<GuardCheckpoint>>,
     local: &[usize],
 ) -> Served<(Vec<ShardState>, Option<Arc<GuardSlots>>)> {
     let Some(guard_config) = &config.guards else {
         return Ok((local.iter().map(|_| (None, 0)).collect(), None));
     };
-    let mut slots = vec![None; shards];
-    if let Some(ck) = &config.checkpoint {
-        if let Some(state) = GuardState::load(&ck.dir)? {
-            let wrote = state.shards.len();
-            if wrote != shards {
-                return Err(ServeError::BadRequest(format!(
-                    "the guard state in {} was written by {wrote} shard(s), and this start \
-                     asks for {shards} — reshard the directory first, or start {wrote}",
-                    ck.dir.display()
-                )));
-            }
-            slots = state.shards;
-        }
-    }
     let states = (local.iter())
         .map(|&shard| {
             let mut guards = Guards::new(guard_config, config.seed.wrapping_add(shard as u64))
@@ -310,10 +321,11 @@ pub(crate) fn build_guard_state(
 /// What [`transform_checkpoints`] conserved, with the numbers to prove it.
 #[derive(Debug, Clone)]
 pub struct TransformReport {
-    /// Summed window counts before the merge.
-    pub pre_counts: SegmentCounts,
-    /// Summed window counts after the split; equals `pre_counts`.
-    pub post_counts: SegmentCounts,
+    /// Window events before the merge, summed cell by cell:
+    /// `[group][favorable]`, group 0 = A (unprotected), 1 = B (protected).
+    pub pre_counts: [[u64; 2]; 2],
+    /// Summed window counts after the deal; equals `pre_counts`.
+    pub post_counts: [[u64; 2]; 2],
     /// Summed lifetime decisions before.
     pub pre_decisions: u64,
     /// Summed lifetime decisions after; equals `pre_decisions`.
@@ -330,12 +342,9 @@ pub(crate) fn transform(
     to: usize,
     budget_epsilon: f64,
 ) -> Served<(Vec<GuardCheckpoint>, TransformReport)> {
-    let merged = WindowSummary::merge_all(checkpoints.iter().map(|ck| &ck.window))
-        .map_err(|e| ServeError::Internal(format!("window merge failed: {e}")))?
-        .ok_or_else(|| ServeError::Internal("no checkpoint to transform".into()))?;
-    let parts = merged
-        .split(to)
-        .map_err(|e| ServeError::Internal(format!("window split failed: {e}")))?;
+    let Some(first) = checkpoints.first() else {
+        return Err(ServeError::Internal("no checkpoint to transform".into()));
+    };
 
     // Deal the ledgers round-robin, preserving shard order, and check each
     // successor against the budget.
@@ -360,14 +369,15 @@ pub(crate) fn transform(
     let share =
         |total: u64, i: usize| total / to as u64 + u64::from((i as u64) < total % to as u64);
     let ledger_entries = ledgers.iter().map(|l| l.len() as u64).sum();
-    let successors: Vec<GuardCheckpoint> = (parts.into_iter().zip(ledgers).enumerate())
+    let windows = deal_windows(checkpoints, to);
+    let successors: Vec<GuardCheckpoint> = (windows.into_iter().zip(ledgers).enumerate())
         .map(|(i, (window, ledger))| GuardCheckpoint {
             shard: i as u64,
             decisions: share(decisions, i),
             window,
             ledger,
             budget_epsilon,
-            budget_delta: checkpoints[0].budget_delta,
+            budget_delta: first.budget_delta,
             dp_pending: share(dp_pending, i),
             dp_exhausted: checkpoints.iter().any(|ck| ck.dp_exhausted),
         })
@@ -382,14 +392,54 @@ pub(crate) fn transform(
     Ok((successors, report))
 }
 
+/// The windows of `checkpoints` merged newest-aligned — oldest age first,
+/// and at each age shard 0's code, then shard 1's, … — and dealt
+/// round-robin: code `j` of the merge goes to successor `j % to`.
+fn deal_windows(checkpoints: &[GuardCheckpoint], to: usize) -> Vec<String> {
+    let windows: Vec<&[u8]> = checkpoints.iter().map(|ck| ck.window.as_bytes()).collect();
+    let oldest = windows.iter().map(|w| w.len()).max().unwrap_or(0);
+    let merged = (0..oldest).rev().flat_map(|age| {
+        (windows.iter()).filter_map(move |w| w.len().checked_sub(age + 1).map(|i| w[i]))
+    });
+    let mut dealt = vec![String::new(); to];
+    for (j, code) in merged.enumerate() {
+        dealt[j % to].push(char::from(code));
+    }
+    dealt
+}
+
+/// Transform the checkpoints in `slots` for `to` shards and replace the
+/// document under `dir` with the successors in one write; returns their
+/// slots. A refused or failed transform writes nothing.
+pub(crate) fn commit_transform(
+    slots: &[Option<GuardCheckpoint>],
+    dir: &Path,
+    to: usize,
+    budget_epsilon: f64,
+) -> Served<(Vec<Option<GuardCheckpoint>>, TransformReport)> {
+    if to == 0 {
+        return Err(ServeError::BadRequest("transform needs to > 0".into()));
+    }
+    let checkpoints: Vec<GuardCheckpoint> = slots.iter().flatten().cloned().collect();
+    let (successors, report) = transform(&checkpoints, to, budget_epsilon)?;
+    let state = GuardState {
+        shards: successors.into_iter().map(Some).collect(),
+    };
+    (state.write(dir)).map_err(failed(format!("writing {}", dir.join(DOCUMENT).display())))?;
+    Ok((state.shards, report))
+}
+
 /// Rewrite the guard state under `dir` for `to` shards, conserving every
 /// count. This is the state transform behind
 /// [`DecisionService::reshard`](crate::DecisionService::reshard); it also
 /// runs offline between process generations.
 ///
-/// * Fairness windows are folded with [`WindowSummary::merge_all`] and
-///   fanned out with [`WindowSummary::split`]; the summed segment counts
-///   are bit-equal before and after (both are reported).
+/// * Fairness windows are merged newest-aligned (at each age, shard 0's
+///   event, then shard 1's, …) and the merged sequence is dealt
+///   round-robin to the successors; the summed window counts are
+///   bit-equal before and after (both are reported). A successor's
+///   window may come out longer than `fairness_window`; its restore keeps
+///   the newest `fairness_window` events.
 /// * ε-ledger entries are dealt round-robin (entry *j* → successor
 ///   `j % to`, in shard order), so every recorded expenditure is replayed
 ///   exactly once. If any successor's total ε would exceed
@@ -408,18 +458,8 @@ pub fn transform_checkpoints(
     to: usize,
     budget_epsilon: f64,
 ) -> Served<TransformReport> {
-    if to == 0 {
-        return Err(ServeError::BadRequest("transform needs to > 0".into()));
-    }
-    let checkpoints: Vec<GuardCheckpoint> = (GuardState::load(dir)?.into_iter())
-        .flat_map(|state| state.shards)
-        .flatten()
-        .collect();
-    let (successors, report) = transform(&checkpoints, to, budget_epsilon)?;
-    let shards = successors.into_iter().map(Some).collect();
-    (GuardState { shards }.write(dir))
-        .map_err(failed(format!("writing {}", dir.join(DOCUMENT).display())))?;
-    Ok(report)
+    let slots = GuardState::load(dir)?.map_or_else(Vec::new, |state| state.shards);
+    commit_transform(&slots, dir, to, budget_epsilon).map(|(_, report)| report)
 }
 
 /// Map a failure while `doing` something to [`ServeError::Internal`].
@@ -428,18 +468,18 @@ fn failed<E: std::fmt::Display>(doing: String) -> impl FnOnce(E) -> ServeError {
 }
 
 /// Window counts summed cell by cell over `checkpoints`.
-fn summed_counts(checkpoints: &[GuardCheckpoint]) -> SegmentCounts {
-    let mut sum: SegmentCounts = [[0; 2]; 2];
-    for counts in checkpoints.iter().map(|ck| ck.window.counts()) {
-        for (s, c) in sum.iter_mut().flatten().zip(counts.iter().flatten()) {
-            *s += c;
-        }
+fn summed_counts(checkpoints: &[GuardCheckpoint]) -> [[u64; 2]; 2] {
+    let mut sum = [[0; 2]; 2];
+    for code in checkpoints.iter().flat_map(|ck| ck.window.bytes()) {
+        let code = usize::from(code - b'0');
+        sum[code >> 1][code & 1] += 1;
     }
     sum
 }
 
 #[cfg(test)]
 mod tests {
+    use fact_core::runtime::GuardConfig;
     use proptest::prelude::*;
 
     use super::*;
@@ -450,14 +490,16 @@ mod tests {
         dir
     }
 
+    /// The window code of one event.
+    fn code((group_b, favorable): (bool, bool)) -> char {
+        char::from(b'0' + 2 * u8::from(group_b) + u8::from(favorable))
+    }
+
     fn sample(shard: u64) -> GuardCheckpoint {
-        let window =
-            WindowSummary::from_events(100, 10, (0..37u64).map(|i| (i % 2 == 0, i % 3 == 0)))
-                .unwrap();
         GuardCheckpoint {
             shard,
             decisions: 1234,
-            window,
+            window: (0..37u64).map(|i| code((i % 2 == 0, i % 3 == 0))).collect(),
             ledger: vec![
                 LedgerEntry {
                     label: "dp-release".into(),
@@ -520,7 +562,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A checkpoint with `events` in a 200-event window at 10-event segments.
+    /// A checkpoint whose window holds `events`.
     fn arbitrary_checkpoint(
         shard: u64,
         events: Vec<(bool, bool)>,
@@ -532,7 +574,7 @@ mod tests {
         GuardCheckpoint {
             shard,
             decisions,
-            window: WindowSummary::from_events(200, 10, events).unwrap(),
+            window: events.into_iter().map(code).collect(),
             ledger: epsilons
                 .into_iter()
                 .enumerate()
@@ -552,9 +594,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Any N → M transform conserves window cells, ledger entries,
+        /// Any N → M transform deals the newest-aligned merge of the
+        /// windows round-robin, conserves window cells, ledger entries,
         /// decisions and DP-pending counts, OR-folds `dp_exhausted`, and
         /// refuses exactly when a successor's dealt ledger is over budget.
+        /// 1 → 1 is the identity.
         #[test]
         fn transform_conserves_everything_or_refuses_over_budget(
             shards in prop::collection::vec(
@@ -575,6 +619,11 @@ mod tests {
                     arbitrary_checkpoint(k as u64, events, eps, decisions, pending, exhausted)
                 })
                 .collect();
+            let one_eps: f64 = before[0].ledger.iter().map(|e| e.epsilon).sum();
+            match transform(&before[..1], 1, 1.0) {
+                Ok((one, _)) => prop_assert_eq!(one.as_slice(), &before[..1]),
+                Err(_) => prop_assert!(one_eps > 1.0),
+            }
             // the oracle: entry j of the shard-ordered ledger goes to j % to
             let mut dealt = vec![0.0f64; to];
             for (j, e) in before.iter().flat_map(|ck| &ck.ledger).enumerate() {
@@ -594,6 +643,23 @@ mod tests {
             for (i, ck) in after.iter().enumerate() {
                 prop_assert_eq!(ck.shard, i as u64);
                 prop_assert_eq!(ck.budget_epsilon, budget_epsilon);
+            }
+
+            // code j of the merge (oldest age first, shards in order within
+            // an age) is code j / to of successor j % to
+            let mut merged: Vec<(std::cmp::Reverse<usize>, usize, u8)> = (before.iter())
+                .enumerate()
+                .flat_map(|(k, ck)| {
+                    let len = ck.window.len();
+                    (ck.window.bytes().enumerate())
+                        .map(move |(i, c)| (std::cmp::Reverse(len - 1 - i), k, c))
+                })
+                .collect();
+            merged.sort_unstable();
+            let lens: Vec<usize> = after.iter().map(|ck| ck.window.len()).collect();
+            prop_assert_eq!(lens.iter().sum::<usize>(), merged.len());
+            for (j, &(_, _, c)) in merged.iter().enumerate() {
+                prop_assert_eq!(after[j % to].window.as_bytes()[j / to], c);
             }
 
             prop_assert_eq!(summed_counts(&after), summed_counts(&before));
@@ -684,7 +750,8 @@ mod tests {
         /// Hostile bytes fed to the document decoder return a typed error,
         /// never a panic: arbitrary bytes, every truncation and any byte
         /// flip of a valid document, nesting past any depth in place of a
-        /// value, out-of-range integers and non-finite floats.
+        /// value, out-of-range integers, non-finite floats and a window
+        /// character other than `0`–`3`.
         #[test]
         fn hostile_guard_state_bytes_are_refused_not_panicked_on(
             garbage in prop::collection::vec(any::<u8>(), 0..512),
@@ -694,6 +761,7 @@ mod tests {
             depth in 1usize..400,
             field in any::<usize>(),
             token in any::<usize>(),
+            non_code in (0u32..=0x10_FFFF).prop_map(char::from_u32),
         ) {
             prop_assert!(GuardState::parse(&garbage).is_err());
 
@@ -725,6 +793,41 @@ mod tests {
             let float = FLOAT_FIELDS[field % FLOAT_FIELDS.len()];
             let bad = replace_field(&json, float, NON_FINITE[token % NON_FINITE.len()]);
             prop_assert!(GuardState::parse(bad.as_bytes()).is_err(), "{}", bad);
+
+            let non_code = non_code.filter(|c| !('0'..='3').contains(c)).unwrap_or('\u{0}');
+            let mut foreign = valid.clone();
+            if let Some(ck) = &mut foreign.shards[0] {
+                ck.window.insert(token % (ck.window.len() + 1), non_code);
+            }
+            let foreign = serde_json::to_string(&foreign).unwrap();
+            let err = GuardState::parse(foreign.as_bytes()).unwrap_err();
+            prop_assert!(err.contains("code other than 0-3"), "{}", err);
         }
+    }
+
+    /// A window far longer than the monitor's is valid: restore replays
+    /// only its newest codes. (Once, not per hostile case: parsing 10^6
+    /// codes 256 times costs tens of seconds in a debug build.)
+    #[test]
+    fn a_million_code_window_restores_the_newest_window() {
+        let window: String = (0..1_000_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62)
+            .map(|c| char::from(b'0' + c as u8))
+            .collect();
+        let mut ck = sample(0);
+        ck.window.clone_from(&window);
+        let json = serde_json::to_string(&GuardState {
+            shards: vec![Some(ck)],
+        })
+        .unwrap();
+        let parsed = GuardState::parse(json.as_bytes()).unwrap();
+        let config = GuardConfig {
+            fairness_window: 50,
+            ..GuardConfig::default()
+        };
+        let mut guards = Guards::new(&config, 0).unwrap();
+        (parsed.shards[0].as_ref().unwrap().restore_into(&mut guards)).unwrap();
+        let restored = GuardCheckpoint::capture(&guards, 0, 0).window;
+        assert_eq!(restored, window[window.len() - 50..]);
     }
 }

@@ -41,7 +41,8 @@ use crate::audit_sink::{
 };
 use crate::cache::{CacheConfig, CachedFeatureSource, SystemClock};
 use crate::checkpoint::{
-    build_guard_state, transform_checkpoints, CheckpointConfig, GuardSlots, TransformReport,
+    build_guard_state, commit_transform, load_slots, CheckpointConfig, GuardCheckpoint, GuardSlots,
+    TransformReport,
 };
 use crate::guards::{AlertHub, DegradePolicy, GuardConfig, ServiceAlert};
 use crate::metrics::{
@@ -249,9 +250,8 @@ impl ServeConfig {
             "cache stripes and capacity_per_stripe must be positive".into()
         } else if slots != self.shards {
             format!("topology has {slots} slots but shards is {}", self.shards)
-        } else if (self.checkpoint.as_ref()).is_some_and(|c| c.every == 0 || c.segment_events == 0)
-        {
-            "checkpoint.every and checkpoint.segment_events must be positive".into()
+        } else if (self.checkpoint.as_ref()).is_some_and(|c| c.every == 0) {
+            "checkpoint.every must be positive".into()
         } else if adm(|a| a.target_p99.is_zero()) {
             "admission.target_p99 must be positive".into()
         } else if adm(|a| a.tick.is_zero()) {
@@ -750,13 +750,18 @@ struct Plan {
     guard_slots: Option<Arc<GuardSlots>>,
 }
 
-/// Plan an epoch of `shards` shards: build every local shard's guard state
-/// and dial every remote slot. It writes no file and spawns no worker, so
-/// a refusal leaves the disk as it was (a dialed remote closes on drop).
-fn plan_epoch(config: &ServeConfig, shards: usize) -> Result<Plan, ServeError> {
+/// Plan an epoch of one shard per slot: build every local shard's guard
+/// state from its slot and dial every remote slot. It writes no file and
+/// spawns no worker, so a refusal leaves the disk as it was (a dialed
+/// remote closes on drop).
+fn plan_epoch(
+    config: &ServeConfig,
+    slots: Vec<Option<GuardCheckpoint>>,
+) -> Result<Plan, ServeError> {
+    let shards = slots.len();
     let endpoint = |shard: usize| config.topology.as_ref()?[shard].endpoint();
     let local: Vec<usize> = (0..shards).filter(|&s| endpoint(s).is_none()).collect();
-    let (built, guard_slots) = build_guard_state(config, shards, &local)?;
+    let (built, guard_slots) = build_guard_state(config, slots, &local)?;
     let mut built = built.into_iter();
     let mut plan = Plan {
         guard_slots,
@@ -827,7 +832,7 @@ impl DecisionService {
         storage: Option<Box<dyn AuditStorage>>,
     ) -> Result<Self, ServeError> {
         config.check()?;
-        let plan = plan_epoch(&config, config.shards)?;
+        let plan = plan_epoch(&config, load_slots(&config)?)?;
         let opened = match (storage, &config.audit) {
             (Some(storage), audit) => {
                 AuditSink::open_with_storage(&audit.clone().unwrap_or_default(), storage).map(Some)
@@ -1097,13 +1102,16 @@ impl DecisionService {
     ///
     /// 1. **Drain** — the phase swaps to *cutover* under the write lock, so
     ///    a submit either enqueued into the old epoch or parks. The old
-    ///    epoch answers every accepted request and each shard writes its
-    ///    final [`GuardCheckpoint`](crate::GuardCheckpoint).
-    /// 2. **Transform** — [`transform_checkpoints`] replaces the N shards'
-    ///    document with M's in one atomic write: the fairness windows
-    ///    merged and re-split, the ε ledger dealt round-robin.
-    /// 3. **Restart** — an epoch of M shards restores from the new
-    ///    document. The model, feature source and cache, admission
+    ///    epoch answers every accepted request and each shard captures
+    ///    its final [`GuardCheckpoint`] into the epoch's slot table, which
+    ///    keeps it whether or not its write reaches the disk.
+    /// 2. **Transform** — the drained slot table, not the document (an
+    ///    older one if a final write failed), becomes M shards' state,
+    ///    written in one atomic replacement: the fairness windows merged
+    ///    and dealt, the ε ledger dealt round-robin, as
+    ///    [`transform_checkpoints`](crate::transform_checkpoints) does.
+    /// 3. **Restart** — an epoch of M shards restores from that state.
+    ///    The model, feature source and cache, admission
     ///    controller, alert channel and audit sink belong to the service,
     ///    not the epoch, so the audit hash chain runs on unbroken.
     /// 4. **Replay** — the parked submits wake and enqueue into the new
@@ -1122,9 +1130,10 @@ impl DecisionService {
     /// touching the running service. If the transform refuses — e.g. a
     /// successor would replay more ε than its budget allows (the ledger is
     /// conserved, never truncated) or its write fails — the service
-    /// **rolls back**: the transform replaced nothing, so it restarts on the
-    /// untouched document at the old shard count and returns the error.
-    /// Only if that restart fails too does the service stop.
+    /// **rolls back**: the transform replaced nothing, and it restarts at
+    /// the old shard count on the drained slot table, so no ε spent before
+    /// the cutover is refunded, and returns the error. Only if that
+    /// restart fails too does the service stop.
     pub fn reshard(&self, to: usize) -> Result<ReshardReport, ServeError> {
         let config = &self.inner.config;
         if to == 0 {
@@ -1156,12 +1165,18 @@ impl DecisionService {
         };
         let started = Instant::now();
         let from = old.routes.len();
+        let table = (old.guard_slots.clone()).expect("guards and checkpoint give an epoch slots");
         // Drain: every request accepted before the swap is answered and
-        // every shard writes its final checkpoint.
+        // every shard captures its final checkpoint into the table.
         let epoch = old.drain();
         life.drained.push(epoch.clone());
-        let transform = transform_checkpoints(&checkpoint.dir, to, guards.epsilon_budget);
-        let restarted = self.restart(if transform.is_ok() { to } else { from });
+        let drained = table.slots();
+        let (slots, transform) =
+            match commit_transform(&drained, &checkpoint.dir, to, guards.epsilon_budget) {
+                Ok((successors, report)) => (successors, Ok(report)),
+                Err(e) => (drained, Err(e)),
+            };
+        let restarted = self.restart(slots);
         let transform = transform?;
         let held = restarted?;
         Ok(ReshardReport {
@@ -1174,13 +1189,13 @@ impl DecisionService {
         })
     }
 
-    /// Leave a cutover: plan an epoch of `shards` on the guard state as it
-    /// now stands, launch it and serve it, or stop (loud, typed) if either
-    /// fails rather than serve with unknown guard state. Returns how many
-    /// parked submits the new epoch released.
-    fn restart(&self, shards: usize) -> Result<u64, ServeError> {
-        let metrics = Arc::new(self.latest_metrics().next_epoch(shards));
-        let epoch = plan_epoch(&self.inner.config, shards).and_then(|p| self.launch(p, metrics));
+    /// Leave a cutover: plan an epoch of one shard per slot, launch it and
+    /// serve it, or stop (loud, typed) if either fails rather than serve
+    /// with unknown guard state. Returns how many parked submits the new
+    /// epoch released.
+    fn restart(&self, slots: Vec<Option<GuardCheckpoint>>) -> Result<u64, ServeError> {
+        let metrics = Arc::new(self.latest_metrics().next_epoch(slots.len()));
+        let epoch = plan_epoch(&self.inner.config, slots).and_then(|p| self.launch(p, metrics));
         match epoch {
             Ok(epoch) => Ok(self.set_phase(Phase::Serving(epoch)).1),
             Err(e) => {

@@ -24,7 +24,6 @@ const WINDOW: usize = 1_000;
 const MIN_DI: f64 = 0.8;
 const DP_INTERVAL: usize = 200;
 const BUDGET: f64 = 1.0;
-const SEGMENT_EVENTS: usize = 50;
 const N: u64 = 3_000;
 
 fn noisy_counts(alerts: impl IntoIterator<Item = Alert>) -> Vec<u64> {
@@ -69,11 +68,7 @@ fn e9_stream_and_a_serving_shard_run_the_same_guards() {
             }),
             // shard 0 seeds its DP noise with `seed + 0`
             seed: SEED,
-            checkpoint: Some(CheckpointConfig {
-                dir: dir.clone(),
-                every: u64::MAX,
-                segment_events: SEGMENT_EVENTS,
-            }),
+            checkpoint: Some(CheckpointConfig::new(&dir, u64::MAX)),
             ..ServeConfig::default()
         },
     )
@@ -102,7 +97,7 @@ fn e9_stream_and_a_serving_shard_run_the_same_guards() {
     // on the fairness window, the ε ledger and the DP counters
     let shard = guard_slots(&dir)[0].clone().expect("final checkpoint");
     let guards = stream.guards().expect("guarded stream");
-    let captured = GuardCheckpoint::capture(guards, 0, N, SEGMENT_EVENTS).unwrap();
+    let captured = GuardCheckpoint::capture(guards, 0, N);
     assert_eq!(shard.window, captured.window);
     assert_eq!(shard.ledger, captured.ledger);
     assert_eq!(shard, captured);

@@ -3,7 +3,8 @@
 //! and the checkpoint directory stay byte-identical and no file appears,
 //! even after a detached worker would have had time to write its final
 //! checkpoint. So does a start on guard state it may not read: a document
-//! written by another shard count, or the per-shard files it replaced.
+//! written by another shard count or holding a foreign window code, or the
+//! per-shard files it replaced.
 
 mod common;
 
@@ -36,6 +37,22 @@ fn config(dir: &Path) -> ServeConfig {
     }
 }
 
+/// Serve 200 decisions under `config(dir)`, spending ε, and stop.
+fn serve_and_stop(dir: &Path) {
+    let service = DecisionService::start(Arc::new(StubModel), config(dir)).unwrap();
+    for key in 0..200u64 {
+        service
+            .decide(DecisionRequest {
+                features: vec![if key % 3 == 0 { 0.9 } else { 0.1 }],
+                group_b: key % 2 == 0,
+                route_key: key,
+                tenant: 0,
+            })
+            .unwrap();
+    }
+    assert!(service.shutdown().epsilon_spent > 0.0);
+}
+
 #[test]
 fn a_refused_start_leaves_the_audit_log_and_sidecars_untouched() {
     let dir = temp_dir("refused-start");
@@ -59,18 +76,7 @@ fn a_refused_start_leaves_the_audit_log_and_sidecars_untouched() {
     // First on an empty directory, then on the state a served run leaves.
     for populated in [false, true] {
         if populated {
-            let service = DecisionService::start(Arc::new(StubModel), config(&dir)).unwrap();
-            for key in 0..200u64 {
-                service
-                    .decide(DecisionRequest {
-                        features: vec![if key % 3 == 0 { 0.9 } else { 0.1 }],
-                        group_b: key % 2 == 0,
-                        route_key: key,
-                        tenant: 0,
-                    })
-                    .unwrap();
-            }
-            assert!(service.shutdown().epsilon_spent > 0.0);
+            serve_and_stop(&dir);
         }
         let before = tree(&dir);
         assert_eq!(before.is_empty(), !populated);
@@ -102,18 +108,7 @@ fn a_refused_start_leaves_the_audit_log_and_sidecars_untouched() {
 #[test]
 fn a_start_on_another_shard_count_or_the_old_layout_touches_nothing() {
     let dir = temp_dir("refused-count");
-    let service = DecisionService::start(Arc::new(StubModel), config(&dir)).unwrap();
-    for key in 0..200u64 {
-        service
-            .decide(DecisionRequest {
-                features: vec![if key % 3 == 0 { 0.9 } else { 0.1 }],
-                group_b: key % 2 == 0,
-                route_key: key,
-                tenant: 0,
-            })
-            .unwrap();
-    }
-    assert!(service.shutdown().epsilon_spent > 0.0);
+    serve_and_stop(&dir);
     let unchanged = |before: &BTreeMap<PathBuf, Vec<u8>>, what: &str| {
         std::thread::sleep(Duration::from_millis(300));
         assert!(tree(&dir) == *before, "{what}: a file changed");
@@ -159,5 +154,31 @@ fn a_start_on_another_shard_count_or_the_old_layout_touches_nothing() {
     );
     old_layout(transform_checkpoints(&ckpt, 1, 1.0).unwrap_err());
     unchanged(&before, "per-shard layout");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A document whose fairness window holds a character other than `0`–`3`
+/// is corrupt: the start fails with a typed error and no file changes.
+#[test]
+fn a_start_on_a_window_with_a_foreign_code_touches_nothing() {
+    let dir = temp_dir("refused-window");
+    serve_and_stop(&dir);
+    let document = dir.join("ckpt").join("guards.json");
+    let json = std::fs::read_to_string(&document).unwrap();
+    let key = "\"window\":\"";
+    assert!(json.contains(key), "{json}");
+    std::fs::write(&document, json.replacen(key, &format!("{key}4"), 1)).unwrap();
+    let before = tree(&dir);
+
+    let err = DecisionService::start(Arc::new(StubModel), config(&dir))
+        .err()
+        .expect("a start on a foreign window code ran");
+    assert!(
+        matches!(&err, ServeError::Internal(msg)
+            if msg.contains("corrupt") && msg.contains("code other than 0-3")),
+        "{err}"
+    );
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(tree(&dir) == before, "a file changed");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -30,11 +30,7 @@ fn guarded_config(ckpt_dir: &std::path::Path) -> ServeConfig {
             dp_interval: 100,
             ..GuardConfig::default()
         }),
-        checkpoint: Some(CheckpointConfig {
-            dir: ckpt_dir.to_path_buf(),
-            every: 200,
-            segment_events: 50,
-        }),
+        checkpoint: Some(CheckpointConfig::new(ckpt_dir, 200)),
         ..ServeConfig::default()
     }
 }
@@ -70,8 +66,8 @@ fn restart_resumes_fairness_window_and_epsilon_ledger() {
     let ck = guard_slots(&dir)[0].clone().expect("final checkpoint");
     assert_eq!(ck.decisions, 1000);
     assert_eq!(ck.ledger.len(), 10);
-    // the window carries real counts (last 500 events, segment-summarized)
-    assert_eq!(ck.window.total_events(), 500);
+    // the window carries the last 500 events, one code each
+    assert_eq!(ck.window.len(), 500);
 
     // run 2 over the same sidecar dir: the shard resumes, not resets
     let service = DecisionService::start(Arc::new(StubModel), guarded_config(&dir)).unwrap();

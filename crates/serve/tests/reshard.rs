@@ -27,11 +27,7 @@ fn config(shards: usize, ckpt_dir: &std::path::Path) -> ServeConfig {
             dp_interval: 100,
             ..GuardConfig::default()
         }),
-        checkpoint: Some(CheckpointConfig {
-            dir: ckpt_dir.to_path_buf(),
-            every: 200,
-            segment_events: 50,
-        }),
+        checkpoint: Some(CheckpointConfig::new(ckpt_dir, 200)),
         ..ServeConfig::default()
     }
 }
@@ -47,12 +43,8 @@ fn request(i: u64) -> DecisionRequest {
 }
 
 fn sidecar(shard: u64, decisions: u64, n_ledger: usize, eps_each: f64) -> GuardCheckpoint {
-    let window = fact_fairness::WindowSummary::from_events(
-        500,
-        50,
-        (0..decisions.min(500)).map(|i| (i % 2 == 0, i % 3 == 0)),
-    )
-    .unwrap();
+    let code = |i: u64| char::from(b'0' + 2 * u8::from(i % 2 == 0) + u8::from(i % 3 == 0));
+    let window = (0..decisions.min(500)).map(code).collect();
     GuardCheckpoint {
         shard,
         decisions,
@@ -531,7 +523,7 @@ fn a_failed_transform_write_leaves_the_document_and_rolls_back() {
         "{err}"
     );
     assert!(tree(&dir) == before, "the failed transform changed a file");
-    // rolled back onto the untouched document: 2 shards, the same ε
+    // rolled back onto the drained shards' state: 2 shards, the same ε
     assert_eq!(service.shards(), 2);
     assert_eq!(service.metrics().epsilon_spent.to_bits(), live.to_bits());
 
@@ -550,6 +542,41 @@ fn a_failed_transform_write_leaves_the_document_and_rolls_back() {
     assert_eq!(grow.transform.pre_counts, grow.transform.post_counts);
     let report = service.shutdown();
     assert_eq!(report.epsilon_spent, sidecar_epsilon(&dir, 3));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A drained shard whose final write fails hands its final state to the
+/// rollback all the same: the document on disk is older than the service,
+/// yet no ε spent before the cutover is refunded.
+#[test]
+fn a_failed_final_write_refunds_no_epsilon_on_rollback() {
+    let dir = temp_dir("failed-final-write");
+    let service = DecisionService::start(Arc::new(StubModel), config(2, &dir)).unwrap();
+    for i in 0..1_000 {
+        service.decide(request(i)).unwrap();
+    }
+    let spent = service.metrics().epsilon_spent;
+    let on_disk = sidecar_epsilon(&dir, 2);
+    assert!(on_disk < spent, "the document lags: {on_disk} vs {spent}");
+    // every write of the document fails from here: the drained shards'
+    // final ones and the transform's
+    std::fs::create_dir(dir.join("guards.json.tmp")).unwrap();
+
+    service.reshard(3).unwrap_err();
+    assert_eq!(service.shards(), 2);
+    assert_eq!(service.metrics().epsilon_spent.to_bits(), spent.to_bits());
+    assert_eq!(
+        sidecar_epsilon(&dir, 2),
+        on_disk,
+        "the document is unchanged"
+    );
+
+    // once writes succeed again, the reshard carries everything spent
+    std::fs::remove_dir(dir.join("guards.json.tmp")).unwrap();
+    service.reshard(3).unwrap();
+    let report = service.shutdown();
+    assert!((report.epsilon_spent - spent).abs() < 1e-12, "{report:?}");
+    assert!((sidecar_epsilon(&dir, 3) - spent).abs() < 1e-12);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

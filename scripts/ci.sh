@@ -24,33 +24,38 @@
 #                             uncorrected FWER reaches 0.9 by m = 400, and
 #                             naive discoveries at m = 5000 sit within
 #                             4 sigma of alpha*m
-#   8. exp_e9 --smoke         guarded stream: exact debounced fairness-alert
+#   8. exp_e4 --smoke         Simpson's paradox: the aggregate gap favors
+#                             men by >8pp, the department-adjusted gap
+#                             favors women, the department stratifier
+#                             reports the reversal and a placebo coin
+#                             does not
+#   9. exp_e9 --smoke         guarded stream: exact debounced fairness-alert
 #                             and DP-release counts, sampled audit entries
 #                             and the last alert's DI bit for bit
-#   9. guard examples         run examples/production_monitoring.rs and
+#  10. guard examples         run examples/production_monitoring.rs and
 #                             examples/serving.rs, the two examples that
 #                             drive the guard API; a non-zero exit fails
-#  10. exp_e12 --smoke        parallel kernels bit-identical to sequential
-#  11. exp_e11 --smoke        guarded serving under open-loop load: every
+#  11. exp_e12 --smoke        parallel kernels bit-identical to sequential
+#  12. exp_e11 --smoke        guarded serving under open-loop load: every
 #                             submit of every trial is either served or
 #                             refused at admission (a conservation check)
-#  12. audit_recovery smoke   kill the audit writer mid-batch, restart,
+#  13. audit_recovery smoke   kill the audit writer mid-batch, restart,
 #                             assert the hash chain verifies and loss is
 #                             bounded by one batch (tests + exp_e13 --smoke)
-#  13. exp_e14 --smoke        feature cache: >=5x steady-state speedup,
+#  14. exp_e14 --smoke        feature cache: >=5x steady-state speedup,
 #                             warm keys bridge a store outage, negative
 #                             cache bounds upstream probes
-#  14. exp_e15 --smoke        segmented audit rotation: recovery bytes-read
+#  15. exp_e15 --smoke        segmented audit rotation: recovery bytes-read
 #                             stays one segment as the log grows 10x, every
 #                             segment verifies standalone, a kill at the
 #                             segment boundary loses nothing silently
-#  15. exp_e16 --smoke        cross-process serving: spawn a fact-shardd
+#  16. exp_e16 --smoke        cross-process serving: spawn a fact-shardd
 #                             worker over a tempdir Unix socket, SIGKILL it
 #                             under load, respawn, assert the fairness
 #                             window + ε ledger resume from checkpoint with
 #                             bounded loss and the audit chain verifies
 #                             across the crash
-#  16. exp_e17 --smoke        columnar segments: roundtrip + aggregates
+#  17. exp_e17 --smoke        columnar segments: roundtrip + aggregates
 #                             bit-identical at 1/2/4 workers, zone maps
 #                             prune >=half the segments under a selective
 #                             predicate, column-pruned scans read <half
@@ -58,38 +63,38 @@
 #                             and the intersectional audit over segments
 #                             equals the in-memory one while reading
 #                             <half the stored bytes
-#  17. exp_e18 --smoke        adaptive admission: open-loop overload where
+#  18. exp_e18 --smoke        adaptive admission: open-loop overload where
 #                             the static queue bound blows p99 >=4x past
 #                             target while the AIMD controller holds <=2x,
 #                             a flooding tenant is throttled while a quiet
 #                             one completes >=95%, and a spawned
 #                             fact-shardd enforces quotas with typed
 #                             Throttled errors across the wire
-#  18. exp_e19 --smoke        live resharding: 4 -> 8 -> 3 cutovers under
+#  19. exp_e19 --smoke        live resharding: 4 -> 8 -> 3 cutovers under
 #                             concurrent load with zero lost decisions,
 #                             cell-exact fairness-window + ε-ledger
 #                             conservation across the transform, and a
 #                             continuous audit chain
-#  19. exp_e20 --smoke        audit archiving: background compaction of a
+#  20. exp_e20 --smoke        audit archiving: background compaction of a
 #                             10x-rotated log keeps the writer batch p99
 #                             within 5% of the archiver-off baseline,
 #                             every archive decodes byte-identically
 #                             (sha256-checked), and a SIGKILL mid-archive
 #                             recovers with zero provably-lost entries —
 #                             original xor verified archive, never neither
-#  20. doc-link check         every PROTOCOL.md / OPERATIONS.md section
+#  21. doc-link check         every PROTOCOL.md / OPERATIONS.md section
 #                             anchor referenced from the crate rustdoc
 #                             resolves to a real heading
-#  21. harness-kit check      no experiment binary or root integration test
+#  22. harness-kit check      no experiment binary or root integration test
 #                             defines a helper fact_bench::kit owns again
 #                             (worker spawn, models, lending workloads),
 #                             and every exp_* binary with a `fn main`
 #                             parses its arguments with kit::Mode
-#  22. storage-seam check     no non-test code under crates/serve/src
+#  23. storage-seam check     no non-test code under crates/serve/src
 #                             touches std::fs outside checkpoint.rs (guard
 #                             state) and audit_sink/storage.rs (audit
 #                             segments), so on-disk state has two owners
-#  23. surface report         non-test LoC, crate-root `pub use` names and
+#  24. surface report         non-test LoC, crate-root `pub use` names and
 #                             public types per crate (scripts/surface.sh);
 #                             report only, it fails nothing
 #
@@ -119,6 +124,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline -q --workspace --no-deps
 
 echo "==> exp_e3 --smoke (multiple-testing FWER claim gate)"
 cargo run --offline -q -p fact-bench --bin exp_e3 -- --smoke
+
+echo "==> exp_e4 --smoke (Simpson's-paradox reversal claim gate)"
+cargo run --offline -q -p fact-bench --bin exp_e4 -- --smoke
 
 echo "==> exp_e9 --smoke (guarded-stream exact-verdict gate)"
 cargo run --offline -q -p fact-bench --bin exp_e9 -- --smoke

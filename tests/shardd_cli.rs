@@ -157,9 +157,7 @@ fn sidecars_past_shards_exit_1_without_touching_a_file() {
     );
     let guards = Guards::new(&GuardConfig::default(), 0).expect("default guards");
     let shards = (0..4)
-        .map(|shard| {
-            Some(GuardCheckpoint::capture(&guards, shard, 10 * shard as u64, 128).unwrap())
-        })
+        .map(|shard| Some(GuardCheckpoint::capture(&guards, shard, 10 * shard as u64)))
         .collect();
     GuardState { shards }
         .write(&ckpt)
