@@ -19,7 +19,9 @@ use std::collections::HashMap;
 use crate::column::{Column, ColumnData};
 use crate::error::{FactError, Result};
 use crate::frame::Dataset;
-use crate::segment::{BatchColumn, DecodedValues, Predicate, ScanStats, SegmentBatch, SegmentSet};
+use crate::segment::{
+    BatchColumn, DecodedValues, Predicate, ScanStats, SegmentBatch, SegmentSet, Selection,
+};
 use crate::value::DataType;
 
 /// An aggregate function over a numeric/bool column.
@@ -77,13 +79,12 @@ pub fn aggregate(ds: &Dataset, key: &str, specs: &[AggSpec<'_>]) -> Result<Datas
             // borrow the column storage once; accumulate per group without
             // materializing per-group sub-columns
             let view = NumView::of(col, col_name)?;
+            let validity = col.validity();
             for k in &keys {
                 let idx = groups.indices(k).expect("key from groups");
                 let mut acc = Acc::new();
                 for &i in idx {
-                    if !col.is_null(i) {
-                        acc.push(view.get(i));
-                    }
+                    acc.push_if(view.get(i), validity.is_none_or(|m| m[i]));
                 }
                 vals.push(acc.finish(f)?);
             }
@@ -148,11 +149,16 @@ impl Acc {
         }
     }
 
-    fn push(&mut self, v: f64) {
-        self.n += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
+    /// Fold in `v` when `valid`. An invalid row still runs the same
+    /// update, with identities that leave the accumulator bit for bit
+    /// unchanged: 0 for `n`, `+0.0` for `sum` (which starts at `+0.0` and
+    /// so is never `-0.0`) and `±∞` for `min`/`max` (which are never NaN).
+    #[inline]
+    fn push_if(&mut self, v: f64, valid: bool) {
+        self.n += u64::from(valid);
+        self.sum += if valid { v } else { 0.0 };
+        self.min = self.min.min(if valid { v } else { f64::INFINITY });
+        self.max = self.max.max(if valid { v } else { f64::NEG_INFINITY });
     }
 
     /// Fold another accumulator in (segment-order merge).
@@ -252,10 +258,16 @@ pub fn aggregate_segments(
             columns.push(col);
         }
     }
+    let n_codes = if key_dt == DataType::Cat {
+        set.dict(key)?.len()
+    } else {
+        0
+    };
     let (partial, stats) = set.scan_fold(
         &columns,
+        &[],
         pred,
-        |batch| partial_of(batch, key, specs),
+        |batch| partial_of(batch, key, n_codes, specs),
         |mut a: Partial, b: Partial| {
             for k in b.order {
                 let (rows, accs) = b.cells.get(&k).expect("key from order");
@@ -309,88 +321,38 @@ pub fn aggregate_segments(
     Ok((out, stats))
 }
 
-/// Aggregate the matching rows of one segment batch.
-fn partial_of(batch: &SegmentBatch, key: &str, specs: &[AggSpec<'_>]) -> Result<Partial> {
-    let key_col = batch.column(key)?;
-    if let DecodedValues::Codes(codes) = &key_col.values {
-        return partial_of_coded(batch, key_col, codes, specs);
-    }
-    let spec_cols = specs
-        .iter()
-        .map(|&(c, _)| batch.column(c))
-        .collect::<Result<Vec<_>>>()?;
-    let mut partial = Partial {
-        order: Vec::new(),
-        cells: HashMap::new(),
-    };
-    for i in batch.rows() {
-        let gk = if key_col.is_null(i) {
-            GKey::Null
-        } else {
-            match &key_col.values {
-                DecodedValues::Codes(v) => GKey::Code(v[i]),
-                DecodedValues::Int(v) => GKey::Int(v[i]),
-                DecodedValues::Bool(v) => GKey::Bool(v[i]),
-                DecodedValues::Float(_) => unreachable!("key type validated before the scan"),
-            }
-        };
-        let (rows, accs) = partial.cells.entry(gk).or_insert_with(|| {
-            partial.order.push(gk);
-            (0, vec![Acc::new(); specs.len()])
-        });
-        *rows += 1;
-        for (j, (bc, &(_, f))) in spec_cols.iter().zip(specs).enumerate() {
-            if f != AggFn::Count {
-                if let Some(v) = bc.f64_at(i) {
-                    accs[j].push(v);
-                }
-            }
-        }
-    }
-    Ok(partial)
-}
-
-/// Dense fast path for dictionary-coded group keys: codes index straight
-/// into accumulator vectors (slot 0 = null, slot `c + 1` = code `c`), so the
-/// hot loop does no hashing, and each aggregate column is accumulated
-/// column-at-a-time with the type dispatch hoisted out of the row loop.
-/// Produces the identical [`Partial`] (same first-appearance order, same
-/// per-segment float association) as the generic path.
-fn partial_of_coded(
+/// Aggregate the selected rows of one segment batch (`n_codes` is the
+/// key's dictionary size when it is categorical).
+///
+/// Each selected row gets a dense slot for its key, slot 0 being the null
+/// key: a code or bool is its own slot, and only an `Int` key is looked up
+/// in a map that numbers its values. Row counts and each group's first
+/// appearance are tallied over the slots without a data-dependent branch,
+/// and each aggregate column is accumulated column-at-a-time with its type
+/// dispatch hoisted out of the row loop.
+/// Values accumulate in row order per slot, so every float sum associates
+/// exactly as a row-at-a-time fold would.
+fn partial_of(
     batch: &SegmentBatch,
-    key_col: &BatchColumn,
-    codes: &[u32],
+    key: &str,
+    n_codes: usize,
     specs: &[AggSpec<'_>],
 ) -> Result<Partial> {
-    // Pass 1: one slot per matching row, counting rows and recording
-    // first-appearance order.
-    let mut slots: Vec<u32> = Vec::with_capacity(batch.n_matching());
-    let mut rows_by: Vec<u64> = Vec::new();
-    let mut order_slots: Vec<usize> = Vec::new();
-    {
-        let mut assign = |i: usize| {
-            let slot = if key_col.is_null(i) {
-                0
-            } else {
-                codes[i] as usize + 1
-            };
-            if slot >= rows_by.len() {
-                rows_by.resize(slot + 1, 0);
-            }
-            if rows_by[slot] == 0 {
-                order_slots.push(slot);
-            }
-            rows_by[slot] += 1;
-            slots.push(slot as u32);
-        };
-        match &batch.keep {
-            None => (0..batch.n_rows).for_each(&mut assign),
-            Some(k) => k.iter().for_each(|&i| assign(i)),
-        }
+    let sel = batch.selection();
+    let key_col = batch.column(key)?;
+    let (slots, slot_keys) = key_slots(key_col, sel, n_codes);
+    let n_slots = slot_keys.len();
+    let mut rows_by = vec![0u64; n_slots];
+    let mut first = vec![usize::MAX; n_slots];
+    for (j, &slot) in slots.iter().enumerate() {
+        let slot = slot as usize;
+        rows_by[slot] += 1;
+        first[slot] = first[slot].min(j);
     }
-    let n_slots = rows_by.len();
+    let mut order: Vec<usize> = (0..n_slots).filter(|&s| rows_by[s] > 0).collect();
+    order.sort_unstable_by_key(|&s| first[s]);
 
-    // Pass 2: one dense accumulator vector per distinct aggregate column.
+    // one dense accumulator vector per distinct aggregate column
     let mut dense: Vec<(&str, Vec<Acc>)> = Vec::new();
     for &(name, f) in specs {
         if f == AggFn::Count || dense.iter().any(|(n, _)| *n == name) {
@@ -398,25 +360,12 @@ fn partial_of_coded(
         }
         let bc = batch.column(name)?;
         let mut accs = vec![Acc::new(); n_slots];
-        let keep = batch.keep.as_deref();
-        let validity = bc.validity.as_deref();
+        let valid = bc.validity.as_deref();
         match &bc.values {
-            DecodedValues::Float(v) => {
-                dense_pass(batch.n_rows, keep, validity, &slots, &mut accs, |i| v[i])
-            }
-            DecodedValues::Int(v) => {
-                dense_pass(batch.n_rows, keep, validity, &slots, &mut accs, |i| {
-                    v[i] as f64
-                })
-            }
+            DecodedValues::Float(v) => dense_pass(sel, &slots, valid, &mut accs, |i| v[i]),
+            DecodedValues::Int(v) => dense_pass(sel, &slots, valid, &mut accs, |i| v[i] as f64),
             DecodedValues::Bool(v) => {
-                dense_pass(batch.n_rows, keep, validity, &slots, &mut accs, |i| {
-                    if v[i] {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                })
+                dense_pass(sel, &slots, valid, &mut accs, |i| f64::from(u8::from(v[i])))
             }
             DecodedValues::Codes(_) => {
                 unreachable!("non-Count aggregate columns are validated as non-categorical")
@@ -425,73 +374,82 @@ fn partial_of_coded(
         dense.push((name, accs));
     }
 
-    // Assemble the same Partial shape the generic path builds.
     let mut partial = Partial {
-        order: Vec::with_capacity(order_slots.len()),
-        cells: HashMap::with_capacity(order_slots.len()),
+        order: Vec::with_capacity(order.len()),
+        cells: HashMap::with_capacity(order.len()),
     };
-    for &slot in &order_slots {
-        let gk = if slot == 0 {
-            GKey::Null
-        } else {
-            GKey::Code(slot as u32 - 1)
-        };
+    for slot in order {
         let accs: Vec<Acc> = specs
             .iter()
-            .map(|&(name, f)| {
-                if f == AggFn::Count {
-                    Acc::new()
-                } else {
-                    dense
-                        .iter()
-                        .find(|(n, _)| *n == name)
-                        .expect("dense accumulator built above")
-                        .1[slot]
-                }
+            .map(|&(name, f)| match dense.iter().find(|(n, _)| *n == name) {
+                Some((_, accs)) if f != AggFn::Count => accs[slot],
+                _ => Acc::new(),
             })
             .collect();
-        partial.order.push(gk);
-        partial.cells.insert(gk, (rows_by[slot], accs));
+        partial.order.push(slot_keys[slot]);
+        partial.cells.insert(slot_keys[slot], (rows_by[slot], accs));
     }
     Ok(partial)
 }
 
-/// The accumulation loop of the dense path, monomorphized per value type
-/// and specialized over the keep-list/validity-mask combinations so the
-/// innermost loop is branch-light.
+/// The slot of each selected row's key, in selection order, and the key of
+/// each slot. Slot 0 is the null key; a null row's slot is zeroed by
+/// multiplying with its validity bit.
+fn key_slots(key_col: &BatchColumn, sel: &Selection, n_codes: usize) -> (Vec<u32>, Vec<GKey>) {
+    let mut slots: Vec<u32> = Vec::with_capacity(sel.len());
+    let mut keys = vec![GKey::Null];
+    match &key_col.values {
+        DecodedValues::Codes(v) => {
+            sel.for_each(|i| slots.push(v[i] + 1));
+            keys.extend((0..n_codes as u32).map(GKey::Code));
+        }
+        DecodedValues::Bool(v) => {
+            sel.for_each(|i| slots.push(u32::from(v[i]) + 1));
+            keys.extend([GKey::Bool(false), GKey::Bool(true)]);
+        }
+        DecodedValues::Int(v) => {
+            let mut numbered: HashMap<i64, u32> = HashMap::new();
+            sel.for_each(|i| {
+                let next = keys.len() as u32;
+                let slot = *numbered.entry(v[i]).or_insert_with(|| {
+                    keys.push(GKey::Int(v[i]));
+                    next
+                });
+                slots.push(slot);
+            });
+        }
+        DecodedValues::Float(_) => unreachable!("key type validated before the scan"),
+    }
+    if let Some(m) = &key_col.validity {
+        let mut j = 0;
+        sel.for_each(|i| {
+            slots[j] *= u32::from(m[i]);
+            j += 1;
+        });
+    }
+    (slots, keys)
+}
+
+/// The accumulation loop of an aggregate column: the value of the `j`-th
+/// selected row goes to slot `slots[j]`, as a masked push when the column
+/// has nulls.
 fn dense_pass(
-    n_rows: usize,
-    keep: Option<&[usize]>,
-    validity: Option<&[bool]>,
+    sel: &Selection,
     slots: &[u32],
+    validity: Option<&[bool]>,
     accs: &mut [Acc],
     value: impl Fn(usize) -> f64,
 ) {
-    match (keep, validity) {
-        (None, None) => {
-            for (i, &slot) in slots.iter().enumerate().take(n_rows) {
-                accs[slot as usize].push(value(i));
-            }
-        }
-        (None, Some(m)) => {
-            for (i, &slot) in slots.iter().enumerate().take(n_rows) {
-                if m[i] {
-                    accs[slot as usize].push(value(i));
-                }
-            }
-        }
-        (Some(k), None) => {
-            for (j, &i) in k.iter().enumerate() {
-                accs[slots[j] as usize].push(value(i));
-            }
-        }
-        (Some(k), Some(m)) => {
-            for (j, &i) in k.iter().enumerate() {
-                if m[i] {
-                    accs[slots[j] as usize].push(value(i));
-                }
-            }
-        }
+    let mut j = 0;
+    match validity {
+        None => sel.for_each(|i| {
+            accs[slots[j] as usize].push_if(value(i), true);
+            j += 1;
+        }),
+        Some(m) => sel.for_each(|i| {
+            accs[slots[j] as usize].push_if(value(i), m[i]);
+            j += 1;
+        }),
     }
 }
 

@@ -26,10 +26,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::column::{CatData, Column};
+use crate::column::{check_codes, CatData, Column};
 use crate::error::{FactError, Result};
 use crate::frame::Dataset;
-use crate::segment::{DecodedValues, Predicate, ScanStats, SegmentSet};
+use crate::segment::{DecodedValues, Predicate, ScanStats, SegmentSet, Selection};
 use crate::value::DataType;
 
 /// Borrow a named categorical column's storage, naming the column in errors.
@@ -163,31 +163,45 @@ pub struct GroupRate {
 /// `group_col` — the probe that verifies an injector's damage (or detects
 /// it on real data). Groups are reported in dictionary-code order; rows
 /// where either column is null are skipped; dictionary entries with no
-/// remaining rows are omitted.
+/// remaining rows are omitted. A code outside the dictionary is
+/// [`FactError::Corrupt`].
 pub fn group_rates(ds: &Dataset, label_col: &str, group_col: &str) -> Result<Vec<GroupRate>> {
     let labels = ds.bool_column(label_col)?;
     let lcol = ds.column(label_col)?;
     let cat = cat_of(ds, group_col)?;
+    check_codes(&cat.codes, cat.dict.len())?;
     let gcol = ds.column(group_col)?;
-    let mut n = vec![0usize; cat.dict.len()];
-    let mut pos = vec![0usize; cat.dict.len()];
-    for (i, (&y, &c)) in labels.iter().zip(&cat.codes).enumerate() {
-        if gcol.is_null(i) || lcol.is_null(i) {
-            continue;
-        }
-        n[c as usize] += 1;
-        if y {
-            pos[c as usize] += 1;
-        }
-    }
+    let sel = Selection::valid_in(ds.n_rows(), &[lcol.validity(), gcol.validity()]);
+    let (n, pos) = tally_rates(&sel, labels, &cat.codes, cat.dict.len());
     Ok(finish_rates(&cat.dict, &n, &pos))
+}
+
+/// Per-code row and positive counts over the selected rows, which are
+/// non-null in both columns: `pos[code] += label`, no data-dependent
+/// branch per row.
+fn tally_rates(
+    sel: &Selection,
+    labels: &[bool],
+    codes: &[u32],
+    k: usize,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut n = vec![0usize; k];
+    let mut pos = vec![0usize; k];
+    sel.for_each(|i| {
+        let c = codes[i] as usize;
+        n[c] += 1;
+        pos[c] += usize::from(labels[i]);
+    });
+    (n, pos)
 }
 
 /// [`group_rates`] over an on-disk [`SegmentSet`], restricted to rows
 /// matching `pred`. Routed through the column-pruned scan: only the two
 /// named columns are read, and segments excluded by `pred`'s zone maps are
-/// skipped entirely. Per-code tallies merge additively, so the result is
-/// identical at any `fact_par` worker count.
+/// skipped entirely. The scan's selection leaves out rows where either
+/// column is null, so each segment counts its selected rows into per-code
+/// tallies with no data-dependent branch. Tallies merge additively, so the
+/// result is identical at any `fact_par` worker count.
 pub fn group_rates_segments(
     set: &SegmentSet,
     label_col: &str,
@@ -204,32 +218,21 @@ pub fn group_rates_segments(
     }
     let dict: Vec<String> = set.dict(group_col)?.to_vec();
     let k = dict.len();
+    let columns = [label_col, group_col];
     let (tallies, stats) = set.scan_fold(
-        &[label_col, group_col],
+        &columns,
+        &columns,
         pred,
         |batch| {
-            let lc = batch.column(label_col)?;
-            let gc = batch.column(group_col)?;
-            let labels = match &lc.values {
+            let labels = match &batch.column(label_col)?.values {
                 DecodedValues::Bool(v) => v,
                 _ => unreachable!("label dtype validated above"),
             };
-            let codes = match &gc.values {
+            let codes = match &batch.column(group_col)?.values {
                 DecodedValues::Codes(v) => v,
                 _ => unreachable!("group dtype validated by dict lookup"),
             };
-            let mut n = vec![0usize; k];
-            let mut pos = vec![0usize; k];
-            for i in batch.rows() {
-                if gc.is_null(i) || lc.is_null(i) {
-                    continue;
-                }
-                n[codes[i] as usize] += 1;
-                if labels[i] {
-                    pos[codes[i] as usize] += 1;
-                }
-            }
-            Ok((n, pos))
+            Ok(tally_rates(batch.selection(), labels, codes, k))
         },
         |(mut an, mut ap): (Vec<usize>, Vec<usize>), (bn, bp)| {
             for (x, y) in an.iter_mut().zip(bn) {

@@ -111,6 +111,11 @@ fn encode_rle(lanes: &[u64], width: usize, out: &mut Vec<u8>) {
     }
 }
 
+/// Decode an RLE buffer of `rows` lanes. The run lengths are summed (with
+/// checked adds) and must cover exactly `rows` before anything is
+/// reserved, so a declared row count the buffer does not back costs
+/// nothing; runs that do cover it but could never be held (more rows than
+/// memory) are refused when the reservation fails, not by an abort.
 fn decode_rle(bytes: &[u8], width: usize, rows: usize) -> Result<Vec<u64>> {
     if bytes.len() < 4 {
         return Err(corrupt("RLE buffer shorter than its run count"));
@@ -124,22 +129,27 @@ fn decode_rle(bytes: &[u8], width: usize, rows: usize) -> Result<Vec<u64>> {
             width + 4
         )));
     }
-    let mut out = Vec::with_capacity(rows);
+    let run_len =
+        |run: &[u8]| u32::from_le_bytes(run[width..].try_into().expect("4 bytes")) as usize;
+    let covered = body
+        .chunks_exact(width + 4)
+        .try_fold(0usize, |total, run| total.checked_add(run_len(run)));
+    if covered != Some(rows) {
+        return Err(corrupt(format!(
+            "RLE runs cover {} of {rows} declared rows",
+            covered.map_or_else(|| "more than usize::MAX".to_string(), |c| c.to_string())
+        )));
+    }
+    let mut out = Vec::new();
+    out.try_reserve_exact(rows).map_err(|_| {
+        corrupt(format!(
+            "RLE runs declare {rows} rows, more than fit in memory"
+        ))
+    })?;
     for run in body.chunks_exact(width + 4) {
         let mut lane = [0u8; 8];
         lane[..width].copy_from_slice(&run[..width]);
-        let v = u64::from_le_bytes(lane);
-        let n = u32::from_le_bytes(run[width..].try_into().expect("4 bytes")) as usize;
-        if out.len() + n > rows {
-            return Err(corrupt("RLE runs exceed the declared row count"));
-        }
-        out.extend(std::iter::repeat_n(v, n));
-    }
-    if out.len() != rows {
-        return Err(corrupt(format!(
-            "RLE runs cover {} of {rows} declared rows",
-            out.len()
-        )));
+        out.extend(std::iter::repeat_n(u64::from_le_bytes(lane), run_len(run)));
     }
     Ok(out)
 }
@@ -246,7 +256,7 @@ pub fn decode_values(
             DataType::Bool => unreachable!("handled above"),
         });
     }
-    if bytes.len() != rows * width {
+    if rows.checked_mul(width) != Some(bytes.len()) {
         return Err(corrupt(format!(
             "plain buffer holds {} bytes for {rows} rows of {width}",
             bytes.len()

@@ -316,11 +316,15 @@ pub fn read_manifest(dir: &Path) -> Result<Manifest> {
             manifest.version
         )));
     }
-    let seg_rows: u64 = manifest.segments.iter().map(|s| s.rows).sum();
-    if seg_rows != manifest.n_rows {
+    let seg_rows = manifest
+        .segments
+        .iter()
+        .try_fold(0u64, |total, s| total.checked_add(s.rows));
+    if seg_rows != Some(manifest.n_rows) {
         return Err(corrupt(format!(
-            "manifest rows {} disagree with segment total {seg_rows}",
-            manifest.n_rows
+            "manifest rows {} disagree with segment total {}",
+            manifest.n_rows,
+            seg_rows.map_or_else(|| "past u64::MAX".to_string(), |r| r.to_string())
         )));
     }
     for f in &manifest.fields {
@@ -412,7 +416,7 @@ impl SegmentReader {
             }
         };
         let data_start = PREAMBLE_LEN as u64 + header_len;
-        if data_start + header.data_len != file_len {
+        if data_start.checked_add(header.data_len) != Some(file_len) {
             return Err(corrupt(format!(
                 "{}: data section is {} bytes, header declares {} (torn tail?)",
                 path.display(),

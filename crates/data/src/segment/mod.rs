@@ -73,7 +73,7 @@ pub use file::{
     build_zone_map, ColumnMeta, Manifest, ManifestField, ManifestSegment, SegmentHeader,
     SegmentReader, ZoneMap, MANIFEST_FILE, SEGMENT_MAGIC, SEGMENT_VERSION, ZONE_MAP_MAX_CODES,
 };
-pub use scan::{BatchColumn, Predicate, ScanStats, SegmentBatch, SegmentSet};
+pub use scan::{BatchColumn, Predicate, ScanStats, SegmentBatch, SegmentSet, Selection};
 
 use std::path::Path;
 

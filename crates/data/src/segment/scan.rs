@@ -9,6 +9,20 @@
 //! index order — never completion order — every scan is **bit-identical at
 //! any worker count**.
 //!
+//! # The selection contract
+//!
+//! For each surviving segment the scan builds one [`Selection`] before the
+//! fold runs: the rows that pass the predicate (a `Range` row holds a
+//! non-null value inside the bounds, a `CatIs` row a non-null code equal to
+//! the label's) and are non-null in every column the caller named, either
+//! as "all `n` rows" or as an ascending row list. A selection is built by
+//! compaction: every row is written to the list, and only a kept row
+//! advances the write position. A fold then loops over it with no per-row
+//! predicate test, null check or dispatch, counting dictionary codes into
+//! dense tables (`pos[code] += label`). Each consumer's null rule is which columns it
+//! names; [`SegmentBatch`] lists them. [`ScanStats::rows_matched`] counts
+//! the rows the predicate kept, before any null is left out.
+//!
 //! [`SegmentSet::scan_columns`] materializes matching rows back into a
 //! [`Dataset`]; group-by aggregation ([`crate::agg::aggregate_segments`])
 //! and the fairness group scans build directly on `scan_fold`.
@@ -95,32 +109,110 @@ pub struct BatchColumn {
     pub validity: Option<Vec<bool>>,
 }
 
-impl BatchColumn {
-    /// Whether row `i` is null.
-    pub fn is_null(&self, i: usize) -> bool {
-        self.validity.as_ref().map(|m| !m[i]).unwrap_or(false)
+/// The rows of one segment a fold visits, in ascending order.
+///
+/// A scan builds one per surviving segment, before the fold runs: the rows
+/// that pass the predicate and are non-null in every column the caller
+/// named in `non_null`. A fold then loops over the selection with no
+/// per-row predicate, null check or dispatch; see [`SegmentBatch`] for
+/// each consumer's null rule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Selection {
+    /// Every row `0..n`.
+    All(usize),
+    /// These rows, ascending; some rows of the segment are left out.
+    Rows(Vec<usize>),
+}
+
+impl Selection {
+    /// The rows of `0..n` that are valid in every given mask (`None` = no
+    /// nulls), which is how an in-memory fold builds the selection a
+    /// segment scan hands it.
+    pub fn valid_in(n: usize, masks: &[Option<&[bool]>]) -> Selection {
+        masks
+            .iter()
+            .fold(Selection::All(n), |sel, m| sel.restrict(*m))
     }
 
-    /// Numeric view of row `i`; `None` for nulls and categorical codes.
-    pub fn f64_at(&self, i: usize) -> Option<f64> {
-        if self.is_null(i) {
-            None
-        } else {
-            self.values.as_f64(i)
+    /// The rows of `0..n` for which `keep` holds, by compaction: every
+    /// row is written, and only a kept row advances the write position.
+    fn matching(n: usize, keep: impl Fn(usize) -> bool) -> Selection {
+        let mut rows = vec![0usize; n];
+        let mut len = 0;
+        for i in 0..n {
+            rows[len] = i;
+            len += usize::from(keep(i));
+        }
+        if len == n {
+            return Selection::All(n);
+        }
+        rows.truncate(len);
+        Selection::Rows(rows)
+    }
+
+    /// The selected rows that are also valid in `mask`.
+    fn restrict(self, mask: Option<&[bool]>) -> Selection {
+        match (self, mask) {
+            (sel, None) => sel,
+            (Selection::All(n), Some(m)) => Selection::matching(n, |i| m[i]),
+            (Selection::Rows(mut rows), Some(m)) => {
+                let mut len = 0;
+                for j in 0..rows.len() {
+                    let i = rows[j];
+                    rows[len] = i;
+                    len += usize::from(m[i]);
+                }
+                rows.truncate(len);
+                Selection::Rows(rows)
+            }
+        }
+    }
+
+    /// Number of selected rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Selection::All(n) => *n,
+            Selection::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// True when no row is selected.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Call `f` with each selected row, ascending. The variant is matched
+    /// once, so `f` runs in a loop of its own for each.
+    #[inline]
+    pub fn for_each(&self, mut f: impl FnMut(usize)) {
+        match self {
+            Selection::All(n) => (0..*n).for_each(f),
+            Selection::Rows(rows) => rows.iter().for_each(|&i| f(i)),
         }
     }
 }
 
 /// The decoded slice of one surviving segment: the requested columns plus
-/// the rows the predicate kept.
+/// the [`Selection`] of rows the fold visits.
+///
+/// The selection holds the rows that pass the scan's predicate and are
+/// non-null in the columns the scan was asked to keep non-null. Each fold
+/// names those columns by its own null rule:
+///
+/// * `group_rates_segments` names the label and the group: a row with
+///   either null is not counted;
+/// * `intersectional_audit_segments` names the prediction and every
+///   attribute; the rows left out are its `skipped_rows`;
+/// * `aggregate_segments` and `scan_columns` name none: a null key is its
+///   own `null` group and `Count` counts null values, while the other
+///   aggregates skip a null value through the column's validity mask.
 #[derive(Debug)]
 pub struct SegmentBatch {
     /// Index of the segment within the set.
     pub seg_index: usize,
     /// Rows in the segment (before filtering).
     pub n_rows: usize,
-    /// Row indices that matched the predicate; `None` when all rows match.
-    pub keep: Option<Vec<usize>>,
+    selection: Selection,
     columns: Vec<BatchColumn>,
 }
 
@@ -133,17 +225,9 @@ impl SegmentBatch {
             .ok_or_else(|| FactError::ColumnNotFound(name.to_string()))
     }
 
-    /// Number of rows that matched the predicate.
-    pub fn n_matching(&self) -> usize {
-        self.keep.as_ref().map_or(self.n_rows, |k| k.len())
-    }
-
-    /// Iterate the matching row indices in row order.
-    pub fn rows(&self) -> Box<dyn Iterator<Item = usize> + '_> {
-        match &self.keep {
-            Some(k) => Box::new(k.iter().copied()),
-            None => Box::new(0..self.n_rows),
-        }
+    /// The rows the fold visits.
+    pub fn selection(&self) -> &Selection {
+        &self.selection
     }
 }
 
@@ -192,6 +276,8 @@ impl SegmentSet {
 
     /// Open segment `i`, reusing its cached parsed header when available
     /// (the preamble and length checks still run against the live file).
+    /// A header whose row count differs from the manifest's entry is
+    /// [`FactError::Corrupt`]: every decoder sizes its output by it.
     fn open_segment(&self, i: usize) -> Result<SegmentReader> {
         let cached = self
             .headers
@@ -201,6 +287,13 @@ impl SegmentSet {
             .cloned();
         let hit = cached.is_some();
         let reader = SegmentReader::open_with(&self.segment_path(i), cached)?;
+        let want = self.manifest.segments[i].rows;
+        if reader.header().n_rows != want {
+            return Err(FactError::Corrupt(format!(
+                "segment {i}: header declares {} rows, the manifest {want}",
+                reader.header().n_rows
+            )));
+        }
         if !hit {
             self.headers
                 .lock()
@@ -323,19 +416,25 @@ impl SegmentSet {
     }
 
     /// The scan primitive: prune segments via zone maps, decode only
-    /// `columns` (plus the predicate column) of the survivors, apply `map`
-    /// to each surviving segment's batch, and fold the results **in segment
-    /// order** with `merge`. Returns `Ok((None, stats))` when every segment
-    /// was pruned (or the set is empty).
+    /// `columns` (plus the predicate and `non_null` columns) of the
+    /// survivors, build each
+    /// survivor's [`Selection`] (the rows that pass `pred` and are non-null
+    /// in every column of `non_null`), apply `map` to its batch, and fold
+    /// the results **in segment order** with `merge`. Returns
+    /// `Ok((None, stats))` when every segment was pruned (or the set is
+    /// empty).
     ///
     /// Segments run in parallel on [`fact_par::par_map`]; the ordered fold
     /// makes the result bit-identical at any worker count. Every decoded
-    /// categorical column is checked against the manifest dictionary
-    /// before `map` sees it: an out-of-range code is
-    /// [`FactError::Corrupt`], so `map` may index with codes unchecked.
+    /// column is checked against the manifest before `map` sees it: a
+    /// segment whose row count or column type disagrees with the manifest,
+    /// or whose categorical codes fall outside the manifest dictionary, is
+    /// [`FactError::Corrupt`], so `map` may index with codes unchecked and
+    /// match on the manifest's types.
     pub fn scan_fold<T, M, R>(
         &self,
         columns: &[&str],
+        non_null: &[&str],
         pred: &Predicate,
         map: M,
         merge: R,
@@ -345,20 +444,20 @@ impl SegmentSet {
         M: Fn(&SegmentBatch) -> Result<T> + Sync,
         R: Fn(T, T) -> T,
     {
-        for &c in columns {
-            self.field(c)?;
-        }
         let compiled = self.compile(pred)?;
-        // decode the predicate column alongside the requested ones
-        let mut decode: Vec<&str> = columns.to_vec();
-        if let Some(pc) = pred.column() {
-            if !decode.contains(&pc) {
-                decode.push(pc);
+        // decode the predicate and non-null columns alongside the requested
+        // ones
+        let mut decode: Vec<&str> = Vec::with_capacity(columns.len() + non_null.len() + 1);
+        for &c in columns.iter().chain(non_null).chain(pred.column().as_ref()) {
+            self.field(c)?;
+            if !decode.contains(&c) {
+                decode.push(c);
             }
         }
         let n_seg = self.n_segments();
-        let per_seg: Vec<Result<(Option<T>, SegScan)>> =
-            fact_par::par_map(n_seg, 1, |i| self.scan_one(i, &decode, &compiled, &map));
+        let per_seg: Vec<Result<(Option<T>, SegScan)>> = fact_par::par_map(n_seg, 1, |i| {
+            self.scan_one(i, &decode, non_null, &compiled, &map)
+        });
         let mut stats = ScanStats {
             segments_total: n_seg,
             bytes_total: self.manifest.segments.iter().map(|s| s.bytes).sum(),
@@ -388,6 +487,7 @@ impl SegmentSet {
         &self,
         i: usize,
         decode: &[&str],
+        non_null: &[&str],
         pred: &CompiledPred,
         map: &M,
     ) -> Result<(Option<T>, SegScan)>
@@ -417,11 +517,19 @@ impl SegmentSet {
         let n_rows = reader.header().n_rows as usize;
         let mut cols = Vec::with_capacity(decode.len());
         for &name in decode {
+            let field = self.field(name)?;
+            if reader.column_meta(name)?.dtype != field.dtype {
+                return Err(FactError::Corrupt(format!(
+                    "segment {i}: column '{name}' is stored as {} but the manifest says {}",
+                    reader.column_meta(name)?.dtype,
+                    field.dtype
+                )));
+            }
             let (values, validity, bytes) = reader.read_column(name)?;
             scan.bytes_read += bytes;
             // segment bodies carry no checksum
-            if let DecodedValues::Codes(codes) = &values {
-                check_codes(codes, self.dict(name)?.len())?;
+            if let (DecodedValues::Codes(codes), Some(dict)) = (&values, &field.dict) {
+                check_codes(codes, dict.len())?;
             }
             cols.push(BatchColumn {
                 name: name.to_string(),
@@ -429,36 +537,39 @@ impl SegmentSet {
                 validity,
             });
         }
-        let keep = match pred {
-            CompiledPred::All => None,
-            CompiledPred::Range { col, min, max } => {
-                let c = cols.iter().find(|b| b.name == *col).expect("decoded above");
-                Some(
-                    (0..n_rows)
-                        .filter(|&r| c.f64_at(r).is_some_and(|v| v >= *min && v <= *max))
-                        .collect::<Vec<usize>>(),
-                )
+        let col = |name: &str| cols.iter().find(|b| b.name == name).expect("decoded above");
+        let selection = match pred {
+            CompiledPred::All => Selection::All(n_rows),
+            CompiledPred::Range {
+                col: name,
+                min,
+                max,
+            } => {
+                let c = col(name);
+                Selection::matching(n_rows, |r| {
+                    c.values.as_f64(r).is_some_and(|v| v >= *min && v <= *max)
+                })
+                .restrict(c.validity.as_deref())
             }
-            CompiledPred::Code { col, code } => {
-                let c = cols.iter().find(|b| b.name == *col).expect("decoded above");
+            CompiledPred::Code { col: name, code } => {
+                let c = col(name);
                 let code = code.expect("absent labels prune every segment");
                 let codes = match &c.values {
                     DecodedValues::Codes(v) => v,
                     _ => unreachable!("CatIs validated as categorical"),
                 };
-                Some(
-                    (0..n_rows)
-                        .filter(|&r| !c.is_null(r) && codes[r] == code)
-                        .collect::<Vec<usize>>(),
-                )
+                Selection::matching(n_rows, |r| codes[r] == code).restrict(c.validity.as_deref())
             }
         };
         scan.rows_scanned = n_rows as u64;
-        scan.rows_matched = keep.as_ref().map_or(n_rows, |k| k.len()) as u64;
+        scan.rows_matched = selection.len() as u64;
+        let selection = non_null.iter().fold(selection, |sel, &name| {
+            sel.restrict(col(name).validity.as_deref())
+        });
         let batch = SegmentBatch {
             seg_index: i,
             n_rows,
-            keep,
+            selection,
             columns: cols,
         };
         Ok((Some(map(&batch)?), scan))
@@ -471,13 +582,14 @@ impl SegmentSet {
     pub fn scan_columns(&self, columns: &[&str], pred: &Predicate) -> Result<(Dataset, ScanStats)> {
         let (parts, stats) = self.scan_fold(
             columns,
+            &[],
             pred,
             |batch| {
                 let mut out: Vec<(DecodedValues, Option<Vec<bool>>)> =
                     Vec::with_capacity(columns.len());
                 for &name in columns {
                     let c = batch.column(name)?;
-                    out.push(gather(c, batch));
+                    out.push(gather(c, batch.selection()));
                 }
                 Ok(out)
             },
@@ -533,27 +645,27 @@ fn empty_values(dtype: DataType) -> DecodedValues {
     }
 }
 
-/// Gather a batch column's matching rows into an owned part.
-fn gather(c: &BatchColumn, batch: &SegmentBatch) -> (DecodedValues, Option<Vec<bool>>) {
-    let values = match (&c.values, &batch.keep) {
-        (v, None) => v.clone(),
-        (DecodedValues::Float(v), Some(k)) => {
-            DecodedValues::Float(k.iter().map(|&i| v[i]).collect())
-        }
-        (DecodedValues::Int(v), Some(k)) => DecodedValues::Int(k.iter().map(|&i| v[i]).collect()),
-        (DecodedValues::Bool(v), Some(k)) => DecodedValues::Bool(k.iter().map(|&i| v[i]).collect()),
-        (DecodedValues::Codes(v), Some(k)) => {
-            DecodedValues::Codes(k.iter().map(|&i| v[i]).collect())
-        }
+/// Gather a batch column's selected rows into an owned part.
+fn gather(c: &BatchColumn, sel: &Selection) -> (DecodedValues, Option<Vec<bool>>) {
+    let (values, validity) = match sel {
+        Selection::All(_) => (c.values.clone(), c.validity.clone()),
+        Selection::Rows(k) => (
+            match &c.values {
+                DecodedValues::Float(v) => DecodedValues::Float(k.iter().map(|&i| v[i]).collect()),
+                DecodedValues::Int(v) => DecodedValues::Int(k.iter().map(|&i| v[i]).collect()),
+                DecodedValues::Bool(v) => DecodedValues::Bool(k.iter().map(|&i| v[i]).collect()),
+                DecodedValues::Codes(v) => DecodedValues::Codes(k.iter().map(|&i| v[i]).collect()),
+            },
+            c.validity
+                .as_ref()
+                .map(|m| k.iter().map(|&i| m[i]).collect()),
+        ),
     };
-    let validity = match (&c.validity, &batch.keep) {
-        (None, _) => None,
-        (Some(m), None) => Some(m.clone()),
-        (Some(m), Some(k)) => Some(k.iter().map(|&i| m[i]).collect::<Vec<bool>>()),
-    }
     // drop masks that became all-true after filtering, matching Column::take
-    .filter(|m| m.iter().any(|&v| !v));
-    (values, validity)
+    (
+        values,
+        validity.filter(|m: &Vec<bool>| m.iter().any(|&v| !v)),
+    )
 }
 
 /// Append part `b` onto part `a` (same column, consecutive segments).

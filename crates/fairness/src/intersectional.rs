@@ -15,10 +15,14 @@
 //! codes. The core maps that tuple to a mixed-radix cell index
 //! (`Σ codeⱼ · ∏ₖ₍ₖ>ⱼ₎ |dictₖ|`) into a dense table of `(n, positives)`
 //! cells and resolves labels once per non-empty cell at the end, so no
-//! string is built or hashed per row. [`intersectional_audit`] reads a
-//! [`Dataset`]'s codes in place; [`intersectional_audit_segments`] streams
-//! segment batches through [`SegmentSet::scan_fold`] and never builds a
-//! `Dataset`. Per-chunk and per-batch tables merge by addition, and the
+//! string is built or hashed per row. It counts a [`Selection`] of rows,
+//! the ones with no null attribute or prediction: cell indices are built
+//! column-at-a-time, one multiply-add per attribute, then counted with
+//! `positives += prediction`, with no data-dependent branch per row.
+//! [`intersectional_audit`] reads a [`Dataset`]'s codes in place;
+//! [`intersectional_audit_segments`] streams segment batches through
+//! [`SegmentSet::scan_fold`], which builds the selection, and never builds
+//! a `Dataset`. Per-chunk and per-batch tables merge by addition, and the
 //! final sort (worst impact ratio first, then labels) fixes the order, so
 //! both paths give the same report at any `fact_par` worker count.
 //!
@@ -39,10 +43,9 @@
 //! O(min(cells, rows)) cells.
 
 use std::collections::HashMap;
-use std::ops::Range;
 
 use fact_data::column::check_codes;
-use fact_data::segment::DecodedValues;
+use fact_data::segment::{DecodedValues, Selection};
 use fact_data::{DataType, Dataset, FactError, Predicate, Result, ScanStats, SegmentSet};
 
 /// One subgroup's audit row.
@@ -114,7 +117,8 @@ pub fn intersectional_audit(
             "intersectional audit on empty data".into(),
         ));
     }
-    let mut attrs = Vec::with_capacity(attributes.len());
+    let mut codes = Vec::with_capacity(attributes.len());
+    let mut masks = Vec::with_capacity(attributes.len());
     let mut dicts = Vec::with_capacity(attributes.len());
     for &name in attributes {
         let col = ds.column(name)?;
@@ -129,10 +133,8 @@ pub fn intersectional_audit(
             other => other,
         })?;
         check_codes(&cat.codes, cat.dict.len())?;
-        attrs.push(AttrCodes {
-            codes: &cat.codes,
-            validity: col.validity(),
-        });
+        codes.push(cat.codes.as_slice());
+        masks.push(col.validity());
         dicts.push(cat.dict.as_slice());
     }
     let layout = Layout::new(&dicts);
@@ -142,7 +144,13 @@ pub fn intersectional_audit(
     let tally = fact_par::par_reduce(
         pred.len(),
         512,
-        |rows| Tally::count(&layout, &attrs, pred, None, rows),
+        |rows| {
+            let chunk: Vec<&[u32]> = codes.iter().map(|c| &c[rows.clone()]).collect();
+            let chunk_masks: Vec<Option<&[bool]>> =
+                masks.iter().map(|m| m.map(|m| &m[rows.clone()])).collect();
+            let sel = Selection::valid_in(rows.len(), &chunk_masks);
+            Tally::count(&layout, &chunk, &pred[rows], &sel)
+        },
         |a, b| a.merge(b, &layout),
     )
     .expect("non-empty input has a chunk");
@@ -186,34 +194,23 @@ pub fn intersectional_audit_segments(
     }
     let (tally, stats) = set.scan_fold(
         &columns,
+        &columns,
         &Predicate::All,
         |batch| {
-            let pc = batch.column(prediction)?;
-            let pred = match &pc.values {
+            let pred = match &batch.column(prediction)?.values {
                 DecodedValues::Bool(v) => v,
                 _ => unreachable!("prediction dtype validated above"),
             };
-            let attrs = attributes
+            let codes = attributes
                 .iter()
-                .map(|&a| {
-                    let c = batch.column(a)?;
-                    match &c.values {
-                        DecodedValues::Codes(codes) => Ok(AttrCodes {
-                            codes,
-                            validity: c.validity.as_deref(),
-                        }),
-                        _ => unreachable!("attribute dtype validated by dict lookup"),
-                    }
+                .map(|&a| match &batch.column(a)?.values {
+                    DecodedValues::Codes(codes) => Ok(codes.as_slice()),
+                    _ => unreachable!("attribute dtype validated by dict lookup"),
                 })
                 .collect::<Result<Vec<_>>>()?;
-            // `Predicate::All` keeps every row of the batch
-            Ok(Tally::count(
-                &layout,
-                &attrs,
-                pred,
-                pc.validity.as_deref(),
-                0..batch.n_rows,
-            ))
+            // `Predicate::All` selects every row with no null attribute or
+            // prediction, so the rows left out are the skipped ones
+            Ok(Tally::count(&layout, &codes, pred, batch.selection()))
         },
         |a, b| a.merge(b, &layout),
     )?;
@@ -229,13 +226,6 @@ fn require_attributes(attributes: &[&str]) -> Result<()> {
         ));
     }
     Ok(())
-}
-
-/// One attribute's dictionary codes with its validity mask (`None` = no
-/// nulls), indexed by row.
-struct AttrCodes<'a> {
-    codes: &'a [u32],
-    validity: Option<&'a [bool]>,
 }
 
 /// One subgroup cell's counts.
@@ -336,37 +326,48 @@ impl Tally {
         Tally { table, skipped: 0 }
     }
 
-    /// Count `rows`: each row's attribute codes pick its cell, and its
-    /// prediction counts toward the cell's positives. A row with a null
-    /// attribute or prediction is skipped. Codes were checked against
-    /// their dictionaries before counting (segment codes by the scan).
-    fn count(
-        layout: &Layout,
-        attrs: &[AttrCodes<'_>],
-        pred: &[bool],
-        pred_validity: Option<&[bool]>,
-        rows: Range<usize>,
-    ) -> Tally {
-        let mut tally = Tally::new(layout, rows.len());
-        let mut key = vec![0u32; attrs.len()];
-        'rows: for i in rows {
-            if pred_validity.is_some_and(|v| !v[i]) {
-                tally.skipped += 1;
-                continue;
+    /// Count the selected rows of a run of `pred.len()` rows: each
+    /// row's attribute codes pick its cell, and its prediction counts
+    /// toward the cell's positives. The selection holds the rows whose
+    /// attributes and prediction are all non-null; every other row of the
+    /// run is skipped. Codes were checked against their dictionaries before
+    /// counting (segment codes by the scan).
+    ///
+    /// A dense table's cell indices are built column-at-a-time, one
+    /// multiply-add per attribute per row, and then counted with
+    /// `positives += prediction`, no data-dependent branch per row.
+    fn count(layout: &Layout, codes: &[&[u32]], pred: &[bool], sel: &Selection) -> Tally {
+        let mut tally = Tally::new(layout, pred.len());
+        tally.skipped = pred.len() - sel.len();
+        if let Table::Dense(cells) = &mut tally.table {
+            let mut index = vec![0usize; sel.len()];
+            for (c, &r) in codes.iter().zip(&layout.radix) {
+                let mut j = 0;
+                sel.for_each(|i| {
+                    index[j] = index[j] * r + c[i] as usize;
+                    j += 1;
+                });
             }
-            for (slot, a) in key.iter_mut().zip(attrs) {
-                if a.validity.is_some_and(|v| !v[i]) {
-                    tally.skipped += 1;
-                    continue 'rows;
-                }
-                *slot = a.codes[i];
+            let mut j = 0;
+            sel.for_each(|i| {
+                let cell = &mut cells[index[j]];
+                cell.n += 1;
+                cell.positives += usize::from(pred[i]);
+                j += 1;
+            });
+            return tally;
+        }
+        let mut key = vec![0u32; codes.len()];
+        sel.for_each(|i| {
+            for (slot, c) in key.iter_mut().zip(codes) {
+                *slot = c[i];
             }
             let cell = Cell {
                 n: 1,
                 positives: usize::from(pred[i]),
             };
             tally.table.add(layout, &key, cell);
-        }
+        });
         tally
     }
 
@@ -838,14 +839,8 @@ mod tests {
             (0..511).map(|i| i % 16).collect(),
             (0..511).map(|i| i % 32).collect(),
         ];
-        let attrs: Vec<AttrCodes<'_>> = codes
-            .iter()
-            .map(|c| AttrCodes {
-                codes: c,
-                validity: None,
-            })
-            .collect();
-        let tally = Tally::count(&layout, &attrs, &[true; 511], None, 0..511);
+        let codes: Vec<&[u32]> = codes.iter().map(Vec::as_slice).collect();
+        let tally = Tally::count(&layout, &codes, &[true; 511], &Selection::All(511));
         match tally.table {
             Table::Sparse(map) => assert!(map.len() <= 511),
             Table::Dense(_) => panic!("511 rows cannot hold 512 dense cells"),

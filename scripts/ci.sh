@@ -7,55 +7,60 @@
 #                             clippy::format_collect (no per-item format!
 #                             collected into a String, e.g. per-byte hex)
 #   3. cargo test -q          the full workspace suite
-#   4. one core               the fact-net suite and fact-serve's unit
+#   4. release kernels        fact-data and fact-fairness tests again in
+#                             release: perfbench and the experiments run
+#                             the segment-scan and fairness kernels there,
+#                             where an overflowing index wraps silently
+#                             instead of panicking as it does in debug
+#   5. one core               the fact-net suite and fact-serve's unit
 #                             tests again under taskset -c 0: multi-frame
 #                             writes and multi-frame buffered reads, and
 #                             races between a decision handle and the
 #                             worker that answers it, mostly happen when
 #                             the threads share a core, which a multi-core
 #                             run seldom reaches
-#   5. perfbench self-tests   the benchmark package sits outside the
+#   6. perfbench self-tests   the benchmark package sits outside the
 #                             workspace but builds on crates/* by path,
 #                             so a fact-serve API change that breaks it
 #                             fails here
-#   6. cargo doc              workspace rustdoc, warnings are errors
-#   7. exp_e3 --smoke         multiple testing on noise: Holm keeps FWER
+#   7. cargo doc              workspace rustdoc, warnings are errors
+#   8. exp_e3 --smoke         multiple testing on noise: Holm keeps FWER
 #                             within alpha + 3 binomial sigma at every m,
 #                             uncorrected FWER reaches 0.9 by m = 400, and
 #                             naive discoveries at m = 5000 sit within
 #                             4 sigma of alpha*m
-#   8. exp_e4 --smoke         Simpson's paradox: the aggregate gap favors
+#   9. exp_e4 --smoke         Simpson's paradox: the aggregate gap favors
 #                             men by >8pp, the department-adjusted gap
 #                             favors women, the department stratifier
 #                             reports the reversal and a placebo coin
 #                             does not
-#   9. exp_e9 --smoke         guarded stream: exact debounced fairness-alert
+#  10. exp_e9 --smoke         guarded stream: exact debounced fairness-alert
 #                             and DP-release counts, sampled audit entries
 #                             and the last alert's DI bit for bit
-#  10. guard examples         run examples/production_monitoring.rs and
+#  11. guard examples         run examples/production_monitoring.rs and
 #                             examples/serving.rs, the two examples that
 #                             drive the guard API; a non-zero exit fails
-#  11. exp_e12 --smoke        parallel kernels bit-identical to sequential
-#  12. exp_e11 --smoke        guarded serving under open-loop load: every
+#  12. exp_e12 --smoke        parallel kernels bit-identical to sequential
+#  13. exp_e11 --smoke        guarded serving under open-loop load: every
 #                             submit of every trial is either served or
 #                             refused at admission (a conservation check)
-#  13. audit_recovery smoke   kill the audit writer mid-batch, restart,
+#  14. audit_recovery smoke   kill the audit writer mid-batch, restart,
 #                             assert the hash chain verifies and loss is
 #                             bounded by one batch (tests + exp_e13 --smoke)
-#  14. exp_e14 --smoke        feature cache: >=5x steady-state speedup,
+#  15. exp_e14 --smoke        feature cache: >=5x steady-state speedup,
 #                             warm keys bridge a store outage, negative
 #                             cache bounds upstream probes
-#  15. exp_e15 --smoke        segmented audit rotation: recovery bytes-read
+#  16. exp_e15 --smoke        segmented audit rotation: recovery bytes-read
 #                             stays one segment as the log grows 10x, every
 #                             segment verifies standalone, a kill at the
 #                             segment boundary loses nothing silently
-#  16. exp_e16 --smoke        cross-process serving: spawn a fact-shardd
+#  17. exp_e16 --smoke        cross-process serving: spawn a fact-shardd
 #                             worker over a tempdir Unix socket, SIGKILL it
 #                             under load, respawn, assert the fairness
 #                             window + ε ledger resume from checkpoint with
 #                             bounded loss and the audit chain verifies
 #                             across the crash
-#  17. exp_e17 --smoke        columnar segments: roundtrip + aggregates
+#  18. exp_e17 --smoke        columnar segments: roundtrip + aggregates
 #                             bit-identical at 1/2/4 workers, zone maps
 #                             prune >=half the segments under a selective
 #                             predicate, column-pruned scans read <half
@@ -63,38 +68,38 @@
 #                             and the intersectional audit over segments
 #                             equals the in-memory one while reading
 #                             <half the stored bytes
-#  18. exp_e18 --smoke        adaptive admission: open-loop overload where
+#  19. exp_e18 --smoke        adaptive admission: open-loop overload where
 #                             the static queue bound blows p99 >=4x past
 #                             target while the AIMD controller holds <=2x,
 #                             a flooding tenant is throttled while a quiet
 #                             one completes >=95%, and a spawned
 #                             fact-shardd enforces quotas with typed
 #                             Throttled errors across the wire
-#  19. exp_e19 --smoke        live resharding: 4 -> 8 -> 3 cutovers under
+#  20. exp_e19 --smoke        live resharding: 4 -> 8 -> 3 cutovers under
 #                             concurrent load with zero lost decisions,
 #                             cell-exact fairness-window + ε-ledger
 #                             conservation across the transform, and a
 #                             continuous audit chain
-#  20. exp_e20 --smoke        audit archiving: background compaction of a
+#  21. exp_e20 --smoke        audit archiving: background compaction of a
 #                             10x-rotated log keeps the writer batch p99
 #                             within 5% of the archiver-off baseline,
 #                             every archive decodes byte-identically
 #                             (sha256-checked), and a SIGKILL mid-archive
 #                             recovers with zero provably-lost entries —
 #                             original xor verified archive, never neither
-#  21. doc-link check         every PROTOCOL.md / OPERATIONS.md section
+#  22. doc-link check         every PROTOCOL.md / OPERATIONS.md section
 #                             anchor referenced from the crate rustdoc
 #                             resolves to a real heading
-#  22. harness-kit check      no experiment binary or root integration test
+#  23. harness-kit check      no experiment binary or root integration test
 #                             defines a helper fact_bench::kit owns again
 #                             (worker spawn, models, lending workloads),
 #                             and every exp_* binary with a `fn main`
 #                             parses its arguments with kit::Mode
-#  23. storage-seam check     no non-test code under crates/serve/src
+#  24. storage-seam check     no non-test code under crates/serve/src
 #                             touches std::fs outside checkpoint.rs (guard
 #                             state) and audit_sink/storage.rs (audit
 #                             segments), so on-disk state has two owners
-#  24. surface report         non-test LoC, crate-root `pub use` names and
+#  25. surface report         non-test LoC, crate-root `pub use` names and
 #                             public types per crate (scripts/surface.sh);
 #                             report only, it fails nothing
 #
@@ -111,6 +116,9 @@ cargo clippy --offline --all-targets -- -D warnings -D clippy::format_collect
 
 echo "==> cargo test -q"
 cargo test --offline --workspace -q
+
+echo "==> fact-data and fact-fairness tests in release (overflow wraps there)"
+cargo test --offline --release -q -p fact-data -p fact-fairness
 
 echo "==> fact-net and fact-serve --lib on one core (coalesced frame I/O, reply races)"
 taskset -c 0 cargo test --offline -q -p fact-net
